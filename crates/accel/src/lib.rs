@@ -10,10 +10,12 @@
 //!    window; when the window invariant cannot be verified the caller
 //!    falls back to classic inner-node descent.
 //! 2. **Recall-targeted approximation** ([`tune`], [`recall`]): the
-//!    Chávez–Navarro radius-contraction recipe — shrink the pruning
-//!    radius by a factor `c ∈ (0,1]` (equivalently inflate the kNN
-//!    termination bound by `α = 1/c`) and auto-tune the factor against
-//!    sampled exact ground truth until a recall target is met.
+//!    Chávez–Navarro radius-contraction recipe — shrink a range
+//!    query's pruning radius by a factor `c ∈ (0,1]`, or inflate the
+//!    kNN termination bound by a factor `α ≥ 1`, and auto-tune the
+//!    factor against sampled exact ground truth until a recall target
+//!    is met. Each query carries its own factor as given
+//!    (`spb_core::QueryPlan`); one is never derived from the other.
 //!
 //! The model is trained at build/checkpoint time, persisted next to
 //! `spb.meta` as [`MODEL_FILE`], and stamped with the tree epoch
@@ -32,7 +34,7 @@ mod model;
 mod tune;
 
 pub use model::{LeafEntry, LeafModel, Located, MODEL_FILE, MODEL_MAGIC};
-pub use tune::{recall, tune, Tuned, ALPHA_LADDER, CONTRACTION_LADDER};
+pub use tune::{recall, tune, Tuned, ALPHA_LADDER};
 
 /// Build-time acceleration policy carried by `SpbConfig::accel`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -58,66 +60,4 @@ pub enum Positioning {
     /// Request learned positioning; silently falls back to classic
     /// (counted in `accel.model_fallback`) when no fresh model exists.
     Learned,
-}
-
-/// Result semantics of a (batched) query. Exact and approximate
-/// requests must never be coalesced into one traversal: an approximate
-/// traversal prunes with a contracted radius and would silently drop
-/// answers from exact queries sharing it.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum QueryMode {
-    /// Full, paper-exact semantics.
-    Exact,
-    /// Pruning radius contracted by `contraction ∈ (0, 1]`; range
-    /// queries keep perfect precision (every hit is re-checked against
-    /// the true radius) but may miss answers, kNN runs with
-    /// `α = 1/contraction ≥ 1`.
-    Approx {
-        /// Radius-contraction factor in `(0, 1]`; `1.0` degenerates to
-        /// exact semantics through the approximate code path.
-        contraction: f64,
-    },
-}
-
-impl QueryMode {
-    /// The radius-contraction factor (`1.0` for exact).
-    pub fn contraction(&self) -> f64 {
-        match *self {
-            QueryMode::Exact => 1.0,
-            QueryMode::Approx { contraction } => contraction,
-        }
-    }
-
-    /// The equivalent kNN bound-inflation factor `α = 1/c ≥ 1`.
-    pub fn alpha(&self) -> f64 {
-        let c = self.contraction();
-        if c > 0.0 && c < 1.0 {
-            1.0 / c
-        } else {
-            1.0
-        }
-    }
-
-    /// True for [`QueryMode::Exact`].
-    pub fn is_exact(&self) -> bool {
-        matches!(self, QueryMode::Exact)
-    }
-}
-
-#[cfg(test)]
-mod mode_tests {
-    use super::*;
-
-    #[test]
-    fn mode_contraction_and_alpha() {
-        assert_eq!(QueryMode::Exact.contraction(), 1.0);
-        assert_eq!(QueryMode::Exact.alpha(), 1.0);
-        let m = QueryMode::Approx { contraction: 0.5 };
-        assert_eq!(m.contraction(), 0.5);
-        assert_eq!(m.alpha(), 2.0);
-        assert!(!m.is_exact());
-        // Degenerate contraction never yields alpha < 1 or NaN.
-        let d = QueryMode::Approx { contraction: 0.0 };
-        assert_eq!(d.alpha(), 1.0);
-    }
 }

@@ -14,10 +14,6 @@
 /// meeting any target ≤ 1.
 pub const ALPHA_LADDER: [f64; 6] = [4.0, 3.0, 2.0, 1.5, 1.25, 1.0];
 
-/// Candidate range radius-contraction factors, most aggressive first;
-/// `1.0` is exact.
-pub const CONTRACTION_LADDER: [f64; 6] = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
-
 /// Outcome of an auto-tune run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Tuned {

@@ -4,7 +4,7 @@
 //! ```text
 //! experiments <table2|table4|table5|table6|table7|
 //!              fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|
-//!              ablation|approx|parallel|server|cluster|all>
+//!              ablation|approx|all>
 //!             [--scale smoke|default|full]
 //! ```
 //!
@@ -21,7 +21,6 @@ fn usage() -> ! {
         "usage: experiments <experiment> [--scale smoke|default|full]\n\
          experiments: table2 table4 table5 table6 table7\n\
          \x20            fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 ablation approx\n\
-         \x20            accel parallel server cluster\n\
          \x20            all"
     );
     std::process::exit(2)
@@ -69,18 +68,13 @@ fn main() {
         "fig17" => exp::fig17::run(scale),
         "fig18" => exp::fig18::run(scale),
         "ablation" => exp::ablation::run(scale),
-        "accel" => exp::accel::run(scale),
         "approx" => exp::approx::run(scale),
-        "parallel" => exp::parallel::run(scale),
-        "server" => exp::server_load::run(scale),
-        "cluster" => exp::cluster::run(scale),
         _ => usage(),
     };
     if which == "all" {
         for name in [
             "table2", "table4", "table5", "table6", "table7", "fig9", "fig10", "fig11", "fig12",
-            "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "ablation", "accel", "approx",
-            "parallel", "server", "cluster",
+            "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "ablation", "approx",
         ] {
             eprintln!("[experiments] running {name} ({scale:?})...");
             run_one(name);

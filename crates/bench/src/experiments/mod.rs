@@ -2,9 +2,7 @@
 //! `run(scale: Scale)`, printing the reproduced rows/series.
 
 pub mod ablation;
-pub mod accel;
 pub mod approx;
-pub mod cluster;
 pub mod common;
 pub mod fig10;
 pub mod fig11;
@@ -16,8 +14,6 @@ pub mod fig16;
 pub mod fig17;
 pub mod fig18;
 pub mod fig9;
-pub mod parallel;
-pub mod server_load;
 pub mod table2;
 pub mod table4;
 pub mod table5;

@@ -18,7 +18,7 @@ use std::io::{self, BufRead};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 
-use spb_core::{SpbConfig, SpbTree};
+use spb_core::{QueryPlan, QueryShape, SpbConfig, SpbTree};
 use spb_metric::{EditDistance, FloatVec, LpNorm, Word};
 use spb_server::{AdmissionConfig, Client, ClientError, ErrorCode, Response, ServerConfig};
 
@@ -145,10 +145,9 @@ pub enum Command {
         index: PathBuf,
         /// Query object in the schema's line format.
         query: String,
-        /// Number of neighbours.
-        k: usize,
-        /// Approximation factor (1 = exact).
-        alpha: f64,
+        /// `--k K [--alpha A]`: neighbour count plus the optional
+        /// approximation factor (see [`knn_plan`]).
+        plan: QueryPlan,
         /// Measure and report the achieved recall against the exact
         /// answer (`--approx`).
         approx: bool,
@@ -251,12 +250,10 @@ pub enum RemoteCommand {
         addr: String,
         /// Query in the schema's text form.
         query: String,
-        /// Number of neighbours.
-        k: u32,
-        /// Use the α-approximate wire op (`--approx`).
-        approx: bool,
-        /// Approximation factor for `--approx` (default 1.0).
-        alpha: f64,
+        /// `--k K [--alpha A] [--approx]`, parsed exactly like the local
+        /// `knn` (see [`knn_plan`]); an approximate plan travels as the
+        /// α-approximate wire op.
+        plan: QueryPlan,
         /// Relative deadline in ms (`0` = none).
         deadline_ms: u32,
     },
@@ -386,12 +383,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         "knn" => Ok(Command::Knn {
             index: PathBuf::from(need("index")?),
             query: need("query")?,
-            k: opt("k", "10")
-                .parse()
-                .map_err(|_| "--k must be an integer".to_owned())?,
-            alpha: opt("alpha", "1.0")
-                .parse()
-                .map_err(|_| "--alpha must be a number".to_owned())?,
+            plan: knn_plan(&flags)?,
             approx: flags.contains_key("approx"),
             recall_target: flags
                 .get("recall-target")
@@ -492,13 +484,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 "knn" => Ok(Command::Remote(RemoteCommand::Knn {
                     addr,
                     query: need("query")?,
-                    k: opt("k", "10")
-                        .parse()
-                        .map_err(|_| "--k must be an integer".to_owned())?,
-                    approx: flags.contains_key("approx"),
-                    alpha: opt("alpha", "1.0")
-                        .parse()
-                        .map_err(|_| "--alpha must be a number".to_owned())?,
+                    plan: knn_plan(&flags)?,
                     deadline_ms,
                 })),
                 "insert" => Ok(Command::Remote(RemoteCommand::Insert {
@@ -540,6 +526,33 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
         }
         other => Err(format!("unknown command {other:?}\n{}", usage())),
+    }
+}
+
+/// The kNN plan of `--k K [--alpha A] [--approx]`, shared by the local
+/// and the remote `knn` so both accept and reject the same flags: `K`
+/// defaults to 10, an `--alpha` makes the query α-approximate, and a bare
+/// `--approx` asks for the approximate mode at `α = 1`. An `A` the plan
+/// rejects (below 1, NaN, infinite) is a usage error.
+fn knn_plan(flags: &std::collections::HashMap<String, String>) -> Result<QueryPlan, String> {
+    let k: u32 = flags
+        .get("k")
+        .map_or(Ok(10), |k| k.parse())
+        .map_err(|_| "--k must be an integer".to_owned())?;
+    let alpha = flags
+        .get("alpha")
+        .map(|a| a.parse::<f64>())
+        .transpose()
+        .map_err(|_| "--alpha must be a number".to_owned())?;
+    let approx = alpha.or(flags.contains_key("approx").then_some(1.0));
+    QueryPlan::new(QueryShape::Knn { k: k as usize }, approx).map_err(|e| format!("--alpha: {e}"))
+}
+
+/// The `k` of a `knn` command's plan.
+fn knn_k(plan: QueryPlan) -> Result<usize, String> {
+    match plan.shape() {
+        QueryShape::Knn { k } => Ok(k),
+        QueryShape::Range { .. } => Err("knn needs a kNN plan".to_owned()),
     }
 }
 
@@ -694,7 +707,7 @@ fn run_remote(cmd: &RemoteCommand, out: &mut String) -> Result<(), CliError> {
             let (mut client, schema) = connect_with_schema(addr)?;
             let obj = schema.encode_text(query)?;
             let (hits, stats) = client
-                .range(&obj, *radius, *deadline_ms)
+                .range(&obj, *radius, None, *deadline_ms)
                 .map_err(client_error)?;
             for (id, bytes) in &hits {
                 let _ = writeln!(out, "{id}\t{}", schema.render(bytes)?);
@@ -706,20 +719,15 @@ fn run_remote(cmd: &RemoteCommand, out: &mut String) -> Result<(), CliError> {
         RemoteCommand::Knn {
             addr,
             query,
-            k,
-            approx,
-            alpha,
+            plan,
             deadline_ms,
         } => {
             let (mut client, schema) = connect_with_schema(addr)?;
             let obj = schema.encode_text(query)?;
-            let (nn, stats) = if *approx {
-                client
-                    .knn_approx(&obj, *k, *alpha, *deadline_ms)
-                    .map_err(client_error)?
-            } else {
-                client.knn(&obj, *k, *deadline_ms).map_err(client_error)?
-            };
+            let k = knn_k(*plan)? as u32;
+            let (nn, stats) = client
+                .knn(&obj, k, plan.approx(), *deadline_ms)
+                .map_err(client_error)?;
             for (id, d, bytes) in &nn {
                 let _ = writeln!(out, "{id}\t{d}\t{}", schema.render(bytes)?);
             }
@@ -1060,15 +1068,13 @@ fn run_local(cmd: &Command, out: &mut String) -> Result<(), String> {
         Command::Knn {
             index,
             query,
-            k,
-            alpha,
+            plan,
             approx,
             recall_target,
         } => with_index(index, |idx| match idx {
             Index::Words(tree) => {
                 let q = Word::new(query.clone());
-                let (nn, stats) =
-                    run_knn_tuned(out, tree, &q, *k, *alpha, *approx, *recall_target)?;
+                let (nn, stats) = run_knn_tuned(out, tree, &q, *plan, *approx, *recall_target)?;
                 for (id, w, d) in &nn {
                     let _ = writeln!(out, "{id}\t{d}\t{}", w.as_str());
                 }
@@ -1077,8 +1083,7 @@ fn run_local(cmd: &Command, out: &mut String) -> Result<(), String> {
             }
             Index::Vectors(tree, dim) => {
                 let q = parse_vector(query, dim)?;
-                let (nn, stats) =
-                    run_knn_tuned(out, tree, &q, *k, *alpha, *approx, *recall_target)?;
+                let (nn, stats) = run_knn_tuned(out, tree, &q, *plan, *approx, *recall_target)?;
                 for (id, _, d) in &nn {
                     let _ = writeln!(out, "{id}\t{d}");
                 }
@@ -1457,14 +1462,13 @@ type KnnAnswer<O> = (Vec<(u32, O, f64)>, spb_core::QueryStats);
 /// Runs a local kNN query with the requested accuracy mode:
 /// `--recall-target` auto-tunes `alpha` on the query itself (walking
 /// the ladder, exact `1.0` last), `--approx` measures recall for the
-/// given `alpha`, and the default runs `alpha` unmeasured (exact when
-/// `alpha = 1`).
+/// plan's `alpha`, and the default runs the plan unmeasured (exact
+/// without an `alpha`).
 fn run_knn_tuned<O, D>(
     out: &mut String,
     tree: &SpbTree<O, D>,
     q: &O,
-    k: usize,
-    alpha: f64,
+    plan: QueryPlan,
     approx: bool,
     recall_target: Option<f64>,
 ) -> Result<KnnAnswer<O>, String>
@@ -1472,6 +1476,7 @@ where
     O: spb_metric::MetricObject,
     D: spb_metric::Distance<O>,
 {
+    let (k, alpha) = (knn_k(plan)?, plan.factor());
     if let Some(target) = recall_target {
         let tuned = tree
             .tune_knn_alpha(std::slice::from_ref(q), k, target)
@@ -1506,6 +1511,10 @@ mod tests {
         s.split_whitespace().map(|x| x.to_owned()).collect()
     }
 
+    fn knn(k: usize, alpha: Option<f64>) -> QueryPlan {
+        QueryPlan::new(QueryShape::Knn { k }, alpha).unwrap()
+    }
+
     #[test]
     fn parses_build() {
         let cmd = parse_args(&args(
@@ -1533,8 +1542,7 @@ mod tests {
             Command::Knn {
                 index: "./idx".into(),
                 query: "hello".into(),
-                k: 10,
-                alpha: 1.0,
+                plan: knn(10, None),
                 approx: false,
                 recall_target: None,
             }
@@ -1557,8 +1565,7 @@ mod tests {
             Command::Knn {
                 index: "./idx".into(),
                 query: "hello".into(),
-                k: 10,
-                alpha: 2.0,
+                plan: knn(10, Some(2.0)),
                 approx: true,
                 recall_target: None,
             }
@@ -1569,8 +1576,7 @@ mod tests {
             Command::Knn {
                 index: "./idx".into(),
                 query: "hello".into(),
-                k: 10,
-                alpha: 1.0,
+                plan: knn(10, None),
                 approx: false,
                 recall_target: Some(0.9),
             }
@@ -1579,6 +1585,28 @@ mod tests {
             "knn --index ./idx --query hello --recall-target high"
         ))
         .is_err());
+        // Local and remote share one flag -> plan function: a bare
+        // `--approx` is the approximate mode at alpha 1, a remote
+        // `--alpha` needs no `--approx`, and an alpha the plan rejects is
+        // a usage error on both (it used to panic the local command).
+        for cmd in ["knn --index ./idx", "remote knn --addr 127.0.0.1:7878"] {
+            for alpha in ["0.5", "nan", "inf", "-2"] {
+                let err =
+                    parse_args(&args(&format!("{cmd} --query hello --alpha {alpha}"))).unwrap_err();
+                assert!(err.starts_with("--alpha: "), "{cmd} --alpha {alpha}: {err}");
+            }
+            let plan_of =
+                |extra: &str| match parse_args(&args(&format!("{cmd} --query hello {extra}")))
+                    .unwrap()
+                {
+                    Command::Knn { plan, .. }
+                    | Command::Remote(RemoteCommand::Knn { plan, .. }) => plan,
+                    other => panic!("{other:?}"),
+                };
+            assert_eq!(plan_of("--k 3"), knn(3, None));
+            assert_eq!(plan_of("--approx"), knn(10, Some(1.0)));
+            assert_eq!(plan_of("--alpha 1.8"), knn(10, Some(1.8)));
+        }
         let cmd = parse_args(&args(
             "remote knn --addr 127.0.0.1:7878 --query hello --approx --alpha 1.5",
         ))
@@ -1588,9 +1616,7 @@ mod tests {
             Command::Remote(RemoteCommand::Knn {
                 addr: "127.0.0.1:7878".into(),
                 query: "hello".into(),
-                k: 10,
-                approx: true,
-                alpha: 1.5,
+                plan: knn(10, Some(1.5)),
                 deadline_ms: 0,
             })
         );
@@ -1662,8 +1688,7 @@ mod tests {
             &Command::Knn {
                 index: index.clone(),
                 query: "parrots".into(),
-                k: 2,
-                alpha: 1.0,
+                plan: knn(2, None),
                 approx: false,
                 recall_target: None,
             },
@@ -1678,8 +1703,7 @@ mod tests {
             &Command::Knn {
                 index: index.clone(),
                 query: "parrots".into(),
-                k: 2,
-                alpha: 1.0,
+                plan: knn(2, None),
                 approx: false,
                 recall_target: Some(1.0),
             },

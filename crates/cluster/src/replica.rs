@@ -31,11 +31,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use spb_core::SpbTree;
+use spb_core::{QueryPlan, SpbTree};
 use spb_metric::{Distance, MetricObject};
 use spb_server::admission::Deadline;
-use spb_server::service::{IndexService, ServiceError, TreeService};
-use spb_server::wire::{WireHit, WireNn, WireStats};
+use spb_server::service::{Answers, IndexService, ServiceError, TreeService};
+use spb_server::wire::WireStats;
 use spb_server::{ClientError, Schema};
 use spb_storage::lockrank::{self, LockRank, RankedRwReadGuard, RankedRwWriteGuard};
 use spb_storage::Wal;
@@ -277,52 +277,14 @@ impl<O: MetricObject, D: Distance<O> + Clone> IndexService for ReplicaService<O,
         self.with_service(|s| Ok(s.num_pivots())).unwrap_or(0)
     }
 
-    fn range(&self, obj: &[u8], radius: f64) -> Result<(Vec<WireHit>, WireStats), ServiceError> {
-        self.with_service(|s| s.range(obj, radius))
-    }
-
-    fn knn(&self, obj: &[u8], k: usize) -> Result<(Vec<WireNn>, WireStats), ServiceError> {
-        self.with_service(|s| s.knn(obj, k))
-    }
-
-    fn range_approx(
+    fn query(
         &self,
-        obj: &[u8],
-        radius: f64,
-        contraction: f64,
-    ) -> Result<(Vec<WireHit>, WireStats), ServiceError> {
-        self.with_service(|s| s.range_approx(obj, radius, contraction))
-    }
-
-    fn knn_approx(
-        &self,
-        obj: &[u8],
-        k: usize,
-        alpha: f64,
-    ) -> Result<(Vec<WireNn>, WireStats), ServiceError> {
-        self.with_service(|s| s.knn_approx(obj, k, alpha))
-    }
-
-    fn range_approx_batch(
-        &self,
+        plan: QueryPlan,
         objs: &[Vec<u8>],
-        radius: f64,
-        contraction: f64,
         threads: usize,
         deadline: Deadline,
-    ) -> Result<Vec<(Vec<WireHit>, WireStats)>, ServiceError> {
-        self.with_service(|s| s.range_approx_batch(objs, radius, contraction, threads, deadline))
-    }
-
-    fn knn_approx_batch(
-        &self,
-        objs: &[Vec<u8>],
-        k: usize,
-        alpha: f64,
-        threads: usize,
-        deadline: Deadline,
-    ) -> Result<Vec<(Vec<WireNn>, WireStats)>, ServiceError> {
-        self.with_service(|s| s.knn_approx_batch(objs, k, alpha, threads, deadline))
+    ) -> Result<Answers, ServiceError> {
+        self.with_service(|s| s.query(plan, objs, threads, deadline))
     }
 
     fn insert(&self, _obj: &[u8]) -> Result<WireStats, ServiceError> {
@@ -335,26 +297,6 @@ impl<O: MetricObject, D: Distance<O> + Clone> IndexService for ReplicaService<O,
         Err(ServiceError::Internal(
             "replica is read-only; write to the shard primary".to_owned(),
         ))
-    }
-
-    fn range_batch(
-        &self,
-        objs: &[Vec<u8>],
-        radius: f64,
-        threads: usize,
-        deadline: Deadline,
-    ) -> Result<Vec<(Vec<WireHit>, WireStats)>, ServiceError> {
-        self.with_service(|s| s.range_batch(objs, radius, threads, deadline))
-    }
-
-    fn knn_batch(
-        &self,
-        objs: &[Vec<u8>],
-        k: usize,
-        threads: usize,
-        deadline: Deadline,
-    ) -> Result<Vec<(Vec<WireNn>, WireStats)>, ServiceError> {
-        self.with_service(|s| s.knn_batch(objs, k, threads, deadline))
     }
 
     fn checkpoint(&self) -> io::Result<()> {

@@ -30,10 +30,10 @@ use std::net::SocketAddr;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use spb_core::shard_mind;
+use spb_core::{shard_mind, QueryPlan, QueryShape};
 use spb_metric::{Distance, MetricObject};
 use spb_server::wire::{ErrorCode, WireHit, WireNn, WireStats};
-use spb_server::{Client, ClientError};
+use spb_server::{Answers, Client, ClientError};
 use spb_storage::lockrank::{self, LockRank, RankedMutexGuard};
 
 /// Shards contacted per routed query.
@@ -315,6 +315,47 @@ impl<O: MetricObject, D: Distance<O>> Router<O, D> {
     /// `RQ(q, r)` across the cluster. Hits carry global ids and come
     /// back sorted by id; stats are the sum over the queried shards.
     pub fn range(&self, q: &O, radius: f64) -> Result<(Vec<WireHit>, WireStats), RouterError> {
+        self.range_scatter(q, radius, None)
+    }
+
+    /// `kNN(q, k)` across the cluster, in ascending-bound waves under a
+    /// shrinking global radius. Results are byte-identical to a single
+    /// node over the union of the shards, tie-breaks included.
+    pub fn knn(&self, q: &O, k: usize) -> Result<(Vec<WireNn>, WireStats), RouterError> {
+        self.knn_scatter(q, k, None)
+    }
+
+    /// Runs `plan` for every query across the cluster, one answer row
+    /// per query — the same contract as a single node's
+    /// [`IndexService::query`](spb_server::IndexService::query). Each
+    /// query routes independently (per-query shard pruning differs). An
+    /// approximate plan's factor is forwarded to every shard unchanged.
+    pub fn query(&self, plan: QueryPlan, qs: &[O]) -> Result<Answers, RouterError> {
+        match plan.shape() {
+            QueryShape::Range { radius } => qs
+                .iter()
+                .map(|q| self.range_scatter(q, radius, plan.approx()))
+                .collect::<Result<_, _>>()
+                .map(Answers::Range),
+            QueryShape::Knn { k } => qs
+                .iter()
+                .map(|q| self.knn_scatter(q, k, plan.approx()))
+                .collect::<Result<_, _>>()
+                .map(Answers::Knn),
+        }
+    }
+
+    /// The range body: one wave over every shard the *true* radius can
+    /// reach. With a `contraction` each shard contracts its own pruning
+    /// radius while checking candidates against `radius`, so the merged
+    /// answer keeps perfect precision; shard pruning never contracts — a
+    /// contracted fan-out would compound the recall loss invisibly.
+    fn range_scatter(
+        &self,
+        q: &O,
+        radius: f64,
+        contraction: Option<f64>,
+    ) -> Result<(Vec<WireHit>, WireStats), RouterError> {
         let qp = self.q_phi(q);
         let obj = encode(q);
         // Prune only on a strictly larger bound: a shard whose bound
@@ -323,7 +364,9 @@ impl<O: MetricObject, D: Distance<O>> Router<O, D> {
             .filter(|&i| shard_mind(&qp, &self.nodes[i].route.mbb) <= radius)
             .collect();
         fanout_hist().record(targets.len() as u64);
-        let results = self.scatter(&targets, &move |c: &mut Client| c.range(&obj, radius, 0))?;
+        let results = self.scatter(&targets, &move |c: &mut Client| {
+            c.range(&obj, radius, contraction, 0)
+        })?;
 
         let mut hits = Vec::new();
         let mut stats = WireStats::default();
@@ -335,10 +378,19 @@ impl<O: MetricObject, D: Distance<O>> Router<O, D> {
         Ok((hits, stats))
     }
 
-    /// `kNN(q, k)` across the cluster, in ascending-bound waves under a
-    /// shrinking global radius. Results are byte-identical to a single
-    /// node over the union of the shards, tie-breaks included.
-    pub fn knn(&self, q: &O, k: usize) -> Result<(Vec<WireNn>, WireStats), RouterError> {
+    /// The kNN body: shrinking-radius waves in ascending shard-bound
+    /// order. With an `alpha` every shard answers its α-approximate
+    /// top-`k`, while wave pruning still compares shard bounds against
+    /// the merged k-th distance unrelaxed (shard pruning must not
+    /// compound the per-shard approximation); the merged list is the best
+    /// `k` of the shards' candidates, so every returned distance is
+    /// within `alpha` of the true k-th NN distance.
+    fn knn_scatter(
+        &self,
+        q: &O,
+        k: usize,
+        alpha: Option<f64>,
+    ) -> Result<(Vec<WireNn>, WireStats), RouterError> {
         let mut stats = WireStats::default();
         if k == 0 || self.nodes.is_empty() {
             fanout_hist().record(0);
@@ -364,7 +416,7 @@ impl<O: MetricObject, D: Distance<O>> Router<O, D> {
         let mut fanout = 0u64;
         while !wave.is_empty() {
             fanout += wave.len() as u64;
-            let results = self.scatter(&wave, &|c: &mut Client| c.knn(&obj, k as u32, 0))?;
+            let results = self.scatter(&wave, &|c: &mut Client| c.knn(&obj, k as u32, alpha, 0))?;
             let mut lists = vec![std::mem::take(&mut best)];
             for (&shard, (nns, shard_stats)) in wave.iter().zip(results) {
                 visited[shard] = true;
@@ -383,115 +435,6 @@ impl<O: MetricObject, D: Distance<O>> Router<O, D> {
         }
         fanout_hist().record(fanout);
         Ok((best, stats))
-    }
-
-    /// Approximate `RQ(q, r)` across the cluster: every shard contracts
-    /// its pruning radius by `contraction` while checking candidates
-    /// against the true `r`, so the merged answer keeps perfect
-    /// precision and trades only recall. Shard pruning still uses the
-    /// true radius — a contracted shard fan-out would compound the
-    /// recall loss invisibly.
-    pub fn range_approx(
-        &self,
-        q: &O,
-        radius: f64,
-        contraction: f64,
-    ) -> Result<(Vec<WireHit>, WireStats), RouterError> {
-        let qp = self.q_phi(q);
-        let obj = encode(q);
-        let targets: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| shard_mind(&qp, &self.nodes[i].route.mbb) <= radius)
-            .collect();
-        fanout_hist().record(targets.len() as u64);
-        let results = self.scatter(&targets, &move |c: &mut Client| {
-            c.range_approx(&obj, radius, contraction, 0)
-        })?;
-
-        let mut hits = Vec::new();
-        let mut stats = WireStats::default();
-        for (shard_hits, shard_stats) in results {
-            sum_stats(&mut stats, &shard_stats);
-            hits.extend(shard_hits);
-        }
-        hits.sort_unstable_by_key(|&(id, _)| id);
-        Ok((hits, stats))
-    }
-
-    /// α-approximate `kNN(q, k)` across the cluster: one wave over
-    /// every shard that could contribute at `α = 1` (shard pruning must
-    /// not compound the per-shard approximation), each shard answering
-    /// its α-approximate top-`k`; the merged list is the best `k` of
-    /// those candidates, so every returned distance is within `α` of
-    /// the true k-th NN distance.
-    pub fn knn_approx(
-        &self,
-        q: &O,
-        k: usize,
-        alpha: f64,
-    ) -> Result<(Vec<WireNn>, WireStats), RouterError> {
-        let mut stats = WireStats::default();
-        if k == 0 || self.nodes.is_empty() {
-            fanout_hist().record(0);
-            return Ok((Vec::new(), stats));
-        }
-        let qp = self.q_phi(q);
-        let obj = encode(q);
-        let bounds: Vec<f64> = self
-            .nodes
-            .iter()
-            .map(|n| shard_mind(&qp, &n.route.mbb))
-            .collect();
-        let min_bound = bounds.iter().copied().fold(f64::INFINITY, f64::min);
-
-        let mut visited = vec![false; self.nodes.len()];
-        let mut best: Vec<WireNn> = Vec::new();
-        let mut wave: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| bounds[i] <= min_bound)
-            .collect();
-        let mut fanout = 0u64;
-        while !wave.is_empty() {
-            fanout += wave.len() as u64;
-            let results = self.scatter(&wave, &|c: &mut Client| {
-                c.knn_approx(&obj, k as u32, alpha, 0)
-            })?;
-            let mut lists = vec![std::mem::take(&mut best)];
-            for (&shard, (nns, shard_stats)) in wave.iter().zip(results) {
-                visited[shard] = true;
-                sum_stats(&mut stats, &shard_stats);
-                lists.push(nns);
-            }
-            best = merge_topk(k, lists);
-            let r_k = if best.len() >= k {
-                best.last().map(|&(_, d, _)| d).unwrap_or(f64::INFINITY)
-            } else {
-                f64::INFINITY
-            };
-            wave = (0..self.nodes.len())
-                .filter(|&i| !visited[i] && bounds[i] <= r_k)
-                .collect();
-        }
-        fanout_hist().record(fanout);
-        Ok((best, stats))
-    }
-
-    /// A batch of range queries sharing one radius. Each query routes
-    /// independently (per-query pruning differs), so results and
-    /// per-query stats match [`Router::range`] exactly.
-    pub fn batch_range(
-        &self,
-        qs: &[O],
-        radius: f64,
-    ) -> Result<Vec<(Vec<WireHit>, WireStats)>, RouterError> {
-        qs.iter().map(|q| self.range(q, radius)).collect()
-    }
-
-    /// A batch of kNN queries sharing one `k`.
-    pub fn batch_knn(
-        &self,
-        qs: &[O],
-        k: usize,
-    ) -> Result<Vec<(Vec<WireNn>, WireStats)>, RouterError> {
-        qs.iter().map(|q| self.knn(q, k)).collect()
     }
 
     /// The merged observability snapshot of every shard primary.

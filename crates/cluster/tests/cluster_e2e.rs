@@ -4,9 +4,9 @@
 //! primary dies.
 
 use spb_cluster::{Cluster, ClusterConfig};
-use spb_core::{SpbConfig, SpbTree};
+use spb_core::{QueryPlan, QueryShape, SpbConfig, SpbTree};
 use spb_metric::{dataset, Distance, MetricObject, Word};
-use spb_server::{Client, Schema};
+use spb_server::{Answers, Client, Schema};
 use spb_storage::fault::{self, FaultMode, FaultPlan};
 use spb_storage::TempDir;
 
@@ -104,11 +104,23 @@ fn sharded_cluster_answers_byte_identically_to_a_single_node() {
         }
     }
 
-    // Batches are per-query identical to their single-query forms.
-    let (batch_r, batch_k) = (
-        router.batch_range(&queries, 2.0).expect("batch range"),
-        router.batch_knn(&queries, 5).expect("batch knn"),
-    );
+    // A plan over many queries is per-query identical to the
+    // single-query forms.
+    let Answers::Range(batch_r) = router
+        .query(
+            QueryPlan::exact(QueryShape::Range { radius: 2.0 }),
+            &queries,
+        )
+        .expect("range plan")
+    else {
+        panic!("a range plan answers range rows");
+    };
+    let Answers::Knn(batch_k) = router
+        .query(QueryPlan::exact(QueryShape::Knn { k: 5 }), &queries)
+        .expect("knn plan")
+    else {
+        panic!("a kNN plan answers kNN rows");
+    };
     for (q, (hits, _)) in queries.iter().zip(&batch_r) {
         assert_eq!(hits, &reference.range(q, 2.0));
     }
@@ -127,7 +139,9 @@ fn sharded_cluster_answers_byte_identically_to_a_single_node() {
     let mut summed = spb_server::wire::WireStats::default();
     for shard in 0..cluster.num_shards() {
         let mut conn = Client::connect(cluster.primary_addr(shard)).expect("shard connect");
-        let (_, stats) = conn.range(&q.encoded(), full, 0).expect("shard range");
+        let (_, stats) = conn
+            .range(&q.encoded(), full, None, 0)
+            .expect("shard range");
         spb_cluster::sum_stats(&mut summed, &stats);
     }
     assert_eq!(routed.compdists, summed.compdists);
@@ -192,7 +206,7 @@ fn lagging_replica_catches_up_and_serves_reads_after_primary_kill() {
     // The caught-up replica answers for the shipped writes directly.
     let mut replica_conn = Client::connect(cluster.replica_addrs(0)[0]).expect("replica connect");
     let (hits, _) = replica_conn
-        .range(&inserted[3].encoded(), 0.0, 0)
+        .range(&inserted[3].encoded(), 0.0, None, 0)
         .expect("replica range");
     assert!(
         hits.iter()
@@ -200,7 +214,7 @@ fn lagging_replica_catches_up_and_serves_reads_after_primary_kill() {
         "replica must serve the replicated insert"
     );
     let (torn, _) = replica_conn
-        .range(&Word::new("tornword").encoded(), 0.0, 0)
+        .range(&Word::new("tornword").encoded(), 0.0, None, 0)
         .expect("replica range (torn)");
     assert!(torn.is_empty(), "the torn transaction must not replicate");
 

@@ -16,11 +16,11 @@
 
 use std::io;
 
-use spb_accel::QueryMode;
 use spb_metric::{Distance, MetricObject};
 
 use crate::exec::WorkerPool;
 use crate::knn::Traversal;
+use crate::plan::{QueryPlan, QueryShape};
 use crate::tree::{QueryStats, SpbTree};
 
 /// Per-query output of [`SpbTree::range_batch`]: `(hits, stats)` in input
@@ -31,6 +31,16 @@ pub type RangeBatch<O> = Vec<(Vec<(u32, O)>, QueryStats)>;
 /// input order.
 pub type KnnBatch<O> = Vec<(Vec<(u32, O, f64)>, QueryStats)>;
 
+/// Per-query output of [`SpbTree::query_batch`], in input order: the
+/// plan's shape decides which kind of rows come back.
+#[derive(Debug)]
+pub enum QueryAnswers<O> {
+    /// Rows of a range plan.
+    Range(RangeBatch<O>),
+    /// Rows of a kNN plan.
+    Knn(KnnBatch<O>),
+}
+
 impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
     /// Runs `RQ(q, O, r)` for every `(q, r)` pair on `threads` worker
     /// threads, returning per-query results and stats in input order.
@@ -39,66 +49,70 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
     /// [`SpbTree::range`] per query (under the paper's flush-before-query
     /// protocol), for any thread count.
     pub fn range_batch(&self, queries: &[(O, f64)], threads: usize) -> io::Result<RangeBatch<O>> {
-        self.range_batch_mode(queries, QueryMode::Exact, threads)
-    }
-
-    /// [`SpbTree::range_batch`] with explicit result semantics. The mode
-    /// applies to the whole batch: every query in it shares one
-    /// [`QueryMode`], so exact and approximate requests can never be
-    /// mixed into one traversal — a caller with both runs two batches.
-    pub fn range_batch_mode(
-        &self,
-        queries: &[(O, f64)],
-        mode: QueryMode,
-        threads: usize,
-    ) -> io::Result<RangeBatch<O>> {
-        let contraction = mode.contraction();
-        assert!(
-            contraction > 0.0 && contraction <= 1.0,
-            "contraction must be in (0, 1]"
-        );
-        let _guard = self.latch_shared();
-        let pool = WorkerPool::new(threads);
-        pool.map(queries, |_, (q, r)| {
-            let mut col = self.collector();
-            let hits =
-                self.range_exec(q, *r, contraction, spb_accel::Positioning::Auto, &mut col)?;
-            Ok((hits, col.finish()))
-        })
-        .into_iter()
-        .collect()
+        self.range_batch_exec(queries, |(q, r)| (q, *r), 1.0, threads)
     }
 
     /// Runs `kNN(q, k)` for every query on `threads` worker threads with
     /// the default incremental traversal. See [`SpbTree::range_batch`]
     /// for the concurrency and determinism contract.
     pub fn knn_batch(&self, queries: &[O], k: usize, threads: usize) -> io::Result<KnnBatch<O>> {
-        self.knn_batch_with(queries, k, Traversal::Incremental, threads)
+        self.knn_batch_exec(queries, k, 1.0, threads)
     }
 
-    /// [`SpbTree::knn_batch`] with an explicit traversal strategy.
-    pub fn knn_batch_with(
+    /// Runs one [`QueryPlan`] for every query object on `threads` worker
+    /// threads — the entry point the service layers execute through. A
+    /// single query is a batch of one (it runs inline on the caller's
+    /// thread). An exact plan answers exactly what
+    /// [`range_batch`](SpbTree::range_batch) /
+    /// [`knn_batch`](SpbTree::knn_batch) answer; the plan applies to the
+    /// whole batch, so exact and approximate queries can never share a
+    /// traversal.
+    pub fn query_batch(
+        &self,
+        plan: QueryPlan,
+        queries: &[O],
+        threads: usize,
+    ) -> io::Result<QueryAnswers<O>> {
+        match plan.shape() {
+            QueryShape::Range { radius } => self
+                .range_batch_exec(queries, |q| (q, radius), plan.factor(), threads)
+                .map(QueryAnswers::Range),
+            QueryShape::Knn { k } => self
+                .knn_batch_exec(queries, k, plan.factor(), threads)
+                .map(QueryAnswers::Knn),
+        }
+    }
+
+    /// The range batch body: one shared latch, `range_exec` per item.
+    /// `query_of` projects an item to its `(query, radius)`.
+    fn range_batch_exec<T: Sync>(
+        &self,
+        items: &[T],
+        query_of: impl Fn(&T) -> (&O, f64) + Sync,
+        contraction: f64,
+        threads: usize,
+    ) -> io::Result<RangeBatch<O>> {
+        let _guard = self.latch_shared();
+        let pool = WorkerPool::new(threads);
+        pool.map(items, |_, item| {
+            let (q, r) = query_of(item);
+            let mut col = self.collector();
+            let hits =
+                self.range_exec(q, r, contraction, spb_accel::Positioning::Auto, &mut col)?;
+            Ok((hits, col.finish()))
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// The kNN batch body: one shared latch, `knn_locked` per query.
+    fn knn_batch_exec(
         &self,
         queries: &[O],
         k: usize,
-        traversal: Traversal,
+        alpha: f64,
         threads: usize,
     ) -> io::Result<KnnBatch<O>> {
-        self.knn_batch_mode(queries, k, traversal, QueryMode::Exact, threads)
-    }
-
-    /// [`SpbTree::knn_batch_with`] with explicit result semantics; an
-    /// approximate mode runs every query with `α = 1/contraction`. One
-    /// mode per batch — see [`SpbTree::range_batch_mode`].
-    pub fn knn_batch_mode(
-        &self,
-        queries: &[O],
-        k: usize,
-        traversal: Traversal,
-        mode: QueryMode,
-        threads: usize,
-    ) -> io::Result<KnnBatch<O>> {
-        let alpha = mode.alpha();
         let _guard = self.latch_shared();
         let pool = WorkerPool::new(threads);
         pool.map(queries, |_, q| {
@@ -106,7 +120,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
             let nn = self.knn_locked(
                 q,
                 k,
-                traversal,
+                Traversal::Incremental,
                 alpha,
                 spb_accel::Positioning::Auto,
                 &mut col,
@@ -219,6 +233,42 @@ mod tests {
             assert_eq!(a.btree_pa, b.btree_pa);
             assert_eq!(a.raf_pa, b.raf_pa);
             assert_eq!(w[0].0, w[1].0, "identical queries, identical results");
+        }
+    }
+
+    #[test]
+    fn query_batch_runs_the_plan_with_its_factor_unchanged() {
+        use crate::{QueryAnswers, QueryPlan, QueryShape};
+        let data = dataset::words(400, 65);
+        let dir = TempDir::new("batch-plan");
+        let tree = SpbTree::build(
+            dir.path(),
+            &data,
+            dataset::words_metric(),
+            &SpbConfig::default(),
+        )
+        .unwrap();
+        let queries = &data[..4];
+        // 1.8 and 1.9 do not survive a round trip through the reciprocal; a
+        // plan must hand `knn_locked` the factor it was built with.
+        for alpha in [1.8f64, 1.9] {
+            assert_ne!(alpha.recip().recip().to_bits(), alpha.to_bits());
+            let plan = QueryPlan::new(QueryShape::Knn { k: 5 }, Some(alpha)).unwrap();
+            let QueryAnswers::Knn(rows) = tree.query_batch(plan, queries, 1).unwrap() else {
+                panic!("a kNN plan answers kNN rows");
+            };
+            let seen = crate::knn::LAST_ALPHA_BITS.with(|bits| bits.get());
+            assert_eq!(
+                seen,
+                alpha.to_bits(),
+                "alpha {alpha} reached knn_locked changed"
+            );
+            for (q, (nn, stats)) in queries.iter().zip(&rows) {
+                let (want, want_stats) = tree.knn_approx(q, 5, alpha).unwrap();
+                assert_eq!(nn, &want);
+                assert_eq!(stats.compdists, want_stats.compdists);
+                assert_eq!(stats.page_accesses, want_stats.page_accesses);
+            }
         }
     }
 

@@ -26,8 +26,16 @@ use std::io;
 use spb_bptree::Node;
 use spb_metric::{Distance, MetricObject};
 
+use crate::plan::{QueryPlan, QueryShape};
 use crate::stats::StatsCollector;
 use crate::tree::{QueryStats, SpbTree};
+
+#[cfg(test)]
+thread_local! {
+    /// Bits of the `alpha` the most recent `knn_locked` call on this
+    /// thread ran with (what the α-round-trip regression test reads).
+    pub(crate) static LAST_ALPHA_BITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// kNN traversal strategy (Section 4.3, Table 5).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,8 +128,10 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
     /// (Lemma 3); larger values trade accuracy for fewer distance
     /// computations and page accesses — the standard contract of
     /// approximate metric search (cf. the M-Index's approximate mode).
+    ///
+    /// An `alpha` below 1 (or non-finite) is an `InvalidInput` error.
     pub fn knn_approx(&self, q: &O, k: usize, alpha: f64) -> KnnResult<O> {
-        assert!(alpha >= 1.0, "alpha must be >= 1");
+        let alpha = QueryPlan::new(QueryShape::Knn { k }, Some(alpha))?.factor();
         self.knn_full(
             q,
             k,
@@ -143,7 +153,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
     /// returned stats reflect the approximate query's cost alone). Sets
     /// `QueryStats::recall` and the `accel.recall_permille` gauge.
     pub fn knn_approx_measured(&self, q: &O, k: usize, alpha: f64) -> KnnResult<O> {
-        assert!(alpha >= 1.0, "alpha must be >= 1");
+        let alpha = QueryPlan::new(QueryShape::Knn { k }, Some(alpha))?.factor();
         let _guard = self.latch_shared();
         let mut col = self.collector();
         let approx = self.knn_locked(
@@ -238,6 +248,8 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         pos: spb_accel::Positioning,
         col: &mut StatsCollector,
     ) -> io::Result<Vec<(u32, O, f64)>> {
+        #[cfg(test)]
+        LAST_ALPHA_BITS.with(|bits| bits.set(alpha.to_bits()));
         let mut best: BinaryHeap<Best<O>> = BinaryHeap::new();
         if k > 0 && !self.is_empty() {
             let q_phi = self.phi_traced(col, q);

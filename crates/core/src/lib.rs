@@ -23,11 +23,12 @@
 //! | kNN query (NNA) | Algorithm 2 | [`SpbTree::knn`] |
 //! | Similarity join (SJA) | Algorithm 3 | [`similarity_join`] |
 //! | Batch queries (parallel) | extension | [`SpbTree::range_batch`], [`SpbTree::knn_batch`] |
+//! | One plan for exact and approximate queries | extension | [`QueryPlan`], [`SpbTree::query_batch`] |
 //! | Parallel join | extension | [`similarity_join_parallel`] |
 //! | Cost models | eqs. 1–8 | [`CostModel`] |
 //! | Count-only range query | extension | [`SpbTree::range_count`] |
 //! | α-approximate kNN | extension | [`SpbTree::knn_approx`] |
-//! | Learned positioning + recall-targeted search | extension | [`AccelPolicy`], [`SpbTree::range_approx`], [`SpbTree::tune_knn_alpha`] |
+//! | Learned positioning + recall-targeted search | extension | [`AccelPolicy`], [`SpbTree::range_approx_measured`], [`SpbTree::tune_knn_alpha`] |
 //! | Persistence | — | [`SpbTree::open`] |
 //! | Crash recovery | extension | [`recover_dir`] (run by `open`) |
 //! | Integrity check | extension | [`verify_dir`] |
@@ -75,12 +76,13 @@ mod join;
 mod knn;
 mod mapping;
 mod partition;
+mod plan;
 mod range;
 mod recovery;
 mod stats;
 mod tree;
 
-pub use batch::{KnnBatch, RangeBatch};
+pub use batch::{KnnBatch, QueryAnswers, RangeBatch};
 pub use config::SpbConfig;
 pub use cost::{CostEstimate, CostModel};
 pub use exec::{parallel_map, WorkerPool};
@@ -88,6 +90,7 @@ pub use join::{similarity_join, similarity_join_parallel, JoinPair};
 pub use knn::{KnnResult, Traversal};
 pub use mapping::{PivotTable, SfcMbbOps};
 pub use partition::{plan_shards, shard_mind, ShardPlan, ShardSpec};
+pub use plan::{PlanError, QueryPlan, QueryShape};
 pub use recovery::{recover_dir, verify_dir, RecoveryReport, VerifyProblem, VerifyReport};
-pub use spb_accel::{AccelPolicy, LeafModel, Positioning, QueryMode, Tuned};
+pub use spb_accel::{AccelPolicy, LeafModel, Positioning, Tuned};
 pub use tree::{BuildStats, QueryStats, SpbTree};

@@ -24,6 +24,7 @@ use spb_bptree::Node;
 use spb_metric::{Distance, MetricObject};
 use spb_sfc::{GridBox, SfcValue};
 
+use crate::plan::{QueryPlan, QueryShape};
 use crate::stats::StatsCollector;
 use crate::tree::{QueryStats, SpbTree};
 
@@ -72,41 +73,24 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         Ok((result, col.finish()))
     }
 
-    /// Approximate range query: the pruning radius is contracted to
-    /// `r · contraction` (`contraction ∈ (0, 1]`), so objects whose
+    /// Approximate range query plus a recall measurement: the pruning
+    /// radius is contracted to `r · contraction`, so objects whose
     /// mapped vectors fall in the shaved-off shell are never inspected.
     /// Perfect precision (every returned object truly is within `r`),
-    /// recall ≤ 1. `contraction = 1` degenerates to the exact query.
-    pub fn range_approx(
-        &self,
-        q: &O,
-        r: f64,
-        contraction: f64,
-    ) -> io::Result<(Vec<(u32, O)>, QueryStats)> {
-        assert!(
-            contraction > 0.0 && contraction <= 1.0,
-            "contraction must be in (0, 1]"
-        );
-        let _guard = self.latch_shared();
-        let mut col = self.collector();
-        let result = self.range_exec(q, r, contraction, spb_accel::Positioning::Auto, &mut col)?;
-        Ok((result, col.finish()))
-    }
-
-    /// [`range_approx`](SpbTree::range_approx) plus a recall measurement
-    /// against the exact answer (computed with a separate collector, so
-    /// the returned stats reflect the approximate query's cost alone).
-    /// Sets `QueryStats::recall` and the `accel.recall_permille` gauge.
+    /// recall ≤ 1, measured against the exact answer (computed with a
+    /// separate collector, so the returned stats reflect the approximate
+    /// query's cost alone). Sets `QueryStats::recall` and the
+    /// `accel.recall_permille` gauge. A `contraction` outside `(0, 1]`
+    /// is an `InvalidInput` error; unmeasured approximate queries run
+    /// through [`SpbTree::query_batch`].
     pub fn range_approx_measured(
         &self,
         q: &O,
         r: f64,
         contraction: f64,
     ) -> io::Result<(Vec<(u32, O)>, QueryStats)> {
-        assert!(
-            contraction > 0.0 && contraction <= 1.0,
-            "contraction must be in (0, 1]"
-        );
+        let contraction =
+            QueryPlan::new(QueryShape::Range { radius: r }, Some(contraction))?.factor();
         let _guard = self.latch_shared();
         let mut col = self.collector();
         let approx = self.range_exec(q, r, contraction, spb_accel::Positioning::Auto, &mut col)?;
@@ -119,47 +103,6 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         spb_accel::metrics::record_recall(rec);
         stats.recall = Some(rec);
         Ok((approx, stats))
-    }
-
-    /// Auto-tunes the contraction factor to meet `target` recall over a
-    /// sample of `(query, radius)` pairs, walking the ladder from most
-    /// to least aggressive (the Chávez–Navarro protocol: measure against
-    /// exact ground truth, keep the cheapest setting that still hits the
-    /// target — the ladder ends at the exact `1.0`).
-    pub fn tune_range_contraction(
-        &self,
-        sample: &[(O, f64)],
-        target: f64,
-    ) -> io::Result<spb_accel::Tuned> {
-        let mut err = None;
-        let tuned = spb_accel::tune(&spb_accel::CONTRACTION_LADDER, target, |c| {
-            let mut sum = 0.0;
-            let mut n = 0u32;
-            for (q, r) in sample {
-                match self.range_approx_measured(q, *r, c) {
-                    Ok((_, stats)) => {
-                        sum += stats.recall.unwrap_or(1.0);
-                        n += 1;
-                    }
-                    Err(e) => {
-                        err = Some(e);
-                        return 0.0;
-                    }
-                }
-            }
-            if n == 0 {
-                1.0
-            } else {
-                sum / f64::from(n)
-            }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => {
-                spb_accel::metrics::record_recall(tuned.achieved);
-                Ok(tuned)
-            }
-        }
     }
 
     /// Shared body of the exact/approximate range variants: the pruning

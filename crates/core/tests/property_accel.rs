@@ -158,3 +158,41 @@ proptest! {
         }
     }
 }
+
+/// Recall-targeted tuning on a seeded index: `tune_knn_alpha` returns a
+/// rung of the α ladder whose recall, measured again on the same sample,
+/// meets the target — and because the ladder ends at the exact `α = 1`,
+/// even a target of 1.0 is always met.
+#[test]
+fn tuned_alpha_is_a_ladder_rung_that_meets_the_recall_target() {
+    let data = spb_metric::dataset::words(1500, 97);
+    let dir = TempDir::new("accel-tune");
+    let tree = SpbTree::build(
+        dir.path(),
+        &data,
+        EditDistance::default(),
+        &SpbConfig::default(),
+    )
+    .unwrap();
+    let sample = &data[..12];
+    let k = 8;
+    assert_eq!(spb_accel::ALPHA_LADDER.last(), Some(&1.0));
+    let mut params = Vec::new();
+    for target in [0.5, 0.9, 1.0] {
+        let tuned = tree.tune_knn_alpha(sample, k, target).unwrap();
+        assert!(spb_accel::ALPHA_LADDER.contains(&tuned.param), "{tuned:?}");
+        assert!(tuned.achieved >= target, "target {target}: {tuned:?}");
+        let mut recall = 0.0;
+        for q in sample {
+            let (_, stats) = tree.knn_approx_measured(q, k, tuned.param).unwrap();
+            recall += stats.recall.expect("measured") / sample.len() as f64;
+        }
+        assert!(
+            (recall - tuned.achieved).abs() < 1e-9,
+            "{recall} vs {tuned:?}"
+        );
+        params.push(tuned.param);
+    }
+    // A stricter target never picks a more aggressive rung.
+    assert!(params.windows(2).all(|w| w[0] >= w[1]), "{params:?}");
+}

@@ -157,16 +157,28 @@ impl Client {
     }
 
     /// `RQ(q, r)` over the wire; `deadline_ms = 0` means no deadline.
+    /// With a `contraction` the query is approximate: the server prunes
+    /// with `r · contraction` (precision stays exact, recall is traded).
     pub fn range(
         &mut self,
         obj: &[u8],
         radius: f64,
+        contraction: Option<f64>,
         deadline_ms: u32,
     ) -> Result<(Vec<WireHit>, WireStats), ClientError> {
-        let req = Request::Range {
-            deadline_ms,
-            radius,
-            obj: obj.to_vec(),
+        let obj = obj.to_vec();
+        let req = match contraction {
+            None => Request::Range {
+                deadline_ms,
+                radius,
+                obj,
+            },
+            Some(contraction) => Request::RangeApprox {
+                deadline_ms,
+                radius,
+                contraction,
+                obj,
+            },
         };
         self.expect(&req, |r| match r {
             Response::Range { hits, stats } => Ok((hits, stats)),
@@ -174,58 +186,29 @@ impl Client {
         })
     }
 
-    /// `kNN(q, k)` over the wire.
+    /// `kNN(q, k)` over the wire. With an `alpha` the query is
+    /// α-approximate: every returned distance is within `alpha` of the
+    /// true k-th NN distance.
     pub fn knn(
         &mut self,
         obj: &[u8],
         k: u32,
+        alpha: Option<f64>,
         deadline_ms: u32,
     ) -> Result<(Vec<WireNn>, WireStats), ClientError> {
-        let req = Request::Knn {
-            deadline_ms,
-            k,
-            obj: obj.to_vec(),
-        };
-        self.expect(&req, |r| match r {
-            Response::Knn { hits, stats } => Ok((hits, stats)),
-            other => Err(other),
-        })
-    }
-
-    /// Approximate `RQ(q, r)` with the pruning radius contracted to
-    /// `r · contraction` (precision stays exact, recall is traded).
-    pub fn range_approx(
-        &mut self,
-        obj: &[u8],
-        radius: f64,
-        contraction: f64,
-        deadline_ms: u32,
-    ) -> Result<(Vec<WireHit>, WireStats), ClientError> {
-        let req = Request::RangeApprox {
-            deadline_ms,
-            radius,
-            contraction,
-            obj: obj.to_vec(),
-        };
-        self.expect(&req, |r| match r {
-            Response::Range { hits, stats } => Ok((hits, stats)),
-            other => Err(other),
-        })
-    }
-
-    /// α-approximate `kNN(q, k)` over the wire (`alpha ≥ 1`).
-    pub fn knn_approx(
-        &mut self,
-        obj: &[u8],
-        k: u32,
-        alpha: f64,
-        deadline_ms: u32,
-    ) -> Result<(Vec<WireNn>, WireStats), ClientError> {
-        let req = Request::KnnApprox {
-            deadline_ms,
-            k,
-            alpha,
-            obj: obj.to_vec(),
+        let obj = obj.to_vec();
+        let req = match alpha {
+            None => Request::Knn {
+                deadline_ms,
+                k,
+                obj,
+            },
+            Some(alpha) => Request::KnnApprox {
+                deadline_ms,
+                k,
+                alpha,
+                obj,
+            },
         };
         self.expect(&req, |r| match r {
             Response::Knn { hits, stats } => Ok((hits, stats)),

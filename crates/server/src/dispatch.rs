@@ -1,6 +1,7 @@
 //! The batching dispatcher: workers that pull decoded requests off a
-//! shared queue, coalesce compatible queries into `range_batch` /
-//! `knn_batch` calls, and push completions back to the event loop.
+//! shared queue, coalesce queries with equal plans into one
+//! [`IndexService::query`](crate::service::IndexService::query) call,
+//! and push completions back to the event loop.
 //!
 //! ## Why batching helps on the wire path
 //!
@@ -12,8 +13,8 @@
 //! `SpbTree::range_locked` is deterministic, so followers receive
 //! byte-identical hits and stats, the property
 //! `same_query_twice_in_a_batch_reports_identical_stats` pins down),
-//! and every *distinct* compatible query is promoted into the same
-//! `range_batch`/`knn_batch` call if a free slot exists. One index
+//! and every *distinct* query with an equal [`QueryPlan`] is promoted
+//! into the same batch if a free slot exists. One index
 //! pass amortises latch acquisition and page lookups across the whole
 //! batch; the `dispatch_batch_size` histogram records how wide each
 //! execution actually was.
@@ -35,13 +36,14 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use spb_core::QueryPlan;
 use spb_storage::lockrank::LockRank;
 
 use crate::admission::{Deadline, Permit};
 use crate::ranked::{self, RankedGuard};
 use crate::server::{admit_error_response, error_response, Shared};
-use crate::service::ServiceError;
-use crate::wire::{ErrorCode, Request, Response};
+use crate::service::{Answers, ServiceError};
+use crate::wire::{ErrorCode, Query, Request, Response};
 
 /// Identifies a live connection in the event loop's slab. The `gen`
 /// field distinguishes a reused slab slot from the connection a stale
@@ -191,69 +193,46 @@ pub(crate) fn worker_loop(shared: &Shared) {
     }
 }
 
-/// What a coalescable execution shares: query kind and parameters.
-/// Exact and approximate queries are distinct kinds by construction —
-/// an approximate request can never widen (or ride along with) an
-/// exact traversal, whatever its parameters.
-#[derive(Clone, Copy)]
-enum BatchKind {
-    Range { radius: f64 },
-    Knn { k: u32 },
-    RangeApprox { radius: f64, contraction: f64 },
-    KnnApprox { k: u32, alpha: f64 },
+/// The plan and query object of a request that may share an execution
+/// with strangers: a well-formed single query without a deadline (a
+/// deadline budget is per-request and must not gate, or be gated by,
+/// anyone else). Two such requests coalesce iff their plans are equal —
+/// bitwise, so an approximate query never widens or rides along with an
+/// exact traversal, whatever its factor.
+fn coalescable(req: &mut Request) -> Option<(QueryPlan, &mut Vec<u8>)> {
+    if req.deadline_ms() != 0 {
+        return None;
+    }
+    match req.query() {
+        Some(Ok(Query {
+            plan,
+            objs: [obj],
+            batch: false,
+        })) => Some((plan, obj)),
+        _ => None,
+    }
 }
 
-impl BatchKind {
-    /// If `req` can join a batch of this kind, returns its query
-    /// object. Only deadline-free queries coalesce: a deadline budget
-    /// is per-request and must not gate (or be gated by) strangers.
-    /// Float parameters compare bitwise; invalid values (NaN, α < 1)
-    /// only ever coalesce with bit-identical peers, and the execution
-    /// rejects that whole batch as `Malformed`.
-    fn matching_obj<'r>(&self, req: &'r Request) -> Option<&'r [u8]> {
-        match (self, req) {
-            (
-                BatchKind::Range { radius },
-                Request::Range {
-                    deadline_ms: 0,
-                    radius: r2,
-                    obj,
-                },
-            ) if radius.to_bits() == r2.to_bits() => Some(obj),
-            (
-                BatchKind::Knn { k },
-                Request::Knn {
-                    deadline_ms: 0,
-                    k: k2,
-                    obj,
-                },
-            ) if k == k2 => Some(obj),
-            (
-                BatchKind::RangeApprox {
-                    radius,
-                    contraction,
-                },
-                Request::RangeApprox {
-                    deadline_ms: 0,
-                    radius: r2,
-                    contraction: c2,
-                    obj,
-                },
-            ) if radius.to_bits() == r2.to_bits() && contraction.to_bits() == c2.to_bits() => {
-                Some(obj)
-            }
-            (
-                BatchKind::KnnApprox { k, alpha },
-                Request::KnnApprox {
-                    deadline_ms: 0,
-                    k: k2,
-                    alpha: a2,
-                    obj,
-                },
-            ) if k == k2 && alpha.to_bits() == a2.to_bits() => Some(obj),
-            _ => None,
-        }
+/// One response per answer row: how single (and coalesced) queries are
+/// answered.
+fn row_responses(answers: Answers) -> Vec<Response> {
+    match answers {
+        Answers::Range(rows) => rows
+            .into_iter()
+            .map(|(hits, stats)| Response::Range { hits, stats })
+            .collect(),
+        Answers::Knn(rows) => rows
+            .into_iter()
+            .map(|(hits, stats)| Response::Knn { hits, stats })
+            .collect(),
     }
+}
+
+/// The response to a single query: the one row it asked for.
+fn single_response(answers: Answers) -> Response {
+    row_responses(answers)
+        .pop()
+        .unwrap_or_else(|| error_response(ErrorCode::Internal, "a single query answered no row"))
 }
 
 /// Distinct queries one batch will carry at most (followers of each are
@@ -264,7 +243,7 @@ fn run_work(shared: &Shared, work: Work) {
     let Work {
         conn,
         seq,
-        req,
+        mut req,
         deadline,
         write,
         control,
@@ -302,61 +281,22 @@ fn run_work(shared: &Shared, work: Work) {
         }
     };
     queue_wait_hist().record(spb_obs::clock::nanos_since(enqueued_at));
-    match req {
-        Request::Range {
-            deadline_ms: 0,
-            radius,
-            obj,
-        } => run_batch(shared, BatchKind::Range { radius }, obj, conn, seq, permit),
-        Request::Knn {
-            deadline_ms: 0,
-            k,
-            obj,
-        } => run_batch(shared, BatchKind::Knn { k }, obj, conn, seq, permit),
-        Request::RangeApprox {
-            deadline_ms: 0,
-            radius,
-            contraction,
-            obj,
-        } => run_batch(
-            shared,
-            BatchKind::RangeApprox {
-                radius,
-                contraction,
-            },
-            obj,
-            conn,
-            seq,
-            permit,
-        ),
-        Request::KnnApprox {
-            deadline_ms: 0,
-            k,
-            alpha,
-            obj,
-        } => run_batch(
-            shared,
-            BatchKind::KnnApprox { k, alpha },
-            obj,
-            conn,
-            seq,
-            permit,
-        ),
-        other => {
-            let resp = execute(other, deadline, shared);
-            batch_size_hist().record(1);
-            drop(permit);
-            push_completions(
-                shared,
-                vec![Completion {
-                    conn,
-                    seq,
-                    resp,
-                    write,
-                }],
-            );
-        }
+    if let Some((plan, obj)) = coalescable(&mut req) {
+        let obj = std::mem::take(obj);
+        return run_batch(shared, plan, obj, conn, seq, permit);
     }
+    let resp = execute(req, deadline, shared);
+    batch_size_hist().record(1);
+    drop(permit);
+    push_completions(
+        shared,
+        vec![Completion {
+            conn,
+            seq,
+            resp,
+            write,
+        }],
+    );
 }
 
 /// Executes a coalescable query, widening it with every compatible
@@ -364,7 +304,7 @@ fn run_work(shared: &Shared, work: Work) {
 /// of `objs[i]`; the leader holds `permits[0]`.
 fn run_batch(
     shared: &Shared,
-    kind: BatchKind,
+    plan: QueryPlan,
     leader_obj: Vec<u8>,
     conn: ConnId,
     seq: u64,
@@ -382,9 +322,8 @@ fn run_batch(
         let mut q = shared.dispatch.lock_queue();
         let mut i = 0;
         while i < q.len() {
-            let action = match q.get(i).and_then(|w| kind.matching_obj(&w.req)) {
-                None => None,
-                Some(obj) => match objs.iter().position(|o| o == obj) {
+            let action = match q.get_mut(i).and_then(|w| coalescable(&mut w.req)) {
+                Some((queued, obj)) if queued == plan => match objs.iter().position(|o| o == obj) {
                     // An identical in-flight query: answer it from the
                     // same execution, no extra slot needed.
                     Some(slot) => Some((slot, None)),
@@ -396,18 +335,19 @@ fn run_batch(
                         .map(|p| (objs.len(), Some(p))),
                     None => None,
                 },
+                _ => None,
             };
             let Some((slot, promoted)) = action else {
                 i += 1;
                 continue;
             };
-            let Some(w) = q.remove(i) else { break };
+            let Some(mut w) = q.remove(i) else { break };
             queue_wait_hist().record(spb_obs::clock::nanos_since(w.enqueued_at));
             match promoted {
                 Some(p) => {
                     permits.push(p);
-                    if let Some(obj) = kind.matching_obj(&w.req) {
-                        objs.push(obj.to_vec());
+                    if let Some((_, obj)) = coalescable(&mut w.req) {
+                        objs.push(std::mem::take(obj));
                     }
                     subs.push(vec![(w.conn, w.seq)]);
                 }
@@ -427,42 +367,9 @@ fn run_batch(
     let svc = shared.service.as_ref();
     let threads = shared.cfg.worker_threads;
     let mut comps: Vec<Completion> = Vec::with_capacity(total);
-    let rows = match kind {
-        BatchKind::Range { radius } => svc
-            .range_batch(&objs, radius, threads, Deadline::none())
-            .map(|rows| {
-                rows.into_iter()
-                    .map(|(hits, stats)| Response::Range { hits, stats })
-                    .collect::<Vec<_>>()
-            }),
-        BatchKind::Knn { k } => svc
-            .knn_batch(&objs, k as usize, threads, Deadline::none())
-            .map(|rows| {
-                rows.into_iter()
-                    .map(|(hits, stats)| Response::Knn { hits, stats })
-                    .collect::<Vec<_>>()
-            }),
-        BatchKind::RangeApprox {
-            radius,
-            contraction,
-        } => svc
-            .range_approx_batch(&objs, radius, contraction, threads, Deadline::none())
-            .map(|rows| {
-                rows.into_iter()
-                    .map(|(hits, stats)| Response::Range { hits, stats })
-                    .collect::<Vec<_>>()
-            }),
-        BatchKind::KnnApprox { k, alpha } => svc
-            .knn_approx_batch(&objs, k as usize, alpha, threads, Deadline::none())
-            .map(|rows| {
-                rows.into_iter()
-                    .map(|(hits, stats)| Response::Knn { hits, stats })
-                    .collect::<Vec<_>>()
-            }),
-    };
-    match rows {
-        Ok(rows) => {
-            for (resp, fans) in rows.into_iter().zip(subs) {
+    match svc.query(plan, &objs, threads, Deadline::none()) {
+        Ok(answers) => {
+            for (resp, fans) in row_responses(answers).into_iter().zip(subs) {
                 for (c, s) in fans {
                     comps.push(Completion {
                         conn: c,
@@ -479,24 +386,10 @@ fn run_batch(
             // solo so one bad query cannot poison its batchmates. Rare
             // path: a retry costs one extra traversal per unique.
             for (obj, fans) in objs.into_iter().zip(subs) {
-                let resp = match kind {
-                    BatchKind::Range { radius } => svc
-                        .range(&obj, radius)
-                        .map(|(hits, stats)| Response::Range { hits, stats }),
-                    BatchKind::Knn { k } => svc
-                        .knn(&obj, k as usize)
-                        .map(|(hits, stats)| Response::Knn { hits, stats }),
-                    BatchKind::RangeApprox {
-                        radius,
-                        contraction,
-                    } => svc
-                        .range_approx(&obj, radius, contraction)
-                        .map(|(hits, stats)| Response::Range { hits, stats }),
-                    BatchKind::KnnApprox { k, alpha } => svc
-                        .knn_approx(&obj, k as usize, alpha)
-                        .map(|(hits, stats)| Response::Knn { hits, stats }),
-                };
-                let resp = resp.unwrap_or_else(|e| service_error_response(e, shared));
+                let resp = svc
+                    .query(plan, std::slice::from_ref(&obj), threads, Deadline::none())
+                    .map(single_response)
+                    .unwrap_or_else(|e| service_error_response(e, shared));
                 for (c, s) in fans {
                     comps.push(Completion {
                         conn: c,
@@ -526,190 +419,133 @@ fn service_error_response(e: ServiceError, shared: &Shared) -> Response {
     }
 }
 
-/// Executes one work request solo (deadline-carrying queries, updates,
-/// and explicit client batches).
-fn execute(req: Request, deadline: Deadline, shared: &Shared) -> Response {
+/// Executes one work request by itself: deadline-carrying queries,
+/// explicit client batches, updates and WAL shipping.
+fn execute(mut req: Request, deadline: Deadline, shared: &Shared) -> Response {
     let svc = shared.service.as_ref();
     let threads = shared.cfg.worker_threads;
+    if let Some(query) = req.query() {
+        let result = query
+            .map_err(|e| ServiceError::Malformed(e.to_string()))
+            .and_then(|Query { plan, objs, batch }| {
+                let answers = svc.query(plan, objs, threads, deadline)?;
+                Ok(match (batch, answers) {
+                    (false, answers) => single_response(answers),
+                    (true, Answers::Range(queries)) => Response::BatchRange { queries },
+                    (true, Answers::Knn(queries)) => Response::BatchKnn { queries },
+                })
+            });
+        return result.unwrap_or_else(|e| service_error_response(e, shared));
+    }
     let result = match req {
-        Request::Range { radius, obj, .. } => svc
-            .range(&obj, radius)
-            .map(|(hits, stats)| Response::Range { hits, stats }),
-        Request::Knn { k, obj, .. } => svc
-            .knn(&obj, k as usize)
-            .map(|(hits, stats)| Response::Knn { hits, stats }),
-        Request::RangeApprox {
-            radius,
-            contraction,
-            obj,
-            ..
-        } => svc
-            .range_approx(&obj, radius, contraction)
-            .map(|(hits, stats)| Response::Range { hits, stats }),
-        Request::KnnApprox { k, alpha, obj, .. } => svc
-            .knn_approx(&obj, k as usize, alpha)
-            .map(|(hits, stats)| Response::Knn { hits, stats }),
         Request::Insert { obj, .. } => svc.insert(&obj).map(|stats| Response::Insert { stats }),
         Request::Delete { obj, .. } => svc
             .delete(&obj)
             .map(|(found, stats)| Response::Delete { found, stats }),
-        Request::BatchRange { radius, objs, .. } => svc
-            .range_batch(&objs, radius, threads, deadline)
-            .map(|queries| Response::BatchRange { queries }),
-        Request::BatchKnn { k, objs, .. } => svc
-            .knn_batch(&objs, k as usize, threads, deadline)
-            .map(|queries| Response::BatchKnn { queries }),
         // Replication is control-plane but file-backed: the WAL segment
         // read happens here, on a worker, never on the event loop.
         Request::WalShip { from_lsn } => svc
             .wal_segment(from_lsn)
             .map(|(wal_len, frames)| Response::WalShip { wal_len, frames }),
-        Request::Ping | Request::Stats | Request::ObsStats | Request::Shutdown => {
-            // In-memory control requests are answered on the event loop;
-            // if one reaches here the dispatcher is broken, but a typed
-            // error beats aborting the worker thread.
+        other => {
+            // Queries returned above and in-memory control requests are
+            // answered on the event loop; if one reaches here the
+            // dispatcher is broken, but a typed error beats aborting the
+            // worker thread.
+            let _ = other;
             return error_response(
                 ErrorCode::Internal,
                 "control-plane request reached the execution path",
             );
         }
     };
-    match result {
-        Ok(resp) => resp,
-        Err(e) => service_error_response(e, shared),
-    }
+    result.unwrap_or_else(|e| service_error_response(e, shared))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Whether `a` (leading an execution) would take `b` off the queue.
+    fn coalesce(a: &Request, b: &Request) -> bool {
+        let (mut a, mut b) = (a.clone(), b.clone());
+        match (coalescable(&mut a), coalescable(&mut b)) {
+            (Some((pa, _)), Some((pb, _))) => pa == pb,
+            _ => false,
+        }
+    }
+
+    fn range(deadline_ms: u32, radius: f64) -> Request {
+        Request::Range {
+            deadline_ms,
+            radius,
+            obj: vec![1, 2],
+        }
+    }
+
+    fn knn(k: u32) -> Request {
+        Request::Knn {
+            deadline_ms: 0,
+            k,
+            obj: vec![1, 2],
+        }
+    }
+
     #[test]
-    fn batch_kind_matches_only_same_parameter_deadline_free() {
-        let kind = BatchKind::Range { radius: 1.5 };
-        let same = Request::Range {
-            deadline_ms: 0,
-            radius: 1.5,
-            obj: vec![1, 2],
-        };
-        let other_radius = Request::Range {
-            deadline_ms: 0,
-            radius: 2.0,
-            obj: vec![1, 2],
-        };
-        let with_deadline = Request::Range {
-            deadline_ms: 100,
-            radius: 1.5,
-            obj: vec![1, 2],
-        };
-        let knn = Request::Knn {
+    fn only_equal_plan_deadline_free_single_queries_coalesce() {
+        assert!(coalesce(&range(0, 1.5), &range(0, 1.5)));
+        assert!(!coalesce(&range(0, 1.5), &range(0, 2.0)));
+        assert!(!coalesce(&range(0, 1.5), &range(100, 1.5)));
+        assert!(!coalesce(&range(100, 1.5), &range(100, 1.5)));
+        assert!(!coalesce(&range(0, 1.5), &knn(3)));
+        assert!(coalesce(&knn(3), &knn(3)));
+        assert!(!coalesce(&knn(3), &knn(4)));
+        // An explicit client batch is its own execution.
+        let batch = Request::BatchKnn {
             deadline_ms: 0,
             k: 3,
-            obj: vec![1, 2],
+            objs: vec![vec![1, 2]],
         };
-        assert_eq!(kind.matching_obj(&same), Some(&[1u8, 2][..]));
-        assert_eq!(kind.matching_obj(&other_radius), None);
-        assert_eq!(kind.matching_obj(&with_deadline), None);
-        assert_eq!(kind.matching_obj(&knn), None);
-
-        let kind = BatchKind::Knn { k: 3 };
-        assert_eq!(kind.matching_obj(&knn), Some(&[1u8, 2][..]));
-        assert_eq!(
-            kind.matching_obj(&Request::Knn {
-                deadline_ms: 0,
-                k: 4,
-                obj: vec![1, 2],
-            }),
-            None
-        );
+        assert!(!coalesce(&knn(3), &batch));
+        // The coalescing scan takes the object, not a copy of it.
+        let mut req = knn(3);
+        let (_, obj) = coalescable(&mut req).unwrap();
+        assert_eq!(std::mem::take(obj), vec![1, 2]);
     }
 
     #[test]
     fn exact_and_approx_queries_never_coalesce() {
-        // The QueryMode satellite's invariant: an approximate request
-        // must never widen an exact traversal or vice versa, even when
-        // every shared parameter (object, radius, k) is identical.
-        let obj = vec![1, 2, 3];
-        let exact_range = Request::Range {
+        // An approximate request must never widen an exact traversal or
+        // vice versa, even when every shared parameter (object, radius,
+        // k) is identical.
+        let range_approx = |contraction| Request::RangeApprox {
             deadline_ms: 0,
             radius: 1.5,
-            obj: obj.clone(),
+            contraction,
+            obj: vec![1, 2],
         };
-        let approx_range = Request::RangeApprox {
-            deadline_ms: 0,
-            radius: 1.5,
-            contraction: 0.8,
-            obj: obj.clone(),
-        };
-        // Even a no-op contraction of 1.0 keeps the modes apart: the
-        // client asked for approximate semantics and gets that batch.
-        let approx_range_full = Request::RangeApprox {
-            deadline_ms: 0,
-            radius: 1.5,
-            contraction: 1.0,
-            obj: obj.clone(),
-        };
-        let exact_kind = BatchKind::Range { radius: 1.5 };
-        assert!(exact_kind.matching_obj(&exact_range).is_some());
-        assert!(exact_kind.matching_obj(&approx_range).is_none());
-        assert!(exact_kind.matching_obj(&approx_range_full).is_none());
-
-        let approx_kind = BatchKind::RangeApprox {
-            radius: 1.5,
-            contraction: 0.8,
-        };
-        assert!(approx_kind.matching_obj(&approx_range).is_some());
-        assert!(approx_kind.matching_obj(&exact_range).is_none());
-        assert!(
-            approx_kind.matching_obj(&approx_range_full).is_none(),
-            "different contractions are different batches"
-        );
-
-        let exact_knn = Request::Knn {
+        let knn_approx = |alpha| Request::KnnApprox {
             deadline_ms: 0,
             k: 5,
-            obj: obj.clone(),
+            alpha,
+            obj: vec![1, 2],
         };
-        let approx_knn = Request::KnnApprox {
-            deadline_ms: 0,
-            k: 5,
-            alpha: 1.0,
-            obj: obj.clone(),
-        };
-        let exact_kind = BatchKind::Knn { k: 5 };
-        assert!(exact_kind.matching_obj(&exact_knn).is_some());
-        assert!(
-            exact_kind.matching_obj(&approx_knn).is_none(),
-            "alpha = 1 is still the approximate mode"
-        );
-        let approx_kind = BatchKind::KnnApprox { k: 5, alpha: 1.0 };
-        assert!(approx_kind.matching_obj(&approx_knn).is_some());
-        assert!(approx_kind.matching_obj(&exact_knn).is_none());
-
-        // Parameters compare bitwise, so two requests with the same NaN
-        // bit pattern do coalesce — harmlessly: the execution rejects
-        // the whole batch as Malformed and every subscriber gets its own
-        // typed error. A *different* NaN payload never matches.
-        let nan_kind = BatchKind::KnnApprox {
-            k: 5,
-            alpha: f64::NAN,
-        };
-        assert!(nan_kind
-            .matching_obj(&Request::KnnApprox {
-                deadline_ms: 0,
-                k: 5,
-                alpha: f64::NAN,
-                obj: obj.clone(),
-            })
-            .is_some());
-        assert!(nan_kind
-            .matching_obj(&Request::KnnApprox {
-                deadline_ms: 0,
-                k: 5,
-                alpha: f64::from_bits(f64::NAN.to_bits() ^ 1),
-                obj,
-            })
-            .is_none());
+        assert!(coalesce(&range_approx(0.8), &range_approx(0.8)));
+        assert!(!coalesce(&range(0, 1.5), &range_approx(0.8)));
+        assert!(!coalesce(&range_approx(0.8), &range(0, 1.5)));
+        // Even a no-op factor keeps the modes apart: the client asked for
+        // approximate semantics and gets that batch.
+        assert!(!coalesce(&range(0, 1.5), &range_approx(1.0)));
+        assert!(!coalesce(&knn(5), &knn_approx(1.0)));
+        assert!(coalesce(&knn_approx(1.0), &knn_approx(1.0)));
+        // Different factors are different batches, down to the last bit.
+        assert!(!coalesce(&range_approx(0.8), &range_approx(1.0)));
+        assert!(!coalesce(&knn_approx(1.8), &knn_approx(1.7999999999999998)));
+        // An invalid factor has no plan: it never joins a batch and is
+        // answered `Malformed` on its own.
+        assert!(!coalesce(&knn_approx(f64::NAN), &knn_approx(f64::NAN)));
+        assert!(!coalesce(&knn_approx(0.5), &knn_approx(0.5)));
+        assert!(!coalesce(&range_approx(0.0), &range_approx(0.0)));
     }
 
     #[test]

@@ -44,5 +44,5 @@ pub use admission::{Admission, AdmissionConfig, Deadline};
 pub use client::{Client, ClientError};
 pub use schema::{open_index, schema_path, Schema};
 pub use server::{serve, serve_until_shutdown, ServerConfig, ServerHandle};
-pub use service::{IndexService, ServiceError, TreeService};
+pub use service::{Answers, IndexService, ServiceError, TreeService};
 pub use wire::{ErrorCode, Request, Response, WireError, WireStats, PROTOCOL_VERSION};

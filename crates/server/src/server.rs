@@ -4,8 +4,8 @@
 //! connection over non-blocking sockets with `poll(2)`: it accepts,
 //! decodes pipelined frames, answers control-plane requests inline, and
 //! hands work requests to a small pool of dispatcher workers (see
-//! [`crate::dispatch`]) that coalesce concurrently-queued range/kNN
-//! requests into `range_batch`/`knn_batch` calls. Work requests pass
+//! [`crate::dispatch`]) that coalesce concurrently-queued queries with
+//! equal plans into one batched execution. Work requests pass
 //! through the [`Admission`] gate before touching the index;
 //! `Ping`/`Stats` bypass it (they must stay answerable under overload,
 //! or operators go blind exactly when they need visibility).
@@ -51,8 +51,8 @@ pub struct ServerConfig {
     pub admission: AdmissionConfig,
     /// Largest request payload accepted, in bytes.
     pub max_frame: u32,
-    /// Worker threads for batch fan-out inside one `range_batch` /
-    /// `knn_batch` call.
+    /// Worker threads for batch fan-out inside one batched query
+    /// execution.
     pub worker_threads: usize,
     /// Dispatcher worker threads pulling from the shared work queue.
     pub dispatcher_workers: usize,
@@ -389,7 +389,7 @@ mod tests {
         assert_eq!(len, 200);
 
         let q = dataset::words(200, 81)[0].encoded();
-        let (hits, stats) = c.range(&q, 1.0, 0).unwrap();
+        let (hits, stats) = c.range(&q, 1.0, None, 0).unwrap();
         assert!(hits.iter().any(|(_, o)| o == &q), "query object is a hit");
         assert!(stats.compdists > 0);
 

@@ -8,10 +8,12 @@
 //! [`ServiceError::Malformed`], never a panic), runs the query, and
 //! re-encodes results.
 //!
-//! Batches run on the tree's [`range_batch`](SpbTree::range_batch) /
-//! [`knn_batch`](SpbTree::knn_batch) fan-out, sliced into traversal
-//! batches of `threads` queries so a request's deadline is checked
-//! *between* slices: an expired budget stops the batch with
+//! Every query — exact or approximate, single or batched — enters
+//! through the one [`IndexService::query`] call carrying a
+//! [`QueryPlan`]; a single query is a batch of one. Batches run on the
+//! tree's [`query_batch`](SpbTree::query_batch) fan-out, sliced into
+//! traversal batches of `threads` queries so a request's deadline is
+//! checked *between* slices: an expired budget stops the batch with
 //! [`ServiceError::DeadlineExceeded`] instead of running to completion.
 //! Per-query results and stats are unaffected by the slicing — each
 //! query carries its own collector against a simulated cold cache — so
@@ -20,7 +22,7 @@
 use std::fmt;
 use std::io;
 
-use spb_core::{QueryMode, SpbTree, Traversal};
+use spb_core::{QueryAnswers, QueryPlan, QueryShape, SpbTree};
 use spb_metric::{Distance, MetricObject};
 
 use crate::admission::Deadline;
@@ -56,6 +58,16 @@ impl From<io::Error> for ServiceError {
     }
 }
 
+/// What a plan answered, one row per query object in input order; the
+/// plan's shape decides the kind of row.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Answers {
+    /// `(hits, stats)` rows of a range plan.
+    Range(Vec<(Vec<WireHit>, WireStats)>),
+    /// `(neighbours, stats)` rows of a kNN plan.
+    Knn(Vec<(Vec<WireNn>, WireStats)>),
+}
+
 /// A queryable index, erased over the object and distance types.
 pub trait IndexService: Send + Sync {
     /// The index's schema.
@@ -75,77 +87,23 @@ pub trait IndexService: Send + Sync {
     /// Number of pivots in the pivot table.
     fn num_pivots(&self) -> u32;
 
-    /// `RQ(q, r)` for an encoded query object.
-    fn range(&self, obj: &[u8], radius: f64) -> Result<(Vec<WireHit>, WireStats), ServiceError>;
-
-    /// `kNN(q, k)` for an encoded query object.
-    fn knn(&self, obj: &[u8], k: usize) -> Result<(Vec<WireNn>, WireStats), ServiceError>;
-
-    /// Approximate `RQ(q, r)` with the pruning radius contracted to
-    /// `r · contraction` (precision stays exact; recall is traded). A
-    /// `contraction` outside `(0, 1]` is `Malformed`.
-    fn range_approx(
+    /// Runs `plan` for every encoded query object, fanned over `threads`
+    /// workers and deadline-checked between traversal batches. The one
+    /// query entry point: a single query passes one object, and the
+    /// answers come back one row per object, in input order.
+    fn query(
         &self,
-        obj: &[u8],
-        radius: f64,
-        contraction: f64,
-    ) -> Result<(Vec<WireHit>, WireStats), ServiceError>;
-
-    /// α-approximate `kNN(q, k)`. An `alpha` below 1 (or non-finite) is
-    /// `Malformed`.
-    fn knn_approx(
-        &self,
-        obj: &[u8],
-        k: usize,
-        alpha: f64,
-    ) -> Result<(Vec<WireNn>, WireStats), ServiceError>;
-
-    /// A batch of approximate range queries sharing one radius and
-    /// contraction (the dispatcher's coalescing path — approximate
-    /// requests only ever batch with other approximate requests).
-    fn range_approx_batch(
-        &self,
+        plan: QueryPlan,
         objs: &[Vec<u8>],
-        radius: f64,
-        contraction: f64,
         threads: usize,
         deadline: Deadline,
-    ) -> Result<Vec<(Vec<WireHit>, WireStats)>, ServiceError>;
-
-    /// A batch of α-approximate kNN queries sharing one `k` and `alpha`.
-    fn knn_approx_batch(
-        &self,
-        objs: &[Vec<u8>],
-        k: usize,
-        alpha: f64,
-        threads: usize,
-        deadline: Deadline,
-    ) -> Result<Vec<(Vec<WireNn>, WireStats)>, ServiceError>;
+    ) -> Result<Answers, ServiceError>;
 
     /// Inserts one encoded object.
     fn insert(&self, obj: &[u8]) -> Result<WireStats, ServiceError>;
 
     /// Deletes one encoded object; `found` reports whether it existed.
     fn delete(&self, obj: &[u8]) -> Result<(bool, WireStats), ServiceError>;
-
-    /// A batch of range queries sharing one radius, fanned over
-    /// `threads` workers, deadline-checked between traversal batches.
-    fn range_batch(
-        &self,
-        objs: &[Vec<u8>],
-        radius: f64,
-        threads: usize,
-        deadline: Deadline,
-    ) -> Result<Vec<(Vec<WireHit>, WireStats)>, ServiceError>;
-
-    /// A batch of kNN queries sharing one `k`.
-    fn knn_batch(
-        &self,
-        objs: &[Vec<u8>],
-        k: usize,
-        threads: usize,
-        deadline: Deadline,
-    ) -> Result<Vec<(Vec<WireNn>, WireStats)>, ServiceError>;
 
     /// Flushes dirty pages and resets the WAL (used by graceful
     /// shutdown so a clean exit leaves nothing to recover).
@@ -197,27 +155,6 @@ impl<O: MetricObject, D: Distance<O>> TreeService<O, D> {
     }
 }
 
-/// Validates a wire-supplied contraction factor (service-level, so a bad
-/// value becomes `Malformed` instead of tripping the tree's assert).
-fn check_contraction(contraction: f64) -> Result<(), ServiceError> {
-    if contraction.is_finite() && contraction > 0.0 && contraction <= 1.0 {
-        Ok(())
-    } else {
-        Err(ServiceError::Malformed(format!(
-            "contraction {contraction} not in (0, 1]"
-        )))
-    }
-}
-
-/// Validates a wire-supplied kNN approximation factor.
-fn check_alpha(alpha: f64) -> Result<(), ServiceError> {
-    if alpha.is_finite() && alpha >= 1.0 {
-        Ok(())
-    } else {
-        Err(ServiceError::Malformed(format!("alpha {alpha} is below 1")))
-    }
-}
-
 /// How many queries run between deadline checks in a batch request: one
 /// traversal batch per worker pass.
 fn slice_size(threads: usize) -> usize {
@@ -249,123 +186,48 @@ impl<O: MetricObject, D: Distance<O>> IndexService for TreeService<O, D> {
         self.tree.table().num_pivots() as u32
     }
 
-    fn range(&self, obj: &[u8], radius: f64) -> Result<(Vec<WireHit>, WireStats), ServiceError> {
-        let q = self.decode_obj(obj)?;
-        let (hits, stats) = {
-            let _span = spb_obs::span!(traversal_hist(), "traversal");
-            self.tree.range(&q, radius)?
-        };
-        let hits = hits.into_iter().map(|(id, o)| (id, o.encoded())).collect();
-        Ok((hits, WireStats::from(&stats)))
-    }
-
-    fn knn(&self, obj: &[u8], k: usize) -> Result<(Vec<WireNn>, WireStats), ServiceError> {
-        let q = self.decode_obj(obj)?;
-        let (nn, stats) = {
-            let _span = spb_obs::span!(traversal_hist(), "traversal");
-            self.tree.knn(&q, k)?
-        };
-        let nn = nn
-            .into_iter()
-            .map(|(id, o, d)| (id, d, o.encoded()))
-            .collect();
-        Ok((nn, WireStats::from(&stats)))
-    }
-
-    fn range_approx(
+    fn query(
         &self,
-        obj: &[u8],
-        radius: f64,
-        contraction: f64,
-    ) -> Result<(Vec<WireHit>, WireStats), ServiceError> {
-        check_contraction(contraction)?;
-        let q = self.decode_obj(obj)?;
-        let (hits, stats) = {
-            let _span = spb_obs::span!(traversal_hist(), "traversal");
-            self.tree.range_approx(&q, radius, contraction)?
-        };
-        let hits = hits.into_iter().map(|(id, o)| (id, o.encoded())).collect();
-        Ok((hits, WireStats::from(&stats)))
-    }
-
-    fn knn_approx(
-        &self,
-        obj: &[u8],
-        k: usize,
-        alpha: f64,
-    ) -> Result<(Vec<WireNn>, WireStats), ServiceError> {
-        check_alpha(alpha)?;
-        let q = self.decode_obj(obj)?;
-        let (nn, stats) = {
-            let _span = spb_obs::span!(traversal_hist(), "traversal");
-            self.tree.knn_approx(&q, k, alpha)?
-        };
-        let nn = nn
-            .into_iter()
-            .map(|(id, o, d)| (id, d, o.encoded()))
-            .collect();
-        Ok((nn, WireStats::from(&stats)))
-    }
-
-    fn range_approx_batch(
-        &self,
+        plan: QueryPlan,
         objs: &[Vec<u8>],
-        radius: f64,
-        contraction: f64,
         threads: usize,
         deadline: Deadline,
-    ) -> Result<Vec<(Vec<WireHit>, WireStats)>, ServiceError> {
-        check_contraction(contraction)?;
+    ) -> Result<Answers, ServiceError> {
         let qs = self.decode_objs(objs)?;
-        let pairs: Vec<(O, f64)> = qs.into_iter().map(|q| (q, radius)).collect();
-        let mode = QueryMode::Approx { contraction };
-        let mut out = Vec::with_capacity(pairs.len());
-        for slice in pairs.chunks(slice_size(threads)) {
-            if deadline.expired() {
-                return Err(ServiceError::DeadlineExceeded);
-            }
-            let batch = {
-                let _span = spb_obs::span!(traversal_hist(), "traversal");
-                self.tree.range_batch_mode(slice, mode, threads)?
-            };
-            for (hits, stats) in batch {
-                let hits = hits.into_iter().map(|(id, o)| (id, o.encoded())).collect();
-                out.push((hits, WireStats::from(&stats)));
-            }
-        }
-        Ok(out)
-    }
-
-    fn knn_approx_batch(
-        &self,
-        objs: &[Vec<u8>],
-        k: usize,
-        alpha: f64,
-        threads: usize,
-        deadline: Deadline,
-    ) -> Result<Vec<(Vec<WireNn>, WireStats)>, ServiceError> {
-        check_alpha(alpha)?;
-        let qs = self.decode_objs(objs)?;
-        // QueryMode carries a contraction; its alpha() is the reciprocal.
-        let mode = QueryMode::Approx {
-            contraction: 1.0 / alpha,
+        let mut out = match plan.shape() {
+            QueryShape::Range { .. } => Answers::Range(Vec::with_capacity(qs.len())),
+            QueryShape::Knn { .. } => Answers::Knn(Vec::with_capacity(qs.len())),
         };
-        let mut out = Vec::with_capacity(qs.len());
         for slice in qs.chunks(slice_size(threads)) {
             if deadline.expired() {
                 return Err(ServiceError::DeadlineExceeded);
             }
             let batch = {
                 let _span = spb_obs::span!(traversal_hist(), "traversal");
-                self.tree
-                    .knn_batch_mode(slice, k, Traversal::Incremental, mode, threads)?
+                self.tree.query_batch(plan, slice, threads)?
             };
-            for (nn, stats) in batch {
-                let nn = nn
-                    .into_iter()
-                    .map(|(id, o, d)| (id, d, o.encoded()))
-                    .collect();
-                out.push((nn, WireStats::from(&stats)));
+            match (batch, &mut out) {
+                (QueryAnswers::Range(rows), Answers::Range(out)) => {
+                    out.extend(rows.into_iter().map(|(hits, stats)| {
+                        let hits = hits.into_iter().map(|(id, o)| (id, o.encoded())).collect();
+                        (hits, WireStats::from(&stats))
+                    }));
+                }
+                (QueryAnswers::Knn(rows), Answers::Knn(out)) => {
+                    out.extend(rows.into_iter().map(|(nn, stats)| {
+                        let nn = nn
+                            .into_iter()
+                            .map(|(id, o, d)| (id, d, o.encoded()))
+                            .collect();
+                        (nn, WireStats::from(&stats))
+                    }));
+                }
+                (QueryAnswers::Range(_), Answers::Knn(_))
+                | (QueryAnswers::Knn(_), Answers::Range(_)) => {
+                    return Err(ServiceError::Internal(
+                        "the tree answered a different shape than the plan asked".to_owned(),
+                    ));
+                }
             }
         }
         Ok(out)
@@ -387,60 +249,6 @@ impl<O: MetricObject, D: Distance<O>> IndexService for TreeService<O, D> {
             self.tree.delete(&o)?
         };
         Ok((found, WireStats::from(&stats)))
-    }
-
-    fn range_batch(
-        &self,
-        objs: &[Vec<u8>],
-        radius: f64,
-        threads: usize,
-        deadline: Deadline,
-    ) -> Result<Vec<(Vec<WireHit>, WireStats)>, ServiceError> {
-        let qs = self.decode_objs(objs)?;
-        let pairs: Vec<(O, f64)> = qs.into_iter().map(|q| (q, radius)).collect();
-        let mut out = Vec::with_capacity(pairs.len());
-        for slice in pairs.chunks(slice_size(threads)) {
-            if deadline.expired() {
-                return Err(ServiceError::DeadlineExceeded);
-            }
-            let batch = {
-                let _span = spb_obs::span!(traversal_hist(), "traversal");
-                self.tree.range_batch(slice, threads)?
-            };
-            for (hits, stats) in batch {
-                let hits = hits.into_iter().map(|(id, o)| (id, o.encoded())).collect();
-                out.push((hits, WireStats::from(&stats)));
-            }
-        }
-        Ok(out)
-    }
-
-    fn knn_batch(
-        &self,
-        objs: &[Vec<u8>],
-        k: usize,
-        threads: usize,
-        deadline: Deadline,
-    ) -> Result<Vec<(Vec<WireNn>, WireStats)>, ServiceError> {
-        let qs = self.decode_objs(objs)?;
-        let mut out = Vec::with_capacity(qs.len());
-        for slice in qs.chunks(slice_size(threads)) {
-            if deadline.expired() {
-                return Err(ServiceError::DeadlineExceeded);
-            }
-            let batch = {
-                let _span = spb_obs::span!(traversal_hist(), "traversal");
-                self.tree.knn_batch(slice, k, threads)?
-            };
-            for (nn, stats) in batch {
-                let nn = nn
-                    .into_iter()
-                    .map(|(id, o, d)| (id, d, o.encoded()))
-                    .collect();
-                out.push((nn, WireStats::from(&stats)));
-            }
-        }
-        Ok(out)
     }
 
     fn checkpoint(&self) -> io::Result<()> {
@@ -469,7 +277,11 @@ mod tests {
     use spb_metric::dataset;
     use spb_storage::TempDir;
 
-    fn words_service(n: usize, seed: u64, dir: &TempDir) -> impl IndexService {
+    fn words_service(
+        n: usize,
+        seed: u64,
+        dir: &TempDir,
+    ) -> TreeService<spb_metric::Word, spb_metric::EditDistance> {
         let data = dataset::words(n, seed);
         let tree = SpbTree::build(
             dir.path(),
@@ -481,28 +293,8 @@ mod tests {
         TreeService::new(tree, Schema::Words { max_len: 40 })
     }
 
-    #[test]
-    fn service_range_matches_tree_range() {
-        let dir = TempDir::new("svc-range");
-        let data = dataset::words(300, 71);
-        let tree = SpbTree::build(
-            dir.path(),
-            &data,
-            dataset::words_metric(),
-            &SpbConfig::default(),
-        )
-        .unwrap();
-        let svc = TreeService::new(tree, Schema::Words { max_len: 40 });
-
-        let q = data[3].encoded();
-        let (hits, _) = svc.range(&q, 2.0).unwrap();
-        svc.tree().flush_caches();
-        let (want, _) = svc.tree().range(&data[3], 2.0).unwrap();
-        let mut got_ids: Vec<u32> = hits.iter().map(|&(id, _)| id).collect();
-        let mut want_ids: Vec<u32> = want.iter().map(|&(id, _)| id).collect();
-        got_ids.sort_unstable();
-        want_ids.sort_unstable();
-        assert_eq!(got_ids, want_ids);
+    fn range(radius: f64) -> QueryPlan {
+        QueryPlan::exact(QueryShape::Range { radius })
     }
 
     #[test]
@@ -510,7 +302,9 @@ mod tests {
         let dir = TempDir::new("svc-malformed");
         let svc = words_service(100, 72, &dir);
         // Invalid UTF-8 can never decode as a Word.
-        let err = svc.range(&[0xff, 0xfe], 1.0).unwrap_err();
+        let err = svc
+            .query(range(1.0), &[vec![0xff, 0xfe]], 1, Deadline::none())
+            .unwrap_err();
         assert!(matches!(err, ServiceError::Malformed(_)), "{err}");
         let err = svc.insert(&[0xff]).unwrap_err();
         assert!(matches!(err, ServiceError::Malformed(_)), "{err}");
@@ -523,30 +317,27 @@ mod tests {
         let objs: Vec<Vec<u8>> = (0..32).map(|_| b"carrot".to_vec()).collect();
         let deadline = Deadline::from_ms(1);
         std::thread::sleep(std::time::Duration::from_millis(5));
-        let err = svc.range_batch(&objs, 2.0, 2, deadline).unwrap_err();
+        let err = svc.query(range(2.0), &objs, 2, deadline).unwrap_err();
         assert!(matches!(err, ServiceError::DeadlineExceeded), "{err}");
     }
 
     #[test]
     fn batch_slicing_preserves_per_query_results() {
         let dir = TempDir::new("svc-slice");
+        let svc = words_service(300, 74, &dir);
         let data = dataset::words(300, 74);
-        let tree = SpbTree::build(
-            dir.path(),
-            &data,
-            dataset::words_metric(),
-            &SpbConfig::default(),
-        )
-        .unwrap();
-        let svc = TreeService::new(tree, Schema::Words { max_len: 40 });
         let objs: Vec<Vec<u8>> = data.iter().take(10).map(|o| o.encoded()).collect();
 
-        let via_svc = svc.range_batch(&objs, 2.0, 2, Deadline::none()).unwrap();
+        let Answers::Range(via_svc) = svc.query(range(2.0), &objs, 2, Deadline::none()).unwrap()
+        else {
+            panic!("a range plan answers range rows");
+        };
         let pairs: Vec<_> = data.iter().take(10).map(|q| (q.clone(), 2.0)).collect();
         let direct = svc.tree().range_batch(&pairs, 2).unwrap();
         assert_eq!(via_svc.len(), direct.len());
         for ((hits, stats), (want_hits, want_stats)) in via_svc.iter().zip(&direct) {
-            assert_eq!(hits.len(), want_hits.len());
+            let want: Vec<WireHit> = want_hits.iter().map(|(id, o)| (*id, o.encoded())).collect();
+            assert_eq!(hits, &want);
             assert_eq!(stats.compdists, want_stats.compdists);
             assert_eq!(stats.page_accesses, want_stats.page_accesses);
         }

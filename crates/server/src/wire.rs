@@ -41,7 +41,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
-use spb_core::QueryStats;
+use spb_core::{PlanError, QueryPlan, QueryShape, QueryStats};
 use spb_storage::crc32;
 
 /// Version byte every payload starts with.
@@ -351,6 +351,22 @@ pub enum Request {
         /// replica's applied LSN).
         from_lsn: u64,
     },
+}
+
+/// The query a request carries, projected out of its wire variant by
+/// [`Request::query`]: everything past this point handles one plan type
+/// instead of six request shapes.
+#[derive(Debug)]
+pub struct Query<'a> {
+    /// What to search for.
+    pub plan: QueryPlan,
+    /// The encoded query objects, one per answer row (a single query is a
+    /// batch of one). Mutable so an executor can take the bytes instead
+    /// of copying them.
+    pub objs: &'a mut [Vec<u8>],
+    /// True for the explicit batch ops, which are answered with one
+    /// `Batch*` response instead of one response per row.
+    pub batch: bool,
 }
 
 /// One range hit: object id plus encoded object.
@@ -850,6 +866,53 @@ impl Request {
         };
         c.finish()?;
         Ok(req)
+    }
+
+    /// The query this request carries — `None` for updates and control
+    /// requests, `Some(Err(_))` when its approximation factor is invalid
+    /// (answered `Malformed`). The factor goes into the plan exactly as
+    /// it arrived.
+    pub fn query(&mut self) -> Option<Result<Query<'_>, PlanError>> {
+        use std::slice::from_mut;
+        let (shape, approx, objs, batch) = match self {
+            Request::Range { radius, obj, .. } => {
+                let shape = QueryShape::Range { radius: *radius };
+                (shape, None, from_mut(obj), false)
+            }
+            Request::RangeApprox {
+                radius,
+                contraction,
+                obj,
+                ..
+            } => {
+                let shape = QueryShape::Range { radius: *radius };
+                (shape, Some(*contraction), from_mut(obj), false)
+            }
+            Request::Knn { k, obj, .. } => {
+                let shape = QueryShape::Knn { k: *k as usize };
+                (shape, None, from_mut(obj), false)
+            }
+            Request::KnnApprox { k, alpha, obj, .. } => {
+                let shape = QueryShape::Knn { k: *k as usize };
+                (shape, Some(*alpha), from_mut(obj), false)
+            }
+            Request::BatchRange { radius, objs, .. } => {
+                let shape = QueryShape::Range { radius: *radius };
+                (shape, None, objs.as_mut_slice(), true)
+            }
+            Request::BatchKnn { k, objs, .. } => {
+                let shape = QueryShape::Knn { k: *k as usize };
+                (shape, None, objs.as_mut_slice(), true)
+            }
+            Request::Ping
+            | Request::Insert { .. }
+            | Request::Delete { .. }
+            | Request::Stats
+            | Request::ObsStats
+            | Request::Shutdown
+            | Request::WalShip { .. } => return None,
+        };
+        Some(QueryPlan::new(shape, approx).map(|plan| Query { plan, objs, batch }))
     }
 
     /// The request's relative deadline, if any.

@@ -51,13 +51,29 @@ fn request_strategy() -> impl Strategy<Value = Request> {
         (
             any::<u32>(),
             any::<u32>(),
-            proptest::collection::vec(obj, 0..8)
+            proptest::collection::vec(obj.clone(), 0..8)
         )
             .prop_map(|(deadline_ms, k, objs)| Request::BatchKnn {
                 deadline_ms,
                 k,
                 objs
             }),
+        (any::<u32>(), any::<f64>(), any::<f64>(), obj.clone()).prop_map(
+            |(deadline_ms, radius, contraction, obj)| Request::RangeApprox {
+                deadline_ms,
+                radius,
+                contraction,
+                obj,
+            }
+        ),
+        (any::<u32>(), any::<u32>(), any::<f64>(), obj).prop_map(|(deadline_ms, k, alpha, obj)| {
+            Request::KnnApprox {
+                deadline_ms,
+                k,
+                alpha,
+                obj,
+            }
+        }),
     ]
 }
 
@@ -128,6 +144,22 @@ proptest! {
         prop_assert_eq!(Request::decode(&payload).unwrap(), req);
     }
 
+    // The one projection from wire variants to a plan: total, and the
+    // approximation factor arrives in the plan bit for bit (or the
+    // request has no plan at all) — it is never recomputed on the way.
+    #[test]
+    fn query_projection_keeps_the_wire_factor(req in request_strategy()) {
+        let sent = match &req {
+            Request::RangeApprox { contraction, .. } => Some(*contraction),
+            Request::KnnApprox { alpha, .. } => Some(*alpha),
+            _ => None,
+        };
+        let mut req = req;
+        if let Some(Ok(query)) = req.query() {
+            prop_assert_eq!(query.plan.approx().map(f64::to_bits), sent.map(f64::to_bits));
+        }
+    }
+
     #[test]
     fn response_roundtrip(resp in response_strategy()) {
         let payload = resp.encode();
@@ -184,5 +216,102 @@ proptest! {
         let pos = pos % corrupted.len();
         corrupted[pos] ^= 1 << bit;
         prop_assert!(check_payload(crc, &corrupted).is_err());
+    }
+}
+
+/// The encoded bytes of every request variant, pinned: opcodes, field
+/// order and widths are the protocol, and `PROTOCOL_VERSION` has not
+/// moved, so a peer built from any earlier commit must still parse these.
+#[test]
+fn request_encodings_are_golden() {
+    const DEADLINE_7: [u8; 4] = [7, 0, 0, 0];
+    const K_9: [u8; 4] = [9, 0, 0, 0];
+    const F64_2_5: [u8; 8] = [0, 0, 0, 0, 0, 0, 0x04, 0x40];
+    const F64_0_5: [u8; 8] = [0, 0, 0, 0, 0, 0, 0xE0, 0x3F];
+    const F64_1_8: [u8; 8] = [0xCD, 0xCC, 0xCC, 0xCC, 0xCC, 0xCC, 0xFC, 0x3F];
+    const OBJ_AB: [u8; 6] = [2, 0, 0, 0, b'a', b'b'];
+    const OBJS_AB_EMPTY: [u8; 14] = [2, 0, 0, 0, 2, 0, 0, 0, b'a', b'b', 0, 0, 0, 0];
+    let obj = || b"ab".to_vec();
+    let objs = || vec![b"ab".to_vec(), Vec::new()];
+    let (deadline_ms, radius, k) = (7, 2.5, 9);
+    let golden: Vec<(Request, Vec<&[u8]>)> = vec![
+        (Request::Ping, vec![&[1, 0x01]]),
+        (
+            Request::Range {
+                deadline_ms,
+                radius,
+                obj: obj(),
+            },
+            vec![&[1, 0x02], &DEADLINE_7, &F64_2_5, &OBJ_AB],
+        ),
+        (
+            Request::Knn {
+                deadline_ms,
+                k,
+                obj: obj(),
+            },
+            vec![&[1, 0x03], &DEADLINE_7, &K_9, &OBJ_AB],
+        ),
+        (
+            Request::Insert {
+                deadline_ms,
+                obj: obj(),
+            },
+            vec![&[1, 0x04], &DEADLINE_7, &OBJ_AB],
+        ),
+        (
+            Request::Delete {
+                deadline_ms,
+                obj: obj(),
+            },
+            vec![&[1, 0x05], &DEADLINE_7, &OBJ_AB],
+        ),
+        (
+            Request::BatchRange {
+                deadline_ms,
+                radius,
+                objs: objs(),
+            },
+            vec![&[1, 0x06], &DEADLINE_7, &F64_2_5, &OBJS_AB_EMPTY],
+        ),
+        (
+            Request::BatchKnn {
+                deadline_ms,
+                k,
+                objs: objs(),
+            },
+            vec![&[1, 0x07], &DEADLINE_7, &K_9, &OBJS_AB_EMPTY],
+        ),
+        (Request::Stats, vec![&[1, 0x08]]),
+        (Request::Shutdown, vec![&[1, 0x09]]),
+        (Request::ObsStats, vec![&[1, 0x0A]]),
+        (
+            Request::WalShip {
+                from_lsn: 0x0102_0304_0506_0708,
+            },
+            vec![&[1, 0x0B], &[8, 7, 6, 5, 4, 3, 2, 1]],
+        ),
+        (
+            Request::RangeApprox {
+                deadline_ms,
+                radius,
+                contraction: 0.5,
+                obj: obj(),
+            },
+            vec![&[1, 0x0C], &DEADLINE_7, &F64_2_5, &F64_0_5, &OBJ_AB],
+        ),
+        (
+            Request::KnnApprox {
+                deadline_ms,
+                k,
+                alpha: 1.8,
+                obj: obj(),
+            },
+            vec![&[1, 0x0D], &DEADLINE_7, &K_9, &F64_1_8, &OBJ_AB],
+        ),
+    ];
+    assert_eq!(spb_server::PROTOCOL_VERSION, 1);
+    for (req, parts) in golden {
+        assert_eq!(req.encode(), parts.concat(), "{req:?}");
     }
 }

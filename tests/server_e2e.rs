@@ -140,7 +140,7 @@ fn overload_sheds_with_bounded_queue() {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 for i in 0..30 {
-                    match client.range(&queries[(c + i) % queries.len()], RADIUS, 0) {
+                    match client.range(&queries[(c + i) % queries.len()], RADIUS, None, 0) {
                         Ok(_) => {
                             ok.fetch_add(1, Ordering::Relaxed);
                         }
@@ -190,7 +190,7 @@ fn expired_deadlines_get_typed_errors() {
     }
 
     // The connection survives a deadline miss: the next request works.
-    let (_, stats) = client.range(&data[0].encoded(), RADIUS, 0).unwrap();
+    let (_, stats) = client.range(&data[0].encoded(), RADIUS, None, 0).unwrap();
     assert!(stats.compdists > 0);
 }
 
