@@ -5,7 +5,7 @@
 //! independent queries should use every core. [`SpbTree::range_batch`]
 //! and [`SpbTree::knn_batch`] take the read latch **once** on the calling
 //! thread and run the per-query bodies (`range_exec` / `knn_locked`) on
-//! a [`WorkerPool`]; updates queue behind the whole batch, exactly as
+//! [`parallel_map`] workers; updates queue behind the whole batch, exactly as
 //! they would behind any single reader.
 //!
 //! Results and per-query [`QueryStats`] are identical to running the same
@@ -18,7 +18,7 @@ use std::io;
 
 use spb_metric::{Distance, MetricObject};
 
-use crate::exec::WorkerPool;
+use crate::exec::parallel_map;
 use crate::knn::Traversal;
 use crate::plan::{QueryPlan, QueryShape};
 use crate::tree::{QueryStats, SpbTree};
@@ -93,8 +93,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         threads: usize,
     ) -> io::Result<RangeBatch<O>> {
         let _guard = self.latch_shared();
-        let pool = WorkerPool::new(threads);
-        pool.map(items, |_, item| {
+        parallel_map(threads, items, |_, item| {
             let (q, r) = query_of(item);
             let mut col = self.collector();
             let hits =
@@ -114,8 +113,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         threads: usize,
     ) -> io::Result<KnnBatch<O>> {
         let _guard = self.latch_shared();
-        let pool = WorkerPool::new(threads);
-        pool.map(queries, |_, q| {
+        parallel_map(threads, queries, |_, q| {
             let mut col = self.collector();
             let nn = self.knn_locked(
                 q,

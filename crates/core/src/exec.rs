@@ -1,71 +1,33 @@
-//! A small scoped worker pool for fanning independent tasks across
-//! threads — the execution engine behind [`SpbTree::range_batch`],
-//! [`SpbTree::knn_batch`] and the partition-parallel similarity join.
+//! Scoped fan-out of independent tasks across threads — the execution
+//! engine behind [`SpbTree::range_batch`], [`SpbTree::knn_batch`] and the
+//! partition-parallel similarity join.
 //!
 //! Built on `std::thread::scope` only (no external runtime): workers may
 //! borrow the tree and the task slice directly, and every worker is
-//! joined before [`WorkerPool::map`] returns, so no task outlives its
-//! borrows.
-//!
-//! Scheduling is work-stealing over a shared injector queue:
-//!
-//! * all task indices start in the **injector** (a FIFO);
-//! * each worker refills its **local deque** with a small batch from the
-//!   injector and pops from it LIFO (locality: adjacent queries touch
-//!   adjacent pages);
-//! * a worker that finds both empty **steals** the oldest task from
-//!   another worker's deque (FIFO end — the victim keeps its hot tail);
-//! * tasks are never re-enqueued, so a worker that finds every queue
-//!   empty can safely exit: the remaining tasks are already running.
+//! joined before [`parallel_map`] returns, so no task outlives its
+//! borrows. Tasks are whole queries or join partitions (0.5–10 ms each),
+//! so hand-out is one shared cursor: each worker claims the next
+//! unclaimed index until none is left, which also keeps one slow task
+//! from holding up the rest.
 //!
 //! [`SpbTree::range_batch`]: crate::SpbTree::range_batch
 //! [`SpbTree::knn_batch`]: crate::SpbTree::knn_batch
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The `exec.queue_depth` gauge: tasks still waiting in the injector of
-/// the most recent batch. Process-global; sampled on every injector
-/// refill so an operator can see backlog while a batch runs.
+/// The `exec.queue_depth` gauge: tasks of the most recent batch no
+/// worker has claimed yet. Process-global, so an operator can see
+/// backlog while a batch runs.
 fn queue_depth_gauge() -> &'static std::sync::Arc<spb_obs::Gauge> {
     static G: std::sync::OnceLock<std::sync::Arc<spb_obs::Gauge>> = std::sync::OnceLock::new();
     G.get_or_init(|| spb_obs::gauge("exec.queue_depth"))
 }
 
-/// A fixed-width pool of scoped workers. `threads <= 1` degenerates to an
-/// inline sequential loop (no threads spawned), which is also the
-/// reference behaviour batch results are tested against.
-#[derive(Clone, Copy, Debug)]
-pub struct WorkerPool {
-    threads: usize,
-}
-
-impl WorkerPool {
-    /// A pool running `threads` workers (clamped to at least 1).
-    pub fn new(threads: usize) -> Self {
-        WorkerPool {
-            threads: threads.max(1),
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Applies `f` to every item, in parallel, returning results in input
-    /// order. `f` gets the item's index and a reference to it.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        parallel_map(self.threads, items, f)
-    }
-}
-
-/// [`WorkerPool::map`] as a free function.
+/// Applies `f` to every item on up to `threads` workers, returning
+/// results in input order. `f` gets the item's index and a reference to
+/// it. `threads <= 1` (or a single item) runs inline on the caller's
+/// thread, which is also the reference behaviour batch results are
+/// tested against.
 pub fn parallel_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -76,28 +38,24 @@ where
     if threads <= 1 || n <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let workers = threads.min(n);
-    // Grab a few tasks per injector visit; small enough that stragglers
-    // still spread via stealing, large enough to keep the injector cold.
-    let batch = (n / (workers * 4)).max(1);
-    let injector: Mutex<VecDeque<usize>> = Mutex::new((0..n).collect());
-    queue_depth_gauge().set(n as i64);
-    let locals: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-
+    // Only claims indices, publishes no data: results travel through join.
+    let cursor = AtomicUsize::new(0);
+    let depth = queue_depth_gauge();
+    depth.set(n as i64);
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let injector = &injector;
-                let locals = &locals;
-                let f = &f;
-                scope.spawn(move || {
+        let handles: Vec<_> = (0..threads.min(n))
+            .map(|_| {
+                scope.spawn(|| {
                     let mut out: Vec<(usize, R)> = Vec::new();
-                    while let Some(i) = next_task(w, injector, locals, batch) {
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break out;
+                        }
+                        depth.set((n - i - 1) as i64);
                         out.push((i, f(i, &items[i])));
                     }
-                    out
                 })
             })
             .collect();
@@ -111,43 +69,6 @@ where
         .into_iter()
         .map(|r| r.expect("every task runs exactly once"))
         .collect()
-}
-
-/// Pops the next task for worker `w`: local deque (LIFO), then a batch
-/// from the injector, then a steal. `None` means all queues are drained.
-fn next_task(
-    w: usize,
-    injector: &Mutex<VecDeque<usize>>,
-    locals: &[Mutex<VecDeque<usize>>],
-    batch: usize,
-) -> Option<usize> {
-    if let Some(i) = locals[w].lock().expect("local deque").pop_back() {
-        return Some(i);
-    }
-    {
-        let mut inj = injector.lock().expect("injector");
-        if let Some(first) = inj.pop_front() {
-            let mut local = locals[w].lock().expect("local deque");
-            for _ in 1..batch {
-                match inj.pop_front() {
-                    Some(i) => local.push_back(i),
-                    None => break,
-                }
-            }
-            queue_depth_gauge().set(inj.len() as i64);
-            return Some(first);
-        }
-        queue_depth_gauge().set(0);
-    }
-    for (v, victim) in locals.iter().enumerate() {
-        if v == w {
-            continue;
-        }
-        if let Some(i) = victim.lock().expect("victim deque").pop_front() {
-            return Some(i);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -185,7 +106,7 @@ mod tests {
     }
 
     #[test]
-    fn uneven_task_durations_balance_via_stealing() {
+    fn one_slow_task_does_not_serialise_the_rest() {
         // One slow task up front must not serialise the rest behind it.
         let items: Vec<u64> = (0..64).collect();
         let out = parallel_map(4, &items, |_, &x| {
@@ -195,13 +116,5 @@ mod tests {
             x
         });
         assert_eq!(out, items);
-    }
-
-    #[test]
-    fn pool_wrapper_clamps_threads() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.threads(), 1);
-        let out = pool.map(&[1, 2, 3], |_, &x: &i32| x * x);
-        assert_eq!(out, vec![1, 4, 9]);
     }
 }

@@ -154,32 +154,14 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
     /// `QueryStats::recall` and the `accel.recall_permille` gauge.
     pub fn knn_approx_measured(&self, q: &O, k: usize, alpha: f64) -> KnnResult<O> {
         let alpha = QueryPlan::new(QueryShape::Knn { k }, Some(alpha))?.factor();
-        let _guard = self.latch_shared();
-        let mut col = self.collector();
-        let approx = self.knn_locked(
-            q,
-            k,
-            Traversal::Incremental,
+        self.measured(
             alpha,
-            spb_accel::Positioning::Auto,
-            &mut col,
-        )?;
-        let mut stats = col.finish();
-        let mut exact_col = self.collector();
-        let exact = self.knn_locked(
-            q,
-            k,
-            Traversal::Incremental,
-            1.0,
-            spb_accel::Positioning::Auto,
-            &mut exact_col,
-        )?;
-        let exact_ids: Vec<u32> = exact.iter().map(|&(id, _, _)| id).collect();
-        let approx_ids: Vec<u32> = approx.iter().map(|&(id, _, _)| id).collect();
-        let rec = spb_accel::recall(&exact_ids, &approx_ids);
-        spb_accel::metrics::record_recall(rec);
-        stats.recall = Some(rec);
-        Ok((approx, stats))
+            |nn: &(u32, O, f64)| nn.0,
+            |factor, col| {
+                let pos = spb_accel::Positioning::Auto;
+                self.knn_locked(q, k, Traversal::Incremental, factor, pos, col)
+            },
+        )
     }
 
     /// Auto-tunes `alpha` to meet `target` recall for `k`-NN queries

@@ -70,7 +70,6 @@
 mod batch;
 mod config;
 mod cost;
-mod count;
 mod exec;
 mod join;
 mod knn;
@@ -85,7 +84,7 @@ mod tree;
 pub use batch::{KnnBatch, QueryAnswers, RangeBatch};
 pub use config::SpbConfig;
 pub use cost::{CostEstimate, CostModel};
-pub use exec::{parallel_map, WorkerPool};
+pub use exec::parallel_map;
 pub use join::{similarity_join, similarity_join_parallel, JoinPair};
 pub use knn::{KnnResult, Traversal};
 pub use mapping::{PivotTable, SfcMbbOps};

@@ -33,56 +33,34 @@
 //! [`SpbTree`]: crate::SpbTree
 //! [`IoStats`]: spb_storage::IoStats
 
-use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
+
+use spb_storage::{Lru, PageId};
 
 use crate::tree::QueryStats;
 
-/// A cold LRU cache simulated for accounting only: same hit/miss and
-/// eviction behaviour as one [`spb_storage::BufferPool`] shard, but it
-/// stores no pages — only which page numbers would be resident.
-struct AccountingLru {
-    capacity: usize,
-    tick: u64,
-    /// page → last-use tick.
-    map: HashMap<u64, u64>,
-    /// last-use tick → page (eviction order; ticks are unique).
-    order: BTreeMap<u64, u64>,
+/// A cold cache simulated for accounting only: the very LRU a
+/// [`spb_storage::BufferPool`] shard runs, storing no pages — only which
+/// page numbers would be resident — plus the miss count.
+struct ColdCache {
+    lru: Lru<()>,
     misses: u64,
 }
 
-impl AccountingLru {
+impl ColdCache {
     fn new(capacity: usize) -> Self {
-        AccountingLru {
-            capacity,
-            tick: 0,
-            map: HashMap::new(),
-            order: BTreeMap::new(),
+        ColdCache {
+            lru: Lru::new(capacity),
             misses: 0,
         }
     }
 
-    /// Records one logical read of `page` (a miss with capacity 0, which
-    /// mirrors the pool's cache-disabled mode).
+    /// Records one logical read of `page` (always a miss with capacity
+    /// 0, which mirrors the pool's cache-disabled mode).
     fn access(&mut self, page: u64) {
-        if self.capacity == 0 {
+        if self.lru.get(PageId(page)).is_none() {
             self.misses += 1;
-            return;
-        }
-        self.tick += 1;
-        if let Some(t) = self.map.get_mut(&page) {
-            let old = *t;
-            *t = self.tick;
-            self.order.remove(&old);
-            self.order.insert(self.tick, page);
-            return;
-        }
-        self.misses += 1;
-        self.map.insert(page, self.tick);
-        self.order.insert(self.tick, page);
-        while self.map.len() > self.capacity {
-            let (_, victim) = self.order.pop_first().expect("order mirrors map");
-            self.map.remove(&victim);
+            self.lru.insert(PageId(page), ());
         }
     }
 }
@@ -93,8 +71,8 @@ impl AccountingLru {
 /// `set_cache_capacity` does not skew a query mid-flight.
 pub(crate) struct StatsCollector {
     compdists: u64,
-    btree: AccountingLru,
-    raf: AccountingLru,
+    btree: ColdCache,
+    raf: ColdCache,
     start: Instant,
 }
 
@@ -102,8 +80,8 @@ impl StatsCollector {
     pub(crate) fn new(btree_cache_pages: usize, raf_cache_pages: usize) -> Self {
         StatsCollector {
             compdists: 0,
-            btree: AccountingLru::new(btree_cache_pages),
-            raf: AccountingLru::new(raf_cache_pages),
+            btree: ColdCache::new(btree_cache_pages),
+            raf: ColdCache::new(raf_cache_pages),
             start: spb_obs::clock::now(),
         }
     }
@@ -146,7 +124,7 @@ mod tests {
 
     #[test]
     fn lru_simulation_counts_cold_misses() {
-        let mut lru = AccountingLru::new(2);
+        let mut lru = ColdCache::new(2);
         lru.access(1); // miss
         lru.access(2); // miss
         lru.access(1); // hit, 1 most recent
@@ -158,7 +136,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_counts_every_access() {
-        let mut lru = AccountingLru::new(0);
+        let mut lru = ColdCache::new(0);
         for _ in 0..5 {
             lru.access(7);
         }

@@ -803,6 +803,28 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         StatsCollector::new(self.btree.pool().capacity(), self.raf.pool().capacity())
     }
 
+    /// Runs an approximate query and measures its recall: `query_at(factor)`
+    /// with one collector, then the exact `query_at(1.0)` with a second, so the
+    /// returned stats are the approximate query's cost alone. Sets
+    /// `QueryStats::recall` and the `accel.recall_permille` gauge.
+    pub(crate) fn measured<T>(
+        &self,
+        factor: f64,
+        id_of: impl Fn(&T) -> u32,
+        query_at: impl Fn(f64, &mut StatsCollector) -> io::Result<Vec<T>>,
+    ) -> io::Result<(Vec<T>, QueryStats)> {
+        let _guard = self.latch_shared();
+        let mut col = self.collector();
+        let approx = query_at(factor, &mut col)?;
+        let mut stats = col.finish();
+        let exact = query_at(1.0, &mut self.collector())?;
+        let ids = |rows: &[T]| rows.iter().map(&id_of).collect::<Vec<u32>>();
+        let rec = spb_accel::recall(&ids(&exact), &ids(&approx));
+        spb_accel::metrics::record_recall(rec);
+        stats.recall = Some(rec);
+        Ok((approx, stats))
+    }
+
     /// [`BPlusTree::read_node`] with the page attributed to `col`.
     pub(crate) fn read_node_traced(
         &self,

@@ -159,6 +159,64 @@ proptest! {
     }
 }
 
+/// The byte-identity property on a seeded index with enough leaves
+/// (≈ 36) for what the proptest's single-leaf trees cannot reach: the
+/// learned *enumeration* regime locating values across many leaves, and
+/// — after inserts and a retrain — a window miss (`Located::Miss`),
+/// where the learned traversal must drop what it has and restart
+/// classically.
+#[test]
+fn enumeration_regime_and_window_miss_fallback_are_byte_identical() {
+    // `range.rs`'s `LEARNED_ENUM_CELLS`: at most this many cells in RR
+    // and learned positioning enumerates instead of scanning.
+    const ENUM_CELLS: u128 = 1024;
+    let all = spb_metric::dataset::words(4000, 4242);
+    let (data, inserted) = all.split_at(3000);
+    let dir = TempDir::new("accel-regimes");
+    let cfg = SpbConfig {
+        accel: AccelPolicy::Learned,
+        durability: false,
+        ..SpbConfig::default()
+    };
+    let tree = SpbTree::build(dir.path(), data, EditDistance::default(), &cfg).unwrap();
+    // The located outcome of every SFC value in RR(q, r), if RR is small
+    // enough to be enumerated.
+    let located = |q: &Word, r: f64| {
+        let phi = tree.table().phi(tree.metric(), q);
+        let rr = tree.table().rr_cells(&phi, r)?;
+        let model = tree.accel_model()?;
+        (rr.cell_count() <= ENUM_CELLS).then(|| {
+            rr.sfc_values_sorted(tree.curve())
+                .into_iter()
+                .map(|s| model.locate(s))
+                .collect::<Vec<_>>()
+        })
+    };
+
+    assert!(tree.accel_model_fresh());
+    for q in data.iter().take(12) {
+        for r in [0.0, 1.0] {
+            assert!(located(q, r).is_some(), "r={r} must enumerate");
+            assert_identical(&tree, q, r, 4).unwrap();
+        }
+    }
+
+    for w in inserted {
+        tree.insert(w).unwrap();
+    }
+    tree.rebuild_accel().unwrap();
+    let missed: Vec<&Word> = all
+        .iter()
+        .take(400)
+        .filter(|q| located(q, 1.0).is_some_and(|l| l.contains(&spb_accel::Located::Miss)))
+        .take(6)
+        .collect();
+    assert!(!missed.is_empty(), "no query's RR holds a window miss");
+    for q in missed {
+        assert_identical(&tree, q, 1.0, 4).unwrap();
+    }
+}
+
 /// Recall-targeted tuning on a seeded index: `tune_knn_alpha` returns a
 /// rung of the α ladder whose recall, measured again on the same sample,
 /// meets the target — and because the ladder ends at the exact `α = 1`,

@@ -80,6 +80,9 @@ proptest! {
         let metric = EditDistance::default();
         let q_idx = qi % data.len();
         let mut reference: Option<Vec<u32>> = None;
+        // Count's (compdists, PA) per `lemma2`: the merge path changes
+        // which entries are decoded, never which are fetched or verified.
+        let mut count_cost: [Option<(u64, u64)>; 2] = [None; 2];
         for (lemma2, merge) in [(true, true), (false, true), (true, false), (false, false)] {
             let dir = TempDir::new("prop-abl");
             let cfg = SpbConfig {
@@ -91,6 +94,10 @@ proptest! {
             let (hits, _) = tree.range(&data[q_idx], r).unwrap();
             let mut ids: Vec<u32> = hits.iter().map(|&(id, _)| id).collect();
             ids.sort_unstable();
+            let (count, cs) = tree.range_count(&data[q_idx], r).unwrap();
+            prop_assert_eq!(count as usize, ids.len(), "lemma2={lemma2} merge={merge}");
+            let cost = (cs.compdists, cs.page_accesses);
+            prop_assert_eq!(*count_cost[lemma2 as usize].get_or_insert(cost), cost);
             match &reference {
                 None => reference = Some(ids),
                 Some(r0) => prop_assert_eq!(r0, &ids),

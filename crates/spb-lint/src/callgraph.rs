@@ -116,10 +116,10 @@ pub const STD_AMBIGUOUS_METHODS: &[&str] = &[
     "pop_front",
     "pop_back",
     // Workspace methods that shadow ubiquitous std/core names:
-    // `Client::expect`, `WorkerPool::map`, `Deadline::remaining`,
-    // `SpbTree::delete`, `Router::shutdown`, `BufferPool::stats`,
-    // `PivotTable::num_pivots` — a `.map(` on an `Option` must not
-    // become an edge into the thread pool.
+    // `Client::expect`, `Deadline::remaining`, `SpbTree::delete`,
+    // `Router::shutdown`, `BufferPool::stats`,
+    // `PivotTable::num_pivots` — an `.expect(` on an `Option` must not
+    // become an edge into the client.
     "map",
     "expect",
     "stats",

@@ -18,7 +18,6 @@
 //! the paper's PA accounting exact. The default ([`BufferPool::new`]) is a
 //! single shard, which is byte-for-byte the paper's global LRU.
 
-use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -26,6 +25,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use crate::lockrank::{self, LockRank, RankedMutexGuard};
+use crate::lru::Lru;
 use crate::page::{Page, PageId};
 use crate::pager::Pager;
 
@@ -50,64 +50,6 @@ impl IoStats {
     }
 }
 
-struct PoolInner {
-    capacity: usize,
-    tick: u64,
-    /// PageId → (cached page, last-use tick).
-    map: HashMap<PageId, (Arc<Page>, u64)>,
-    /// last-use tick → PageId: the eviction order. Ticks are unique, so
-    /// the least recently used entry is always `order`'s first key and
-    /// eviction is O(log n) instead of a linear scan over the map.
-    order: BTreeMap<u64, PageId>,
-}
-
-impl PoolInner {
-    fn touch(&mut self, id: PageId) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.map.get_mut(&id) {
-            self.order.remove(&e.1);
-            e.1 = tick;
-            self.order.insert(tick, id);
-        }
-    }
-
-    /// Inserts (or refreshes) a page; returns how many entries were
-    /// evicted to stay within capacity.
-    fn insert(&mut self, id: PageId, page: Arc<Page>) -> u64 {
-        if self.capacity == 0 {
-            return 0;
-        }
-        self.tick += 1;
-        if let Some(old) = self.map.insert(id, (page, self.tick)) {
-            self.order.remove(&old.1);
-        }
-        self.order.insert(self.tick, id);
-        self.evict_to_capacity()
-    }
-
-    /// Evicts least-recently-used entries until the shard fits its
-    /// capacity again; returns the number evicted.
-    fn evict_to_capacity(&mut self) -> u64 {
-        let mut evicted = 0;
-        while self.map.len() > self.capacity {
-            // `order` mirrors `map`, so a non-empty map always yields a
-            // victim; bail instead of panicking if that ever breaks.
-            let Some((_, victim)) = self.order.pop_first() else {
-                break;
-            };
-            self.map.remove(&victim);
-            evicted += 1;
-        }
-        evicted
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
-    }
-}
-
 /// The `phase.buffer_io` histogram: time spent in the pager on cache
 /// misses and write-throughs (nanoseconds). Process-global, shared by
 /// every pool.
@@ -124,7 +66,7 @@ fn buffer_io_hist() -> &'static Arc<spb_obs::Histogram> {
 /// `pool.shard{N}.*` — every pool sharing a shard index shares the
 /// named counter, so the registry reports process-wide totals.
 struct Shard {
-    inner: Mutex<PoolInner>,
+    inner: Mutex<Lru<Arc<Page>>>,
     logical_reads: AtomicU64,
     physical_reads: AtomicU64,
     writes: AtomicU64,
@@ -136,12 +78,7 @@ struct Shard {
 impl Shard {
     fn new(capacity: usize, idx: usize) -> Self {
         Shard {
-            inner: Mutex::new(PoolInner {
-                capacity,
-                tick: 0,
-                map: HashMap::new(),
-                order: BTreeMap::new(),
-            }),
+            inner: Mutex::new(Lru::new(capacity)),
             logical_reads: AtomicU64::new(0),
             physical_reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
@@ -163,7 +100,7 @@ impl Shard {
     /// The only way to take the shard mutex: registers the acquisition
     /// at [`LockRank::BufferShard`] so debug builds catch latch-ordering
     /// violations (and `spb-lint` rejects direct `.inner.lock()` calls).
-    fn lock_inner(&self) -> RankedMutexGuard<'_, PoolInner> {
+    fn lock_inner(&self) -> RankedMutexGuard<'_, Lru<Arc<Page>>> {
         lockrank::lock(&self.inner, LockRank::BufferShard)
     }
 }
@@ -234,8 +171,7 @@ impl BufferPool {
         shard.logical_reads.fetch_add(1, Ordering::Relaxed);
         {
             let mut inner = shard.lock_inner();
-            if let Some(page) = inner.map.get(&id).map(|e| Arc::clone(&e.0)) {
-                inner.touch(id);
+            if let Some(page) = inner.get(id).cloned() {
                 shard.obs_hits.incr();
                 return Ok(page);
             }
@@ -249,8 +185,7 @@ impl BufferPool {
         // copy keeps PA accounting deterministic under striping and never
         // clobbers a fresher write-through copy with our possibly-stale
         // read.
-        if let Some(cached) = inner.map.get(&id).map(|e| Arc::clone(&e.0)) {
-            inner.touch(id);
+        if let Some(cached) = inner.get(id).cloned() {
             shard.obs_hits.incr();
             return Ok(cached);
         }
@@ -271,12 +206,9 @@ impl BufferPool {
         buffer_io_hist().record(spb_obs::clock::nanos_since(io_start));
         let shard = self.shard_of(id);
         shard.writes.fetch_add(1, Ordering::Relaxed);
-        let mut inner = shard.lock_inner();
-        if inner.capacity > 0 {
-            let evicted = inner.insert(id, Arc::new(page));
-            if evicted > 0 {
-                shard.obs_evictions.add(evicted);
-            }
+        let evicted = shard.lock_inner().insert(id, Arc::new(page));
+        if evicted > 0 {
+            shard.obs_evictions.add(evicted);
         }
         Ok(())
     }
@@ -294,15 +226,9 @@ impl BufferPool {
         self.capacity.store(capacity, Ordering::Relaxed);
         let per_shard = Self::shard_capacity(capacity, self.shards.len());
         for shard in &self.shards {
-            let mut inner = shard.lock_inner();
-            inner.capacity = per_shard;
-            if per_shard == 0 {
-                inner.clear();
-            } else {
-                let evicted = inner.evict_to_capacity();
-                if evicted > 0 {
-                    shard.obs_evictions.add(evicted);
-                }
+            let evicted = shard.lock_inner().resize(per_shard);
+            if evicted > 0 {
+                shard.obs_evictions.add(evicted);
             }
         }
     }

@@ -10,6 +10,8 @@
 //! * [`BufferPool`] — an LRU cache in front of a pager; the paper's cache
 //!   experiments (Fig. 10) vary its capacity, and queries flush it so each
 //!   of the 500 workload queries is measured cold;
+//! * [`Lru`] — the one LRU structure: a pool shard stores pages in it,
+//!   per-query cost accounting (`spb-core`) replays page traces through it;
 //! * [`Raf`] — the *random access file* holding variable-length object
 //!   records `(id, len, obj)` separately from the index (Fig. 4);
 //! * [`TempDir`] — a tiny self-cleaning scratch-directory helper used by
@@ -34,6 +36,7 @@ mod cache;
 mod checksum;
 pub mod fault;
 pub mod lockrank;
+mod lru;
 mod page;
 mod pager;
 mod raf;
@@ -43,6 +46,7 @@ mod wal;
 pub use atomic::atomic_write_file;
 pub use cache::{BufferPool, IoStats};
 pub use checksum::{crc32, Crc32};
+pub use lru::Lru;
 pub use page::{Page, PageId, PAGE_CRC_SIZE, PAGE_DATA_SIZE, PAGE_SIZE};
 pub use pager::{is_bad_page_ref, is_corrupt, BadPageRef, Pager, StorageCorrupt};
 pub use raf::{Raf, RafEntry, RafPtr};

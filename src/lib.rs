@@ -45,5 +45,5 @@ pub use spb_storage as storage;
 
 pub use spb_core::{
     parallel_map, similarity_join, similarity_join_parallel, CostEstimate, CostModel, JoinPair,
-    QueryStats, SpbConfig, SpbTree, Traversal, WorkerPool,
+    QueryStats, SpbConfig, SpbTree, Traversal,
 };
