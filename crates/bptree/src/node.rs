@@ -14,7 +14,30 @@
 //! entries and 72 internal entries per node — the fan-outs behind the
 //! paper's low construction I/O.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
+use std::io;
+
 use spb_storage::{Page, PageId, PAGE_DATA_SIZE};
+
+/// The typed error for a page that cannot be a node this crate wrote.
+pub(crate) fn corrupt(id: PageId, what: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("corrupt B+-tree page {}: {what}", id.0),
+    )
+}
 
 /// A minimum bounding box stored as two SFC values that encode the low and
 /// high corner points of the box in the mapped vector space (Fig. 4's
@@ -114,7 +137,10 @@ impl LeafNode {
 
     /// Serialises into a fresh page.
     pub fn encode(&self) -> Page {
+        // spb-lint: allow(panic-reach) — a node this crate built itself:
+        // overflow is a split bug, and a truncated page would corrupt the index.
         assert!(self.keys.len() <= LEAF_CAPACITY, "leaf overflow");
+        // spb-lint: allow(panic-reach) — same: the two columns are built in step.
         assert_eq!(self.keys.len(), self.values.len());
         let mut p = Page::new();
         p.write_u8(0, TYPE_LEAF);
@@ -151,6 +177,7 @@ impl InternalNode {
 
     /// Serialises into a fresh page.
     pub fn encode(&self) -> Page {
+        // spb-lint: allow(panic-reach) — see `LeafNode::encode`.
         assert!(self.entries.len() <= INTERNAL_CAPACITY, "internal overflow");
         let mut p = Page::new();
         p.write_u8(0, TYPE_INTERNAL);
@@ -168,11 +195,13 @@ impl InternalNode {
 }
 
 impl Node {
-    /// Decodes the node stored on `page` (read from page id `id`).
-    pub fn decode(id: PageId, page: &Page) -> Node {
+    /// Decodes the node stored on `page` (read from page id `id`). An
+    /// unknown type tag or an entry count beyond the page's capacity is
+    /// `InvalidData`, so no read below runs past the data area.
+    pub fn decode(id: PageId, page: &Page) -> io::Result<Node> {
+        let count = page.read_u16(COUNT_OFF) as usize;
         match page.read_u8(0) {
-            TYPE_LEAF => {
-                let count = page.read_u16(COUNT_OFF) as usize;
+            TYPE_LEAF if count <= LEAF_CAPACITY => {
                 let next = match page.read_u64(LEAF_NEXT_OFF) {
                     NO_PAGE => None,
                     n => Some(PageId(n)),
@@ -185,15 +214,14 @@ impl Node {
                     values.push(page.read_u64(off + 16));
                     off += LEAF_ENTRY_SIZE;
                 }
-                Node::Leaf(LeafNode {
+                Ok(Node::Leaf(LeafNode {
                     page: id,
                     keys,
                     values,
                     next,
-                })
+                }))
             }
-            TYPE_INTERNAL => {
-                let count = page.read_u16(COUNT_OFF) as usize;
+            TYPE_INTERNAL if count <= INTERNAL_CAPACITY => {
                 let mut entries = Vec::with_capacity(count);
                 let mut off = INT_ENTRIES_OFF;
                 for _ in 0..count {
@@ -207,24 +235,21 @@ impl Node {
                     });
                     off += INT_ENTRY_SIZE;
                 }
-                Node::Internal(InternalNode { page: id, entries })
+                Ok(Node::Internal(InternalNode { page: id, entries }))
             }
-            t => panic!("corrupt node page: unknown type tag {t}"),
+            TYPE_LEAF | TYPE_INTERNAL => Err(corrupt(id, "entry count exceeds capacity")),
+            t => Err(corrupt(id, &format!("unknown type tag {t}"))),
         }
     }
 
-    /// The node's minimum key (panics on empty nodes, which are never
-    /// persisted).
-    pub fn min_key(&self) -> u128 {
-        match self {
-            Node::Leaf(l) => *l.keys.first().expect("persisted leaves are non-empty"),
-            Node::Internal(i) => {
-                i.entries
-                    .first()
-                    .expect("persisted internal nodes are non-empty")
-                    .min_key
-            }
-        }
+    /// The node's minimum key; an empty node (never persisted) is
+    /// `InvalidData`.
+    pub fn min_key(&self) -> io::Result<u128> {
+        let (first, page) = match self {
+            Node::Leaf(l) => (l.keys.first().copied(), l.page),
+            Node::Internal(i) => (i.entries.first().map(|e| e.min_key), i.page),
+        };
+        first.ok_or_else(|| corrupt(page, "empty node"))
     }
 }
 
@@ -246,7 +271,7 @@ mod tests {
             values: vec![10, 20, 30, 40],
             next: Some(PageId(9)),
         };
-        let decoded = Node::decode(PageId(7), &leaf.encode());
+        let decoded = Node::decode(PageId(7), &leaf.encode()).unwrap();
         assert_eq!(decoded, Node::Leaf(leaf));
     }
 
@@ -258,7 +283,8 @@ mod tests {
             values: vec![0],
             next: None,
         };
-        assert_eq!(Node::decode(PageId(0), &leaf.encode()), Node::Leaf(leaf));
+        let decoded = Node::decode(PageId(0), &leaf.encode()).unwrap();
+        assert_eq!(decoded, Node::Leaf(leaf));
     }
 
     #[test]
@@ -281,10 +307,8 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(
-            Node::decode(PageId(3), &node.encode()),
-            Node::Internal(node)
-        );
+        let decoded = Node::decode(PageId(3), &node.encode()).unwrap();
+        assert_eq!(decoded, Node::Internal(node));
     }
 
     #[test]
@@ -295,7 +319,8 @@ mod tests {
             values: (0..LEAF_CAPACITY as u64).collect(),
             next: None,
         };
-        assert_eq!(Node::decode(PageId(1), &leaf.encode()), Node::Leaf(leaf));
+        let decoded = Node::decode(PageId(1), &leaf.encode()).unwrap();
+        assert_eq!(decoded, Node::Leaf(leaf));
     }
 
     #[test]
@@ -318,6 +343,31 @@ mod tests {
             values: vec![0, 1],
             next: None,
         };
-        assert_eq!(Node::Leaf(leaf).min_key(), 5);
+        assert_eq!(Node::Leaf(leaf).min_key().unwrap(), 5);
+        let empty = Node::Leaf(LeafNode::empty(PageId(4)));
+        assert_eq!(
+            empty.min_key().unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+    }
+
+    #[test]
+    fn bad_tag_and_oversized_counts_are_typed_errors() {
+        let leaf = LeafNode {
+            page: PageId(2),
+            keys: vec![1],
+            values: vec![2],
+            next: None,
+        };
+        let mut bad_tag = leaf.encode();
+        bad_tag.write_u8(0, 7);
+        let mut big_leaf = leaf.encode();
+        big_leaf.write_u16(COUNT_OFF, LEAF_CAPACITY as u16 + 1);
+        let mut big_internal = InternalNode::empty(PageId(2)).encode();
+        big_internal.write_u16(COUNT_OFF, u16::MAX);
+        for page in [bad_tag, big_leaf, big_internal] {
+            let err = Node::decode(PageId(2), &page).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
     }
 }

@@ -1,5 +1,18 @@
 //! The B⁺-tree proper: bulk-loading, insertion, deletion, search, scans.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::io;
 use std::path::Path;
 
@@ -7,7 +20,7 @@ use parking_lot::Mutex;
 use spb_storage::{BufferPool, IoStats, Page, PageId, Pager};
 
 use crate::node::{
-    ChildEntry, InternalNode, LeafNode, Mbb, Node, INTERNAL_CAPACITY, LEAF_CAPACITY,
+    corrupt, ChildEntry, InternalNode, LeafNode, Mbb, Node, INTERNAL_CAPACITY, LEAF_CAPACITY,
 };
 
 const MAGIC: u64 = 0x5350_4242_5452_4545; // "SPBBTREE"
@@ -113,6 +126,20 @@ pub struct BPlusTree<M: MbbOps> {
     ops: M,
 }
 
+/// The child entry at `idx`. The descent indices are in range for any
+/// non-empty node, and no internal node is persisted empty.
+fn child_at(node: &InternalNode, idx: usize) -> io::Result<&ChildEntry> {
+    (node.entries.get(idx)).ok_or_else(|| corrupt(node.page, "empty internal node"))
+}
+
+/// Overwrites the summary a parent keeps for its child at `idx`.
+fn set_summary(node: &mut InternalNode, idx: usize, min_key: u128, mbb: Mbb) {
+    if let Some(e) = node.entries.get_mut(idx) {
+        e.min_key = min_key;
+        e.mbb = mbb;
+    }
+}
+
 impl<M: MbbOps> BPlusTree<M> {
     /// Creates an empty tree at `path` with a page cache of `cache_pages`.
     pub fn create(path: &Path, cache_pages: usize, ops: M) -> io::Result<Self> {
@@ -194,7 +221,16 @@ impl<M: MbbOps> BPlusTree<M> {
     /// Reads and decodes a node (one counted page access).
     pub fn read_node(&self, id: PageId) -> io::Result<Node> {
         let page = self.pool.read(id)?;
-        Ok(Node::decode(id, &page))
+        Node::decode(id, &page)
+    }
+
+    /// Reads a page of the leaf chain; anything but a leaf there is
+    /// corruption.
+    fn read_leaf(&self, id: PageId) -> io::Result<LeafNode> {
+        match self.read_node(id)? {
+            Node::Leaf(l) => Ok(l),
+            Node::Internal(_) => Err(corrupt(id, "internal node on the leaf chain")),
+        }
     }
 
     /// The MBB of an already-decoded node (union over entries).
@@ -240,12 +276,18 @@ impl<M: MbbOps> BPlusTree<M> {
     /// SPB-tree sorts objects by SFC value first). Every node page is
     /// written exactly once, giving the linear construction I/O of Table 6.
     ///
-    /// # Panics
-    /// Panics if the tree is not empty or the items are unsorted (debug).
+    /// # Errors
+    /// `InvalidInput` if the tree is not empty. Unsorted items panic in
+    /// debug builds.
     pub fn bulk_load(&self, items: Vec<(u128, u64)>) -> io::Result<()> {
-        assert!(self.is_empty(), "bulk_load requires an empty tree");
+        if !self.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "bulk_load requires an empty tree",
+            ));
+        }
         debug_assert!(
-            items.windows(2).all(|w| w[0].0 <= w[1].0),
+            items.windows(2).all(|w| matches!(w, [a, b] if a.0 <= b.0)),
             "bulk_load requires sorted input"
         );
         if items.is_empty() {
@@ -258,23 +300,18 @@ impl<M: MbbOps> BPlusTree<M> {
             .map(|_| self.pool.allocate())
             .collect::<io::Result<_>>()?;
         let mut level: Vec<ChildEntry> = Vec::with_capacity(n_leaves);
-        for (i, chunk) in items.chunks(LEAF_CAPACITY).enumerate() {
+        for (i, (chunk, &page)) in items.chunks(LEAF_CAPACITY).zip(&leaf_pages).enumerate() {
             let leaf = LeafNode {
-                page: leaf_pages[i],
+                page,
                 keys: chunk.iter().map(|&(k, _)| k).collect(),
                 values: chunk.iter().map(|&(_, v)| v).collect(),
                 next: leaf_pages.get(i + 1).copied(),
             };
-            let mbb = leaf
-                .keys
-                .iter()
-                .map(|&k| self.ops.key_box(k))
-                .reduce(|a, b| self.ops.union(a, b))
-                .expect("chunk is non-empty");
-            self.pool.write(leaf.page, leaf.encode())?;
+            let (min_key, mbb) = self.leaf_summary(&leaf)?;
+            self.pool.write(page, leaf.encode())?;
             level.push(ChildEntry {
-                min_key: leaf.keys[0],
-                child: leaf.page,
+                min_key,
+                child: page,
                 mbb,
             });
         }
@@ -289,14 +326,10 @@ impl<M: MbbOps> BPlusTree<M> {
                     page,
                     entries: chunk.to_vec(),
                 };
-                let mbb = chunk
-                    .iter()
-                    .map(|e| e.mbb)
-                    .reduce(|a, b| self.ops.union(a, b))
-                    .expect("chunk is non-empty");
+                let (min_key, mbb) = self.internal_summary(&node)?;
                 self.pool.write(page, node.encode())?;
                 next_level.push(ChildEntry {
-                    min_key: chunk[0].min_key,
+                    min_key,
                     child: page,
                     mbb,
                 });
@@ -307,9 +340,9 @@ impl<M: MbbOps> BPlusTree<M> {
 
         {
             let mut meta = self.meta.lock();
-            meta.root = Some(level[0].child);
+            meta.root = level.first().map(|e| e.child);
             meta.height = height;
-            meta.first_leaf = Some(leaf_pages[0]);
+            meta.first_leaf = leaf_pages.first().copied();
             meta.len = items.len() as u64;
         }
         self.flush_meta()
@@ -384,12 +417,9 @@ impl<M: MbbOps> BPlusTree<M> {
                 leaf.keys.insert(pos, key);
                 leaf.values.insert(pos, value);
                 if leaf.len() <= LEAF_CAPACITY {
-                    let mbb = self.leaf_mbb(&leaf);
+                    let (min_key, mbb) = self.leaf_summary(&leaf)?;
                     self.pool.write(page, leaf.encode())?;
-                    Ok(InsertUp::Updated {
-                        min_key: leaf.keys[0],
-                        mbb,
-                    })
+                    Ok(InsertUp::Updated { min_key, mbb })
                 } else {
                     // Split the leaf in half; the new right sibling takes the
                     // upper half and slots into the leaf chain.
@@ -402,15 +432,15 @@ impl<M: MbbOps> BPlusTree<M> {
                         next: leaf.next,
                     };
                     leaf.next = Some(right_page);
-                    let left_mbb = self.leaf_mbb(&leaf);
-                    let right_mbb = self.leaf_mbb(&right);
+                    let (left_min, left_mbb) = self.leaf_summary(&leaf)?;
+                    let (right_min, right_mbb) = self.leaf_summary(&right)?;
                     self.pool.write(page, leaf.encode())?;
                     self.pool.write(right_page, right.encode())?;
                     Ok(InsertUp::Split {
-                        left_min: leaf.keys[0],
+                        left_min,
                         left_mbb,
                         right: ChildEntry {
-                            min_key: right.keys[0],
+                            min_key: right_min,
                             child: right_page,
                             mbb: right_mbb,
                         },
@@ -423,77 +453,67 @@ impl<M: MbbOps> BPlusTree<M> {
                     .entries
                     .partition_point(|e| e.min_key <= key)
                     .saturating_sub(1);
-                let child = node.entries[idx].child;
-                match self.insert_rec(child, level - 1, key, value)? {
-                    InsertUp::Updated { min_key, mbb } => {
-                        node.entries[idx].min_key = min_key;
-                        node.entries[idx].mbb = mbb;
-                        let summary = self.internal_summary(&node);
-                        self.pool.write(page, node.encode())?;
-                        Ok(InsertUp::Updated {
-                            min_key: summary.0,
-                            mbb: summary.1,
-                        })
-                    }
+                let child = child_at(&node, idx)?.child;
+                let (min_key, mbb, right) = match self.insert_rec(child, level - 1, key, value)? {
+                    InsertUp::Updated { min_key, mbb } => (min_key, mbb, None),
                     InsertUp::Split {
                         left_min,
                         left_mbb,
                         right,
-                    } => {
-                        node.entries[idx].min_key = left_min;
-                        node.entries[idx].mbb = left_mbb;
-                        node.entries.insert(idx + 1, right);
-                        if node.len() <= INTERNAL_CAPACITY {
-                            let summary = self.internal_summary(&node);
-                            self.pool.write(page, node.encode())?;
-                            Ok(InsertUp::Updated {
-                                min_key: summary.0,
-                                mbb: summary.1,
-                            })
-                        } else {
-                            let mid = node.len() / 2;
-                            let right_page = self.pool.allocate()?;
-                            let right_node = InternalNode {
-                                page: right_page,
-                                entries: node.entries.split_off(mid),
-                            };
-                            let left_summary = self.internal_summary(&node);
-                            let right_summary = self.internal_summary(&right_node);
-                            self.pool.write(page, node.encode())?;
-                            self.pool.write(right_page, right_node.encode())?;
-                            Ok(InsertUp::Split {
-                                left_min: left_summary.0,
-                                left_mbb: left_summary.1,
-                                right: ChildEntry {
-                                    min_key: right_summary.0,
-                                    child: right_page,
-                                    mbb: right_summary.1,
-                                },
-                            })
-                        }
-                    }
+                    } => (left_min, left_mbb, Some(right)),
+                };
+                set_summary(&mut node, idx, min_key, mbb);
+                if let Some(right) = right {
+                    node.entries.insert(idx + 1, right);
+                }
+                if node.len() <= INTERNAL_CAPACITY {
+                    let (min_key, mbb) = self.internal_summary(&node)?;
+                    self.pool.write(page, node.encode())?;
+                    Ok(InsertUp::Updated { min_key, mbb })
+                } else {
+                    let mid = node.len() / 2;
+                    let right_page = self.pool.allocate()?;
+                    let right_node = InternalNode {
+                        page: right_page,
+                        entries: node.entries.split_off(mid),
+                    };
+                    let (left_min, left_mbb) = self.internal_summary(&node)?;
+                    let (right_min, right_mbb) = self.internal_summary(&right_node)?;
+                    self.pool.write(page, node.encode())?;
+                    self.pool.write(right_page, right_node.encode())?;
+                    Ok(InsertUp::Split {
+                        left_min,
+                        left_mbb,
+                        right: ChildEntry {
+                            min_key: right_min,
+                            child: right_page,
+                            mbb: right_mbb,
+                        },
+                    })
                 }
             }
         }
     }
 
-    fn leaf_mbb(&self, leaf: &LeafNode) -> Mbb {
-        leaf.keys
-            .iter()
-            .map(|&k| self.ops.key_box(k))
-            .reduce(|a, b| self.ops.union(a, b))
-            .expect("leaf is non-empty here")
+    /// `(minimum key, MBB)` over a node's entries, unioned left to right.
+    /// An empty node is never persisted, so one here is corruption.
+    fn summary(
+        &self,
+        page: PageId,
+        entries: impl Iterator<Item = (u128, Mbb)>,
+    ) -> io::Result<(u128, Mbb)> {
+        entries
+            .reduce(|(min_key, a), (_, b)| (min_key, self.ops.union(a, b)))
+            .ok_or_else(|| corrupt(page, "empty node"))
     }
 
-    fn internal_summary(&self, node: &InternalNode) -> (u128, Mbb) {
-        let min_key = node.entries[0].min_key;
-        let mbb = node
-            .entries
-            .iter()
-            .map(|e| e.mbb)
-            .reduce(|a, b| self.ops.union(a, b))
-            .expect("internal node is non-empty here");
-        (min_key, mbb)
+    fn leaf_summary(&self, leaf: &LeafNode) -> io::Result<(u128, Mbb)> {
+        let boxes = leaf.keys.iter().map(|&k| (k, self.ops.key_box(k)));
+        self.summary(leaf.page, boxes)
+    }
+
+    fn internal_summary(&self, node: &InternalNode) -> io::Result<(u128, Mbb)> {
+        self.summary(node.page, node.entries.iter().map(|e| (e.min_key, e.mbb)))
     }
 
     // ------------------------------------------------------------------
@@ -534,14 +554,15 @@ impl<M: MbbOps> BPlusTree<M> {
                 Some(r) => r,
                 None => return Ok(()),
             };
-            match self.read_node(root)? {
-                Node::Internal(node) if node.len() == 1 => {
-                    let mut meta = self.meta.lock();
-                    meta.root = Some(node.entries[0].child);
-                    meta.height -= 1;
-                }
-                _ => return Ok(()),
-            }
+            let Node::Internal(node) = self.read_node(root)? else {
+                return Ok(());
+            };
+            let [only] = node.entries.as_slice() else {
+                return Ok(());
+            };
+            let mut meta = self.meta.lock();
+            meta.root = Some(only.child);
+            meta.height -= 1;
         }
     }
 
@@ -550,17 +571,10 @@ impl<M: MbbOps> BPlusTree<M> {
             Node::Leaf(mut leaf) => {
                 // Duplicates are contiguous; find the exact (key, value).
                 let start = leaf.keys.partition_point(|&k| k < key);
-                let mut hit = None;
-                for i in start..leaf.keys.len() {
-                    if leaf.keys[i] != key {
-                        break;
-                    }
-                    if leaf.values[i] == value {
-                        hit = Some(i);
-                        break;
-                    }
-                }
-                let Some(i) = hit else {
+                let hit = (leaf.keys.iter().zip(&leaf.values).enumerate().skip(start))
+                    .take_while(|&(_, (&k, _))| k == key)
+                    .find(|&(_, (_, &v))| v == value);
+                let Some((i, _)) = hit else {
                     return Ok(DeleteUp::NotFound);
                 };
                 leaf.keys.remove(i);
@@ -571,15 +585,15 @@ impl<M: MbbOps> BPlusTree<M> {
                     // The leaf chain is repaired by the parent walk below.
                     self.unlink_from_chain(&leaf)?;
                 }
-                let summary = if now_empty {
+                let (min_key, mbb) = if now_empty {
                     (key, self.ops.key_box(key)) // ignored by the parent
                 } else {
-                    (leaf.keys[0], self.leaf_mbb(&leaf))
+                    self.leaf_summary(&leaf)?
                 };
                 self.pool.write(page, leaf.encode())?;
                 Ok(DeleteUp::Updated {
-                    min_key: summary.0,
-                    mbb: summary.1,
+                    min_key,
+                    mbb,
                     now_empty,
                 })
             }
@@ -587,17 +601,11 @@ impl<M: MbbOps> BPlusTree<M> {
                 // Duplicates may straddle children: try the last child with
                 // min_key < key first, then every child with min_key == key.
                 let first_ge = node.entries.partition_point(|e| e.min_key < key);
-                let mut candidates: Vec<usize> = Vec::new();
-                if first_ge > 0 {
-                    candidates.push(first_ge - 1);
-                }
-                let mut j = first_ge;
-                while j < node.entries.len() && node.entries[j].min_key == key {
-                    candidates.push(j);
-                    j += 1;
-                }
-                for idx in candidates {
-                    match self.delete_rec(node.entries[idx].child, key, value)? {
+                let equal = (node.entries.iter().skip(first_ge))
+                    .take_while(|e| e.min_key == key)
+                    .count();
+                for idx in first_ge.saturating_sub(1)..first_ge + equal {
+                    match self.delete_rec(child_at(&node, idx)?.child, key, value)? {
                         DeleteUp::NotFound => continue,
                         DeleteUp::Updated {
                             min_key,
@@ -607,19 +615,18 @@ impl<M: MbbOps> BPlusTree<M> {
                             if now_empty {
                                 node.entries.remove(idx);
                             } else {
-                                node.entries[idx].min_key = min_key;
-                                node.entries[idx].mbb = mbb;
+                                set_summary(&mut node, idx, min_key, mbb);
                             }
                             let child_empty = node.is_empty();
-                            let summary = if child_empty {
+                            let (min_key, mbb) = if child_empty {
                                 (key, self.ops.key_box(key))
                             } else {
-                                self.internal_summary(&node)
+                                self.internal_summary(&node)?
                             };
                             self.pool.write(page, node.encode())?;
                             return Ok(DeleteUp::Updated {
-                                min_key: summary.0,
-                                mbb: summary.1,
+                                min_key,
+                                mbb,
                                 now_empty: child_empty,
                             });
                         }
@@ -642,16 +649,13 @@ impl<M: MbbOps> BPlusTree<M> {
         let mut cur = meta.first_leaf;
         drop(meta);
         while let Some(id) = cur {
-            if let Node::Leaf(mut l) = self.read_node(id)? {
-                if l.next == Some(leaf.page) {
-                    l.next = leaf.next;
-                    self.pool.write(id, l.encode())?;
-                    return Ok(());
-                }
-                cur = l.next;
-            } else {
-                unreachable!("leaf chain contains only leaves");
+            let mut l = self.read_leaf(id)?;
+            if l.next == Some(leaf.page) {
+                l.next = leaf.next;
+                self.pool.write(id, l.encode())?;
+                return Ok(());
             }
+            cur = l.next;
         }
         Ok(())
     }
@@ -698,7 +702,7 @@ impl<M: MbbOps> BPlusTree<M> {
                         .entries
                         .partition_point(|e| e.min_key < lo)
                         .saturating_sub(1);
-                    page = node.entries[idx].child;
+                    page = child_at(&node, idx)?.child;
                 }
                 Node::Leaf(leaf) => {
                     let mut cur = Some(leaf);
@@ -714,10 +718,7 @@ impl<M: MbbOps> BPlusTree<M> {
                         cur = match l.next {
                             Some(n) => {
                                 trace(n);
-                                match self.read_node(n)? {
-                                    Node::Leaf(nl) => Some(nl),
-                                    _ => unreachable!("leaf chain contains only leaves"),
-                                }
+                                Some(self.read_leaf(n)?)
                             }
                             None => None,
                         };
@@ -733,13 +734,9 @@ impl<M: MbbOps> BPlusTree<M> {
         let mut out = Vec::with_capacity(self.len() as usize);
         let mut cur = self.first_leaf();
         while let Some(id) = cur {
-            match self.read_node(id)? {
-                Node::Leaf(l) => {
-                    out.extend(l.keys.iter().copied().zip(l.values.iter().copied()));
-                    cur = l.next;
-                }
-                _ => unreachable!("leaf chain contains only leaves"),
-            }
+            let l = self.read_leaf(id)?;
+            out.extend(l.keys.iter().copied().zip(l.values.iter().copied()));
+            cur = l.next;
         }
         Ok(out)
     }
@@ -788,13 +785,8 @@ impl<M: MbbOps> BPlusTree<M> {
         let mut n = 0;
         let mut cur = self.first_leaf();
         while let Some(id) = cur {
-            match self.read_node(id)? {
-                Node::Leaf(l) => {
-                    n += 1;
-                    cur = l.next;
-                }
-                _ => unreachable!(),
-            }
+            n += 1;
+            cur = self.read_leaf(id)?.next;
         }
         Ok(n)
     }
@@ -948,7 +940,7 @@ mod tests {
                         e.mbb.lo <= child_mbb.lo && e.mbb.hi >= child_mbb.hi,
                         "parent MBB must cover child"
                     );
-                    assert_eq!(e.min_key, child.min_key());
+                    assert_eq!(e.min_key, child.min_key().unwrap());
                     check(t, e.child);
                 }
             }
@@ -975,6 +967,38 @@ mod tests {
             }
         }
         check(&t, t.root_page().unwrap());
+    }
+
+    #[test]
+    fn corrupt_node_pages_are_typed_errors_not_panics() {
+        let (_d, t) = tree("bpt-corrupt");
+        t.bulk_load((0..1000u64).map(|i| (i as u128, i)).collect())
+            .unwrap();
+        let first = t.first_leaf().unwrap();
+        let Node::Leaf(leaf) = t.read_node(first).unwrap() else {
+            panic!("first_leaf is a leaf");
+        };
+        let second = leaf.next.unwrap();
+        fn invalid<T>(r: io::Result<T>) -> io::ErrorKind {
+            r.map(drop).unwrap_err().kind()
+        }
+
+        // An internal node where the leaf chain expects a leaf.
+        let root = t.pool().read(t.root_page().unwrap()).unwrap();
+        t.pool().write(second, (*root).clone()).unwrap();
+        assert_eq!(invalid(t.scan_all()), io::ErrorKind::InvalidData);
+        assert_eq!(invalid(t.scan_range(0, 999)), io::ErrorKind::InvalidData);
+        assert_eq!(invalid(t.num_leaf_pages()), io::ErrorKind::InvalidData);
+
+        // An entry count past the page, then an unknown type tag.
+        let mut page = leaf.encode();
+        page.write_u16(2, u16::MAX);
+        t.pool().write(first, page.clone()).unwrap();
+        assert_eq!(invalid(t.read_node(first)), io::ErrorKind::InvalidData);
+        page.write_u8(0, 9);
+        t.pool().write(first, page).unwrap();
+        assert_eq!(invalid(t.read_node(first)), io::ErrorKind::InvalidData);
+        assert_eq!(invalid(t.search(3)), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -30,14 +30,13 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use spb_core::{QueryPlan, SpbTree};
 use spb_metric::{Distance, MetricObject};
 use spb_server::admission::Deadline;
 use spb_server::service::{Answers, IndexService, ServiceError, TreeService};
 use spb_server::wire::WireStats;
 use spb_server::{ClientError, Schema};
-use spb_storage::lockrank::{self, LockRank, RankedRwReadGuard, RankedRwWriteGuard};
+use spb_storage::lockrank::{LockRank, RankedRwLock};
 use spb_storage::Wal;
 
 /// The WAL's file name inside an index directory (the same name the
@@ -107,7 +106,9 @@ pub struct Replica<O: MetricObject, D: Distance<O> + Clone> {
     schema: Schema,
     cache_pages: usize,
     cache_shards: usize,
-    state: RwLock<ReplicaState<O, D>>,
+    /// Ranked below every storage rank: readers hold it shared across
+    /// whole tree queries; apply takes it exclusively to swap the tree.
+    state: RankedRwLock<ReplicaState<O, D>>,
 }
 
 impl<O: MetricObject, D: Distance<O> + Clone> Replica<O, D> {
@@ -136,21 +137,24 @@ impl<O: MetricObject, D: Distance<O> + Clone> Replica<O, D> {
             schema,
             cache_pages,
             cache_shards,
-            state: RwLock::new(ReplicaState {
-                service: None,
-                applied_lsn,
-            }),
+            state: RankedRwLock::new(
+                LockRank::ReplicaApply,
+                ReplicaState {
+                    service: None,
+                    applied_lsn,
+                },
+            ),
         };
         // Opening runs recovery: committed records in the copied log are
         // redone and the local log resets to empty.
         let service = replica.open_service()?;
-        replica.state_exclusive().service = Some(service);
+        replica.state.write().service = Some(service);
         Ok(replica)
     }
 
     /// Primary log offset this replica has applied through.
     pub fn applied_lsn(&self) -> u64 {
-        self.state_shared().applied_lsn
+        self.state.read().applied_lsn
     }
 
     /// The replica's index directory.
@@ -162,7 +166,7 @@ impl<O: MetricObject, D: Distance<O> + Clone> Replica<O, D> {
     /// LSN. Returns the number of log bytes applied (0 = already caught
     /// up). `primary` must be a connection to this shard's primary.
     pub fn catch_up(&self, primary: &mut spb_server::Client) -> Result<u64, ReplicaError> {
-        let from = self.state_shared().applied_lsn;
+        let from = self.state.read().applied_lsn;
         let (wal_len, frames) = primary.wal_ship(from)?;
         if wal_len < from {
             return Err(ReplicaError::NeedsBootstrap {
@@ -181,7 +185,7 @@ impl<O: MetricObject, D: Distance<O> + Clone> Replica<O, D> {
     /// replays them. Holding the state lock exclusively for the whole
     /// swap keeps every reader on a consistent tree.
     fn apply_frames(&self, frames: &[u8]) -> Result<u64, ReplicaError> {
-        let mut st = self.state_exclusive();
+        let mut st = self.state.write();
         // Drop the old tree first: its local WAL is empty (the replica
         // never writes through it), so drop does not checkpoint, it just
         // releases the files.
@@ -201,19 +205,6 @@ impl<O: MetricObject, D: Distance<O> + Clone> Replica<O, D> {
             self.cache_shards,
         )?;
         Ok(TreeService::new(tree, self.schema.clone()))
-    }
-
-    /// The only way to take the replica state lock shared: ranked at
-    /// [`LockRank::ReplicaApply`], below every storage rank, because
-    /// readers hold it across whole tree queries.
-    fn state_shared(&self) -> RankedRwReadGuard<'_, ReplicaState<O, D>> {
-        lockrank::read(&self.state, LockRank::ReplicaApply)
-    }
-
-    /// The only way to take the replica state lock exclusively (tree
-    /// swap on apply).
-    fn state_exclusive(&self) -> RankedRwWriteGuard<'_, ReplicaState<O, D>> {
-        lockrank::write(&self.state, LockRank::ReplicaApply)
     }
 }
 
@@ -250,7 +241,7 @@ impl<O: MetricObject, D: Distance<O> + Clone> ReplicaService<O, D> {
         &self,
         f: impl FnOnce(&TreeService<O, D>) -> Result<T, ServiceError>,
     ) -> Result<T, ServiceError> {
-        let st = self.replica.state_shared();
+        let st = self.replica.state.read();
         match &st.service {
             Some(svc) => f(svc),
             None => Err(ServiceError::Internal(

@@ -29,12 +29,11 @@
 use std::net::SocketAddr;
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
 use spb_core::{shard_mind, QueryPlan, QueryShape};
 use spb_metric::{Distance, MetricObject};
 use spb_server::wire::{ErrorCode, WireHit, WireNn, WireStats};
 use spb_server::{Answers, Client, ClientError};
-use spb_storage::lockrank::{self, LockRank, RankedMutexGuard};
+use spb_storage::lockrank::{LockRank, RankedMutex};
 
 /// Shards contacted per routed query.
 fn fanout_hist() -> &'static Arc<spb_obs::Histogram> {
@@ -96,8 +95,9 @@ impl std::error::Error for RouterError {}
 struct Node {
     route: ShardRoute,
     /// Pooled connections to the *primary* (failover connections are
-    /// per-request and never pooled).
-    conns: Mutex<Vec<Client>>,
+    /// per-request and never pooled). Ranked below every storage rank:
+    /// a lease happens before any tree latch and never inside one.
+    conns: RankedMutex<Vec<Client>>,
 }
 
 /// A connected scatter-gather router over one [`ShardRoute`] set.
@@ -187,7 +187,7 @@ impl<O: MetricObject, D: Distance<O>> Router<O, D> {
             .into_iter()
             .map(|route| Node {
                 route,
-                conns: Mutex::new(Vec::new()),
+                conns: RankedMutex::new(LockRank::RouterConn, Vec::new()),
             })
             .collect();
         Router {
@@ -215,19 +215,12 @@ impl<O: MetricObject, D: Distance<O>> Router<O, D> {
         self.len() == 0
     }
 
-    /// The only way to take a shard's connection-pool mutex: ranked at
-    /// [`LockRank::RouterConn`], below every storage rank, because a
-    /// lease happens before any tree latch and never inside one.
-    fn lock_conns(&self, shard: usize) -> RankedMutexGuard<'_, Vec<Client>> {
-        lockrank::lock(&self.nodes[shard].conns, LockRank::RouterConn)
-    }
-
     fn lease(&self, shard: usize) -> Option<Client> {
-        self.lock_conns(shard).pop()
+        self.nodes[shard].conns.lock().pop()
     }
 
     fn repool(&self, shard: usize, conn: Client) {
-        self.lock_conns(shard).push(conn);
+        self.nodes[shard].conns.lock().push(conn);
     }
 
     /// φ(q): the query's distance to every pivot, in pivot order — the

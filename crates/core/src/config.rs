@@ -33,11 +33,6 @@ pub struct SpbConfig {
     pub pivot_method: PivotMethod,
     /// Sampling knobs for pivot selection.
     pub pivot_config: PivotConfig,
-    /// Buckets per per-pivot distance histogram (cost model, eq. 1).
-    pub histogram_buckets: usize,
-    /// Mapped-vector sample size retained for the union distance
-    /// distribution (cost model, eq. 2).
-    pub cost_sample: usize,
     /// Ablation switch: apply Lemma 2 (accept an object without computing
     /// `d(q, o)` when a pivot ball lies inside the query ball) during
     /// range queries. On by default; the `ablation` experiment measures
@@ -69,8 +64,6 @@ impl Default for SpbConfig {
             cache_shards: 1,
             pivot_method: PivotMethod::Hfi,
             pivot_config: PivotConfig::default(),
-            histogram_buckets: 256,
-            cost_sample: 2000,
             use_lemma2: true,
             use_cell_merge: true,
             durability: true,

@@ -24,8 +24,12 @@ use spb_bptree::{BPlusTree, Mbb};
 use spb_metric::{DistanceHistogram, MetricObject};
 use spb_storage::Raf;
 
-use crate::config::SpbConfig;
 use crate::mapping::{PivotTable, SfcMbbOps};
+
+/// Buckets per per-pivot distance histogram (eq. 1).
+const HISTOGRAM_BUCKETS: usize = 256;
+/// Mapped vectors retained for the union distance distribution (eq. 2).
+const COST_SAMPLE: usize = 2000;
 
 /// An estimated query cost.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -59,8 +63,6 @@ struct Inner {
     hists: Vec<DistanceHistogram>,
     /// Sampled mapped vectors — the union distance distribution (eq. 2).
     sample: Vec<Vec<f64>>,
-    /// Sample capacity.
-    cap: usize,
     /// Objects indexed.
     num_objects: u64,
     /// Insertions seen since construction (drives reservoir replacement).
@@ -97,19 +99,15 @@ impl CostModel {
         phis: impl Iterator<Item = &'a [f64]>,
         btree: &BPlusTree<SfcMbbOps>,
         raf: &Raf,
-        config: &SpbConfig,
         precision: f64,
     ) -> io::Result<Self> {
         let p = table.num_pivots();
         let mut hists: Vec<DistanceHistogram> = (0..p)
             .map(|_| {
-                DistanceHistogram::new(
-                    table.d_plus().max(f64::MIN_POSITIVE),
-                    config.histogram_buckets,
-                )
+                DistanceHistogram::new(table.d_plus().max(f64::MIN_POSITIVE), HISTOGRAM_BUCKETS)
             })
             .collect();
-        let mut sample: Vec<Vec<f64>> = Vec::with_capacity(config.cost_sample);
+        let mut sample: Vec<Vec<f64>> = Vec::with_capacity(COST_SAMPLE);
         let mut n: u64 = 0;
         let mut rng_state: u64 = 0x5bb5_c0de;
         for phi in phis {
@@ -120,12 +118,12 @@ impl CostModel {
             // the φ stream arrives in SFC order, so anything short of a
             // uniform reservoir would be spatially biased and skew every
             // Pr(φ(o) ∈ RR) estimate.
-            if sample.len() < config.cost_sample {
+            if sample.len() < COST_SAMPLE {
                 sample.push(phi.to_vec());
             } else {
                 rng_state = lcg(rng_state);
                 let j = (rng_state >> 16) % (n + 1);
-                if (j as usize) < config.cost_sample {
+                if (j as usize) < COST_SAMPLE {
                     sample[j as usize] = phi.to_vec();
                 }
             }
@@ -147,7 +145,6 @@ impl CostModel {
             inner: Mutex::new(Inner {
                 hists,
                 sample,
-                cap: config.cost_sample,
                 num_objects: n,
                 seen: n,
             }),
@@ -170,13 +167,12 @@ impl CostModel {
         }
         inner.num_objects += 1;
         inner.seen += 1;
-        if inner.sample.len() < inner.cap {
+        if inner.sample.len() < COST_SAMPLE {
             inner.sample.push(phi.to_vec());
         } else {
             // Continue the deterministic reservoir over insertions.
-            let cap = inner.cap;
             let j = (lcg(inner.seen.wrapping_mul(0x9e37_79b9)) >> 16) % inner.seen;
-            if (j as usize) < cap {
+            if (j as usize) < COST_SAMPLE {
                 inner.sample[j as usize] = phi.to_vec();
             }
         }

@@ -6,12 +6,11 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use spb_bptree::BPlusTree;
 use spb_metric::{CountingDistance, DistCounter, Distance, MetricObject};
 use spb_pivots::select_pivots;
 use spb_sfc::Sfc;
-use spb_storage::lockrank::{self, HeldRank, LockRank};
+use spb_storage::lockrank::{LockRank, RankedReadGuard, RankedRwLock, RankedWriteGuard};
 use spb_storage::{atomic_write_file, IoStats, Raf, RafPtr, Wal, WalFileTag};
 
 use crate::config::SpbConfig;
@@ -133,26 +132,11 @@ pub struct SpbTree<O: MetricObject, D: Distance<O>> {
     /// Structure latch: queries take it shared, updates exclusively, so a
     /// reader never observes a half-applied B⁺-tree split (node pages are
     /// written one at a time). Queries are fully concurrent with each
-    /// other; updates serialise with everything. `parking_lot` rather
-    /// than std: no poisoning, so one panicked query in a long-lived
-    /// server process cannot wedge every later request. Acquired only
-    /// through [`SpbTree::latch_shared`] / [`SpbTree::latch_exclusive`],
-    /// which register the hold with the debug lock-rank checker.
-    latch: RwLock<()>,
-}
-
-/// Shared hold of the tree's structure latch, registered with the
-/// lock-rank checker (rank: tree latch, below buffer-pool shards and the
-/// WAL). The lock releases before the rank registration pops.
-pub(crate) struct TreeLatchShared<'a> {
-    _guard: RwLockReadGuard<'a, ()>,
-    _held: HeldRank,
-}
-
-/// Exclusive hold of the tree's structure latch; see [`TreeLatchShared`].
-pub(crate) struct TreeLatchExclusive<'a> {
-    _guard: RwLockWriteGuard<'a, ()>,
-    _held: HeldRank,
+    /// other; updates serialise with everything. Ranked below the
+    /// buffer-pool shards and the WAL; taken through
+    /// [`SpbTree::latch_shared`] / [`SpbTree::latch_exclusive`], which
+    /// time the wait.
+    latch: RankedRwLock<()>,
 }
 
 impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
@@ -277,7 +261,6 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
             mapped.iter().map(|(_, _, phi)| phi.as_slice()),
             &btree,
             &raf,
-            config,
             precision,
         )?;
 
@@ -329,7 +312,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
             accel_on: std::sync::atomic::AtomicBool::new(
                 config.accel == spb_accel::AccelPolicy::Learned,
             ),
-            latch: RwLock::new(()),
+            latch: RankedRwLock::new(LockRank::TreeLatch, ()),
         };
         if config.accel == spb_accel::AccelPolicy::Learned {
             // Model file first, then `spb.meta`: a crash between the two
@@ -435,11 +418,6 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
                     .collect()
             })
             .collect();
-        let config = crate::config::SpbConfig {
-            curve: curve_kind,
-            cache_pages,
-            ..crate::config::SpbConfig::default()
-        };
         // Calibration probe: fetch a slice of objects back from the RAF
         // and measure pivot precision against their stored cells.
         let probe: Vec<(u32, O)> = btree
@@ -471,7 +449,6 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
             phis.iter().map(|p| p.as_slice()),
             &btree,
             &raf,
-            &config,
             precision,
         )?;
         btree.pool().reset_stats();
@@ -501,7 +478,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
             use_cell_merge: true,
             accel: parking_lot::Mutex::new(accel_model),
             accel_on: std::sync::atomic::AtomicBool::new(accel_on),
-            latch: RwLock::new(()),
+            latch: RankedRwLock::new(LockRank::TreeLatch, ()),
         })
     }
 
@@ -673,22 +650,37 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         wal.reset()
     }
 
+    /// Runs one update under the write latch as one transaction: begin,
+    /// `body`, commit. Any failure rolls back the staged pages and the
+    /// in-memory counters (a failed begin staged nothing, but the
+    /// rollback aborts whichever pager did begin). Returns the body's
+    /// value with the update's cost.
+    fn update_txn<T>(&self, body: impl FnOnce() -> io::Result<T>) -> io::Result<(T, QueryStats)> {
+        let _guard = self.latch_exclusive();
+        let snap = self.snapshot();
+        let len_before = self.len.load(Ordering::SeqCst);
+        let next_id_before = self.next_id.load(Ordering::SeqCst);
+        let result = self.txn_begin().and_then(|()| {
+            let value = body()?;
+            self.txn_commit()?;
+            Ok(value)
+        });
+        match result {
+            Ok(value) => Ok((value, self.stats_since(snap))),
+            Err(e) => {
+                self.txn_rollback(len_before, next_id_before);
+                Err(e)
+            }
+        }
+    }
+
     /// Inserts one object: map it (`|P|` distance computations), append to
     /// the RAF, insert `(SFC, ptr)` into the B⁺-tree, extending MBBs along
     /// the path. With durability on, the whole update commits atomically
     /// through the WAL (a crash either keeps it entirely or loses it
     /// entirely — never a B⁺-tree entry pointing at an unwritten object).
     pub fn insert(&self, o: &O) -> io::Result<QueryStats> {
-        let _guard = self.latch_exclusive();
-        let snap = self.snapshot();
-        let len_before = self.len.load(Ordering::SeqCst);
-        let next_id_before = self.next_id.load(Ordering::SeqCst);
-        if let Err(e) = self.txn_begin() {
-            // Nothing staged yet, but abort whichever pager did begin.
-            self.txn_rollback(len_before, next_id_before);
-            return Err(e);
-        }
-        let result = (|| {
+        let (phi, stats) = self.update_txn(|| {
             let phi = self.table.phi(&self.metric, o);
             let cell = self.table.cell_of_phi(&phi);
             let sfc = self.curve.encode(&cell);
@@ -699,34 +691,19 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
             self.raf.flush()?;
             self.btree.insert(sfc, ptr.offset)?;
             self.len.fetch_add(1, Ordering::SeqCst);
-            self.txn_commit()?;
             Ok(phi)
-        })();
-        match result {
-            Ok(phi) => {
-                self.cost.record_insert(&phi);
-                Ok(self.stats_since(snap))
-            }
-            Err(e) => {
-                self.txn_rollback(len_before, next_id_before);
-                Err(e)
-            }
-        }
+        })?;
+        self.cost.record_insert(&phi);
+        Ok(stats)
     }
 
     /// Deletes one object equal to `o`. Returns query stats and whether an
     /// object was removed. The B⁺-tree entry is removed; the RAF record is
-    /// only marked freed (reclaimed by rebuilding, as in the paper).
+    /// only marked freed (reclaimed by rebuilding, as in the paper). A
+    /// delete that finds nothing commits an empty transaction, which
+    /// closes the staging.
     pub fn delete(&self, o: &O) -> io::Result<(bool, QueryStats)> {
-        let _guard = self.latch_exclusive();
-        let snap = self.snapshot();
-        let len_before = self.len.load(Ordering::SeqCst);
-        let next_id_before = self.next_id.load(Ordering::SeqCst);
-        if let Err(e) = self.txn_begin() {
-            self.txn_rollback(len_before, next_id_before);
-            return Err(e);
-        }
-        let result = (|| {
+        let (found, stats) = self.update_txn(|| {
             let phi = self.table.phi(&self.metric, o);
             let cell = self.table.cell_of_phi(&phi);
             let sfc = self.curve.encode(&cell);
@@ -736,25 +713,15 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
                     self.btree.delete(sfc, offset)?;
                     self.raf.free(RafPtr { offset })?;
                     self.len.fetch_sub(1, Ordering::SeqCst);
-                    self.txn_commit()?;
                     return Ok(true);
                 }
             }
-            self.txn_commit()?; // empty transaction: closes the staging
             Ok(false)
-        })();
-        match result {
-            Ok(found) => {
-                if found {
-                    self.cost.record_delete();
-                }
-                Ok((found, self.stats_since(snap)))
-            }
-            Err(e) => {
-                self.txn_rollback(len_before, next_id_before);
-                Err(e)
-            }
+        })?;
+        if found {
+            self.cost.record_delete();
         }
+        Ok((found, stats))
     }
 
     // ------------------------------------------------------------------
@@ -766,36 +733,22 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
     // capture writes and fsyncs, which queries never issue).
     // ------------------------------------------------------------------
 
-    /// Takes the structure latch shared (queries). The rank check runs
-    /// before blocking, so an ordering violation panics (debug builds)
-    /// instead of deadlocking. The time spent blocked is recorded into
-    /// the `phase.latch_wait` histogram — under a latch convoy this is
-    /// the histogram that grows.
-    pub(crate) fn latch_shared(&self) -> TreeLatchShared<'_> {
-        let held = lockrank::acquire_shared(LockRank::TreeLatch);
+    /// Takes the structure latch shared (queries). The time spent
+    /// blocked is recorded into the `phase.latch_wait` histogram — under
+    /// a latch convoy this is the histogram that grows.
+    pub(crate) fn latch_shared(&self) -> RankedReadGuard<'_, ()> {
         let wait_start = spb_obs::clock::now();
-        // spb-lint: allow(lock-order) — the sanctioned shared
-        // acquisition site; the rank was registered on the line above.
         let guard = self.latch.read();
         latch_wait_hist().record(spb_obs::clock::nanos_since(wait_start));
-        TreeLatchShared {
-            _guard: guard,
-            _held: held,
-        }
+        guard
     }
 
     /// Takes the structure latch exclusively (updates, checkpoints).
-    pub(crate) fn latch_exclusive(&self) -> TreeLatchExclusive<'_> {
-        let held = lockrank::acquire(LockRank::TreeLatch);
+    pub(crate) fn latch_exclusive(&self) -> RankedWriteGuard<'_, ()> {
         let wait_start = spb_obs::clock::now();
-        // spb-lint: allow(lock-order) — the sanctioned exclusive
-        // acquisition site; the rank was registered on the line above.
         let guard = self.latch.write();
         latch_wait_hist().record(spb_obs::clock::nanos_since(wait_start));
-        TreeLatchExclusive {
-            _guard: guard,
-            _held: held,
-        }
+        guard
     }
 
     /// A fresh collector sized to the current cache capacities.

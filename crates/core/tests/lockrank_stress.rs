@@ -12,51 +12,68 @@
 
 use spb_core::{similarity_join, SpbConfig, SpbTree};
 use spb_metric::{EditDistance, Word};
-use spb_storage::lockrank::{self, LockRank};
+use spb_storage::lockrank::{LockRank, RankedMutex, RankedRwLock};
 use spb_storage::TempDir;
+
+/// One lock per storage-side rank, as the production structs hold them.
+struct Locks {
+    latch: RankedRwLock<()>,
+    other_latch: RankedRwLock<()>,
+    shard: RankedMutex<()>,
+    wal: RankedMutex<()>,
+}
+
+impl Locks {
+    fn new() -> Locks {
+        Locks {
+            latch: RankedRwLock::new(LockRank::TreeLatch, ()),
+            other_latch: RankedRwLock::new(LockRank::TreeLatch, ()),
+            shard: RankedMutex::new(LockRank::BufferShard, ()),
+            wal: RankedMutex::new(LockRank::Wal, ()),
+        }
+    }
+}
 
 /// Every legal chain, hammered from eight threads at once: the
 /// rank-stack is thread-local, so cross-thread interleavings must never
-/// trip it, only a single thread's own misordering.
+/// trip it, only a single thread's own misordering. Each thread owns
+/// its locks — the subject is the ordering check, not contention.
 #[test]
 fn every_legal_acquisition_order_is_silent() {
     std::thread::scope(|s| {
         for _ in 0..8 {
             s.spawn(|| {
+                let l = Locks::new();
                 for _ in 0..200 {
                     // Full ascending chain (the insert/commit shape).
                     {
-                        let _t = lockrank::acquire(LockRank::TreeLatch);
-                        let _b = lockrank::acquire(LockRank::BufferShard);
-                        let _w = lockrank::acquire(LockRank::Wal);
+                        let _t = l.latch.write();
+                        let _b = l.shard.lock();
+                        let _w = l.wal.lock();
                     }
                     // Equal-rank shared/shared (the similarity-join
                     // shape: both trees' latches held shared).
                     {
-                        let _q = lockrank::acquire_shared(LockRank::TreeLatch);
-                        let _o = lockrank::acquire_shared(LockRank::TreeLatch);
-                        let _b = lockrank::acquire(LockRank::BufferShard);
+                        let _q = l.latch.read();
+                        let _o = l.other_latch.read();
+                        let _b = l.shard.lock();
                     }
                     // Every two-rank ascending pair.
                     {
-                        let _t = lockrank::acquire_shared(LockRank::TreeLatch);
-                        let _b = lockrank::acquire(LockRank::BufferShard);
+                        let _t = l.latch.read();
+                        let _b = l.shard.lock();
                     }
                     {
-                        let _t = lockrank::acquire(LockRank::TreeLatch);
-                        let _w = lockrank::acquire(LockRank::Wal);
+                        let _t = l.latch.write();
+                        let _w = l.wal.lock();
                     }
                     {
-                        let _b = lockrank::acquire(LockRank::BufferShard);
-                        let _w = lockrank::acquire(LockRank::Wal);
+                        let _b = l.shard.lock();
+                        let _w = l.wal.lock();
                     }
                     // Sequential re-acquisition after release is legal.
-                    {
-                        let _w = lockrank::acquire(LockRank::Wal);
-                    }
-                    {
-                        let _t = lockrank::acquire(LockRank::TreeLatch);
-                    }
+                    drop(l.wal.lock());
+                    drop(l.latch.write());
                 }
             });
         }
@@ -69,17 +86,19 @@ fn every_legal_acquisition_order_is_silent() {
 #[test]
 #[cfg_attr(debug_assertions, should_panic(expected = "lock-rank violation"))]
 fn inverted_acquisition_panics_in_debug() {
-    let _w = lockrank::acquire(LockRank::Wal);
-    let _t = lockrank::acquire(LockRank::TreeLatch);
+    let l = Locks::new();
+    let _w = l.wal.lock();
+    let _t = l.latch.write();
 }
 
-/// Equal ranks are only legal shared/shared; exclusive re-entry at the
-/// same rank is self-deadlock bait and must panic.
+/// Equal ranks are only legal shared/shared; exclusive nesting at the
+/// same rank is deadlock bait and must panic.
 #[test]
 #[cfg_attr(debug_assertions, should_panic(expected = "lock-rank violation"))]
 fn equal_rank_exclusive_nesting_panics_in_debug() {
-    let _a = lockrank::acquire(LockRank::TreeLatch);
-    let _b = lockrank::acquire(LockRank::TreeLatch);
+    let l = Locks::new();
+    let _a = l.latch.write();
+    let _b = l.other_latch.write();
 }
 
 /// Skipping a rank upward is fine, but then dropping *back* below a
@@ -87,9 +106,10 @@ fn equal_rank_exclusive_nesting_panics_in_debug() {
 #[test]
 #[cfg_attr(debug_assertions, should_panic(expected = "lock-rank violation"))]
 fn descending_into_the_middle_panics_in_debug() {
-    let _t = lockrank::acquire(LockRank::TreeLatch);
-    let _w = lockrank::acquire(LockRank::Wal);
-    let _b = lockrank::acquire(LockRank::BufferShard);
+    let l = Locks::new();
+    let _t = l.latch.write();
+    let _w = l.wal.lock();
+    let _b = l.shard.lock();
 }
 
 fn small_words() -> Vec<Word> {

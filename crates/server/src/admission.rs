@@ -16,12 +16,10 @@
 //! slot.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
-use spb_storage::lockrank::LockRank;
-
-use crate::ranked::{self, RankedGuard};
+use spb_storage::lockrank::{LockRank, RankedMutex};
 
 /// A request's absolute time budget.
 ///
@@ -103,7 +101,7 @@ pub struct Admission {
 
 struct AdmissionInner {
     cfg: AdmissionConfig,
-    counters: Mutex<Counters>,
+    counters: RankedMutex<Counters>,
     slot_freed: Condvar,
     shed: AtomicU64,
     served: AtomicU64,
@@ -115,16 +113,6 @@ struct AdmissionInner {
     obs_shed: Arc<spb_obs::Counter>,
     obs_deadline_miss: Arc<spb_obs::Counter>,
     obs_queue_depth: Arc<spb_obs::Gauge>,
-}
-
-impl AdmissionInner {
-    /// Acquires the counter mutex at rank 4 — the single sanctioned
-    /// acquisition point (`lock-order` bans raw `.counters.lock()`
-    /// calls). Rank 4 sits above the dispatcher queue (rank 2): the
-    /// batch-coalescing scan updates admission while holding the queue.
-    fn lock_counters(&self) -> RankedGuard<'_, Counters> {
-        ranked::lock(&self.counters, LockRank::AdmissionCounters)
-    }
 }
 
 /// RAII execution slot: dropping it frees the slot and wakes one waiter.
@@ -143,8 +131,8 @@ impl Drop for Permit {
         // A poisoned mutex means a handler panicked while holding it; the
         // counters are still sound (each critical section updates them
         // atomically), so recover the guard rather than panic and leak
-        // the slot (`lock_counters` tolerates poison).
-        let mut c = self.inner.lock_counters();
+        // the slot (the ranked lock tolerates poison).
+        let mut c = self.inner.counters.lock();
         c.running = c.running.saturating_sub(1);
         drop(c);
         self.inner.slot_freed.notify_one();
@@ -162,7 +150,7 @@ impl Admission {
         Admission {
             inner: Arc::new(AdmissionInner {
                 cfg,
-                counters: Mutex::new(Counters::default()),
+                counters: RankedMutex::new(LockRank::AdmissionCounters, Counters::default()),
                 slot_freed: Condvar::new(),
                 shed: AtomicU64::new(0),
                 served: AtomicU64::new(0),
@@ -180,7 +168,7 @@ impl Admission {
     /// the request while holding it.
     pub fn admit(&self, deadline: Deadline, shutdown: &AtomicBool) -> Result<Permit, AdmitError> {
         let inner = &self.inner;
-        let mut c = inner.lock_counters();
+        let mut c = inner.counters.lock();
         loop {
             if shutdown.load(Ordering::SeqCst) {
                 return Err(AdmitError::ShuttingDown);
@@ -211,7 +199,7 @@ impl Admission {
                 .remaining()
                 .unwrap_or(Duration::from_millis(50))
                 .min(Duration::from_millis(50));
-            c = c.wait_timeout_on(&inner.slot_freed, wait);
+            c = c.wait_timeout(&inner.slot_freed, wait);
             c.queued = c.queued.saturating_sub(1);
             inner.obs_queue_depth.set(c.queued as i64);
         }
@@ -238,7 +226,7 @@ impl Admission {
         if shutdown.load(Ordering::SeqCst) {
             return Err(AdmitError::ShuttingDown);
         }
-        let mut c = inner.lock_counters();
+        let mut c = inner.counters.lock();
         if c.running + c.queued >= inner.cfg.max_inflight + inner.cfg.max_queue {
             inner.shed.fetch_add(1, Ordering::Relaxed);
             inner.obs_shed.incr();
@@ -258,7 +246,7 @@ impl Admission {
         shutdown: &AtomicBool,
     ) -> Result<Permit, AdmitError> {
         let inner = &self.inner;
-        let mut c = inner.lock_counters();
+        let mut c = inner.counters.lock();
         loop {
             if shutdown.load(Ordering::SeqCst) {
                 c.queued = c.queued.saturating_sub(1);
@@ -288,7 +276,7 @@ impl Admission {
                 .remaining()
                 .unwrap_or(Duration::from_millis(50))
                 .min(Duration::from_millis(50));
-            c = c.wait_timeout_on(&inner.slot_freed, wait);
+            c = c.wait_timeout(&inner.slot_freed, wait);
         }
     }
 
@@ -297,7 +285,7 @@ impl Admission {
     /// holds a permit (which could deadlock a full gate).
     pub fn try_promote(&self) -> Option<Permit> {
         let inner = &self.inner;
-        let mut c = inner.lock_counters();
+        let mut c = inner.counters.lock();
         if c.running >= inner.cfg.max_inflight {
             return None;
         }
@@ -317,7 +305,7 @@ impl Admission {
     /// index work).
     pub fn collapse_queued(&self) {
         let inner = &self.inner;
-        let mut c = inner.lock_counters();
+        let mut c = inner.counters.lock();
         c.queued = c.queued.saturating_sub(1);
         inner.obs_queue_depth.set(c.queued as i64);
         inner.served.fetch_add(1, Ordering::Relaxed);
@@ -328,7 +316,7 @@ impl Admission {
     /// died, or shutdown drained the queue).
     pub fn release_queued(&self) {
         let inner = &self.inner;
-        let mut c = inner.lock_counters();
+        let mut c = inner.counters.lock();
         c.queued = c.queued.saturating_sub(1);
         inner.obs_queue_depth.set(c.queued as i64);
     }

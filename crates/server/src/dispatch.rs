@@ -33,14 +33,13 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, OnceLock};
 use std::time::{Duration, Instant};
 
 use spb_core::QueryPlan;
-use spb_storage::lockrank::LockRank;
+use spb_storage::lockrank::{LockRank, RankedMutex};
 
 use crate::admission::{Deadline, Permit};
-use crate::ranked::{self, RankedGuard};
 use crate::server::{admit_error_response, error_response, Shared};
 use crate::service::{Answers, ServiceError};
 use crate::wire::{ErrorCode, Query, Request, Response};
@@ -108,29 +107,21 @@ pub(crate) fn batch_size_hist() -> &'static Arc<spb_obs::Histogram> {
 /// The FIFO between the event loop (producer) and the dispatcher
 /// workers (consumers).
 pub(crate) struct DispatchQueue {
-    q: Mutex<VecDeque<Work>>,
+    q: RankedMutex<VecDeque<Work>>,
     cv: Condvar,
 }
 
 impl DispatchQueue {
     pub fn new() -> DispatchQueue {
         DispatchQueue {
-            q: Mutex::new(VecDeque::new()),
+            q: RankedMutex::new(LockRank::DispatchQueue, VecDeque::new()),
             cv: Condvar::new(),
         }
     }
 
-    /// Acquires the queue mutex at rank 2 — the single sanctioned
-    /// acquisition point for this lock (`lock-order` bans raw
-    /// `.q.lock()` calls; `lock-graph` checks rank ascent through
-    /// every caller).
-    fn lock_queue(&self) -> RankedGuard<'_, VecDeque<Work>> {
-        ranked::lock(&self.q, LockRank::DispatchQueue)
-    }
-
     /// Enqueues work and wakes one worker.
     pub fn push(&self, w: Work) {
-        self.lock_queue().push_back(w);
+        self.q.lock().push_back(w);
         self.cv.notify_one();
     }
 
@@ -144,7 +135,7 @@ impl DispatchQueue {
     /// work is always drained (each drained item still gets a typed
     /// `ShuttingDown` response from the caller).
     pub fn pop_blocking(&self, shutdown: &std::sync::atomic::AtomicBool) -> Option<Work> {
-        let mut q = self.lock_queue();
+        let mut q = self.q.lock();
         loop {
             if let Some(w) = q.pop_front() {
                 return Some(w);
@@ -153,7 +144,7 @@ impl DispatchQueue {
                 return None;
             }
             // Bounded wait so a missed notify cannot outlive shutdown.
-            q = q.wait_timeout_on(&self.cv, Duration::from_millis(50));
+            q = q.wait_timeout(&self.cv, Duration::from_millis(50));
         }
     }
 }
@@ -163,7 +154,7 @@ pub(crate) fn push_completions(shared: &Shared, comps: Vec<Completion>) {
     if comps.is_empty() {
         return;
     }
-    shared.lock_completions().extend(comps);
+    shared.completions.lock().extend(comps);
     shared.waker.wake();
 }
 
@@ -318,8 +309,8 @@ fn run_batch(
         // The coalescing scan extracts compatible work atomically with
         // its admission updates: queue (rank 2) held across the counter
         // (rank 4) acquisitions inside `try_promote`/`collapse_queued`
-        // — an ascending chain the `lock-graph` rule verifies.
-        let mut q = shared.dispatch.lock_queue();
+        // — an ascending chain, as the rank check requires.
+        let mut q = shared.dispatch.q.lock();
         let mut i = 0;
         while i < q.len() {
             let action = match q.get_mut(i).and_then(|w| coalescable(&mut w.req)) {

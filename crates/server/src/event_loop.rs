@@ -41,7 +41,20 @@
 //! shrunk only when they exceed a 1 MiB high-water mark.
 //!
 //! This module is a no-panic zone and its only blocking call is
-//! `poll(2)` itself (see the `no-block-in-event-loop` lint rule).
+//! `poll(2)` itself (see the `block-reach` lint rule).
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -745,7 +758,7 @@ fn accept_ready(
     live: &mut usize,
 ) -> io::Result<()> {
     loop {
-        // spb-lint: allow(no-block-in-event-loop) — the listener is
+        // spb-lint: allow(block-reach) — the listener is
         // registered non-blocking at bind; this accept returns
         // WouldBlock instead of sleeping.
         match listener.accept() {
@@ -806,7 +819,7 @@ fn drain_waker(rx: &UnixStream) {
 /// reuse), releases the barrier, and pumps newly eligible work.
 fn route_completions(shared: &Shared, conns: &mut [Option<Conn>]) {
     let comps = {
-        let mut g = shared.lock_completions();
+        let mut g = shared.completions.lock();
         std::mem::take(&mut *g)
     };
     for comp in comps {

@@ -34,7 +34,6 @@ pub mod admission;
 pub mod client;
 mod dispatch;
 mod event_loop;
-mod ranked;
 pub mod schema;
 pub mod server;
 pub mod service;

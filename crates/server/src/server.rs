@@ -25,20 +25,32 @@
 //! pages, fsync, reset the WAL) so a clean exit leaves nothing for
 //! recovery to do.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use spb_storage::lockrank::LockRank;
+use spb_storage::lockrank::{LockRank, RankedMutex};
 
 use crate::admission::{Admission, AdmissionConfig, AdmitError};
 use crate::dispatch::{self, Completion, DispatchQueue};
 use crate::event_loop::{self, Waker};
-use crate::ranked::{self, RankedGuard};
 use crate::service::IndexService;
 use crate::wire::{write_frame, ErrorCode, Request, Response, DEFAULT_MAX_FRAME, PROTOCOL_VERSION};
 
@@ -84,20 +96,12 @@ pub(crate) struct Shared {
     /// Work queue feeding the dispatcher workers.
     pub(crate) dispatch: DispatchQueue,
     /// Finished work waiting for the event loop to route it back to its
-    /// connection.
-    pub(crate) completions: Mutex<Vec<Completion>>,
+    /// connection. Lowest rank in the workspace: both producers
+    /// (workers) and the consumer (event loop) take it briefly with no
+    /// other ranked lock held.
+    pub(crate) completions: RankedMutex<Vec<Completion>>,
     /// Wakes the event loop when completions land or shutdown starts.
     pub(crate) waker: Waker,
-}
-
-impl Shared {
-    /// Acquires the completion-queue mutex at rank 1 — the single
-    /// sanctioned acquisition point. Lowest rank in the workspace:
-    /// both producers (workers) and the consumer (event loop) take it
-    /// briefly with no other ranked lock held.
-    pub(crate) fn lock_completions(&self) -> RankedGuard<'_, Vec<Completion>> {
-        ranked::lock(&self.completions, LockRank::EventCompletions)
-    }
 }
 
 /// A running server. Dropping the handle shuts the server down and joins
@@ -183,7 +187,7 @@ pub fn serve(
         admission: Admission::new(cfg.admission),
         shutdown: AtomicBool::new(false),
         dispatch: DispatchQueue::new(),
-        completions: Mutex::new(Vec::new()),
+        completions: RankedMutex::new(LockRank::EventCompletions, Vec::new()),
         waker,
     });
     let shared2 = Arc::clone(&shared);

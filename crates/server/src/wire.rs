@@ -37,6 +37,19 @@
 //! or oversized input never panics (property-tested in
 //! `tests/wire_fuzz.rs`).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::time::Duration;

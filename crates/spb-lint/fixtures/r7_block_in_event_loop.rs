@@ -1,6 +1,6 @@
-//! Known-bad fixture for R7 `no-block-in-event-loop`: blocking std I/O
-//! on the event-loop thread, each call parking the only thread that
-//! services every connection.
+//! Known-bad fixture for zero-hop `block-reach`: blocking std I/O
+//! literally inside the event-loop module, each call parking the only
+//! thread that services every connection.
 
 fn pump(stream: &mut std::net::TcpStream, listener: &std::net::TcpListener, buf: &mut [u8]) {
     let _ = stream.read_exact(buf);

@@ -3,5 +3,5 @@
 // spb-lint: allow(no-such-rule) — the slug names no registered rule
 pub fn misspelled() {}
 
-// spb-lint: allow(no-panic)
+// spb-lint: allow(panic-reach)
 pub fn unjustified() {}

@@ -44,9 +44,6 @@ use crate::FileData;
 pub struct CallSite {
     /// 1-based source line of the callee name.
     pub line: u32,
-    /// Index (into the file's code tokens) of the callee name token —
-    /// the lock-graph rule replays brace scopes and needs the position.
-    pub tok: usize,
     /// What is being called.
     pub callee: Callee,
 }
@@ -56,6 +53,8 @@ pub struct CallSite {
 pub enum Callee {
     /// `.name(` — receiver type unknown.
     Method(String),
+    /// `self.name(` — the receiver is the enclosing impl's type.
+    SelfMethod(String),
     /// `seg::seg::name(` or a bare `name(` (a one-segment path).
     Path(Vec<String>),
 }
@@ -470,7 +469,12 @@ fn record_call(toks: &[Tok], i: usize, open_fns: &[(usize, usize)], ast: &mut Fi
     }
     let prev = i.checked_sub(1).map(|p| toks[p].text.as_str());
     let callee = if prev == Some(".") {
-        Callee::Method(t.text.clone())
+        let on_self = i >= 2 && toks[i - 2].text == "self" && (i < 3 || toks[i - 3].text != ".");
+        if on_self {
+            Callee::SelfMethod(t.text.clone())
+        } else {
+            Callee::Method(t.text.clone())
+        }
     } else {
         // Walk back over `seg ::` pairs to collect the full path.
         let mut segments = vec![t.text.clone()];
@@ -495,7 +499,6 @@ fn record_call(toks: &[Tok], i: usize, open_fns: &[(usize, usize)], ast: &mut Fi
     if let Some(f) = ast.fns.get_mut(fi) {
         f.calls.push(CallSite {
             line: t.line,
-            tok: i,
             callee,
         });
     }
@@ -540,7 +543,7 @@ mod tests {
         assert!(!ast.fns[0].has_self);
         assert!(ast.fns[1].has_self);
         match &ast.fns[1].calls[0].callee {
-            Callee::Method(m) => assert_eq!(m, "prod"),
+            Callee::SelfMethod(m) => assert_eq!(m, "prod"),
             other => panic!("{other:?}"),
         }
     }
@@ -591,7 +594,7 @@ mod tests {
             .iter()
             .map(|c| match &c.callee {
                 Callee::Path(p) => p.join("::"),
-                Callee::Method(m) => format!(".{m}"),
+                Callee::Method(m) | Callee::SelfMethod(m) => format!(".{m}"),
             })
             .collect();
         assert_eq!(names, ["run", "helper"]);
@@ -625,7 +628,7 @@ mod tests {
         assert!(run
             .calls
             .iter()
-            .any(|c| matches!(&c.callee, Callee::Method(m) if m == "step")));
+            .any(|c| matches!(&c.callee, Callee::SelfMethod(m) if m == "step")));
     }
 
     #[test]
@@ -635,7 +638,7 @@ mod tests {
             .calls
             .iter()
             .map(|c| match &c.callee {
-                Callee::Method(m) => m.clone(),
+                Callee::Method(m) | Callee::SelfMethod(m) => m.clone(),
                 Callee::Path(p) => p.join("::"),
             })
             .collect();

@@ -12,6 +12,8 @@
 //! blind spot.
 //!
 //! - **Method calls** `.name(`:
+//!   - `self.name(` resolves to the enclosing type's own `fn name` in
+//!     the same file when there is one; otherwise as any method call.
 //!   - Names in [`STD_AMBIGUOUS_METHODS`] are skipped entirely — they
 //!     collide with std collection/IO methods and would connect
 //!     unrelated code (`.len()` on a `Vec` is not `Wal::len`).
@@ -43,8 +45,8 @@ use crate::FileData;
 /// An edge through any of these would connect a `Vec::push` to an
 /// unrelated `push` helper; skipping them is the documented
 /// under-approximation. Workspace-specific helpers that matter to the
-/// rules (`lock_inner`, `latch_shared`, `wal_segment`, …) are not std
-/// names and resolve normally.
+/// rules (`latch_shared`, `wal_segment`, …) are not std names and
+/// resolve normally.
 pub const STD_AMBIGUOUS_METHODS: &[&str] = &[
     "len",
     "is_empty",
@@ -146,8 +148,6 @@ pub struct Edge {
     pub to: usize,
     /// 1-based source line of the call site in the caller's file.
     pub line: u32,
-    /// Token index of the callee name in the caller's file.
-    pub tok: usize,
     /// How the edge was resolved.
     pub kind: EdgeKind,
 }
@@ -184,11 +184,6 @@ impl CallGraph {
             None => f.item.name.clone(),
         }
     }
-
-    /// Fns defined in `file` (repo-relative path).
-    pub fn fns_in_file<'a>(&'a self, file: &'a str) -> impl Iterator<Item = usize> + 'a {
-        (0..self.fns.len()).filter(move |&i| self.fns[i].file == file)
-    }
 }
 
 fn crate_of(rel: &str) -> String {
@@ -205,20 +200,21 @@ fn file_stem(rel: &str) -> &str {
         .trim_end_matches(".rs")
 }
 
-/// Builds the graph from per-file ASTs (parallel to `datas`).
-pub fn build(datas: &[FileData], asts: &[FileAst]) -> CallGraph {
+/// Parses every file's items and builds the graph over them.
+pub fn build(datas: &[FileData]) -> CallGraph {
+    let asts: Vec<FileAst> = datas.iter().map(crate::ast::parse).collect();
     let mut g = CallGraph::default();
     // Trait-declared method names, for labeling Dyn edges when the
     // target is an inherent impl of a trait the workspace also dyn-
     // dispatches (a method that *appears* in any trait declaration is
     // treated as dyn-reachable through that trait).
     let mut trait_method_names: HashMap<&str, ()> = HashMap::new();
-    for ast in asts {
+    for ast in &asts {
         for (_, m) in &ast.trait_methods {
             trait_method_names.insert(m, ());
         }
     }
-    for (fi, (d, ast)) in datas.iter().zip(asts).enumerate() {
+    for (fi, (d, ast)) in datas.iter().zip(&asts).enumerate() {
         for item in &ast.fns {
             g.fns.push(GraphFn {
                 file: d.rel.clone(),
@@ -243,7 +239,6 @@ pub fn build(datas: &[FileData], asts: &[FileAst]) -> CallGraph {
                 edges[i].push(Edge {
                     to,
                     line: call.line,
-                    tok: call.tok,
                     kind,
                 });
             }
@@ -263,9 +258,18 @@ fn resolve(
     trait_method_names: &HashMap<&str, ()>,
 ) -> Vec<(usize, EdgeKind)> {
     match callee {
-        Callee::Method(name) => {
+        Callee::Method(name) | Callee::SelfMethod(name) => {
             if STD_AMBIGUOUS_METHODS.contains(&name.as_str()) {
                 return Vec::new();
+            }
+            // `self.name(` binds to the enclosing type's own inherent
+            // method when it has one — Rust prefers it over any trait's.
+            if let Callee::SelfMethod(_) = callee {
+                let own = ["Self".to_string(), name.clone()];
+                let own = resolve_path(g, by_name, caller, &own, caller_ast);
+                if !own.is_empty() {
+                    return own;
+                }
             }
             let Some(cands) = by_name.get(name.as_str()) else {
                 return Vec::new();
@@ -421,8 +425,7 @@ mod tests {
             .iter()
             .map(|(rel, src)| analyze(rel.to_string(), src, &mut out))
             .collect();
-        let asts: Vec<FileAst> = datas.iter().map(crate::ast::parse).collect();
-        build(&datas, &asts)
+        build(&datas)
     }
 
     fn find(g: &CallGraph, label: &str) -> usize {

@@ -1,33 +1,31 @@
 //! The workspace's static-analysis pass (`spb-lint`).
 //!
-//! A dependency-free linter that enforces the invariants the compiler
-//! cannot: panic-free decode paths, a fenced-`unsafe` policy, latch
-//! acquisition order, total `match` coverage in wire/WAL decoding, and
-//! live-ness of every counter and error-code variant. It lexes Rust
-//! source with the hand-rolled [`lexer`] (the build environment is
-//! offline, so no syn/proc-macro machinery) and runs token-level rules
-//! from [`rules`].
+//! A dependency-free linter that enforces the invariants neither the
+//! compiler nor clippy can: panic-free and non-blocking call chains, a
+//! fenced-`unsafe` policy, total `match` coverage in wire/WAL decoding,
+//! and live-ness of every counter and error-code variant. (Lock order is
+//! a type's job — `spb_storage::lockrank` — and literal panics in the
+//! no-panic zones are clippy's, see [`rules::NO_PANIC_ZONES`].) It lexes
+//! Rust source with the hand-rolled [`lexer`] (the build environment is
+//! offline, so no syn/proc-macro machinery) and runs the rules from
+//! [`rules`].
 //!
 //! # Rules
 //!
 //! | slug | default | what it enforces |
 //! |------|---------|------------------|
-//! | `no-panic` | deny | no `unwrap`/`expect`/panicking macro/slice index in no-panic zones |
 //! | `no-unsafe` | deny | no `unsafe` anywhere; every crate root forbids it |
-//! | `lock-order` | deny | ranked helpers only; no descending-rank acquisition |
 //! | `catch-all` | deny | no `_ =>` arms in wire/WAL decode functions |
 //! | `dead-variant` | warn | every counter field / error variant referenced outside its definition |
 //! | `raw-instant` | deny | no bare `Instant::now()` on hot paths; time through `spb_obs::clock` |
-//! | `no-block-in-event-loop` | deny | no blocking I/O (`read_exact`/`write_all`/`accept`) on the event-loop thread |
 //! | `nan-unsafe` | deny | no `partial_cmp` float comparisons in the accel zone; use `total_cmp` |
-//! | `panic-reach` | deny | no-panic zones must not *call into* panic-capable helpers, transitively |
-//! | `lock-graph` | deny | global held-rank→acquired-rank edge graph is acyclic and ascending |
-//! | `block-reach` | deny | nothing reachable from the event-loop dispatch path may block |
+//! | `panic-reach` | deny | no-panic zones must not `assert!`, nor *call into* panic-capable helpers, transitively |
+//! | `block-reach` | deny | nothing in, or reachable from, the event-loop module may block |
 //! | `bad-allow` | deny | malformed suppression markers |
 //!
-//! The last three are *interprocedural*: they run over a whole-workspace
-//! call graph ([`ast`] → [`callgraph`] → [`reach`]) and print witness
-//! call chains as evidence.
+//! `panic-reach` and `block-reach` are *interprocedural*: they run over
+//! a whole-workspace call graph ([`ast`] → [`callgraph`] → [`reach`])
+//! and print witness call chains as evidence.
 //!
 //! # Suppression markers
 //!
@@ -55,12 +53,8 @@ use lexer::{LexFile, Tok};
 /// suppression markers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// Panic-capable construct in a no-panic zone.
-    NoPanic,
     /// `unsafe` code, or a crate root that does not forbid it.
     NoUnsafe,
-    /// Raw latch/mutex acquisition or descending-rank lock order.
-    LockOrder,
     /// `_ =>` catch-all arm in a decode function.
     CatchAll,
     /// Enum variant / counter field never referenced outside its
@@ -69,20 +63,14 @@ pub enum Rule {
     /// Bare `Instant::now()` on a hot path instead of the `spb_obs`
     /// clock helpers.
     RawInstant,
-    /// Blocking I/O call inside the event-loop module, where every
-    /// socket is non-blocking and one sleep stalls every connection.
-    NoBlockInEventLoop,
     /// NaN-unsafe float comparison (`partial_cmp`) in the accel zone,
     /// where model parameters come from arithmetic that can degenerate.
     NanUnsafe,
-    /// A no-panic-zone function calls (transitively, across crates) a
-    /// helper that can panic.
+    /// A no-panic-zone function asserts, or calls (transitively,
+    /// across crates) a helper that can panic.
     PanicReach,
-    /// The global held-rank→acquired-rank lock graph has a descending
-    /// or cyclic edge.
-    LockGraph,
-    /// A blocking call is reachable (transitively) from the event-loop
-    /// dispatch path.
+    /// A blocking call sits in, or is reachable (transitively) from,
+    /// the event-loop module.
     BlockReach,
     /// Malformed suppression marker.
     BadAllow,
@@ -93,16 +81,12 @@ impl Rule {
     /// that each one has a live bad fixture. Keep in sync with the
     /// enum (the `slug`/`from_slug` round-trip test guards drift).
     pub const ALL: &'static [Rule] = &[
-        Rule::NoPanic,
         Rule::NoUnsafe,
-        Rule::LockOrder,
         Rule::CatchAll,
         Rule::DeadVariant,
         Rule::RawInstant,
-        Rule::NoBlockInEventLoop,
         Rule::NanUnsafe,
         Rule::PanicReach,
-        Rule::LockGraph,
         Rule::BlockReach,
         Rule::BadAllow,
     ];
@@ -110,16 +94,12 @@ impl Rule {
     /// Stable diagnostic slug, also used in suppression markers.
     pub fn slug(self) -> &'static str {
         match self {
-            Rule::NoPanic => "no-panic",
             Rule::NoUnsafe => "no-unsafe",
-            Rule::LockOrder => "lock-order",
             Rule::CatchAll => "catch-all",
             Rule::DeadVariant => "dead-variant",
             Rule::RawInstant => "raw-instant",
-            Rule::NoBlockInEventLoop => "no-block-in-event-loop",
             Rule::NanUnsafe => "nan-unsafe",
             Rule::PanicReach => "panic-reach",
-            Rule::LockGraph => "lock-graph",
             Rule::BlockReach => "block-reach",
             Rule::BadAllow => "bad-allow",
         }
@@ -129,16 +109,12 @@ impl Rule {
     /// total under this crate's own catch-all rule spirit.
     pub fn from_slug(s: &str) -> Option<Rule> {
         match s {
-            "no-panic" => Some(Rule::NoPanic),
             "no-unsafe" => Some(Rule::NoUnsafe),
-            "lock-order" => Some(Rule::LockOrder),
             "catch-all" => Some(Rule::CatchAll),
             "dead-variant" => Some(Rule::DeadVariant),
             "raw-instant" => Some(Rule::RawInstant),
-            "no-block-in-event-loop" => Some(Rule::NoBlockInEventLoop),
             "nan-unsafe" => Some(Rule::NanUnsafe),
             "panic-reach" => Some(Rule::PanicReach),
-            "lock-graph" => Some(Rule::LockGraph),
             "block-reach" => Some(Rule::BlockReach),
             "bad-allow" => Some(Rule::BadAllow),
             other => {
@@ -286,24 +262,19 @@ pub fn run(cfg: &Config) -> Report {
     }
 
     for d in &datas {
-        rules::no_panic(d, &mut report.violations);
         rules::no_unsafe(d, &mut report.violations);
-        rules::lock_order(d, &mut report.violations);
         rules::catch_all(d, &mut report.violations);
         rules::raw_instant(d, &mut report.violations);
-        rules::no_block_in_event_loop(d, &mut report.violations);
         rules::nan_unsafe(d, &mut report.violations);
     }
     rules::crate_roots(&datas, &mut report.violations);
     rules::dead_variants(&datas, &mut report.violations);
 
     // Interprocedural pass: one AST per file (from the already-lexed
-    // token buffer — no re-lex), one workspace call graph, three rules.
-    let asts: Vec<ast::FileAst> = datas.iter().map(ast::parse).collect();
-    let graph = callgraph::build(&datas, &asts);
+    // token buffer — no re-lex), one workspace call graph, two rules.
+    let graph = callgraph::build(&datas);
     rules::panic_reach(&datas, &graph, &mut report.violations);
     rules::block_reach(&datas, &graph, &mut report.violations);
-    rules::lock_graph(&datas, &graph, &mut report.violations);
 
     report
         .violations
@@ -623,18 +594,18 @@ mod tests {
 
     #[test]
     fn marker_covers_own_and_next_code_line() {
-        let src = "fn f() {\n    // spb-lint: allow(no-panic) — justified here\n    // continuation line\n    x.unwrap();\n}";
+        let src = "fn f() {\n    // spb-lint: allow(panic-reach) — justified here\n    // continuation line\n    x.unwrap();\n}";
         let (d, bad) = data("a.rs", src);
         assert!(bad.is_empty());
         assert_eq!(d.allows.len(), 1);
-        assert!(d.allowed(Rule::NoPanic, 4));
-        assert!(!d.allowed(Rule::NoPanic, 5));
+        assert!(d.allowed(Rule::PanicReach, 4));
+        assert!(!d.allowed(Rule::PanicReach, 5));
         assert!(!d.allowed(Rule::NoUnsafe, 4));
     }
 
     #[test]
     fn marker_without_reason_is_reported() {
-        let (_, bad) = data("a.rs", "// spb-lint: allow(no-panic)\nfn f() {}");
+        let (_, bad) = data("a.rs", "// spb-lint: allow(panic-reach)\nfn f() {}");
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].rule, Rule::BadAllow);
         assert_eq!(bad[0].line, 1);
@@ -667,7 +638,7 @@ mod tests {
                 Violation {
                     file: "crates/x/src/a.rs".into(),
                     line: 3,
-                    rule: Rule::NoPanic,
+                    rule: Rule::PanicReach,
                     message: "has a \"quote\"".into(),
                 },
                 Violation {
@@ -684,7 +655,7 @@ mod tests {
         assert!(json.contains("\"errors\": 1"), "{json}");
         assert!(json.contains("\"warnings\": 1"), "{json}");
         assert!(json.contains("has a \\\"quote\\\""), "{json}");
-        assert!(json.contains("\"rule\": \"no-panic\""), "{json}");
+        assert!(json.contains("\"rule\": \"panic-reach\""), "{json}");
         assert!(json.contains("\"severity\": \"warning\""), "{json}");
     }
 
@@ -693,9 +664,9 @@ mod tests {
         let v = Violation {
             file: "crates/x/src/a.rs".into(),
             line: 7,
-            rule: Rule::NoPanic,
+            rule: Rule::PanicReach,
             message: "m".into(),
         };
-        assert_eq!(v.to_string(), "crates/x/src/a.rs:7: [no-panic] m");
+        assert_eq!(v.to_string(), "crates/x/src/a.rs:7: [panic-reach] m");
     }
 }

@@ -50,9 +50,8 @@ fn main() -> ExitCode {
                      --root DIR      scan DIR instead of this workspace\n\
                      --format json   write the report as JSON to stdout\n\
                      --changed-only  report only findings in files changed vs HEAD\n\n\
-                     Rules: no-panic, no-unsafe, lock-order, catch-all, dead-variant,\n\
-                     raw-instant, no-block-in-event-loop, nan-unsafe, panic-reach,\n\
-                     lock-graph, block-reach, bad-allow. See DESIGN.md §10 for the\n\
+                     Rules: no-unsafe, catch-all, dead-variant, raw-instant, nan-unsafe,\n\
+                     panic-reach, block-reach, bad-allow. See DESIGN.md §10 for the\n\
                      catalog and the allow-marker grammar."
                 );
                 return ExitCode::SUCCESS;

@@ -1,7 +1,6 @@
 //! Reachability over the workspace call graph: which functions can
 //! transitively reach a *capability source* (a panic site, a blocking
-//! call, a ranked lock acquisition), and the shortest witness chain
-//! proving it.
+//! call), and the shortest witness chain proving it.
 //!
 //! The engine is a multi-source reverse BFS. Sources are functions
 //! with a *local* capability (e.g. a literal `.unwrap(` in the body);
@@ -80,22 +79,15 @@ impl Reach {
         hops
     }
 
-    /// Renders the chain as ` via A (file:line) -> B (file:line) -> …
-    /// -> local site`. The first hop (the flagged function itself) is
-    /// skipped when `skip_first` — its site is already the diagnostic's
-    /// `file:line`.
-    pub fn render_chain(&self, g: &CallGraph, f: usize, skip_first: bool) -> String {
-        let hops = self.chain(g, f);
-        let mut parts = Vec::new();
-        for (i, h) in hops.iter().enumerate() {
-            if i == 0 && skip_first {
-                continue;
-            }
-            match &h.what {
-                Some(w) => parts.push(format!("{} ({}:{}: {})", h.label, h.file, h.line, w)),
-                None => parts.push(format!("{} ({}:{})", h.label, h.file, h.line)),
-            }
-        }
+    /// Renders the chain as `A (file:line) -> B (file:line) -> … ->
+    /// local site`.
+    pub fn render_chain(&self, g: &CallGraph, f: usize) -> String {
+        let parts: Vec<String> = (self.chain(g, f).iter())
+            .map(|h| match &h.what {
+                Some(w) => format!("{} ({}:{}: {})", h.label, h.file, h.line, w),
+                None => format!("{} ({}:{})", h.label, h.file, h.line),
+            })
+            .collect();
         parts.join(" -> ")
     }
 }
@@ -152,62 +144,10 @@ pub fn compute(
     Reach { reason }
 }
 
-/// Per-function transitive set accumulation (used by lock-graph for
-/// "ranks this fn may acquire, directly or through calls"): a worklist
-/// fixpoint that unions each caller's set with its callees' sets.
-/// `local` seeds each fn; edges are followed caller→callee when
-/// `follow` passes. Sets are small (ranks are u8), kept as sorted vecs.
-pub fn transitive_union(
-    g: &CallGraph,
-    local: &[Vec<u8>],
-    follow: impl Fn(EdgeKind) -> bool,
-) -> Vec<Vec<u8>> {
-    let n = g.fns.len();
-    let mut acc: Vec<Vec<u8>> = local.to_vec();
-    for s in &mut acc {
-        s.sort_unstable();
-        s.dedup();
-    }
-    // Reverse edges: when a callee's set grows, its callers are dirty.
-    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (caller, edges) in g.edges.iter().enumerate() {
-        for e in edges {
-            if follow(e.kind) {
-                rev[e.to].push(caller);
-            }
-        }
-    }
-    let mut dirty: std::collections::VecDeque<usize> = (0..n).collect();
-    let mut in_queue = vec![true; n];
-    while let Some(f) = dirty.pop_front() {
-        in_queue[f] = false;
-        // f's set = local[f] ∪ union of callees' sets.
-        let mut merged = acc[f].clone();
-        for e in &g.edges[f] {
-            if follow(e.kind) {
-                merged.extend_from_slice(&acc[e.to]);
-            }
-        }
-        merged.sort_unstable();
-        merged.dedup();
-        if merged != acc[f] {
-            acc[f] = merged;
-            for &caller in &rev[f] {
-                if !in_queue[caller] {
-                    in_queue[caller] = true;
-                    dirty.push_back(caller);
-                }
-            }
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyze;
-    use crate::ast::FileAst;
     use crate::callgraph::build;
     use crate::FileData;
 
@@ -217,8 +157,7 @@ mod tests {
             .iter()
             .map(|(rel, src)| analyze(rel.to_string(), src, &mut out))
             .collect();
-        let asts: Vec<FileAst> = datas.iter().map(crate::ast::parse).collect();
-        build(&datas, &asts)
+        build(&datas)
     }
 
     fn idx(g: &CallGraph, label: &str) -> usize {
@@ -241,7 +180,7 @@ mod tests {
         let labels: Vec<_> = chain.iter().map(|h| h.label.as_str()).collect();
         assert_eq!(labels, ["top", "mid", "bot"]);
         assert_eq!(chain[2].what.as_deref(), Some("`.unwrap()`"));
-        let rendered = r.render_chain(&g, top, false);
+        let rendered = r.render_chain(&g, top);
         assert!(
             rendered.contains("top (crates/a/src/m.rs:1)")
                 && rendered.contains("-> bot (crates/a/src/m.rs:3: `.unwrap()`)"),
@@ -275,22 +214,5 @@ mod tests {
         let static_only = compute(&g, &[(boom, 4, "x".into())], |k| k == EdgeKind::Static);
         assert!(!static_only.capable(idx(&g, "drive")));
         assert!(static_only.capable(idx(&g, "T::go")));
-    }
-
-    #[test]
-    fn transitive_union_reaches_fixpoint_through_cycles() {
-        // a -> b -> c -> a (cycle), c locally has rank 20, a has 10.
-        let g = graph(&[(
-            "crates/a/src/m.rs",
-            "fn a() { b(); }\nfn b() { c(); }\nfn c() { a(); }\n",
-        )]);
-        let n = g.fns.len();
-        let mut local = vec![Vec::new(); n];
-        local[idx(&g, "a")] = vec![10];
-        local[idx(&g, "c")] = vec![20];
-        let acc = transitive_union(&g, &local, |_| true);
-        for f in ["a", "b", "c"] {
-            assert_eq!(acc[idx(&g, f)], vec![10, 20], "{f}");
-        }
     }
 }

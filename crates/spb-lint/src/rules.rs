@@ -10,6 +10,13 @@ use crate::{end_of_attr, match_brace, FileData, Rule, Violation};
 /// Files where *nothing* may panic: every byte read off disk or off the
 /// wire flows through these, so a malformed input must surface as a
 /// typed error, never a unwind. Paths are repo-relative.
+///
+/// Two mechanisms split the work, with no overlap. Each file opens with
+/// a `#![cfg_attr(not(test), deny(clippy::unwrap_used, …))]` line, so
+/// clippy rejects literal `unwrap`/`expect`/`panic!`/`unreachable!`/
+/// `todo!`/`unimplemented!`/indexing (`self_check` asserts the line is
+/// there). [`panic_reach`] covers what clippy cannot see: the `assert!`
+/// family, and calls that reach a panic in another file.
 pub const NO_PANIC_ZONES: &[&str] = &[
     "crates/server/src/wire.rs",
     "crates/server/src/server.rs",
@@ -17,27 +24,8 @@ pub const NO_PANIC_ZONES: &[&str] = &[
     "crates/storage/src/raf.rs",
     "crates/storage/src/pager.rs",
     "crates/storage/src/wal.rs",
-];
-
-/// Macros that unwind on reach. `debug_assert*` is deliberately absent:
-/// debug-only invariant checks are encouraged in the zones.
-const PANIC_MACROS: &[&str] = &[
-    "panic",
-    "unreachable",
-    "todo",
-    "unimplemented",
-    "assert",
-    "assert_eq",
-    "assert_ne",
-];
-
-/// Keywords that can directly precede `[` without it being an indexing
-/// expression (slice patterns `let [a, b] = ..`, types `&mut [u8]`, ...).
-const NON_INDEX_KEYWORDS: &[&str] = &[
-    "let", "mut", "ref", "in", "as", "if", "else", "match", "return", "break", "continue", "move",
-    "dyn", "impl", "fn", "where", "for", "while", "loop", "const", "static", "use", "pub", "crate",
-    "super", "mod", "type", "struct", "enum", "union", "trait", "unsafe", "async", "await", "box",
-    "yield",
+    "crates/bptree/src/node.rs",
+    "crates/bptree/src/tree.rs",
 ];
 
 fn push(d: &FileData, out: &mut Vec<Violation>, rule: Rule, line: u32, message: String) {
@@ -50,71 +38,6 @@ fn push(d: &FileData, out: &mut Vec<Violation>, rule: Rule, line: u32, message: 
         rule,
         message,
     });
-}
-
-/// R1 — `no-panic`: no `unwrap`/`expect`, no panicking macro, no
-/// direct slice/array indexing inside the no-panic zones.
-pub fn no_panic(d: &FileData, out: &mut Vec<Violation>) {
-    if !NO_PANIC_ZONES.contains(&d.rel.as_str()) {
-        return;
-    }
-    let toks = &d.code;
-    for (i, t) in toks.iter().enumerate() {
-        match t.kind {
-            TokKind::Ident => {
-                let prev_dot = i > 0 && toks[i - 1].text == ".";
-                let next = toks.get(i + 1).map(|n| n.text.as_str());
-                if prev_dot && next == Some("(") && matches!(t.text.as_str(), "unwrap" | "expect") {
-                    push(
-                        d,
-                        out,
-                        Rule::NoPanic,
-                        t.line,
-                        format!(
-                            "`.{}()` in a no-panic zone; return a typed error instead",
-                            t.text
-                        ),
-                    );
-                }
-                if next == Some("!") && PANIC_MACROS.contains(&t.text.as_str()) {
-                    let after = toks.get(i + 2).map(|n| n.text.as_str());
-                    if matches!(after, Some("(") | Some("[") | Some("{")) {
-                        push(
-                            d,
-                            out,
-                            Rule::NoPanic,
-                            t.line,
-                            format!(
-                                "`{}!` in a no-panic zone; malformed input must become a \
-                                 typed error, not an unwind",
-                                t.text
-                            ),
-                        );
-                    }
-                }
-            }
-            TokKind::Punct if t.text == "[" && i > 0 => {
-                let p = &toks[i - 1];
-                let indexing = match p.kind {
-                    TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&p.text.as_str()),
-                    TokKind::Punct => p.text == ")" || p.text == "]",
-                    _ => false,
-                };
-                if indexing {
-                    push(
-                        d,
-                        out,
-                        Rule::NoPanic,
-                        t.line,
-                        "slice/array indexing can panic in a no-panic zone; use `.get()` / \
-                         `split_at` / pattern destructuring"
-                            .to_string(),
-                    );
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 /// R2 (site half) — `no-unsafe`: no `unsafe` token anywhere in the
@@ -229,202 +152,6 @@ fn unsafe_attr(toks: &[Tok]) -> Option<(&str, u32)> {
     None
 }
 
-/// The declared lock order. Rank must strictly ascend along any
-/// acquisition chain; equal ranks are legal only when *both* holds are
-/// shared (the similarity join holds two tree latches shared).
-///
-/// Table: helper name → (rank, shared). These are the only sanctioned
-/// acquisition helpers; see the raw-pattern half below for the ban on
-/// bypassing them.
-pub const RANKED_HELPERS: &[(&str, u8, bool)] = &[
-    ("lock_completions", 1, false),
-    ("lock_queue", 2, false),
-    ("lock_conns", 3, false),
-    ("lock_counters", 4, false),
-    ("state_shared", 5, true),
-    ("state_exclusive", 5, false),
-    ("latch_shared", 10, true),
-    ("latch_exclusive", 10, false),
-    ("lock_inner", 20, false),
-    ("lock_pending", 30, false),
-    ("lock_file", 30, false),
-];
-
-struct RawPattern {
-    /// Exact repo-relative file, or a prefix when `prefix` is true.
-    file: &'static str,
-    prefix: bool,
-    /// Token-text sequence identifying a raw acquisition.
-    seq: &'static [&'static str],
-    fix: &'static str,
-}
-
-/// Raw acquisitions of ranked locks, per file: the fields are private,
-/// but a sibling method could still bypass the ranked helper — this
-/// keeps the helper the single acquisition point.
-const RAW_PATTERNS: &[RawPattern] = &[
-    RawPattern {
-        file: "crates/storage/src/cache.rs",
-        prefix: false,
-        seq: &[".", "inner", ".", "lock", "("],
-        fix: "use Shard::lock_inner()",
-    },
-    RawPattern {
-        file: "crates/storage/src/wal.rs",
-        prefix: false,
-        seq: &[".", "pending", ".", "lock", "("],
-        fix: "use Wal::lock_pending()",
-    },
-    RawPattern {
-        file: "crates/storage/src/wal.rs",
-        prefix: false,
-        seq: &[".", "file", ".", "lock", "("],
-        fix: "use Wal::lock_file()",
-    },
-    RawPattern {
-        file: "crates/core/src/",
-        prefix: true,
-        seq: &[".", "latch", ".", "read", "("],
-        fix: "use SpbTree::latch_shared()",
-    },
-    RawPattern {
-        file: "crates/core/src/",
-        prefix: true,
-        seq: &[".", "latch", ".", "write", "("],
-        fix: "use SpbTree::latch_exclusive()",
-    },
-    RawPattern {
-        file: "crates/cluster/src/",
-        prefix: true,
-        seq: &[".", "conns", ".", "lock", "("],
-        fix: "use Router::lock_conns()",
-    },
-    RawPattern {
-        file: "crates/cluster/src/",
-        prefix: true,
-        seq: &[".", "state", ".", "read", "("],
-        fix: "use Replica::state_shared()",
-    },
-    RawPattern {
-        file: "crates/cluster/src/",
-        prefix: true,
-        seq: &[".", "state", ".", "write", "("],
-        fix: "use Replica::state_exclusive()",
-    },
-    RawPattern {
-        file: "crates/server/src/",
-        prefix: true,
-        seq: &[".", "completions", ".", "lock", "("],
-        fix: "use Shared::lock_completions()",
-    },
-    RawPattern {
-        file: "crates/server/src/dispatch.rs",
-        prefix: false,
-        seq: &[".", "q", ".", "lock", "("],
-        fix: "use DispatchQueue::lock_queue()",
-    },
-    RawPattern {
-        file: "crates/server/src/admission.rs",
-        prefix: false,
-        seq: &[".", "counters", ".", "lock", "("],
-        fix: "use AdmissionInner::lock_counters()",
-    },
-];
-
-/// R3 — `lock-order`: raw acquisitions of ranked locks, and
-/// descending-rank acquisition chains within a function body (the
-/// static mirror of the debug-build runtime checker in
-/// `spb_storage::lockrank`).
-pub fn lock_order(d: &FileData, out: &mut Vec<Violation>) {
-    let toks = &d.code;
-
-    for pat in RAW_PATTERNS {
-        let applies = if pat.prefix {
-            d.rel.starts_with(pat.file)
-        } else {
-            d.rel == pat.file
-        };
-        if !applies {
-            continue;
-        }
-        for i in 0..toks.len().saturating_sub(pat.seq.len() - 1) {
-            if pat
-                .seq
-                .iter()
-                .zip(&toks[i..])
-                .all(|(want, tok)| tok.text == *want)
-            {
-                push(
-                    d,
-                    out,
-                    Rule::LockOrder,
-                    toks[i].line,
-                    format!(
-                        "raw acquisition of a ranked lock bypasses the rank check; {}",
-                        pat.fix
-                    ),
-                );
-            }
-        }
-    }
-
-    // Within-function ordering: a hold lives until its enclosing block
-    // closes (guards bind to `let` at the acquisition's brace depth).
-    struct Hold {
-        name: &'static str,
-        rank: u8,
-        shared: bool,
-        depth: usize,
-    }
-    let mut depth = 0usize;
-    let mut holds: Vec<Hold> = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        match t.text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth = depth.saturating_sub(1);
-                holds.retain(|h| h.depth <= depth);
-            }
-            _ => {
-                if t.kind != TokKind::Ident
-                    || i == 0
-                    || toks[i - 1].text != "."
-                    || toks.get(i + 1).map(|n| n.text.as_str()) != Some("(")
-                {
-                    continue;
-                }
-                let Some(&(name, rank, shared)) =
-                    RANKED_HELPERS.iter().find(|(n, _, _)| *n == t.text)
-                else {
-                    continue;
-                };
-                for h in &holds {
-                    let legal = h.rank < rank || (h.rank == rank && h.shared && shared);
-                    if !legal {
-                        push(
-                            d,
-                            out,
-                            Rule::LockOrder,
-                            t.line,
-                            format!(
-                                "acquiring `{}` (rank {}) while holding `{}` (rank {}): lock \
-                                 ranks must strictly ascend (equal ranks only shared/shared)",
-                                name, rank, h.name, h.rank
-                            ),
-                        );
-                    }
-                }
-                holds.push(Hold {
-                    name,
-                    rank,
-                    shared,
-                    depth,
-                });
-            }
-        }
-    }
-}
-
 /// Files whose decode functions must match exhaustively.
 const DECODE_FILES: &[&str] = &["crates/server/src/wire.rs", "crates/storage/src/wal.rs"];
 
@@ -537,57 +264,6 @@ pub fn raw_instant(d: &FileData, out: &mut Vec<Violation>) {
 /// non-blocking; a single blocking call stalls every connection the
 /// loop multiplexes.
 pub const EVENT_LOOP_FILES: &[&str] = &["crates/server/src/event_loop.rs"];
-
-/// Blocking std I/O entry points with no `WouldBlock` awareness, as
-/// method-call token sequences, paired with the event-loop-safe fix.
-const BLOCKING_CALLS: &[(&[&str], &str)] = &[
-    (
-        &[".", "read_exact", "("],
-        "loop over non-blocking `read`, resuming on WouldBlock",
-    ),
-    (
-        &[".", "write_all", "("],
-        "buffer the bytes and drain with vectored writes that resume after partial writes",
-    ),
-    (
-        &[".", "accept", "("],
-        "only a listener registered non-blocking may be polled; fence a vetted accept site \
-         with an allow marker",
-    ),
-];
-
-/// R7 — `no-block-in-event-loop`: no blocking `read_exact` /
-/// `write_all` / `accept` calls inside the event-loop module. These
-/// park the only thread that services every connection; readiness-aware
-/// loops must use non-blocking `read`/`write_vectored` and resume on
-/// `WouldBlock`.
-pub fn no_block_in_event_loop(d: &FileData, out: &mut Vec<Violation>) {
-    if !EVENT_LOOP_FILES.contains(&d.rel.as_str()) {
-        return;
-    }
-    let toks = &d.code;
-    for (seq, fix) in BLOCKING_CALLS {
-        for i in 0..toks.len().saturating_sub(seq.len() - 1) {
-            if seq
-                .iter()
-                .zip(&toks[i..])
-                .all(|(want, tok)| tok.text == *want)
-            {
-                push(
-                    d,
-                    out,
-                    Rule::NoBlockInEventLoop,
-                    toks[i].line,
-                    format!(
-                        "blocking `.{}()` on the event-loop thread stalls every connection; {}",
-                        seq.get(1).copied().unwrap_or_default(),
-                        fix
-                    ),
-                );
-            }
-        }
-    }
-}
 
 /// Path prefixes where float comparisons must be NaN-total. The accel
 /// crate compares model errors, recall numbers, and user-supplied
@@ -750,64 +426,45 @@ fn extract_members(toks: &[Tok], target: &Target) -> Option<(Members, LineSpan)>
 }
 
 // ---------------------------------------------------------------------------
-// Interprocedural rules (R9–R11): these run over the whole-workspace
-// call graph (`ast` → `callgraph` → `reach`) instead of single files,
-// and print a witness call chain as evidence with every finding.
+// Interprocedural rules: these run over the whole-workspace call graph
+// (`ast` → `callgraph` → `reach`) instead of single files, and print a
+// witness call chain as evidence with every finding. A literal site
+// inside the guarded file is the zero-hop case of the same rule.
 // ---------------------------------------------------------------------------
 
 use crate::callgraph::{CallGraph, EdgeKind};
-use crate::reach;
+use crate::reach::{self, Reach};
 
-/// Groups graph fn indices by their defining file (parallel to `datas`).
-fn fns_by_file(g: &CallGraph, nfiles: usize) -> Vec<Vec<usize>> {
-    let mut per = vec![Vec::new(); nfiles];
+/// One literal capability site: `(fn, line, label)`.
+type Site = (usize, u32, String);
+
+/// Runs `site` at every identifier token of every fn body in the files
+/// `in_scope` admits and collects the hits not covered by an allow
+/// marker for `rule`. The bodies of nested fns are skipped: a nested fn
+/// is its own graph node, so its sites are attributed to it.
+fn literal_sites(
+    datas: &[FileData],
+    g: &CallGraph,
+    rule: Rule,
+    in_scope: impl Fn(&str) -> bool,
+    site: impl Fn(&[Tok], usize) -> Option<String>,
+) -> Vec<Site> {
+    let mut per_file = vec![Vec::new(); datas.len()];
     for f in 0..g.fns.len() {
-        per[g.file_of[f]].push(f);
+        per_file[g.file_of[f]].push(g.fns[f].item.body);
     }
-    per
-}
-
-/// Body token ranges of fns nested inside `f` (same file). Scans of
-/// `f`'s body skip these so a nested fn's sites/holds are attributed
-/// to the nested fn, which is its own graph node.
-fn nested_ranges(g: &CallGraph, f: usize, same_file: &[usize]) -> Vec<(usize, usize)> {
-    let body = g.fns[f].item.body;
-    same_file
-        .iter()
-        .filter(|&&o| o != f)
-        .map(|&o| g.fns[o].item.body)
-        .filter(|&(s, e)| s > body.0 && e <= body.1 && s < e)
-        .collect()
-}
-
-/// Macros whose reach makes a helper panic-capable for `panic-reach`.
-/// Narrower than the token rule's list: the `assert!` family is
-/// excluded — libraries legitimately assert internal invariants
-/// (`Page::check_bounds`), and propagating every transitive assert
-/// would force allow-marker noise without catching the input-dependent
-/// panics the rule exists for. Direct asserts *inside* a zone are still
-/// caught by the token-level `no-panic` rule.
-const REACH_PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// R9 — `panic-reach`: a no-panic-zone function must not call (even
-/// transitively, across crates) a helper that can panic. Capability is
-/// `.unwrap()` / `.expect()` / a panicking macro, propagated backwards
-/// over **static** call edges only — trait-object dispatch is excluded
-/// because the `IndexService` surface would otherwise connect the
-/// decode zones to the whole query engine and drown the rule in
-/// allow-markers (documented approximation; the service layer has its
-/// own error discipline). The finding sits on the zone-side call site
-/// and carries the full chain down to the panic site.
-pub fn panic_reach(datas: &[FileData], g: &CallGraph, out: &mut Vec<Violation>) {
-    let per_file = fns_by_file(g, datas.len());
-    let mut sources = Vec::new();
+    let mut sites = Vec::new();
     for f in 0..g.fns.len() {
         let d = &datas[g.file_of[f]];
-        let body = g.fns[f].item.body;
-        if body.0 >= body.1 {
+        if !in_scope(&d.rel) {
             continue;
         }
-        let nested = nested_ranges(g, f, &per_file[g.file_of[f]]);
+        let body = g.fns[f].item.body;
+        let nested: Vec<(usize, usize)> = per_file[g.file_of[f]]
+            .iter()
+            .copied()
+            .filter(|&(s, e)| s > body.0 && e <= body.1 && s < e)
+            .collect();
         let toks = &d.code;
         let mut k = body.0;
         while k < body.1.min(toks.len()) {
@@ -816,72 +473,113 @@ pub fn panic_reach(datas: &[FileData], g: &CallGraph, out: &mut Vec<Violation>) 
                 continue;
             }
             let t = &toks[k];
-            if t.kind == TokKind::Ident {
-                let suppressed =
-                    d.allowed(Rule::NoPanic, t.line) || d.allowed(Rule::PanicReach, t.line);
-                let prev_dot = k > 0 && toks[k - 1].text == ".";
-                let next = toks.get(k + 1).map(|n| n.text.as_str());
-                if !suppressed {
-                    if prev_dot
-                        && next == Some("(")
-                        && matches!(t.text.as_str(), "unwrap" | "expect")
-                    {
-                        sources.push((f, t.line, format!("`.{}()`", t.text)));
-                    } else if next == Some("!")
-                        && REACH_PANIC_MACROS.contains(&t.text.as_str())
-                        && matches!(
-                            toks.get(k + 2).map(|n| n.text.as_str()),
-                            Some("(") | Some("[") | Some("{")
-                        )
-                    {
-                        sources.push((f, t.line, format!("`{}!`", t.text)));
-                    }
+            if t.kind == TokKind::Ident && !d.allowed(rule, t.line) {
+                if let Some(label) = site(toks, k) {
+                    sites.push((f, t.line, label));
                 }
             }
             k += 1;
         }
     }
-    let r = reach::compute(g, &sources, |k| k == EdgeKind::Static);
+    sites
+}
+
+/// Every call `(caller, line, callee)` from a fn in a guarded file to a
+/// capable callee outside it, over the edge kinds `follow` admits.
+/// Callees inside the guarded files are skipped: their own outward
+/// calls (or their literal sites) produce the report, closer to the
+/// cause.
+fn capable_calls(
+    g: &CallGraph,
+    r: &Reach,
+    guarded: &[&str],
+    follow: impl Fn(EdgeKind) -> bool,
+) -> Vec<(usize, u32, usize)> {
+    let mut calls = Vec::new();
     for f in 0..g.fns.len() {
-        if !NO_PANIC_ZONES.contains(&g.fns[f].file.as_str()) {
+        if !guarded.contains(&g.fns[f].file.as_str()) {
             continue;
         }
-        let d = &datas[g.file_of[f]];
         let mut seen: HashSet<(u32, usize)> = HashSet::new();
         for e in &g.edges[f] {
-            if e.kind != EdgeKind::Static {
-                continue;
+            if follow(e.kind)
+                && !guarded.contains(&g.fns[e.to].file.as_str())
+                && r.capable(e.to)
+                && seen.insert((e.line, e.to))
+            {
+                calls.push((f, e.line, e.to));
             }
-            // Zone-internal callees are skipped: their own out-of-zone
-            // call sites (or their literal panic sites, via `no-panic`)
-            // produce the report, closer to the cause.
-            if NO_PANIC_ZONES.contains(&g.fns[e.to].file.as_str()) {
-                continue;
-            }
-            if !r.capable(e.to) || !seen.insert((e.line, e.to)) {
-                continue;
-            }
-            push(
-                d,
-                out,
-                Rule::PanicReach,
-                e.line,
-                format!(
-                    "call from a no-panic zone to `{}` can panic: {}",
-                    g.label(e.to),
-                    r.render_chain(g, e.to, false)
-                ),
-            );
         }
+    }
+    calls
+}
+
+/// `name!(`, `name![` or `name!{` at token `k`, for a `name` in `names`.
+fn macro_call(toks: &[Tok], k: usize, names: &[&str]) -> bool {
+    names.contains(&toks[k].text.as_str())
+        && toks.get(k + 1).is_some_and(|n| n.text == "!")
+        && toks
+            .get(k + 2)
+            .is_some_and(|n| matches!(n.text.as_str(), "(" | "[" | "{"))
+}
+
+/// `.unwrap()` / `.expect()` / a panicking macro: what makes a helper
+/// panic-capable. The `assert!` family is excluded — libraries
+/// legitimately assert internal invariants (`Page::check_bounds`), and
+/// propagating every transitive assert would force allow-marker noise
+/// without catching the input-dependent panics the rule exists for.
+fn panic_site(toks: &[Tok], k: usize) -> Option<String> {
+    let t = &toks[k];
+    let method = k > 0 && toks[k - 1].text == "." && toks.get(k + 1).is_some_and(|n| n.text == "(");
+    if method && matches!(t.text.as_str(), "unwrap" | "expect") {
+        Some(format!("`.{}()`", t.text))
+    } else if macro_call(toks, k, &["panic", "unreachable", "todo", "unimplemented"]) {
+        Some(format!("`{}!`", t.text))
+    } else {
+        None
+    }
+}
+
+/// `panic-reach`: a no-panic-zone function must not call (even
+/// transitively, across crates) a helper that can panic, and must not
+/// itself `assert!` (the one literal panic clippy's restriction lints
+/// cannot ban; `debug_assert*` stays legal). Capability is propagated
+/// backwards over **static** call edges only — trait-object dispatch is
+/// excluded because the `IndexService` surface would otherwise connect
+/// the decode zones to the whole query engine and drown the rule in
+/// allow-markers (documented approximation; the service layer has its
+/// own error discipline). A call finding sits on the zone-side call
+/// site and carries the full chain down to the panic site.
+pub fn panic_reach(datas: &[FileData], g: &CallGraph, out: &mut Vec<Violation>) {
+    let sources = literal_sites(datas, g, Rule::PanicReach, |_| true, panic_site);
+    let r = reach::compute(g, &sources, |k| k == EdgeKind::Static);
+    for (f, line, to) in capable_calls(g, &r, NO_PANIC_ZONES, |k| k == EdgeKind::Static) {
+        let message = format!(
+            "call from a no-panic zone to `{}` can panic: {}",
+            g.label(to),
+            r.render_chain(g, to)
+        );
+        push(&datas[g.file_of[f]], out, Rule::PanicReach, line, message);
+    }
+    let in_zone = |rel: &str| NO_PANIC_ZONES.contains(&rel);
+    let asserts = literal_sites(datas, g, Rule::PanicReach, in_zone, |toks, k| {
+        macro_call(toks, k, &["assert", "assert_eq", "assert_ne"]).then(|| toks[k].text.clone())
+    });
+    for (f, line, name) in asserts {
+        let message = format!(
+            "`{name}!` in a no-panic zone; malformed input must become a typed error, \
+             not an unwind"
+        );
+        push(&datas[g.file_of[f]], out, Rule::PanicReach, line, message);
     }
 }
 
 /// Method calls that park the calling thread with no `WouldBlock`
-/// escape. `.lock()` and the ranked lock helpers are deliberately
-/// absent — lock waits are governed by `lock-graph` (bounded by rank
-/// discipline), and flagging every mutex would make the rule
-/// unusable. `.flush()`/`.join()`/`.metadata()` are likewise excluded
-/// as too ambiguous against std collection/string methods.
+/// escape. `.lock()` is deliberately absent — lock waits are bounded by
+/// the rank discipline (`spb_storage::lockrank`), and flagging every
+/// mutex would make the rule unusable. `.flush()`/`.join()`/
+/// `.metadata()` are likewise excluded as too ambiguous against std
+/// collection/string methods.
 const BLOCKING_METHODS: &[&str] = &[
     "read_exact",
     "write_all",
@@ -911,456 +609,51 @@ fn blocking_path(qualifier: &str, name: &str) -> bool {
     }
 }
 
-/// R10 — `block-reach`: nothing reachable from the event-loop dispatch
-/// path may block. This generalizes the token-level
-/// `no-block-in-event-loop` (which only sees literal call sites inside
-/// `event_loop.rs`): blocking capability — sync file/socket I/O,
-/// condvar waits, channel receives, thread sleeps — is propagated
-/// backwards over **all** call edges including trait dispatch, and any
-/// event-loop function calling an out-of-module capable helper is
-/// flagged with the chain down to the blocking site.
+/// A blocking call at token `k`: sync file/socket I/O, condvar waits,
+/// channel receives, thread sleeps.
+fn block_site(toks: &[Tok], k: usize) -> Option<String> {
+    let t = &toks[k];
+    if toks.get(k + 1).map(|n| n.text.as_str()) != Some("(") {
+        return None;
+    }
+    if k > 0 && toks[k - 1].text == "." && BLOCKING_METHODS.contains(&t.text.as_str()) {
+        return Some(format!("`.{}()`", t.text));
+    }
+    let qualified = k >= 3
+        && toks[k - 1].text == ":"
+        && toks[k - 2].text == ":"
+        && toks[k - 3].kind == TokKind::Ident
+        && blocking_path(&toks[k - 3].text, &t.text);
+    qualified.then(|| format!("`{}::{}()`", toks[k - 3].text, t.text))
+}
+
+/// `block-reach`: nothing on the event-loop thread may block — neither
+/// a literal blocking call inside `event_loop.rs` (every socket there
+/// is non-blocking; readiness-aware loops use `read`/`write_vectored`
+/// and resume on `WouldBlock`) nor anything reachable from it.
+/// Blocking capability is propagated backwards over **all** call edges
+/// including trait dispatch, and any event-loop function calling an
+/// out-of-module capable helper is flagged with the chain down to the
+/// blocking site.
 pub fn block_reach(datas: &[FileData], g: &CallGraph, out: &mut Vec<Violation>) {
-    let per_file = fns_by_file(g, datas.len());
-    let mut sources = Vec::new();
-    for f in 0..g.fns.len() {
-        let d = &datas[g.file_of[f]];
-        let body = g.fns[f].item.body;
-        if body.0 >= body.1 {
-            continue;
-        }
-        let nested = nested_ranges(g, f, &per_file[g.file_of[f]]);
-        let toks = &d.code;
-        let mut k = body.0;
-        while k < body.1.min(toks.len()) {
-            if let Some(&(_, e)) = nested.iter().find(|&&(s, _)| s == k) {
-                k = e;
-                continue;
-            }
-            let t = &toks[k];
-            if t.kind == TokKind::Ident && toks.get(k + 1).is_some_and(|n| n.text == "(") {
-                let suppressed = d.allowed(Rule::NoBlockInEventLoop, t.line)
-                    || d.allowed(Rule::BlockReach, t.line);
-                if !suppressed {
-                    let prev_dot = k > 0 && toks[k - 1].text == ".";
-                    if prev_dot && BLOCKING_METHODS.contains(&t.text.as_str()) {
-                        sources.push((f, t.line, format!("`.{}()`", t.text)));
-                    } else if k >= 3
-                        && toks[k - 1].text == ":"
-                        && toks[k - 2].text == ":"
-                        && toks[k - 3].kind == TokKind::Ident
-                        && blocking_path(&toks[k - 3].text, &t.text)
-                    {
-                        sources.push((f, t.line, format!("`{}::{}()`", toks[k - 3].text, t.text)));
-                    }
-                }
-            }
-            k += 1;
-        }
-    }
+    let sources = literal_sites(datas, g, Rule::BlockReach, |_| true, block_site);
     let r = reach::compute(g, &sources, |_| true);
-    for f in 0..g.fns.len() {
-        if !EVENT_LOOP_FILES.contains(&g.fns[f].file.as_str()) {
-            continue;
-        }
-        let d = &datas[g.file_of[f]];
-        let mut seen: HashSet<(u32, usize)> = HashSet::new();
-        for e in &g.edges[f] {
-            if EVENT_LOOP_FILES.contains(&g.fns[e.to].file.as_str()) {
-                continue;
-            }
-            if !r.capable(e.to) || !seen.insert((e.line, e.to)) {
-                continue;
-            }
-            push(
-                d,
-                out,
-                Rule::BlockReach,
-                e.line,
-                format!(
-                    "call from the event-loop thread to `{}` can block: {}",
-                    g.label(e.to),
-                    r.render_chain(g, e.to, false)
-                ),
-            );
-        }
-    }
-}
-
-/// One observed held-rank → acquired-rank pair. Ranks are encoded as
-/// `rank * 2 + shared` so equal-rank shared/shared (legal: the join
-/// holds two tree latches shared) is distinguishable from equal-rank
-/// exclusive (a self-deadlock).
-struct RankEdge {
-    held: u8,
-    held_name: &'static str,
-    acq: u8,
-    file: String,
-    line: u32,
-    /// Human description of where the pair was observed.
-    desc: String,
-    /// Callee fn for the witness chain; `None` for within-fn pairs
-    /// (those are `lock-order`'s to flag — they only feed the cycle
-    /// digraph here).
-    callee: Option<usize>,
-}
-
-fn elem_rank(e: u8) -> u8 {
-    e / 2
-}
-
-fn elem_shared(e: u8) -> bool {
-    e % 2 == 1
-}
-
-/// R11 — `lock-graph`: the global held-rank → acquired-rank edge
-/// graph, built from every ranked-helper acquisition across all
-/// crates. A function's *acquirable set* is the ranks it may take
-/// directly or through any call chain (worklist fixpoint over the call
-/// graph, trait dispatch included). At every call site made while
-/// holding a ranked lock, each (held, acquirable) pair becomes a
-/// global edge; descending or equal-rank-not-shared/shared edges are
-/// violations carrying the chain from the callee down to the
-/// acquisition, and the rank digraph is checked for cycles with a
-/// witness path per cycle. This replaces trusting the per-file
-/// `lock-order` scan to compose across crates.
-pub fn lock_graph(datas: &[FileData], g: &CallGraph, out: &mut Vec<Violation>) {
-    let per_file = fns_by_file(g, datas.len());
-    let n = g.fns.len();
-    let mut local: Vec<Vec<u8>> = vec![Vec::new(); n];
-    // (elem, line, helper name) per fn — reach sources for witnesses.
-    let mut local_sites: Vec<(usize, u8, u32, &'static str)> = Vec::new();
-    let mut rank_edges: Vec<RankEdge> = Vec::new();
-    for f in 0..n {
-        let d = &datas[g.file_of[f]];
-        let body = g.fns[f].item.body;
-        if body.0 >= body.1 {
-            continue;
-        }
-        let nested = nested_ranges(g, f, &per_file[g.file_of[f]]);
-        let toks = &d.code;
-        let mut by_tok: std::collections::HashMap<usize, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (ei, e) in g.edges[f].iter().enumerate() {
-            by_tok.entry(e.tok).or_default().push(ei);
-        }
-        struct Hold {
-            name: &'static str,
-            rank: u8,
-            shared: bool,
-            depth: usize,
-            /// Bound to a `let`: lives until the enclosing block closes.
-            /// Otherwise the guard is a temporary dropped at the end of
-            /// its statement (`self.state_shared().applied_lsn;`).
-            durable: bool,
-        }
-        let mut holds: Vec<Hold> = Vec::new();
-        let mut depth = 0usize;
-        let mut k = body.0;
-        while k < body.1.min(toks.len()) {
-            if let Some(&(_, e)) = nested.iter().find(|&&(s, _)| s == k) {
-                k = e;
-                continue;
-            }
-            let t = &toks[k];
-            match t.text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth = depth.saturating_sub(1);
-                    holds.retain(|h| h.depth <= depth);
-                }
-                ";" => holds.retain(|h| h.durable || h.depth != depth),
-                _ => {
-                    // Call edges anchored at this token: snapshot holds
-                    // (the callee's acquirable set is joined in below,
-                    // after the fixpoint).
-                    if !holds.is_empty() {
-                        if let Some(eis) = by_tok.get(&k) {
-                            for &ei in eis {
-                                let e = &g.edges[f][ei];
-                                for h in &holds {
-                                    rank_edges.push(RankEdge {
-                                        held: h.rank * 2 + u8::from(h.shared),
-                                        held_name: h.name,
-                                        acq: 0, // patched below per acquirable elem
-                                        file: d.rel.clone(),
-                                        line: e.line,
-                                        desc: format!("`{}` calls `{}`", g.label(f), g.label(e.to)),
-                                        callee: Some(e.to),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    // Local ranked acquisition (helper call site).
-                    if t.kind == TokKind::Ident
-                        && k > 0
-                        && toks[k - 1].text == "."
-                        && toks.get(k + 1).map(|n| n.text.as_str()) == Some("(")
-                    {
-                        if let Some(&(name, rank, shared)) =
-                            RANKED_HELPERS.iter().find(|(nm, _, _)| *nm == t.text)
-                        {
-                            let elem = rank * 2 + u8::from(shared);
-                            // Within-fn pairs feed the cycle digraph
-                            // only; `lock-order` flags the descent.
-                            for h in &holds {
-                                rank_edges.push(RankEdge {
-                                    held: h.rank * 2 + u8::from(h.shared),
-                                    held_name: h.name,
-                                    acq: elem,
-                                    file: d.rel.clone(),
-                                    line: t.line,
-                                    desc: format!(
-                                        "`{}` then `{}` in `{}`",
-                                        h.name,
-                                        name,
-                                        g.label(f)
-                                    ),
-                                    callee: None,
-                                });
-                            }
-                            local[f].push(elem);
-                            local_sites.push((f, elem, t.line, name));
-                            // Durable iff the statement binds the guard
-                            // itself: `let g = self.helper();` — i.e. a
-                            // `let` precedes the call in this statement
-                            // AND the call's `)` ends the statement. A
-                            // projection (`self.helper().field`) or an
-                            // unbound call drops the guard at its `;`.
-                            let mut cp = k + 1;
-                            let mut bal = 0usize;
-                            while cp < body.1.min(toks.len()) {
-                                match toks[cp].text.as_str() {
-                                    "(" => bal += 1,
-                                    ")" => {
-                                        bal -= 1;
-                                        if bal == 0 {
-                                            break;
-                                        }
-                                    }
-                                    _ => {}
-                                }
-                                cp += 1;
-                            }
-                            let ends_stmt = toks.get(cp + 1).map(|n| n.text.as_str()) == Some(";");
-                            let mut has_let = false;
-                            let mut b = k;
-                            while b > body.0 {
-                                b -= 1;
-                                match toks[b].text.as_str() {
-                                    ";" | "{" | "}" => break,
-                                    "let" => {
-                                        has_let = true;
-                                        break;
-                                    }
-                                    _ => {}
-                                }
-                            }
-                            holds.push(Hold {
-                                name,
-                                rank,
-                                shared,
-                                depth,
-                                durable: has_let && ends_stmt,
-                            });
-                        }
-                    }
-                }
-            }
-            k += 1;
-        }
-    }
-    let acq = reach::transitive_union(g, &local, |_| true);
-    // Expand call-site edges: one concrete edge per acquirable elem.
-    let mut expanded: Vec<RankEdge> = Vec::new();
-    for e in rank_edges {
-        match e.callee {
-            None => expanded.push(e),
-            Some(c) => {
-                for &elem in &acq[c] {
-                    expanded.push(RankEdge {
-                        acq: elem,
-                        ..clone_edge(&e)
-                    });
-                }
-            }
-        }
-    }
-    // Witness chains: one reachability pass per acquired elem in a
-    // violating edge (sources = every local acquisition of that elem).
-    let mut chain_cache: std::collections::HashMap<u8, reach::Reach> =
-        std::collections::HashMap::new();
-    let mut seen: HashSet<(String, u32, u8, u8)> = HashSet::new();
-    for e in &expanded {
-        let (hr, hs) = (elem_rank(e.held), elem_shared(e.held));
-        let (r, rs) = (elem_rank(e.acq), elem_shared(e.acq));
-        let legal = hr < r || (hr == r && hs && rs);
-        if legal {
-            continue;
-        }
-        let Some(c) = e.callee else {
-            continue; // within-fn descents are lock-order findings
-        };
-        if !seen.insert((e.file.clone(), e.line, e.held, e.acq)) {
-            continue;
-        }
-        let reach = chain_cache.entry(e.acq).or_insert_with(|| {
-            let sources: Vec<(usize, u32, String)> = local_sites
-                .iter()
-                .filter(|&&(_, elem, _, _)| elem == e.acq)
-                .map(|&(f, _, line, name)| (f, line, format!("`.{name}()`")))
-                .collect();
-            reach::compute(g, &sources, |_| true)
-        });
-        let Some(d) = datas.iter().find(|d| d.rel == e.file) else {
-            continue;
-        };
-        push(
-            d,
-            out,
-            Rule::LockGraph,
-            e.line,
-            format!(
-                "acquiring rank {} via `{}` while holding `{}` (rank {}): lock ranks must \
-                 strictly ascend across the call graph; {}",
-                r,
-                g.label(c),
-                e.held_name,
-                hr,
-                reach.render_chain(g, c, false)
-            ),
+    for (f, line, to) in capable_calls(g, &r, EVENT_LOOP_FILES, |_| true) {
+        let message = format!(
+            "call from the event-loop thread to `{}` can block: {}",
+            g.label(to),
+            r.render_chain(g, to)
         );
+        push(&datas[g.file_of[f]], out, Rule::BlockReach, line, message);
     }
-    // Cycle detection over the rank digraph. Legal equal shared/shared
-    // edges are excluded (shared re-acquisition cannot deadlock); every
-    // other observed edge participates.
-    lock_cycles(datas, &expanded, out);
-}
-
-fn clone_edge(e: &RankEdge) -> RankEdge {
-    RankEdge {
-        held: e.held,
-        held_name: e.held_name,
-        acq: e.acq,
-        file: e.file.clone(),
-        line: e.line,
-        desc: e.desc.clone(),
-        callee: e.callee,
-    }
-}
-
-/// DFS cycle detection over the rank digraph; one violation per
-/// distinct cycle, anchored at the witness of its first edge, listing
-/// the provenance of every edge on the cycle.
-fn lock_cycles(datas: &[FileData], edges: &[RankEdge], out: &mut Vec<Violation>) {
-    use std::collections::HashMap;
-    // rank -> rank with first-observed provenance.
-    let mut adj: HashMap<u8, Vec<u8>> = HashMap::new();
-    let mut prov: HashMap<(u8, u8), (String, u32, String)> = HashMap::new();
-    for e in edges {
-        let (hr, hs) = (elem_rank(e.held), elem_shared(e.held));
-        let (r, rs) = (elem_rank(e.acq), elem_shared(e.acq));
-        if hr == r && hs && rs {
-            continue;
-        }
-        let entry = adj.entry(hr).or_default();
-        if !entry.contains(&r) {
-            entry.push(r);
-        }
-        prov.entry((hr, r))
-            .or_insert_with(|| (e.file.clone(), e.line, e.desc.clone()));
-    }
-    let mut nodes: Vec<u8> = adj.keys().copied().collect();
-    nodes.sort_unstable();
-    // Iterative DFS with a gray stack; each distinct cycle (normalized
-    // by rotating its minimum rank first) is reported once.
-    let mut reported: HashSet<Vec<u8>> = HashSet::new();
-    let mut done: HashSet<u8> = HashSet::new();
-    for &start in &nodes {
-        if done.contains(&start) {
-            continue;
-        }
-        let mut stack: Vec<u8> = Vec::new();
-        dfs_cycles(
-            start,
-            &adj,
-            &mut stack,
-            &mut done,
-            &mut reported,
-            &prov,
-            datas,
-            out,
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs_cycles(
-    node: u8,
-    adj: &std::collections::HashMap<u8, Vec<u8>>,
-    stack: &mut Vec<u8>,
-    done: &mut HashSet<u8>,
-    reported: &mut HashSet<Vec<u8>>,
-    prov: &std::collections::HashMap<(u8, u8), (String, u32, String)>,
-    datas: &[FileData],
-    out: &mut Vec<Violation>,
-) {
-    if let Some(pos) = stack.iter().position(|&s| s == node) {
-        // Cycle: stack[pos..] -> node. Normalize for dedup.
-        let cycle: Vec<u8> = stack[pos..].to_vec();
-        let mut norm = cycle.clone();
-        if let Some(min_pos) = norm
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &r)| r)
-            .map(|(i, _)| i)
-        {
-            norm.rotate_left(min_pos);
-        }
-        if !reported.insert(norm) {
-            return;
-        }
-        let mut path: Vec<String> = cycle.iter().map(|r| format!("rank {r}")).collect();
-        path.push(format!("rank {node}"));
-        let mut witnesses = Vec::new();
-        for w in cycle.windows(2) {
-            if let Some((f, l, d)) = prov.get(&(w[0], w[1])) {
-                witnesses.push(format!("{f}:{l} ({d})"));
-            }
-        }
-        if let Some((f, l, d)) = cycle.last().and_then(|&last| prov.get(&(last, node))) {
-            witnesses.push(format!("{f}:{l} ({d})"));
-        }
-        let Some((file, line, _)) = prov.get(&(cycle[0], *cycle.get(1).unwrap_or(&node))) else {
-            return;
-        };
-        if let Some(d) = datas.iter().find(|d| &d.rel == file) {
-            push(
-                d,
-                out,
-                Rule::LockGraph,
-                *line,
-                format!(
-                    "lock-rank cycle {}: a thread following one edge while another follows \
-                     the reverse deadlocks; witnesses: {}",
-                    path.join(" -> "),
-                    witnesses.join("; ")
-                ),
+    for (f, line, label) in &sources {
+        if EVENT_LOOP_FILES.contains(&g.fns[*f].file.as_str()) {
+            let message = format!(
+                "blocking {label} on the event-loop thread stalls every connection it multiplexes"
             );
-        }
-        return;
-    }
-    if done.contains(&node) {
-        return;
-    }
-    stack.push(node);
-    if let Some(nexts) = adj.get(&node) {
-        for &nx in nexts {
-            dfs_cycles(nx, adj, stack, done, reported, prov, datas, out);
+            push(&datas[g.file_of[*f]], out, Rule::BlockReach, *line, message);
         }
     }
-    stack.pop();
-    done.insert(node);
 }
 
 #[cfg(test)]
@@ -1370,76 +663,55 @@ mod tests {
     fn lint_one(rel: &str, src: &str) -> Vec<Violation> {
         let mut out = Vec::new();
         let d = crate::analyze(rel.to_string(), src, &mut out);
-        no_panic(&d, &mut out);
         no_unsafe(&d, &mut out);
-        lock_order(&d, &mut out);
         catch_all(&d, &mut out);
         raw_instant(&d, &mut out);
-        no_block_in_event_loop(&d, &mut out);
+        let datas = [d];
+        let g = crate::callgraph::build(&datas);
+        panic_reach(&datas, &g, &mut out);
+        block_reach(&datas, &g, &mut out);
         out
     }
 
+    fn lines(v: &[Violation], rule: Rule) -> Vec<u32> {
+        let mut lines: Vec<u32> = v
+            .iter()
+            .filter(|v| v.rule == rule)
+            .map(|v| v.line)
+            .collect();
+        lines.sort_unstable();
+        lines
+    }
+
     #[test]
-    fn indexing_heuristic_skips_patterns_and_types() {
-        let src = "fn f(buf: &mut [u8], h: &[u8; 8]) {\n    let [a, b] = [1u8, 2];\n    let v: Vec<[u8; 4]> = vec![];\n    let _ = (a, b, v, buf, h);\n}";
+    fn zone_asserts_are_zero_hop_panic_reach_findings() {
+        // `a != 0` is not a macro bang; `debug_assert!` is encouraged;
+        // literal unwraps are clippy's to reject, not this rule's.
+        let src = "fn f(a: u8, x: Option<u8>) -> bool {\n    assert!(a != 0);\n    \
+                   assert_eq!(a, 1);\n    debug_assert!(a < 9);\n    x.unwrap() != 0\n}\n\
+                   fn g(a: u8) {\n    // spb-lint: allow(panic-reach) — internal invariant\n    \
+                   assert_ne!(a, 0);\n}";
         let v = lint_one("crates/storage/src/wal.rs", src);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn indexing_expression_is_flagged() {
-        let v = lint_one("crates/storage/src/wal.rs", "fn f(b: &[u8]) -> u8 { b[0] }");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::NoPanic);
-    }
-
-    #[test]
-    fn macro_bang_vs_not_equals() {
-        let v = lint_one(
-            "crates/storage/src/wal.rs",
-            "fn f(a: u8) -> bool { a != 0 }\nfn g() { panic!(\"x\") }",
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 2);
-    }
-
-    #[test]
-    fn zone_scoping_only_flags_zone_files() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }";
-        assert_eq!(lint_one("crates/storage/src/wal.rs", src).len(), 1);
+        assert_eq!(lines(&v, Rule::PanicReach), [2, 3], "{v:?}");
+        assert!(v[0].message.contains("`assert!` in a no-panic zone"));
         assert!(lint_one("crates/storage/src/cache.rs", src).is_empty());
     }
 
     #[test]
-    fn equal_rank_shared_shared_is_legal() {
-        let src = "fn f(a: &T, b: &T) {\n    let _g1 = a.latch_shared();\n    let _g2 = b.latch_shared();\n}";
-        assert!(lint_one("crates/core/src/join.rs", src).is_empty());
-    }
-
-    #[test]
-    fn equal_rank_exclusive_is_flagged() {
-        let src = "fn f(a: &T, b: &T) {\n    let _g1 = a.latch_exclusive();\n    let _g2 = b.latch_exclusive();\n}";
-        let v = lint_one("crates/core/src/x.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 3);
-    }
-
-    #[test]
-    fn inner_scope_releases_hold() {
-        // The WAL commit shape: pending taken and dropped in an inner
-        // block before the file lock is taken.
-        let src = "fn f(w: &W) {\n    let b = {\n        let p = w.lock_pending();\n        p.take()\n    };\n    let _f = w.lock_file();\n    drop(b);\n}";
-        assert!(lint_one("crates/storage/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn descending_rank_is_flagged() {
+    fn literal_blocking_calls_in_the_event_loop_are_zero_hop_findings() {
         let src =
-            "fn f(w: &W, t: &T) {\n    let _f = w.lock_file();\n    let _g = t.latch_shared();\n}";
-        let v = lint_one("crates/storage/src/x.rs", src);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("rank 10"));
-        assert!(v[0].message.contains("rank 30"));
+            "fn f(s: &mut std::net::TcpStream, b: &mut [u8]) {\n    let _ = s.read_exact(b);\n    \
+                   let _ = s.write_all(b);\n    let _ = s.read(b);\n}\n\
+                   fn g(l: &std::net::TcpListener) {\n    let _ = l.accept();\n    \
+                   // spb-lint: allow(block-reach) — listener is non-blocking\n    \
+                   let _ = l.accept();\n}";
+        let v = lint_one("crates/server/src/event_loop.rs", src);
+        assert_eq!(lines(&v, Rule::BlockReach), [2, 3, 7], "{v:?}");
+        assert!(v
+            .iter()
+            .any(|v| v.message.contains("blocking `.read_exact()`")));
+        // The same calls are legal outside the event loop.
+        assert!(lint_one("crates/server/src/client.rs", src).is_empty());
     }
 
     #[test]
@@ -1476,35 +748,6 @@ mod tests {
     fn raw_instant_honors_allow_marker() {
         let src = "fn f() {\n    // spb-lint: allow(raw-instant) — calibration probe\n    let _ = Instant::now();\n}";
         assert!(lint_one("crates/core/src/tree.rs", src).is_empty());
-    }
-
-    #[test]
-    fn blocking_calls_flagged_only_in_event_loop_files() {
-        let src = "fn f(s: &mut std::net::TcpStream, b: &mut [u8]) {\n    let _ = s.read_exact(b);\n    let _ = s.write_all(b);\n}\nfn g(l: &std::net::TcpListener) {\n    let _ = l.accept();\n}";
-        let v = lint_one("crates/server/src/event_loop.rs", src);
-        let lines: Vec<u32> = v
-            .iter()
-            .filter(|v| v.rule == Rule::NoBlockInEventLoop)
-            .map(|v| v.line)
-            .collect();
-        let mut sorted = lines.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, [2, 3, 6]);
-        // The same calls are legal outside the event loop.
-        assert!(lint_one("crates/server/src/client.rs", src).is_empty());
-    }
-
-    #[test]
-    fn blocking_call_honors_allow_marker() {
-        let src = "fn g(l: &std::net::TcpListener) {\n    // spb-lint: allow(no-block-in-event-loop) — listener is non-blocking\n    let _ = l.accept();\n}";
-        let v = lint_one("crates/server/src/event_loop.rs", src);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn nonblocking_read_is_not_flagged() {
-        let src = "fn f(s: &mut std::net::TcpStream, b: &mut [u8]) -> std::io::Result<usize> {\n    s.read(b)\n}";
-        assert!(lint_one("crates/server/src/event_loop.rs", src).is_empty());
     }
 
     #[test]

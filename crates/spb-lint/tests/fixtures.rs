@@ -2,7 +2,7 @@
 //! linter reports every planted violation at the exact `file:line`, so
 //! a regression that silently blinds a rule fails loudly here.
 
-use spb_lint::{analyze, rules, Rule, Violation};
+use spb_lint::{analyze, callgraph, rules, Rule, Violation};
 
 /// Analyzes a fixture under a pseudo repo-relative path (rules are
 /// scoped by path, so the fixture must pose as a file in the zone it
@@ -24,17 +24,66 @@ fn lines_of(violations: &[Violation], rule: Rule) -> Vec<u32> {
 }
 
 #[test]
-fn r1_no_panic_fixture_reports_every_site() {
+fn r1_zone_asserts_are_zero_hop_panic_reach_findings() {
     let (d, mut out) = fixture("r1_no_panic.rs", "crates/storage/src/wal.rs");
-    rules::no_panic(&d, &mut out);
-    // buf[0], x.unwrap(), x.expect(), panic!, unreachable!.
-    assert_eq!(lines_of(&out, Rule::NoPanic), [5, 6, 7, 9, 12]);
-    let first = out.first().expect("at least one finding");
+    let datas = [d];
+    rules::panic_reach(&datas, &callgraph::build(&datas), &mut out);
+    // assert!, assert_eq!, assert_ne! — not the debug_assert! below
+    // them, and none of the literal sites clippy owns.
+    assert_eq!(lines_of(&out, Rule::PanicReach), [32, 33, 34]);
     assert_eq!(
-        first.to_string(),
-        "crates/storage/src/wal.rs:5: [no-panic] slice/array indexing can panic in a \
-         no-panic zone; use `.get()` / `split_at` / pattern destructuring"
+        out[0].to_string(),
+        "crates/storage/src/wal.rs:32: [panic-reach] `assert!` in a no-panic zone; malformed \
+         input must become a typed error, not an unwind"
     );
+}
+
+#[test]
+fn r1_literal_panic_sites_fail_clippy_under_the_zone_deny_line() {
+    // The other half of the r1 fixture: compile it with clippy and
+    // check the deny line it shares with every zone file rejects each
+    // literal site (and accepts the asserts, which are panic-reach's).
+    let path = format!("{}/fixtures/r1_no_panic.rs", env!("CARGO_MANIFEST_DIR"));
+    let run = std::process::Command::new("clippy-driver")
+        .args([
+            "--edition",
+            "2021",
+            "--crate-type",
+            "lib",
+            "--emit",
+            "metadata",
+        ])
+        .args([
+            "--error-format",
+            "short",
+            "--out-dir",
+            env!("CARGO_TARGET_TMPDIR"),
+        ])
+        .arg(&path)
+        .output();
+    let Ok(run) = run else {
+        eprintln!("skipped: no clippy-driver on PATH (CI's lint job has one)");
+        return;
+    };
+    assert!(!run.status.success(), "the bad fixture passed clippy");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    let mut flagged: Vec<(u32, &str)> = stderr
+        .lines()
+        .filter_map(|l| l.strip_prefix(path.as_str())?.strip_prefix(':'))
+        .filter_map(|l| {
+            let (line, rest) = l.split_once(':')?;
+            let (_, msg) = rest.split_once(": error: ")?;
+            Some((line.parse().ok()?, msg))
+        })
+        .collect();
+    flagged.sort_unstable();
+    let lines: Vec<u32> = flagged.iter().map(|&(l, _)| l).collect();
+    // buf[0], unwrap, expect, panic!, unreachable!, todo!, unimplemented!.
+    assert_eq!(lines, [23, 24, 25, 27, 30, 37, 38], "{stderr}");
+    assert!(flagged[0].1.contains("indexing may panic"), "{stderr}");
+    assert!(flagged[1].1.contains("`unwrap()`"), "{stderr}");
+    assert!(flagged[2].1.contains("`expect()`"), "{stderr}");
+    assert!(flagged[3].1.contains("`panic`"), "{stderr}");
 }
 
 #[test]
@@ -45,45 +94,6 @@ fn r2_unsafe_fixture_reports_the_block() {
     assert!(out[0]
         .to_string()
         .starts_with("crates/storage/src/cache.rs:3: [no-unsafe]"));
-}
-
-#[test]
-fn r3_lock_order_fixture_reports_inversion_and_raw_site() {
-    let (d, mut out) = fixture("r3_lock_order.rs", "crates/storage/src/cache.rs");
-    rules::lock_order(&d, &mut out);
-    let mut lines = lines_of(&out, Rule::LockOrder);
-    lines.sort_unstable();
-    // Line 4: rank-10 latch after rank-30 WAL lock; line 8: raw
-    // `.inner.lock()` bypassing Shard::lock_inner().
-    assert_eq!(lines, [4, 8]);
-    let inversion = out.iter().find(|v| v.line == 4).expect("inversion finding");
-    assert!(inversion.message.contains("rank 10"));
-    assert!(inversion.message.contains("rank 30"));
-    let raw = out.iter().find(|v| v.line == 8).expect("raw-site finding");
-    assert!(raw.message.contains("lock_inner"));
-}
-
-#[test]
-fn r3_cluster_fixture_reports_inversion_and_raw_sites() {
-    let (d, mut out) = fixture("r3_cluster_lock_order.rs", "crates/cluster/src/router.rs");
-    rules::lock_order(&d, &mut out);
-    let mut lines = lines_of(&out, Rule::LockOrder);
-    lines.sort_unstable();
-    // Line 4: rank-3 connection pool after the rank-5 replica state;
-    // lines 8–10: raw acquisitions bypassing the three ranked helpers.
-    assert_eq!(lines, [4, 8, 9, 10]);
-    let inversion = out.iter().find(|v| v.line == 4).expect("inversion finding");
-    assert!(inversion.message.contains("rank 3"));
-    assert!(inversion.message.contains("rank 5"));
-    assert!(out
-        .iter()
-        .any(|v| v.line == 8 && v.message.contains("lock_conns")));
-    assert!(out
-        .iter()
-        .any(|v| v.line == 9 && v.message.contains("state_shared")));
-    assert!(out
-        .iter()
-        .any(|v| v.line == 10 && v.message.contains("state_exclusive")));
 }
 
 #[test]
@@ -121,20 +131,20 @@ fn r6_raw_instant_fixture_reports_every_site() {
 }
 
 #[test]
-fn r7_block_in_event_loop_fixture_reports_every_site() {
+fn r7_literal_blocking_calls_are_zero_hop_block_reach_findings() {
     let (d, mut out) = fixture(
         "r7_block_in_event_loop.rs",
         "crates/server/src/event_loop.rs",
     );
-    rules::no_block_in_event_loop(&d, &mut out);
-    let mut lines = lines_of(&out, Rule::NoBlockInEventLoop);
+    let datas = [d];
+    rules::block_reach(&datas, &callgraph::build(&datas), &mut out);
+    let mut lines = lines_of(&out, Rule::BlockReach);
     lines.sort_unstable();
     // read_exact, write_all, accept.
     assert_eq!(lines, [6, 7, 8]);
-    assert!(out[0]
-        .to_string()
-        .starts_with("crates/server/src/event_loop.rs:6: [no-block-in-event-loop]"));
-    assert!(out[0].message.contains("read_exact"));
+    assert!(out.iter().any(|v| v.to_string()
+        == "crates/server/src/event_loop.rs:6: [block-reach] blocking `.read_exact()` on the \
+            event-loop thread stalls every connection it multiplexes"));
 }
 
 #[test]
@@ -157,7 +167,7 @@ fn r8_nan_unsafe_fixture_reports_every_site() {
 
 #[test]
 fn fixtures_are_denied_under_deny_all_but_dead_variant_warns_by_default() {
-    assert!(Rule::NoPanic.denied(false));
+    assert!(Rule::PanicReach.denied(false));
     assert!(!Rule::DeadVariant.denied(false));
     assert!(Rule::DeadVariant.denied(true));
 }
@@ -220,39 +230,10 @@ fn r11_block_reach_fixture_reports_the_event_loop_call_with_the_chain() {
 }
 
 #[test]
-fn r12_lock_graph_fixture_reports_the_descent_and_the_cycle() {
-    let report = interproc_report();
-    let hits: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == Rule::LockGraph)
-        .collect();
-    assert_eq!(lines_of(&report.violations, Rule::LockGraph), [11, 16]);
-    // The descending edge: rank 30 held in `flush_all`, rank 20 taken
-    // one call away inside `evict`.
-    assert_eq!(
-        hits[0].to_string(),
-        "crates/storage/src/flushd.rs:11: [lock-graph] acquiring rank 20 via `Flushd::evict` \
-         while holding `lock_pending` (rank 30): lock ranks must strictly ascend across the \
-         call graph; Flushd::evict (crates/storage/src/flushd.rs:20: `.lock_inner()`)"
-    );
-    // The cycle the descent closes against `refill`'s legal 20 → 30
-    // edge, with one provenance witness per edge.
-    assert_eq!(
-        hits[1].to_string(),
-        "crates/storage/src/flushd.rs:16: [lock-graph] lock-rank cycle rank 20 -> rank 30 \
-         -> rank 20: a thread following one edge while another follows the reverse \
-         deadlocks; witnesses: crates/storage/src/flushd.rs:16 (`Flushd::refill` calls \
-         `Flushd::journal`); crates/storage/src/flushd.rs:11 (`Flushd::flush_all` calls \
-         `Flushd::evict`)"
-    );
-}
-
-#[test]
 fn interproc_fixture_tree_has_no_unplanned_findings() {
     let report = interproc_report();
-    assert_eq!(report.files_scanned, 5);
-    assert_eq!(report.violations.len(), 4, "{:?}", report.violations);
+    assert_eq!(report.files_scanned, 4);
+    assert_eq!(report.violations.len(), 2, "{:?}", report.violations);
 }
 
 #[test]
@@ -273,8 +254,6 @@ fn every_registered_rule_fires_on_a_fixture() {
     let per_file: &[(&str, &str)] = &[
         ("r1_no_panic.rs", "crates/storage/src/wal.rs"),
         ("r2_unsafe.rs", "crates/storage/src/cache.rs"),
-        ("r3_lock_order.rs", "crates/storage/src/cache.rs"),
-        ("r3_cluster_lock_order.rs", "crates/cluster/src/router.rs"),
         ("r4_catch_all.rs", "crates/storage/src/wal.rs"),
         ("r5_dead_variant.rs", "crates/server/src/wire.rs"),
         ("r6_raw_instant.rs", "crates/server/src/server.rs"),
@@ -288,14 +267,15 @@ fn every_registered_rule_fires_on_a_fixture() {
     let mut fired: HashSet<Rule> = HashSet::new();
     for (name, rel) in per_file {
         let (d, mut out) = fixture(name, rel);
-        rules::no_panic(&d, &mut out);
         rules::no_unsafe(&d, &mut out);
-        rules::lock_order(&d, &mut out);
         rules::catch_all(&d, &mut out);
         rules::raw_instant(&d, &mut out);
-        rules::no_block_in_event_loop(&d, &mut out);
         rules::nan_unsafe(&d, &mut out);
-        rules::dead_variants(&[d], &mut out);
+        let datas = [d];
+        rules::dead_variants(&datas, &mut out);
+        let g = callgraph::build(&datas);
+        rules::panic_reach(&datas, &g, &mut out);
+        rules::block_reach(&datas, &g, &mut out);
         fired.extend(out.iter().map(|v| v.rule));
     }
     fired.extend(interproc_report().violations.iter().map(|v| v.rule));

@@ -3,7 +3,7 @@
 //! rules must be demonstrably *live* on the real sources — a clean
 //! report from a rule that extracted nothing proves nothing.
 
-use spb_lint::{analyze, rules, Config, Rule};
+use spb_lint::{analyze, callgraph, rules, Config, Rule};
 
 fn repo_root() -> std::path::PathBuf {
     let mut root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -55,20 +55,43 @@ fn dead_variant_rule_is_live_on_real_wire_rs() {
     assert!(probe[0].message.contains("NeverUsedProbe"));
 }
 
+/// The one attribute that hands a no-panic zone's literal panic sites
+/// to clippy, whitespace removed (rustfmt wraps it over twelve lines).
+const ZONE_DENY_LINE: &str = "#![cfg_attr(not(test),deny(clippy::unwrap_used,\
+     clippy::expect_used,clippy::panic,clippy::indexing_slicing,clippy::unreachable,\
+     clippy::todo,clippy::unimplemented))]";
+
 #[test]
-fn no_panic_rule_is_live_on_real_wal_rs() {
-    // Same liveness idea for the no-panic zone: append a panicking
-    // helper to the real wal.rs text and check it gets flagged.
+fn every_no_panic_zone_carries_the_clippy_deny_line() {
+    // The zone list and the clippy attribute cannot drift apart: a file
+    // added to NO_PANIC_ZONES without the line (or a line edited in one
+    // file only) fails here. The r1 fixture, which proves the line
+    // rejects each literal site, must carry the very same one.
+    let fixture = "crates/spb-lint/fixtures/r1_no_panic.rs";
+    for rel in rules::NO_PANIC_ZONES.iter().chain([&fixture]) {
+        let src = std::fs::read_to_string(repo_root().join(rel)).expect("read zone file");
+        let dense: String = src.split_whitespace().collect();
+        assert!(dense.contains(ZONE_DENY_LINE), "{rel} lacks the deny line");
+    }
+}
+
+#[test]
+fn panic_reach_zero_hop_is_live_on_real_wal_rs() {
+    // Liveness for the zone's assert ban: append an asserting helper to
+    // the real wal.rs text and check exactly it gets flagged (so the
+    // clean real file has no unsuppressed assert of its own).
     let path = repo_root().join("crates/storage/src/wal.rs");
     let src = std::fs::read_to_string(path).expect("read wal.rs");
-    let seeded = format!("{src}\nfn probe(x: Option<u8>) -> u8 {{ x.unwrap() }}\n");
+    let seeded = format!("{src}\nfn probe(x: u8) {{ assert!(x > 0); }}\n");
     let mut out = Vec::new();
-    let d = analyze("crates/storage/src/wal.rs".to_string(), &seeded, &mut out);
-    rules::no_panic(&d, &mut out);
+    let datas = vec![analyze(
+        "crates/storage/src/wal.rs".to_string(),
+        &seeded,
+        &mut out,
+    )];
+    rules::panic_reach(&datas, &callgraph::build(&datas), &mut out);
     assert_eq!(out.len(), 1, "{out:?}");
-    assert!(out[0].message.contains("`.unwrap()`"));
-    // The clean real file plus exactly the seeded line: the finding
-    // must be on the very last line we appended.
+    assert!(out[0].message.contains("`assert!` in a no-panic zone"));
     assert_eq!(out[0].line as usize, seeded.lines().count());
 }
 
@@ -90,11 +113,11 @@ fn raw_instant_rule_is_live_on_real_server_rs() {
 }
 
 #[test]
-fn no_block_rule_is_live_on_real_event_loop_rs() {
-    // Liveness for the event-loop blocking-I/O rule: append a blocking
-    // probe to the real event_loop.rs text and check it gets flagged
-    // (the clean run above proves the real file has none outside its
-    // one allow-marked accept site — which also proves marker coverage
+fn block_reach_zero_hop_is_live_on_real_event_loop_rs() {
+    // Liveness for the event-loop's literal blocking-call ban: append a
+    // blocking probe to the real event_loop.rs text and check exactly it
+    // gets flagged (so the real file has none outside its one
+    // allow-marked accept site — which also proves marker coverage
     // works on the real source).
     let path = repo_root().join("crates/server/src/event_loop.rs");
     let src = std::fs::read_to_string(path).expect("read event_loop.rs");
@@ -102,14 +125,15 @@ fn no_block_rule_is_live_on_real_event_loop_rs() {
         "{src}\nfn probe(s: &mut std::net::TcpStream, b: &mut [u8]) {{ let _ = s.read_exact(b); }}\n"
     );
     let mut out = Vec::new();
-    let d = analyze(
+    let datas = vec![analyze(
         "crates/server/src/event_loop.rs".to_string(),
         &seeded,
         &mut out,
-    );
-    rules::no_block_in_event_loop(&d, &mut out);
+    )];
+    rules::block_reach(&datas, &callgraph::build(&datas), &mut out);
     assert_eq!(out.len(), 1, "{out:?}");
-    assert_eq!(out[0].rule, Rule::NoBlockInEventLoop);
+    assert_eq!(out[0].rule, Rule::BlockReach);
+    assert!(out[0].message.contains("blocking `.read_exact()`"));
     assert_eq!(out[0].line as usize, seeded.lines().count());
 }
 
@@ -130,15 +154,6 @@ fn nan_unsafe_rule_is_live_on_real_tune_rs() {
     assert_eq!(out[0].line as usize, seeded.lines().count());
 }
 
-/// Builds the call graph over a set of already-analyzed files — the
-/// same `analyze → parse → build` pipeline `run()` uses, on a reduced
-/// file set (removing files only removes edges, so a finding here
-/// would also fire in the full workspace scan).
-fn graph_over(datas: &[spb_lint::FileData]) -> spb_lint::callgraph::CallGraph {
-    let asts: Vec<_> = datas.iter().map(spb_lint::ast::parse).collect();
-    spb_lint::callgraph::build(datas, &asts)
-}
-
 #[test]
 fn panic_reach_rule_is_live_on_real_pager_rs() {
     // Seed the *real* pager.rs with a probe that calls an out-of-zone
@@ -156,7 +171,7 @@ fn panic_reach_rule_is_live_on_real_pager_rs() {
         analyze("crates/storage/src/pager.rs".to_string(), &seeded, &mut out),
         analyze("crates/storage/src/probe.rs".to_string(), helper, &mut out),
     ];
-    let g = graph_over(&datas);
+    let g = callgraph::build(&datas);
     rules::panic_reach(&datas, &g, &mut out);
     let hits: Vec<_> = out.iter().filter(|v| v.rule == Rule::PanicReach).collect();
     assert_eq!(hits.len(), 1, "{hits:?}");
@@ -187,50 +202,13 @@ fn block_reach_rule_is_live_on_real_event_loop_rs() {
         ),
         analyze("crates/server/src/probe.rs".to_string(), helper, &mut out),
     ];
-    let g = graph_over(&datas);
+    let g = callgraph::build(&datas);
     rules::block_reach(&datas, &g, &mut out);
     let hits: Vec<_> = out.iter().filter(|v| v.rule == Rule::BlockReach).collect();
     assert_eq!(hits.len(), 1, "{hits:?}");
     assert_eq!(hits[0].line as usize, seeded.lines().count());
     assert!(hits[0].message.contains("`probe_ship` can block"));
     assert!(hits[0].message.contains("`.read_exact()`"));
-}
-
-#[test]
-fn lock_graph_rule_is_live_on_real_cache_rs() {
-    // Seed the real cache.rs (home of the rank-20 `lock_inner` helper)
-    // with a probe pair that holds a rank-30 guard across a call into
-    // a rank-20 acquisition — the cross-function descent `lock-order`
-    // cannot see.
-    let path = repo_root().join("crates/storage/src/cache.rs");
-    let src = std::fs::read_to_string(path).expect("read cache.rs");
-    let seeded = format!(
-        "{src}\nimpl Shard {{\n\
-             fn probe_descend(&self) {{\n\
-                 let _w = self.lock_file();\n\
-                 self.probe_inner();\n\
-             }}\n\
-             fn probe_inner(&self) {{\n\
-                 let _g = self.lock_inner();\n\
-             }}\n\
-         }}\n"
-    );
-    let mut out = Vec::new();
-    let datas = vec![analyze(
-        "crates/storage/src/cache.rs".to_string(),
-        &seeded,
-        &mut out,
-    )];
-    let g = graph_over(&datas);
-    rules::lock_graph(&datas, &g, &mut out);
-    let hits: Vec<_> = out.iter().filter(|v| v.rule == Rule::LockGraph).collect();
-    assert!(!hits.is_empty(), "no lock-graph finding on seeded cache.rs");
-    assert!(
-        hits.iter().any(|v| v.message.contains("acquiring rank 20")
-            && v.message.contains("`lock_file` (rank 30)")
-            && v.message.contains("Shard::probe_inner")),
-        "{hits:?}"
-    );
 }
 
 #[test]

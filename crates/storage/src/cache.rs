@@ -22,9 +22,7 @@ use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
-
-use crate::lockrank::{self, LockRank, RankedMutexGuard};
+use crate::lockrank::{LockRank, RankedMutex};
 use crate::lru::Lru;
 use crate::page::{Page, PageId};
 use crate::pager::Pager;
@@ -66,7 +64,7 @@ fn buffer_io_hist() -> &'static Arc<spb_obs::Histogram> {
 /// `pool.shard{N}.*` — every pool sharing a shard index shares the
 /// named counter, so the registry reports process-wide totals.
 struct Shard {
-    inner: Mutex<Lru<Arc<Page>>>,
+    inner: RankedMutex<Lru<Arc<Page>>>,
     logical_reads: AtomicU64,
     physical_reads: AtomicU64,
     writes: AtomicU64,
@@ -78,7 +76,7 @@ struct Shard {
 impl Shard {
     fn new(capacity: usize, idx: usize) -> Self {
         Shard {
-            inner: Mutex::new(Lru::new(capacity)),
+            inner: RankedMutex::new(LockRank::BufferShard, Lru::new(capacity)),
             logical_reads: AtomicU64::new(0),
             physical_reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
@@ -95,13 +93,6 @@ impl Shard {
             writes: self.writes.load(Ordering::Relaxed),
             fsyncs: 0,
         }
-    }
-
-    /// The only way to take the shard mutex: registers the acquisition
-    /// at [`LockRank::BufferShard`] so debug builds catch latch-ordering
-    /// violations (and `spb-lint` rejects direct `.inner.lock()` calls).
-    fn lock_inner(&self) -> RankedMutexGuard<'_, Lru<Arc<Page>>> {
-        lockrank::lock(&self.inner, LockRank::BufferShard)
     }
 }
 
@@ -170,7 +161,7 @@ impl BufferPool {
         let shard = self.shard_of(id);
         shard.logical_reads.fetch_add(1, Ordering::Relaxed);
         {
-            let mut inner = shard.lock_inner();
+            let mut inner = shard.inner.lock();
             if let Some(page) = inner.get(id).cloned() {
                 shard.obs_hits.incr();
                 return Ok(page);
@@ -179,7 +170,7 @@ impl BufferPool {
         let io_start = spb_obs::clock::now();
         let page = Arc::new(self.pager.read_page(id)?);
         buffer_io_hist().record(spb_obs::clock::nanos_since(io_start));
-        let mut inner = shard.lock_inner();
+        let mut inner = shard.inner.lock();
         // Double-check: a racing reader (or a write-through) may have
         // cached the page while we were at the pager. Serving the cached
         // copy keeps PA accounting deterministic under striping and never
@@ -206,7 +197,7 @@ impl BufferPool {
         buffer_io_hist().record(spb_obs::clock::nanos_since(io_start));
         let shard = self.shard_of(id);
         shard.writes.fetch_add(1, Ordering::Relaxed);
-        let evicted = shard.lock_inner().insert(id, Arc::new(page));
+        let evicted = shard.inner.lock().insert(id, Arc::new(page));
         if evicted > 0 {
             shard.obs_evictions.add(evicted);
         }
@@ -217,7 +208,7 @@ impl BufferPool {
     /// its 500 workload queries so measurements are cold.
     pub fn flush_cache(&self) {
         for shard in &self.shards {
-            shard.lock_inner().clear();
+            shard.inner.lock().clear();
         }
     }
 
@@ -226,7 +217,7 @@ impl BufferPool {
         self.capacity.store(capacity, Ordering::Relaxed);
         let per_shard = Self::shard_capacity(capacity, self.shards.len());
         for shard in &self.shards {
-            let evicted = shard.lock_inner().resize(per_shard);
+            let evicted = shard.inner.lock().resize(per_shard);
             if evicted > 0 {
                 shard.obs_evictions.add(evicted);
             }

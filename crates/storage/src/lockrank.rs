@@ -1,11 +1,12 @@
-//! Debug-build lock-rank (latch-ordering) assertions.
+//! Ranked locks: the workspace's one lock-ordering mechanism.
 //!
-//! Every ranked lock in the workspace must be acquired in ascending
-//! rank order:
+//! Every ordered lock is a [`RankedMutex`] or [`RankedRwLock`] whose
+//! [`LockRank`] is fixed at construction, and a thread must acquire
+//! them in ascending rank order:
 //!
 //! | Rank | Lock | Declared in |
 //! |---|---|---|
-//! | 1 | Event-loop completion queue | `spb-server` (`Shared`) |
+//! | 1 | Event-loop completion queue | `spb-server` (`Shared::completions`) |
 //! | 2 | Dispatcher work queue | `spb-server` (`DispatchQueue`) |
 //! | 3 | Cluster router connection-pool mutex | `spb-cluster` (`Router`) |
 //! | 4 | Admission-control counters | `spb-server` (`AdmissionInner`) |
@@ -23,21 +24,40 @@
 //! router leases a connection) before any tree latch is taken, and a
 //! thread inside a tree must never reach back up into cluster state.
 //!
-//! In debug builds every ranked acquisition registers itself on a
-//! thread-local stack and panics the moment a thread acquires a lock
-//! whose rank is not strictly above everything it already holds. Two
-//! *shared* holds of equal rank are legal (the similarity join holds the
-//! tree latches of both joined trees, both shared). In release builds the
-//! whole layer compiles to nothing.
+//! The inner `std::sync` lock is a private field, so there is no way
+//! to take a ranked lock without going through the rank check. This
+//! compiles:
 //!
-//! `spb-lint` rule `lock-order` performs the matching static scan: ranked
-//! locks may only be acquired through the helpers that route through this
-//! module ([`lock`], [`acquire`], [`acquire_shared`]), and within a
-//! function the acquisition order must be ascending.
+//! ```
+//! use spb_storage::lockrank::{LockRank, RankedMutex};
+//! let m = RankedMutex::new(LockRank::Wal, 0u32);
+//! *m.lock() += 1;
+//! ```
+//!
+//! and the raw acquisition does not:
+//!
+//! ```compile_fail,E0616
+//! use spb_storage::lockrank::{LockRank, RankedMutex};
+//! let m = RankedMutex::new(LockRank::Wal, 0u32);
+//! *m.inner.lock().unwrap() += 1; // field `inner` is private
+//! ```
+//!
+//! In debug builds every acquisition registers itself on a thread-local
+//! stack *before* blocking and panics the moment a thread acquires a
+//! lock whose rank is not strictly above everything it already holds,
+//! so a violation fails the test that executes it instead of
+//! deadlocking. Two *shared* holds of equal rank are legal (the
+//! similarity join holds the tree latches of both joined trees, both
+//! shared). In release builds the check compiles to nothing and an
+//! acquisition is exactly one `std::sync` lock call. Poisoning is
+//! tolerated everywhere (`PoisonError::into_inner`): one panicked query
+//! in a long-lived server must not wedge every later request.
 
 use std::ops::{Deref, DerefMut};
-
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
+use std::time::Duration;
 
 /// The declared rank of every ordered lock in the workspace. Bigger rank
 /// = acquired later. See the module docs for the table.
@@ -55,6 +75,8 @@ pub enum LockRank {
     /// (`spb-cluster`).
     RouterConn = 3,
     /// The admission controller's slot/queue counters (`spb-server`).
+    /// Above the dispatcher queue: the batch-coalescing scan updates
+    /// admission while holding the queue.
     AdmissionCounters = 4,
     /// A read replica's serving-state lock, swapped on WAL apply
     /// (`spb-cluster`).
@@ -68,6 +90,18 @@ pub enum LockRank {
 }
 
 impl LockRank {
+    /// Every rank, ascending.
+    pub const ALL: [LockRank; 8] = [
+        LockRank::EventCompletions,
+        LockRank::DispatchQueue,
+        LockRank::RouterConn,
+        LockRank::AdmissionCounters,
+        LockRank::ReplicaApply,
+        LockRank::TreeLatch,
+        LockRank::BufferShard,
+        LockRank::Wal,
+    ];
+
     /// Human-readable name used in violation messages.
     pub fn name(self) -> &'static str {
         match self {
@@ -87,11 +121,17 @@ impl LockRank {
 mod imp {
     use super::LockRank;
     use std::cell::RefCell;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     thread_local! {
         /// Ranks this thread currently holds, in acquisition order.
         static HELD: RefCell<Vec<(LockRank, bool)>> = const { RefCell::new(Vec::new()) };
     }
+
+    /// Acquisitions checked so far, indexed by `rank as usize`.
+    static CHECKED: [AtomicU64; 31] = [ZERO; 31];
+    #[allow(clippy::declare_interior_mutable_const)] // array initialiser only
+    const ZERO: AtomicU64 = AtomicU64::new(0);
 
     pub(super) fn check_and_push(rank: LockRank, shared: bool) {
         HELD.with(|held| {
@@ -101,9 +141,7 @@ mod imp {
                 assert!(
                     legal,
                     "lock-rank violation: acquiring {} (rank {}) while holding {} (rank {}); \
-                     ranked locks must be acquired in ascending order \
-                     (router conn \u{227a} replica state \u{227a} tree latch \
-                     \u{227a} buffer-pool shard \u{227a} WAL)",
+                     ranked locks must be acquired in ascending order",
                     rank.name(),
                     rank as u8,
                     h.name(),
@@ -112,6 +150,7 @@ mod imp {
             }
             held.push((rank, shared));
         });
+        CHECKED[rank as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     pub(super) fn pop(rank: LockRank, shared: bool) {
@@ -122,13 +161,24 @@ mod imp {
             }
         });
     }
+
+    pub(super) fn checked(rank: LockRank) -> u64 {
+        CHECKED[rank as usize].load(Ordering::Relaxed)
+    }
 }
 
-/// Witness that the current thread has registered a ranked acquisition.
-/// Dropping it deregisters. Zero-sized and inert in release builds.
-#[must_use = "the rank registration ends when this guard drops"]
+/// How many acquisitions of `rank` have gone through the ordering check
+/// in this process. Debug builds only (the check does not exist in
+/// release); tests use it to prove a lock is under the one mechanism.
+#[cfg(debug_assertions)]
+pub fn checked_acquisitions(rank: LockRank) -> u64 {
+    imp::checked(rank)
+}
+
+/// One registered acquisition on the thread's rank stack. Dropping it
+/// deregisters. Zero-sized and inert in release builds.
 #[derive(Debug)]
-pub struct HeldRank {
+struct HeldRank {
     #[cfg(debug_assertions)]
     rank: LockRank,
     #[cfg(debug_assertions)]
@@ -136,6 +186,8 @@ pub struct HeldRank {
 }
 
 impl HeldRank {
+    /// Panics (debug builds) unless `rank` is above every rank the
+    /// thread holds, or equal to one with both holds shared.
     fn new(rank: LockRank, shared: bool) -> Self {
         #[cfg(debug_assertions)]
         {
@@ -157,103 +209,110 @@ impl Drop for HeldRank {
     }
 }
 
-/// Registers an exclusive acquisition of `rank`. Panics (debug builds)
-/// if the thread already holds a rank at or above it.
-pub fn acquire(rank: LockRank) -> HeldRank {
-    HeldRank::new(rank, false)
-}
-
-/// Registers a shared acquisition of `rank`. Like [`acquire`], but two
-/// shared holds of equal rank are allowed (the similarity join holds two
-/// tree latches, both shared).
-pub fn acquire_shared(rank: LockRank) -> HeldRank {
-    HeldRank::new(rank, true)
-}
-
-/// A [`MutexGuard`] whose lifetime is tied to its rank registration.
-/// The mutex guard drops (releasing the lock) before the rank pops.
+/// A lock guard tied to its rank registration. Fields drop in order, so
+/// the lock releases before the rank pops.
 #[derive(Debug)]
-pub struct RankedMutexGuard<'a, T: ?Sized> {
-    guard: MutexGuard<'a, T>,
-    _held: HeldRank,
+pub struct RankedGuard<G> {
+    guard: G,
+    held: HeldRank,
 }
 
-impl<T: ?Sized> Deref for RankedMutexGuard<'_, T> {
-    type Target = T;
+impl<G: Deref> Deref for RankedGuard<G> {
+    type Target = G::Target;
 
-    fn deref(&self) -> &T {
+    fn deref(&self) -> &G::Target {
         &self.guard
     }
 }
 
-impl<T: ?Sized> DerefMut for RankedMutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
+impl<G: DerefMut> DerefMut for RankedGuard<G> {
+    fn deref_mut(&mut self) -> &mut G::Target {
         &mut self.guard
     }
 }
 
-/// Locks `mutex` at `rank`: the rank check runs *before* blocking on the
-/// mutex, so an ordering violation panics instead of deadlocking.
-pub fn lock<T: ?Sized>(mutex: &Mutex<T>, rank: LockRank) -> RankedMutexGuard<'_, T> {
-    let held = acquire(rank);
-    RankedMutexGuard {
-        guard: mutex.lock(),
-        _held: held,
+/// Guard of a [`RankedMutex`].
+pub type RankedMutexGuard<'a, T> = RankedGuard<MutexGuard<'a, T>>;
+/// Shared guard of a [`RankedRwLock`].
+pub type RankedReadGuard<'a, T> = RankedGuard<RwLockReadGuard<'a, T>>;
+/// Exclusive guard of a [`RankedRwLock`].
+pub type RankedWriteGuard<'a, T> = RankedGuard<RwLockWriteGuard<'a, T>>;
+
+impl<T> RankedGuard<MutexGuard<'_, T>> {
+    /// Waits on `cv` with a timeout, releasing and re-acquiring the
+    /// mutex like [`Condvar::wait_timeout`]. The rank registration is
+    /// kept across the wait: the thread re-holds the same lock on wake,
+    /// and it acquires nothing else while parked.
+    pub fn wait_timeout(self, cv: &Condvar, dur: Duration) -> Self {
+        let RankedGuard { guard, held } = self;
+        let (guard, _timeout) = cv
+            .wait_timeout(guard, dur)
+            .unwrap_or_else(PoisonError::into_inner);
+        RankedGuard { guard, held }
     }
 }
 
-/// An [`RwLockReadGuard`] tied to its (shared) rank registration.
+/// A mutex with a fixed [`LockRank`]; [`RankedMutex::lock`] is its only
+/// acquisition path.
 #[derive(Debug)]
-pub struct RankedRwReadGuard<'a, T: ?Sized> {
-    guard: RwLockReadGuard<'a, T>,
-    _held: HeldRank,
+pub struct RankedMutex<T> {
+    rank: LockRank,
+    inner: Mutex<T>,
 }
 
-impl<T: ?Sized> Deref for RankedRwReadGuard<'_, T> {
-    type Target = T;
+impl<T> RankedMutex<T> {
+    /// A mutex at `rank` holding `value`.
+    pub const fn new(rank: LockRank, value: T) -> Self {
+        RankedMutex {
+            rank,
+            inner: Mutex::new(value),
+        }
+    }
 
-    fn deref(&self) -> &T {
-        &self.guard
+    /// Locks at this mutex's rank: the rank check runs *before*
+    /// blocking, so an ordering violation panics instead of deadlocking.
+    pub fn lock(&self) -> RankedMutexGuard<'_, T> {
+        let held = HeldRank::new(self.rank, false);
+        RankedGuard {
+            guard: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
+            held,
+        }
     }
 }
 
-/// An [`RwLockWriteGuard`] tied to its (exclusive) rank registration.
+/// A reader-writer lock with a fixed [`LockRank`]; reads are shared
+/// holds, writes exclusive.
 #[derive(Debug)]
-pub struct RankedRwWriteGuard<'a, T: ?Sized> {
-    guard: RwLockWriteGuard<'a, T>,
-    _held: HeldRank,
+pub struct RankedRwLock<T> {
+    rank: LockRank,
+    inner: RwLock<T>,
 }
 
-impl<T: ?Sized> Deref for RankedRwWriteGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.guard
+impl<T> RankedRwLock<T> {
+    /// A reader-writer lock at `rank` holding `value`.
+    pub const fn new(rank: LockRank, value: T) -> Self {
+        RankedRwLock {
+            rank,
+            inner: RwLock::new(value),
+        }
     }
-}
 
-impl<T: ?Sized> DerefMut for RankedRwWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
+    /// Read-locks as a shared hold (rank check before blocking).
+    pub fn read(&self) -> RankedReadGuard<'_, T> {
+        let held = HeldRank::new(self.rank, true);
+        RankedGuard {
+            guard: self.inner.read().unwrap_or_else(PoisonError::into_inner),
+            held,
+        }
     }
-}
 
-/// Read-locks `lock` at `rank` as a shared hold (the rank check runs
-/// before blocking, like [`lock`]).
-pub fn read<T: ?Sized>(lock: &RwLock<T>, rank: LockRank) -> RankedRwReadGuard<'_, T> {
-    let held = acquire_shared(rank);
-    RankedRwReadGuard {
-        guard: lock.read(),
-        _held: held,
-    }
-}
-
-/// Write-locks `lock` at `rank` as an exclusive hold.
-pub fn write<T: ?Sized>(lock: &RwLock<T>, rank: LockRank) -> RankedRwWriteGuard<'_, T> {
-    let held = acquire(rank);
-    RankedRwWriteGuard {
-        guard: lock.write(),
-        _held: held,
+    /// Write-locks as an exclusive hold (rank check before blocking).
+    pub fn write(&self) -> RankedWriteGuard<'_, T> {
+        let held = HeldRank::new(self.rank, false);
+        RankedGuard {
+            guard: self.inner.write().unwrap_or_else(PoisonError::into_inner),
+            held,
+        }
     }
 }
 
@@ -268,31 +327,29 @@ mod tests {
     }
 
     #[test]
-    fn ascending_order_is_silent() {
+    fn ascending_order_and_reacquisition_are_silent() {
         on_fresh_thread(|| {
-            let a = acquire_shared(LockRank::TreeLatch);
-            let b = acquire(LockRank::BufferShard);
-            let c = acquire(LockRank::Wal);
-            drop(c);
-            drop(b);
-            drop(a);
-        });
-    }
-
-    #[test]
-    fn reacquiring_after_release_is_silent() {
-        on_fresh_thread(|| {
-            drop(acquire(LockRank::Wal));
-            drop(acquire(LockRank::TreeLatch));
-            drop(acquire(LockRank::BufferShard));
+            let latch = RankedRwLock::new(LockRank::TreeLatch, ());
+            let shard = RankedMutex::new(LockRank::BufferShard, ());
+            let wal = RankedMutex::new(LockRank::Wal, ());
+            {
+                let _a = latch.read();
+                let _b = shard.lock();
+                let _c = wal.lock();
+            }
+            drop(wal.lock());
+            drop(latch.write());
+            drop(shard.lock());
         });
     }
 
     #[test]
     fn equal_shared_ranks_are_legal() {
         on_fresh_thread(|| {
-            let a = acquire_shared(LockRank::TreeLatch);
-            let b = acquire_shared(LockRank::TreeLatch);
+            let q = RankedRwLock::new(LockRank::TreeLatch, ());
+            let o = RankedRwLock::new(LockRank::TreeLatch, ());
+            let a = q.read();
+            let b = o.read();
             drop(a);
             drop(b);
         });
@@ -301,26 +358,43 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "lock-rank violation"))]
     fn descending_order_fires() {
-        let _wal = acquire(LockRank::Wal);
-        let _shard = acquire(LockRank::BufferShard);
+        let wal = RankedMutex::new(LockRank::Wal, ());
+        let shard = RankedMutex::new(LockRank::BufferShard, ());
+        let _wal = wal.lock();
+        let _shard = shard.lock();
     }
 
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "lock-rank violation"))]
     fn equal_exclusive_ranks_fire() {
-        let _a = acquire(LockRank::BufferShard);
-        let _b = acquire(LockRank::BufferShard);
+        let a = RankedMutex::new(LockRank::BufferShard, ());
+        let b = RankedMutex::new(LockRank::BufferShard, ());
+        let _a = a.lock();
+        let _b = b.lock();
     }
 
     #[test]
-    fn ranked_mutex_guard_derefs() {
+    fn guards_deref_and_survive_a_poisoning_holder() {
+        let m = std::sync::Arc::new(RankedMutex::new(LockRank::Wal, 7));
+        let m2 = std::sync::Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = m2.lock();
+            panic!("poison attempt");
+        })
+        .join();
+        *m.lock() += 1;
+        assert_eq!(*m.lock(), 8);
+    }
+
+    #[test]
+    fn wait_timeout_keeps_the_guard_usable() {
         on_fresh_thread(|| {
-            let m = Mutex::new(7);
-            {
-                let mut g = lock(&m, LockRank::Wal);
-                *g += 1;
-            }
-            assert_eq!(*lock(&m, LockRank::Wal), 8);
+            let m = RankedMutex::new(LockRank::DispatchQueue, 0u32);
+            let cv = Condvar::new();
+            let mut g = m.lock().wait_timeout(&cv, Duration::from_millis(1));
+            *g = 5;
+            drop(g);
+            assert_eq!(*m.lock(), 5);
         });
     }
 }

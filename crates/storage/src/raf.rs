@@ -14,6 +14,19 @@
 //! in an in-memory tail page so that bulk-loading writes each data page
 //! exactly once — matching the paper's construction *PA*.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -31,17 +31,28 @@
 //! [page_no: u64 LE] [image: PAGE_SIZE bytes]`; `MetaImage` — the raw
 //! meta bytes.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
-
 use crate::checksum::crc32;
 use crate::fault::{self, WritePlan};
-use crate::lockrank::{self, LockRank, RankedMutexGuard};
+use crate::lockrank::{LockRank, RankedMutex};
 use crate::page::PAGE_SIZE;
 
 const TYPE_BEGIN: u8 = 1;
@@ -300,10 +311,11 @@ impl Iterator for WalSegmentReader {
 
 /// The write-ahead log file.
 pub struct Wal {
-    file: Mutex<File>,
+    file: RankedMutex<File>,
     path: PathBuf,
-    /// Frames of the open transaction, not yet written.
-    pending: Mutex<Vec<u8>>,
+    /// Frames of the open transaction, not yet written. Same rank as
+    /// `file`: the two are never held together.
+    pending: RankedMutex<Vec<u8>>,
     /// Monotonic transaction-id source (reset when the log is truncated).
     next_txid: AtomicU64,
     fsyncs: AtomicU64,
@@ -311,19 +323,6 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// The only way to take the log-file mutex: registers the
-    /// acquisition at [`LockRank::Wal`] so debug builds catch
-    /// latch-ordering violations (`spb-lint` rejects direct locking).
-    fn lock_file(&self) -> RankedMutexGuard<'_, File> {
-        lockrank::lock(&self.file, LockRank::Wal)
-    }
-
-    /// Ranked counterpart of `lock_file` for the pending-frames buffer
-    /// (same rank: the two are never held together).
-    fn lock_pending(&self) -> RankedMutexGuard<'_, Vec<u8>> {
-        lockrank::lock(&self.pending, LockRank::Wal)
-    }
-
     /// Opens the WAL at `path`, creating it if missing. The caller is
     /// responsible for scanning and truncating a pre-existing log before
     /// appending (see [`Wal::scan_file`] and [`Wal::truncate_to`]).
@@ -336,9 +335,9 @@ impl Wal {
             .open(path)?;
         let len = file.metadata()?.len();
         Ok(Wal {
-            file: Mutex::new(file),
+            file: RankedMutex::new(LockRank::Wal, file),
             path: path.to_path_buf(),
-            pending: Mutex::new(Vec::new()),
+            pending: RankedMutex::new(LockRank::Wal, Vec::new()),
             next_txid: AtomicU64::new(1),
             fsyncs: AtomicU64::new(0),
             len: AtomicU64::new(len),
@@ -369,7 +368,7 @@ impl Wal {
     /// Truncates the file to `len` bytes (drops a torn tail found by
     /// [`Wal::scan_file`]) and fsyncs.
     pub fn truncate_to(&self, len: u64) -> io::Result<()> {
-        let file = self.lock_file();
+        let file = self.file.lock();
         file.set_len(len)?;
         fault::on_sync(&self.path)?;
         file.sync_all()?;
@@ -394,7 +393,7 @@ impl Wal {
     /// not nest).
     pub fn begin(&self) -> io::Result<u64> {
         let txid = self.next_txid.fetch_add(1, Ordering::SeqCst);
-        let mut pending = self.lock_pending();
+        let mut pending = self.pending.lock();
         if !pending.is_empty() {
             return Err(io::Error::other("nested WAL transaction"));
         }
@@ -410,7 +409,8 @@ impl Wal {
             page_no,
             image: Box::new(*image),
         };
-        self.lock_pending()
+        self.pending
+            .lock()
             .extend_from_slice(&encode_record(&record));
     }
 
@@ -420,7 +420,8 @@ impl Wal {
             txid,
             bytes: bytes.to_vec(),
         };
-        self.lock_pending()
+        self.pending
+            .lock()
             .extend_from_slice(&encode_record(&record));
     }
 
@@ -429,14 +430,14 @@ impl Wal {
     /// transaction is durable.
     pub fn commit(&self, txid: u64) -> io::Result<()> {
         let mut buffer = {
-            let mut pending = self.lock_pending();
+            let mut pending = self.pending.lock();
             std::mem::take(&mut *pending)
         };
         buffer.extend_from_slice(&encode_record(&WalRecord::Commit { txid }));
         commit_bytes_hist().record(buffer.len() as u64);
 
         let fsync_start = spb_obs::clock::now();
-        let mut file = self.lock_file();
+        let mut file = self.file.lock();
         file.seek(SeekFrom::Start(self.len.load(Ordering::SeqCst)))?;
         match fault::on_write(&self.path, &buffer) {
             WritePlan::Proceed => file.write_all(&buffer)?,
@@ -476,7 +477,7 @@ impl Wal {
         }
         let mut buf = vec![0u8; (end - from_lsn) as usize];
         if !buf.is_empty() {
-            let mut file = self.lock_file();
+            let mut file = self.file.lock();
             file.seek(SeekFrom::Start(from_lsn))?;
             file.read_exact(&mut buf)?;
         }
@@ -490,7 +491,7 @@ impl Wal {
     /// Drops the buffered frames of the open transaction (rollback —
     /// nothing was written).
     pub fn abort(&self) {
-        self.lock_pending().clear();
+        self.pending.lock().clear();
     }
 
     /// Current log size in bytes (drives checkpoint scheduling).
