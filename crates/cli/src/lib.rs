@@ -19,8 +19,11 @@ use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 
 use spb_core::{QueryPlan, QueryShape, SpbConfig, SpbTree};
-use spb_metric::{EditDistance, FloatVec, LpNorm, Word};
-use spb_server::{AdmissionConfig, Client, ClientError, ErrorCode, Response, ServerConfig};
+use spb_metric::{EditDistance, FloatVec, LpNorm, MetricObject, Word};
+use spb_server::{
+    AdmissionConfig, Answers, Client, ClientError, Deadline, ErrorCode, IndexService, Response,
+    ServerConfig, ServiceError, TreeService, WireStats,
+};
 
 pub use spb_server::{schema_path, Schema};
 
@@ -102,6 +105,25 @@ pub fn parse_curve(s: &str) -> Result<spb_sfc::CurveKind, String> {
     }
 }
 
+/// Where a query or update runs; the shared commands take either.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Target {
+    /// A local index directory (`--index DIR`).
+    Index(PathBuf),
+    /// A running `spb-cli serve` (`--addr HOST:PORT`).
+    Addr(String),
+}
+
+/// The query objects of a [`Command::Query`], in the schema's text form.
+#[derive(Clone, Debug, PartialEq)]
+pub enum QueryInput {
+    /// `--query Q` (`range`, `knn`): the hits are printed.
+    One(String),
+    /// `--queries FILE` (`batch`), one query per line: per-query costs
+    /// and aggregate throughput are printed.
+    File(PathBuf),
+}
+
 /// A parsed command line.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
@@ -121,14 +143,22 @@ pub enum Command {
         /// leaf-positioning model alongside the index.
         accel: String,
     },
-    /// Range query.
-    Range {
-        /// Index directory.
-        index: PathBuf,
-        /// Query object in the schema's line format.
-        query: String,
-        /// Search radius.
-        radius: f64,
+    /// `range`, `knn` and `batch`: one plan over one or many query
+    /// objects, answered by a local index or a server.
+    Query {
+        /// Where to run it.
+        target: Target,
+        /// `--radius R`, or `--k K [--alpha A] [--approx]` (see
+        /// [`knn_plan`]; an approximate plan travels as the approximate
+        /// wire op).
+        plan: QueryPlan,
+        /// The query object(s).
+        input: QueryInput,
+        /// Worker threads of a local target (also its cache stripes); a
+        /// server uses its own.
+        threads: usize,
+        /// Relative deadline in ms (`0` = none).
+        deadline_ms: u32,
     },
     /// Count-only range query.
     Count {
@@ -139,39 +169,43 @@ pub enum Command {
         /// Search radius.
         radius: f64,
     },
-    /// kNN query.
-    Knn {
+    /// `knn --approx` / `knn --recall-target T` on a local index: the
+    /// approximate answer with its recall measured against the exact one.
+    KnnMeasured {
         /// Index directory.
         index: PathBuf,
         /// Query object in the schema's line format.
         query: String,
-        /// `--k K [--alpha A]`: neighbour count plus the optional
-        /// approximation factor (see [`knn_plan`]).
+        /// `--k K [--alpha A]` (see [`knn_plan`]).
         plan: QueryPlan,
-        /// Measure and report the achieved recall against the exact
-        /// answer (`--approx`).
-        approx: bool,
         /// Auto-tune `alpha` to the smallest ladder value meeting this
-        /// recall target (`--recall-target`); implies measurement.
+        /// recall target instead of using the plan's.
         recall_target: Option<f64>,
     },
-    /// Batch of queries from a file, fanned across worker threads.
-    Batch {
-        /// Index directory.
-        index: PathBuf,
-        /// File with one query per line (schema line format).
-        queries: PathBuf,
-        /// Range radius (`--radius`); mutually exclusive with `k`.
-        radius: Option<f64>,
-        /// Neighbour count (`--k`); mutually exclusive with `radius`.
-        k: Option<usize>,
-        /// Worker threads (also the number of cache stripes).
-        threads: usize,
+    /// Insert one object.
+    Insert {
+        /// Where to run it.
+        target: Target,
+        /// Object in the schema's text form.
+        object: String,
+        /// Relative deadline in ms (`0` = none).
+        deadline_ms: u32,
     },
-    /// Print index statistics.
+    /// Delete one object.
+    Delete {
+        /// Where to run it.
+        target: Target,
+        /// Object in the schema's text form.
+        object: String,
+        /// Relative deadline in ms (`0` = none).
+        deadline_ms: u32,
+    },
+    /// Index statistics; for a server also its admission counters and
+    /// full observability snapshot (every counter, gauge and latency
+    /// histogram, plus recent trace events).
     Stats {
-        /// Index directory.
-        index: PathBuf,
+        /// Where to read them.
+        target: Target,
     },
     /// Offline integrity check: page checksums, B⁺-tree structure, RAF
     /// reachability, WAL state. Needs no metric or schema.
@@ -201,7 +235,7 @@ pub enum Command {
         /// Worker threads for batch queries (also cache stripes).
         threads: usize,
         /// Keep a bounded in-memory ring of span trace events
-        /// (`--trace on`); dumped through `remote obs-stats`.
+        /// (`--trace on`); dumped through `stats --addr`.
         trace: bool,
     },
     /// Launch an in-process sharded cluster over a data file, check it
@@ -219,111 +253,39 @@ pub enum Command {
         /// directory when absent.
         dir: Option<PathBuf>,
     },
-    /// A query or update against a running `spb-server`.
-    Remote(RemoteCommand),
-}
-
-/// The `spb-cli remote <sub>` family. Queries are written in the same
-/// text form as the local commands; the schema needed to encode them is
-/// fetched from the server's `ping` handshake.
-#[derive(Clone, Debug, PartialEq)]
-pub enum RemoteCommand {
-    /// Protocol handshake: version, schema, object count.
+    /// Protocol handshake with a server: version, schema, object count.
     Ping {
         /// Server address.
         addr: String,
     },
-    /// Range query.
-    Range {
-        /// Server address.
-        addr: String,
-        /// Query in the schema's text form.
-        query: String,
-        /// Search radius.
-        radius: f64,
-        /// Relative deadline in ms (`0` = none).
-        deadline_ms: u32,
-    },
-    /// kNN query.
-    Knn {
-        /// Server address.
-        addr: String,
-        /// Query in the schema's text form.
-        query: String,
-        /// `--k K [--alpha A] [--approx]`, parsed exactly like the local
-        /// `knn` (see [`knn_plan`]); an approximate plan travels as the
-        /// α-approximate wire op.
-        plan: QueryPlan,
-        /// Relative deadline in ms (`0` = none).
-        deadline_ms: u32,
-    },
-    /// Insert one object.
-    Insert {
-        /// Server address.
-        addr: String,
-        /// Object in the schema's text form.
-        object: String,
-        /// Relative deadline in ms (`0` = none).
-        deadline_ms: u32,
-    },
-    /// Delete one object.
-    Delete {
-        /// Server address.
-        addr: String,
-        /// Object in the schema's text form.
-        object: String,
-        /// Relative deadline in ms (`0` = none).
-        deadline_ms: u32,
-    },
-    /// Batch of queries from a file (one per line).
-    Batch {
-        /// Server address.
-        addr: String,
-        /// File with one query per line.
-        queries: PathBuf,
-        /// Range radius (`--radius`); mutually exclusive with `k`.
-        radius: Option<f64>,
-        /// Neighbour count (`--k`); mutually exclusive with `radius`.
-        k: Option<u32>,
-        /// Relative deadline in ms (`0` = none).
-        deadline_ms: u32,
-    },
-    /// Server + index statistics.
-    Stats {
-        /// Server address.
-        addr: String,
-    },
-    /// Full observability snapshot: every counter, gauge and latency
-    /// histogram the server has registered, plus recent trace events.
-    ObsStats {
-        /// Server address.
-        addr: String,
-    },
-    /// Ask the server to drain in-flight work, checkpoint and exit.
+    /// Ask a server to drain in-flight work, checkpoint and exit.
     Shutdown {
         /// Server address.
         addr: String,
     },
 }
 
+type Flags = std::collections::HashMap<String, String>;
+
+/// The value of `--key` parsed as a `T` (`kind` names `T` in the error).
+fn parsed<T: std::str::FromStr>(flags: &Flags, key: &str, kind: &str) -> Result<Option<T>, String> {
+    flags
+        .get(key)
+        .map(|v| v.parse())
+        .transpose()
+        .map_err(|_| format!("--{key} must be {kind}"))
+}
+
 /// Parses an argument vector (excluding the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
-    let cmd = it.next().ok_or_else(usage)?;
-    let mut flags: std::collections::HashMap<String, String> = std::collections::HashMap::new();
-    let mut rest: Vec<&String> = it.collect();
-    // `remote` takes a positional subcommand before its flags.
-    let sub: Option<String> = if cmd == "remote" {
-        let first = rest
-            .first()
-            .filter(|s| !s.starts_with("--"))
-            .ok_or_else(|| format!("remote needs a subcommand\n{}", usage()))?;
-        let s = (*first).clone();
-        rest.remove(0);
-        Some(s)
-    } else {
-        None
+    // `remote <command> --addr …` is the older spelling of
+    // `<command> --addr …`.
+    let args = match args {
+        [first, rest @ ..] if first == "remote" => rest,
+        all => all,
     };
+    let (cmd, rest) = args.split_first().ok_or_else(usage)?;
+    let mut flags = Flags::new();
     let mut i = 0;
     while i < rest.len() {
         let key = rest[i]
@@ -338,7 +300,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         let value = rest
             .get(i + 1)
             .ok_or_else(|| format!("--{key} needs a value"))?;
-        flags.insert(key.to_owned(), (*value).clone());
+        flags.insert(key.to_owned(), value.clone());
         i += 2;
     }
     let need = |k: &str| -> Result<String, String> {
@@ -348,86 +310,98 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             .ok_or_else(|| format!("missing required --{k}"))
     };
     let opt = |k: &str, default: &str| flags.get(k).cloned().unwrap_or_else(|| default.to_owned());
+    let count = |k: &str, default: usize| -> Result<usize, String> {
+        Ok(parsed(&flags, k, "an integer")?.unwrap_or(default))
+    };
+    let target = || -> Result<Target, String> {
+        match (flags.get("index"), flags.get("addr")) {
+            (Some(dir), None) => Ok(Target::Index(PathBuf::from(dir))),
+            (None, Some(addr)) => Ok(Target::Addr(addr.clone())),
+            _ => Err(format!(
+                "{cmd} needs exactly one of --index DIR or --addr HOST:PORT"
+            )),
+        }
+    };
+    // What has no wire form runs on a local index only.
+    let index_only = |what: &str| -> Result<PathBuf, String> {
+        match flags.get("addr") {
+            Some(_) => Err(format!(
+                "{what} has no wire form: it needs --index DIR, not --addr"
+            )),
+            None => need("index").map(PathBuf::from),
+        }
+    };
+    let deadline_ms: u32 = parsed(&flags, "deadline-ms", "an integer")?.unwrap_or(0);
+    let query = |plan: QueryPlan, input: QueryInput, threads: usize| -> Result<Command, String> {
+        Ok(Command::Query {
+            target: target()?,
+            plan,
+            input,
+            threads,
+            deadline_ms,
+        })
+    };
+    let radius = || parsed::<f64>(&flags, "radius", "a number");
+    let need_radius = || radius()?.ok_or_else(|| "missing required --radius".to_owned());
 
     match cmd.as_str() {
         "build" => Ok(Command::Build {
             input: PathBuf::from(need("input")?),
             index: PathBuf::from(need("index")?),
             schema_flag: opt("schema", "words"),
-            pivots: opt("pivots", "5")
-                .parse()
-                .map_err(|_| "--pivots must be an integer".to_owned())?,
+            pivots: count("pivots", 5)?,
             curve: opt("curve", "hilbert"),
             accel: opt("accel", "off"),
         }),
-        "range" | "count" => {
-            let index = PathBuf::from(need("index")?);
-            let query = need("query")?;
-            let radius: f64 = need("radius")?
-                .parse()
-                .map_err(|_| "--radius must be a number".to_owned())?;
-            Ok(if cmd == "range" {
-                Command::Range {
-                    index,
-                    query,
-                    radius,
-                }
-            } else {
-                Command::Count {
-                    index,
-                    query,
-                    radius,
-                }
-            })
+        "range" => {
+            let plan = QueryPlan::exact(QueryShape::Range {
+                radius: need_radius()?,
+            });
+            query(plan, QueryInput::One(need("query")?), 1)
         }
-        "knn" => Ok(Command::Knn {
-            index: PathBuf::from(need("index")?),
+        "count" => Ok(Command::Count {
+            index: index_only("count")?,
             query: need("query")?,
-            plan: knn_plan(&flags)?,
-            approx: flags.contains_key("approx"),
-            recall_target: flags
-                .get("recall-target")
-                .map(|t| t.parse::<f64>())
-                .transpose()
-                .map_err(|_| "--recall-target must be a number".to_owned())?,
+            radius: need_radius()?,
         }),
-        "batch" => {
-            let radius = flags
-                .get("radius")
-                .map(|r| r.parse::<f64>())
-                .transpose()
-                .map_err(|_| "--radius must be a number".to_owned())?;
-            let k = flags
-                .get("k")
-                .map(|k| k.parse::<usize>())
-                .transpose()
-                .map_err(|_| "--k must be an integer".to_owned())?;
-            if radius.is_some() == k.is_some() {
-                return Err("batch needs exactly one of --radius or --k".to_owned());
-            }
-            Ok(Command::Batch {
-                index: PathBuf::from(need("index")?),
-                queries: PathBuf::from(need("queries")?),
-                radius,
-                k,
-                threads: opt("threads", "1")
-                    .parse()
-                    .map_err(|_| "--threads must be an integer".to_owned())?,
-            })
-        }
-        "stats" => {
-            // `stats --addr HOST:PORT` is shorthand for `remote
-            // obs-stats`: the live server's full metric snapshot.
-            if let Some(addr) = flags.get("addr") {
-                Ok(Command::Remote(RemoteCommand::ObsStats {
-                    addr: addr.clone(),
-                }))
-            } else {
-                Ok(Command::Stats {
-                    index: PathBuf::from(need("index")?),
+        "knn" => {
+            let recall_target = parsed(&flags, "recall-target", "a number")?;
+            // Recall is measured against the exact answer, which only a
+            // local tree can produce beside the approximate one.
+            if recall_target.is_some()
+                || (flags.contains_key("approx") && !flags.contains_key("addr"))
+            {
+                Ok(Command::KnnMeasured {
+                    index: index_only("knn --recall-target")?,
+                    query: need("query")?,
+                    plan: knn_plan(&flags)?,
+                    recall_target,
                 })
+            } else {
+                query(knn_plan(&flags)?, QueryInput::One(need("query")?), 1)
             }
         }
+        "batch" => {
+            let shape = match (radius()?, parsed::<u32>(&flags, "k", "an integer")?) {
+                (Some(radius), None) => QueryShape::Range { radius },
+                (None, Some(k)) => QueryShape::Knn { k: k as usize },
+                _ => return Err("batch needs exactly one of --radius or --k".to_owned()),
+            };
+            let queries = QueryInput::File(PathBuf::from(need("queries")?));
+            query(QueryPlan::exact(shape), queries, count("threads", 1)?)
+        }
+        "insert" => Ok(Command::Insert {
+            target: target()?,
+            object: need("object")?,
+            deadline_ms,
+        }),
+        "delete" => Ok(Command::Delete {
+            target: target()?,
+            object: need("object")?,
+            deadline_ms,
+        }),
+        // `obs-stats` is the older name of the server half of `stats`.
+        "stats" | "obs-stats" => Ok(Command::Stats { target: target()? }),
         "verify" => Ok(Command::Verify {
             index: PathBuf::from(need("index")?),
         }),
@@ -437,18 +411,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         "serve" => Ok(Command::Serve {
             index: PathBuf::from(need("index")?),
             addr: opt("addr", "127.0.0.1:7878"),
-            max_inflight: opt("max-inflight", "4")
-                .parse()
-                .map_err(|_| "--max-inflight must be an integer".to_owned())?,
-            max_queue: opt("max-queue", "64")
-                .parse()
-                .map_err(|_| "--max-queue must be an integer".to_owned())?,
-            max_connections: opt("max-connections", "64")
-                .parse()
-                .map_err(|_| "--max-connections must be an integer".to_owned())?,
-            threads: opt("threads", "4")
-                .parse()
-                .map_err(|_| "--threads must be an integer".to_owned())?,
+            max_inflight: count("max-inflight", 4)?,
+            max_queue: count("max-queue", 64)?,
+            max_connections: count("max-connections", 64)?,
+            threads: count("threads", 4)?,
             trace: match opt("trace", "off").as_str() {
                 "on" | "true" | "1" => true,
                 "off" | "false" | "0" => false,
@@ -457,127 +423,51 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }),
         "cluster" => Ok(Command::Cluster {
             input: PathBuf::from(need("input")?),
-            shards: opt("shards", "2")
-                .parse()
-                .map_err(|_| "--shards must be an integer".to_owned())?,
-            replicas: opt("replicas", "0")
-                .parse()
-                .map_err(|_| "--replicas must be an integer".to_owned())?,
+            shards: count("shards", 2)?,
+            replicas: count("replicas", 0)?,
             dir: flags.get("dir").map(PathBuf::from),
         }),
-        "remote" => {
-            let addr = need("addr")?;
-            let deadline_ms: u32 = opt("deadline-ms", "0")
-                .parse()
-                .map_err(|_| "--deadline-ms must be an integer".to_owned())?;
-            let sub = sub.expect("remote always parses a subcommand");
-            match sub.as_str() {
-                "ping" => Ok(Command::Remote(RemoteCommand::Ping { addr })),
-                "range" => Ok(Command::Remote(RemoteCommand::Range {
-                    addr,
-                    query: need("query")?,
-                    radius: need("radius")?
-                        .parse()
-                        .map_err(|_| "--radius must be a number".to_owned())?,
-                    deadline_ms,
-                })),
-                "knn" => Ok(Command::Remote(RemoteCommand::Knn {
-                    addr,
-                    query: need("query")?,
-                    plan: knn_plan(&flags)?,
-                    deadline_ms,
-                })),
-                "insert" => Ok(Command::Remote(RemoteCommand::Insert {
-                    addr,
-                    object: need("object")?,
-                    deadline_ms,
-                })),
-                "delete" => Ok(Command::Remote(RemoteCommand::Delete {
-                    addr,
-                    object: need("object")?,
-                    deadline_ms,
-                })),
-                "batch" => {
-                    let radius = flags
-                        .get("radius")
-                        .map(|r| r.parse::<f64>())
-                        .transpose()
-                        .map_err(|_| "--radius must be a number".to_owned())?;
-                    let k = flags
-                        .get("k")
-                        .map(|k| k.parse::<u32>())
-                        .transpose()
-                        .map_err(|_| "--k must be an integer".to_owned())?;
-                    if radius.is_some() == k.is_some() {
-                        return Err("remote batch needs exactly one of --radius or --k".to_owned());
-                    }
-                    Ok(Command::Remote(RemoteCommand::Batch {
-                        addr,
-                        queries: PathBuf::from(need("queries")?),
-                        radius,
-                        k,
-                        deadline_ms,
-                    }))
-                }
-                "stats" => Ok(Command::Remote(RemoteCommand::Stats { addr })),
-                "obs-stats" => Ok(Command::Remote(RemoteCommand::ObsStats { addr })),
-                "shutdown" => Ok(Command::Remote(RemoteCommand::Shutdown { addr })),
-                other => Err(format!("unknown remote subcommand {other:?}\n{}", usage())),
-            }
-        }
+        "ping" => Ok(Command::Ping {
+            addr: need("addr")?,
+        }),
+        "shutdown" => Ok(Command::Shutdown {
+            addr: need("addr")?,
+        }),
         other => Err(format!("unknown command {other:?}\n{}", usage())),
     }
 }
 
-/// The kNN plan of `--k K [--alpha A] [--approx]`, shared by the local
-/// and the remote `knn` so both accept and reject the same flags: `K`
-/// defaults to 10, an `--alpha` makes the query α-approximate, and a bare
-/// `--approx` asks for the approximate mode at `α = 1`. An `A` the plan
-/// rejects (below 1, NaN, infinite) is a usage error.
-fn knn_plan(flags: &std::collections::HashMap<String, String>) -> Result<QueryPlan, String> {
-    let k: u32 = flags
-        .get("k")
-        .map_or(Ok(10), |k| k.parse())
-        .map_err(|_| "--k must be an integer".to_owned())?;
-    let alpha = flags
-        .get("alpha")
-        .map(|a| a.parse::<f64>())
-        .transpose()
-        .map_err(|_| "--alpha must be a number".to_owned())?;
+/// The kNN plan of `--k K [--alpha A] [--approx]`, the same for every
+/// target: `K` defaults to 10, an `--alpha` makes the query
+/// α-approximate, and a bare `--approx` asks for the approximate mode at
+/// `α = 1`. An `A` the plan rejects (below 1, NaN, infinite) is a usage
+/// error.
+fn knn_plan(flags: &Flags) -> Result<QueryPlan, String> {
+    let k: u32 = parsed(flags, "k", "an integer")?.unwrap_or(10);
+    let alpha = parsed::<f64>(flags, "alpha", "a number")?;
     let approx = alpha.or(flags.contains_key("approx").then_some(1.0));
     QueryPlan::new(QueryShape::Knn { k: k as usize }, approx).map_err(|e| format!("--alpha: {e}"))
-}
-
-/// The `k` of a `knn` command's plan.
-fn knn_k(plan: QueryPlan) -> Result<usize, String> {
-    match plan.shape() {
-        QueryShape::Knn { k } => Ok(k),
-        QueryShape::Range { .. } => Err("knn needs a kNN plan".to_owned()),
-    }
 }
 
 /// The usage banner.
 pub fn usage() -> String {
     "usage: spb-cli <command> [--flag value ...]\n\
      \x20 build --input FILE --index DIR [--schema words|vectors:l2|vectors:l5] [--pivots N] [--curve hilbert|z] [--accel off|learned]\n\
-     \x20 range --index DIR --query Q --radius R\n\
+     \x20 range (--index DIR | --addr HOST:PORT) --query Q --radius R [--deadline-ms MS]\n\
+     \x20 knn   (--index DIR | --addr HOST:PORT) --query Q [--k K] [--alpha A] [--approx] [--recall-target T] [--deadline-ms MS]\n\
+     \x20       (--recall-target, and the recall that --approx reports, need --index)\n\
+     \x20 batch (--index DIR | --addr HOST:PORT) --queries FILE (--radius R | --k K) [--threads N] [--deadline-ms MS]\n\
+     \x20 insert (--index DIR | --addr HOST:PORT) --object O [--deadline-ms MS]\n\
+     \x20 delete (--index DIR | --addr HOST:PORT) --object O [--deadline-ms MS]\n\
+     \x20 stats (--index DIR | --addr HOST:PORT)\n\
      \x20 count --index DIR --query Q --radius R\n\
-     \x20 knn   --index DIR --query Q [--k K] [--alpha A] [--approx] [--recall-target T]\n\
-     \x20 batch --index DIR --queries FILE (--radius R | --k K) [--threads N]\n\
-     \x20 stats --index DIR | --addr HOST:PORT\n\
      \x20 verify --index DIR\n\
      \x20 recover --index DIR\n\
      \x20 serve --index DIR [--addr HOST:PORT] [--max-inflight N] [--max-queue N] [--max-connections N] [--threads N] [--trace on|off]\n\
      \x20 cluster --input FILE [--shards N] [--replicas R] [--dir DIR]\n\
-     \x20 remote ping --addr HOST:PORT\n\
-     \x20 remote range --addr HOST:PORT --query Q --radius R [--deadline-ms MS]\n\
-     \x20 remote knn --addr HOST:PORT --query Q [--k K] [--approx] [--alpha A] [--deadline-ms MS]\n\
-     \x20 remote insert --addr HOST:PORT --object O [--deadline-ms MS]\n\
-     \x20 remote delete --addr HOST:PORT --object O [--deadline-ms MS]\n\
-     \x20 remote batch --addr HOST:PORT --queries FILE (--radius R | --k K) [--deadline-ms MS]\n\
-     \x20 remote stats --addr HOST:PORT\n\
-     \x20 remote obs-stats --addr HOST:PORT\n\
-     \x20 remote shutdown --addr HOST:PORT"
+     \x20 ping --addr HOST:PORT\n\
+     \x20 shutdown --addr HOST:PORT\n\
+     a leading `remote` (`remote range --addr ...`) is accepted and ignored"
         .to_owned()
 }
 
@@ -628,14 +518,292 @@ pub fn load_vectors(reader: impl BufRead) -> io::Result<(Vec<FloatVec>, usize)> 
     Ok((out, dim))
 }
 
+/// An opened [`Target`]: the type-erased service a server would run on,
+/// or a connection to a server plus the schema from its handshake (so
+/// query text can be encoded without any local index directory). Either
+/// answers a plan with [`Answers`].
+enum Session {
+    Local {
+        service: Box<dyn IndexService>,
+        threads: usize,
+    },
+    Remote {
+        client: Client,
+        schema: Schema,
+    },
+}
+
+/// A local failure with the exit code its remote twin gets.
+fn service_error(e: ServiceError) -> CliError {
+    let code = match e {
+        ServiceError::DeadlineExceeded => EXIT_DEADLINE,
+        ServiceError::Malformed(_) | ServiceError::Internal(_) => 1,
+    };
+    CliError {
+        code,
+        message: e.to_string(),
+    }
+}
+
+impl Session {
+    fn open(target: &Target, threads: usize) -> Result<Session, CliError> {
+        let threads = threads.max(1);
+        match target {
+            Target::Index(dir) => {
+                let service = spb_server::open_index(dir, 32, threads)
+                    .map_err(|e| format!("open {dir:?}: {e}"))?;
+                Ok(Session::Local { service, threads })
+            }
+            Target::Addr(addr) => {
+                let mut client = Client::connect(addr.as_str()).map_err(client_error)?;
+                let (_version, line, _len) = client.ping().map_err(client_error)?;
+                let schema = Schema::from_line(line.trim())?;
+                Ok(Session::Remote { client, schema })
+            }
+        }
+    }
+
+    fn schema(&self) -> &Schema {
+        match self {
+            Session::Local { service, .. } => service.schema(),
+            Session::Remote { schema, .. } => schema,
+        }
+    }
+
+    /// The one way a plan reaches a target.
+    fn query(
+        &mut self,
+        plan: QueryPlan,
+        objs: Vec<Vec<u8>>,
+        deadline_ms: u32,
+    ) -> Result<Answers, CliError> {
+        match self {
+            Session::Local { service, threads } => service
+                .query(plan, &objs, *threads, Deadline::from_ms(deadline_ms))
+                .map_err(service_error),
+            Session::Remote { client, .. } => {
+                client.query(plan, objs, deadline_ms).map_err(client_error)
+            }
+        }
+    }
+
+    /// Inserts `obj`, or deletes it and reports whether it existed. A
+    /// local index is checkpointed afterwards, like a server's on
+    /// shutdown, so the command leaves nothing to recover.
+    fn modify(
+        &mut self,
+        obj: &[u8],
+        delete: bool,
+        deadline_ms: u32,
+    ) -> Result<(Option<bool>, WireStats), CliError> {
+        match self {
+            Session::Local { service, .. } => {
+                let done = if delete {
+                    service
+                        .delete(obj)
+                        .map(|(found, stats)| (Some(found), stats))
+                } else {
+                    service.insert(obj).map(|stats| (None, stats))
+                };
+                let done = done.map_err(service_error)?;
+                service
+                    .checkpoint()
+                    .map_err(|e| format!("checkpoint: {e}"))?;
+                Ok(done)
+            }
+            Session::Remote { client, .. } if delete => client
+                .delete(obj, deadline_ms)
+                .map(|(found, stats)| (Some(found), stats))
+                .map_err(client_error),
+            Session::Remote { client, .. } => client
+                .insert(obj, deadline_ms)
+                .map(|stats| (None, stats))
+                .map_err(client_error),
+        }
+    }
+}
+
 /// Executes a parsed command, writing human-readable output into `out`.
 ///
-/// Failures carry the process exit code: remote commands map
-/// connection-refused, `Overloaded`, `DeadlineExceeded` and protocol
-/// version mismatches onto [`EXIT_CONNECT`], [`EXIT_OVERLOADED`],
-/// [`EXIT_DEADLINE`] and [`EXIT_VERSION`]; everything else is 1.
+/// Failures carry the process exit code: connection-refused,
+/// `Overloaded`, `DeadlineExceeded` (from either kind of target) and
+/// protocol version mismatches map onto [`EXIT_CONNECT`],
+/// [`EXIT_OVERLOADED`], [`EXIT_DEADLINE`] and [`EXIT_VERSION`];
+/// everything else is 1.
 pub fn run(cmd: &Command, out: &mut String) -> Result<(), CliError> {
     match cmd {
+        Command::Build {
+            input,
+            index,
+            schema_flag,
+            pivots,
+            curve,
+            accel,
+        } => {
+            let cfg = SpbConfig {
+                num_pivots: *pivots,
+                curve: parse_curve(curve)?,
+                accel: parse_accel(accel)?,
+                ..SpbConfig::default()
+            };
+            let file = std::fs::File::open(input).map_err(|e| format!("open {input:?}: {e}"))?;
+            let reader = io::BufReader::new(file);
+            let (schema, tree_stats) = match schema_flag.as_str() {
+                "words" => {
+                    let words = load_words(reader).map_err(|e| e.to_string())?;
+                    if words.is_empty() {
+                        return Err("input file holds no words".to_owned().into());
+                    }
+                    let max_len = words.iter().map(Word::len).max().unwrap_or(1);
+                    let tree = SpbTree::build(index, &words, EditDistance::new(max_len), &cfg)
+                        .map_err(|e| e.to_string())?;
+                    let stats = (tree.build_stats(), tree.storage_bytes());
+                    (Schema::Words { max_len }, stats)
+                }
+                "vectors:l2" | "vectors:l5" => {
+                    let (vecs, dim) = load_vectors(reader).map_err(|e| e.to_string())?;
+                    if vecs.is_empty() {
+                        return Err("input file holds no vectors".to_owned().into());
+                    }
+                    let p: u32 = if schema_flag.ends_with("l2") { 2 } else { 5 };
+                    let tree = SpbTree::build(index, &vecs, LpNorm::new(p as f64, dim, 1.0), &cfg)
+                        .map_err(|e| e.to_string())?;
+                    let stats = (tree.build_stats(), tree.storage_bytes());
+                    (Schema::Vectors { p, dim }, stats)
+                }
+                other => {
+                    return Err(format!(
+                        "unknown schema {other:?} (expected words|vectors:l2|vectors:l5)"
+                    )
+                    .into())
+                }
+            };
+            std::fs::write(schema_path(index), schema.to_line()).map_err(|e| e.to_string())?;
+            let (b, storage) = tree_stats;
+            let _ = writeln!(
+                out,
+                "built: {} objects, {} distance computations, {} page accesses, {:.1} KB, {:.2}s",
+                b.num_objects,
+                b.compdists,
+                b.page_accesses,
+                storage as f64 / 1024.0,
+                b.duration.as_secs_f64()
+            );
+            Ok(())
+        }
+        Command::Query {
+            target,
+            plan,
+            input,
+            threads,
+            deadline_ms,
+        } => {
+            let texts: Vec<String> = match input {
+                QueryInput::One(query) => vec![query.clone()],
+                QueryInput::File(path) => std::fs::read_to_string(path)
+                    .map_err(|e| format!("open {path:?}: {e}"))?
+                    .lines()
+                    .map(str::trim)
+                    .filter(|l| !l.is_empty())
+                    .map(str::to_owned)
+                    .collect(),
+            };
+            let mut session = Session::open(target, *threads)?;
+            let objs = texts
+                .iter()
+                .map(|t| session.schema().encode_text(t))
+                .collect::<Result<Vec<Vec<u8>>, String>>()?;
+            let start = std::time::Instant::now();
+            let answers = session.query(*plan, objs, *deadline_ms)?;
+            let batch = matches!(input, QueryInput::File(_)).then(|| start.elapsed());
+            Ok(report_answers(out, session.schema(), answers, batch)?)
+        }
+        Command::Insert {
+            target,
+            object,
+            deadline_ms,
+        }
+        | Command::Delete {
+            target,
+            object,
+            deadline_ms,
+        } => {
+            let mut session = Session::open(target, 1)?;
+            let obj = session.schema().encode_text(object)?;
+            let delete = matches!(cmd, Command::Delete { .. });
+            let (found, stats) = session.modify(&obj, delete, *deadline_ms)?;
+            let _ = writeln!(
+                out,
+                "{}; {} compdists, {} page accesses, {} fsync(s)",
+                match found {
+                    None => "inserted",
+                    Some(true) => "deleted",
+                    Some(false) => "not found",
+                },
+                stats.compdists,
+                stats.page_accesses,
+                stats.fsyncs
+            );
+            Ok(())
+        }
+        Command::Count { index, .. }
+        | Command::KnnMeasured { index, .. }
+        | Command::Stats {
+            target: Target::Index(index),
+        } => {
+            let schema = spb_server::read_schema(index).map_err(|e| e.to_string())?;
+            let done = match &schema {
+                Schema::Words { max_len } => {
+                    let metric = EditDistance::new(*max_len);
+                    let tree = SpbTree::open(index, metric, 32).map_err(|e| e.to_string())?;
+                    run_typed(out, &tree, &schema, cmd)
+                }
+                Schema::Vectors { p, dim } => {
+                    let metric = LpNorm::new(f64::from(*p), *dim, 1.0);
+                    let tree = SpbTree::open(index, metric, 32).map_err(|e| e.to_string())?;
+                    run_typed(out, &tree, &schema, cmd)
+                }
+            };
+            Ok(done?)
+        }
+        Command::Stats {
+            target: Target::Addr(addr),
+        } => server_stats(out, addr),
+        Command::Verify { index } => {
+            let report = spb_core::verify_dir(index).map_err(|e| e.to_string())?;
+            let _ = writeln!(
+                out,
+                "checked {} page(s), {} entrie(s)",
+                report.pages_checked, report.entries_checked
+            );
+            if report.ok() {
+                let _ = writeln!(out, "ok");
+                Ok(())
+            } else {
+                for p in &report.problems {
+                    let _ = writeln!(out, "problem: {}: {}", p.file, p.detail);
+                }
+                Err(format!("{} problem(s) found", report.problems.len()).into())
+            }
+        }
+        Command::Recover { index } => {
+            let report = spb_core::recover_dir(index).map_err(|e| e.to_string())?;
+            if report.clean() {
+                let _ = writeln!(out, "clean: nothing to recover");
+            } else {
+                let _ = writeln!(
+                    out,
+                    "recovered: {} txn(s) redone ({} page image(s)), {} txn(s) discarded, \
+                     {} torn WAL byte(s), {} torn data byte(s)",
+                    report.redone_txns,
+                    report.redone_pages,
+                    report.discarded_txns,
+                    report.torn_wal_bytes,
+                    report.torn_data_bytes
+                );
+            }
+            Ok(())
+        }
         Command::Serve {
             index,
             addr,
@@ -661,8 +829,42 @@ pub fn run(cmd: &Command, out: &mut String) -> Result<(), CliError> {
             let _ = writeln!(out, "server stopped");
             Ok(())
         }
-        Command::Remote(rc) => run_remote(rc, out),
-        other => run_local(other, out).map_err(CliError::from),
+        Command::Cluster {
+            input,
+            shards,
+            replicas,
+            dir,
+        } => {
+            let file = std::fs::File::open(input).map_err(|e| format!("open {input:?}: {e}"))?;
+            let words = load_words(io::BufReader::new(file)).map_err(|e| e.to_string())?;
+            if words.len() < 2 {
+                return Err("cluster needs at least two input words".to_owned().into());
+            }
+            let (base, throwaway) = match dir {
+                Some(d) => (d.clone(), false),
+                None => (
+                    std::env::temp_dir().join(format!("spb-cluster-{}", std::process::id())),
+                    true,
+                ),
+            };
+            let result = run_cluster(out, &words, *shards, *replicas, &base);
+            if throwaway {
+                let _ = std::fs::remove_dir_all(&base);
+            }
+            Ok(result?)
+        }
+        Command::Ping { addr } => {
+            let mut client = Client::connect(addr.as_str()).map_err(client_error)?;
+            let (version, schema, len) = client.ping().map_err(client_error)?;
+            let _ = writeln!(out, "protocol v{version}; schema: {schema}; objects: {len}");
+            Ok(())
+        }
+        Command::Shutdown { addr } => {
+            let mut client = Client::connect(addr.as_str()).map_err(client_error)?;
+            client.shutdown().map_err(client_error)?;
+            let _ = writeln!(out, "shutdown requested");
+            Ok(())
+        }
     }
 }
 
@@ -681,216 +883,133 @@ pub fn serve_blocking(
         .map_err(|e| CliError::from(format!("serve on {addr}: {e}")))
 }
 
-/// Connects and fetches the index schema from the `ping` handshake, so
-/// query text can be encoded without any local index directory.
-fn connect_with_schema(addr: &str) -> Result<(Client, Schema), CliError> {
-    let mut client = Client::connect(addr).map_err(client_error)?;
-    let (_version, line, _len) = client.ping().map_err(client_error)?;
-    let schema = Schema::from_line(line.trim())?;
-    Ok((client, schema))
-}
-
-fn run_remote(cmd: &RemoteCommand, out: &mut String) -> Result<(), CliError> {
+/// The commands with no wire form, each over the typed tree they need:
+/// the count-only traversal, recall measured against the exact answer
+/// (and α tuned to it), and the pivot table's δ.
+fn run_typed<O, D>(
+    out: &mut String,
+    tree: &SpbTree<O, D>,
+    schema: &Schema,
+    cmd: &Command,
+) -> Result<(), String>
+where
+    O: spb_metric::MetricObject,
+    D: spb_metric::Distance<O>,
+{
+    let object = |text: &str| -> Result<O, String> {
+        O::try_decode(&schema.encode_text(text)?).ok_or_else(|| format!("cannot decode {text:?}"))
+    };
     match cmd {
-        RemoteCommand::Ping { addr } => {
-            let mut client = Client::connect(addr.as_str()).map_err(client_error)?;
-            let (version, schema, len) = client.ping().map_err(client_error)?;
-            let _ = writeln!(out, "protocol v{version}; schema: {schema}; objects: {len}");
-            Ok(())
+        Command::Count { query, radius, .. } => {
+            let (count, stats) = tree
+                .range_count(&object(query)?, *radius)
+                .map_err(|e| e.to_string())?;
+            let _ = writeln!(out, "{count}");
+            report_query(out, count as usize, &stats);
         }
-        RemoteCommand::Range {
-            addr,
-            query,
-            radius,
-            deadline_ms,
-        } => {
-            let (mut client, schema) = connect_with_schema(addr)?;
-            let obj = schema.encode_text(query)?;
-            let (hits, stats) = client
-                .range(&obj, *radius, None, *deadline_ms)
-                .map_err(client_error)?;
-            for (id, bytes) in &hits {
-                let _ = writeln!(out, "{id}\t{}", schema.render(bytes)?);
-            }
-            let qs: spb_core::QueryStats = (&stats).into();
-            report_query(out, hits.len(), &qs);
-            Ok(())
-        }
-        RemoteCommand::Knn {
-            addr,
+        Command::KnnMeasured {
             query,
             plan,
-            deadline_ms,
+            recall_target,
+            ..
         } => {
-            let (mut client, schema) = connect_with_schema(addr)?;
-            let obj = schema.encode_text(query)?;
-            let k = knn_k(*plan)? as u32;
-            let (nn, stats) = client
-                .knn(&obj, k, plan.approx(), *deadline_ms)
-                .map_err(client_error)?;
-            for (id, d, bytes) in &nn {
-                let _ = writeln!(out, "{id}\t{d}\t{}", schema.render(bytes)?);
-            }
-            let qs: spb_core::QueryStats = (&stats).into();
-            report_query(out, nn.len(), &qs);
-            Ok(())
-        }
-        RemoteCommand::Insert {
-            addr,
-            object,
-            deadline_ms,
-        } => {
-            let (mut client, schema) = connect_with_schema(addr)?;
-            let obj = schema.encode_text(object)?;
-            let stats = client.insert(&obj, *deadline_ms).map_err(client_error)?;
-            let _ = writeln!(
-                out,
-                "inserted; {} compdists, {} page accesses, {} fsync(s)",
-                stats.compdists, stats.page_accesses, stats.fsyncs
-            );
-            Ok(())
-        }
-        RemoteCommand::Delete {
-            addr,
-            object,
-            deadline_ms,
-        } => {
-            let (mut client, schema) = connect_with_schema(addr)?;
-            let obj = schema.encode_text(object)?;
-            let (found, stats) = client.delete(&obj, *deadline_ms).map_err(client_error)?;
-            let _ = writeln!(
-                out,
-                "{}; {} compdists, {} page accesses, {} fsync(s)",
-                if found { "deleted" } else { "not found" },
-                stats.compdists,
-                stats.page_accesses,
-                stats.fsyncs
-            );
-            Ok(())
-        }
-        RemoteCommand::Batch {
-            addr,
-            queries,
-            radius,
-            k,
-            deadline_ms,
-        } => {
-            let text = std::fs::read_to_string(queries)
-                .map_err(|e| CliError::from(format!("open {queries:?}: {e}")))?;
-            let (mut client, schema) = connect_with_schema(addr)?;
-            let objs = text
-                .lines()
-                .map(str::trim)
-                .filter(|l| !l.is_empty())
-                .map(|l| schema.encode_text(l))
-                .collect::<Result<Vec<Vec<u8>>, String>>()?;
-            let n = objs.len();
-            let start = std::time::Instant::now();
-            let per_query: Vec<(usize, spb_server::WireStats)> = if let Some(r) = radius {
-                client
-                    .batch_range(objs, *r, *deadline_ms)
-                    .map_err(client_error)?
-                    .into_iter()
-                    .map(|(hits, stats)| (hits.len(), stats))
-                    .collect()
-            } else {
-                let k = k.expect("parser guarantees one of radius/k");
-                client
-                    .batch_knn(objs, k, *deadline_ms)
-                    .map_err(client_error)?
-                    .into_iter()
-                    .map(|(nn, stats)| (nn.len(), stats))
-                    .collect()
+            let q = object(query)?;
+            let QueryShape::Knn { k } = plan.shape() else {
+                return Err("knn needs a kNN plan".to_owned());
             };
-            let elapsed = start.elapsed().as_secs_f64();
-            for (i, (results, stats)) in per_query.iter().enumerate() {
+            let mut alpha = plan.factor();
+            if let Some(target) = recall_target {
+                let tuned = tree
+                    .tune_knn_alpha(std::slice::from_ref(&q), k, *target)
+                    .map_err(|e| e.to_string())?;
                 let _ = writeln!(
                     out,
-                    "query {i}: {results} result(s); {} compdists, {} page accesses",
-                    stats.compdists, stats.page_accesses
+                    "# tuned alpha: {} (measured recall {:.3}, target {target})",
+                    tuned.param, tuned.achieved
                 );
+                alpha = tuned.param;
             }
-            let qps = if elapsed > 0.0 {
-                n as f64 / elapsed
-            } else {
-                f64::INFINITY
-            };
-            let _ = writeln!(
+            let (nn, stats) = tree
+                .knn_approx_measured(&q, k, alpha)
+                .map_err(|e| e.to_string())?;
+            let nn = nn.into_iter().map(|(id, o, d)| (id, d, o.encoded()));
+            let row = (nn.collect(), WireStats::from(&stats));
+            report_answers(out, schema, Answers::Knn(vec![row]), None)?;
+            if let Some(recall) = stats.recall {
+                let _ = writeln!(out, "# recall: {recall:.3}");
+            }
+        }
+        Command::Stats { .. } => {
+            let pivots = tree.table().num_pivots();
+            describe(
                 out,
-                "# {n} queries over the wire: {elapsed:.3}s total, {qps:.1} queries/s"
+                &schema.to_line(),
+                tree.len(),
+                tree.storage_bytes(),
+                pivots,
             );
-            Ok(())
+            let _ = writeln!(out, "delta:   {}", tree.table().delta());
         }
-        RemoteCommand::Stats { addr } => {
-            let mut client = Client::connect(addr.as_str()).map_err(client_error)?;
-            match client.stats().map_err(client_error)? {
-                Response::Stats {
-                    schema,
-                    len,
-                    storage_bytes,
-                    num_pivots,
-                    served,
-                    shed,
-                    deadline_miss,
-                } => {
-                    let _ = writeln!(out, "schema: {schema}");
-                    let _ = writeln!(out, "objects: {len}");
-                    let _ = writeln!(out, "storage: {:.1} KB", storage_bytes as f64 / 1024.0);
-                    let _ = writeln!(out, "pivots:  {num_pivots}");
-                    let _ = writeln!(out, "served:  {served}");
-                    let _ = writeln!(out, "shed:    {shed}");
-                    let _ = writeln!(out, "deadline misses: {deadline_miss}");
-                    // Event-loop health, pulled from the obs snapshot:
-                    // live connections, poll wakeups, and how well the
-                    // dispatcher is coalescing work into batches.
-                    if let Ok(snap) = client.obs_stats() {
-                        if let Some(v) = snap.gauge("open_connections") {
-                            let _ = writeln!(out, "open connections: {v}");
-                        }
-                        if let Some(v) = snap.counter("readiness_wakeups") {
-                            let _ = writeln!(out, "readiness wakeups: {v}");
-                        }
-                        if let Some(h) = snap.hist("dispatch_batch_size") {
-                            let _ = writeln!(
-                                out,
-                                "dispatch batch size: p50 {} p90 {} max {} ({} batches)",
-                                h.p50, h.p90, h.max, h.count
-                            );
-                        }
-                        // Learned-positioning health: how often queries
-                        // ride the model vs fall back to classic
-                        // descent, and the last measured recall.
-                        let hit = snap.counter("accel.model_hit").unwrap_or(0);
-                        let fallback = snap.counter("accel.model_fallback").unwrap_or(0);
-                        if hit + fallback > 0 {
-                            let _ = writeln!(out, "accel model hits: {hit}");
-                            let _ = writeln!(out, "accel model fallbacks: {fallback}");
-                        }
-                        if let Some(v) = snap.counter("accel.model_retrain") {
-                            let _ = writeln!(out, "accel model retrains: {v}");
-                        }
-                        if let Some(v) = snap.gauge("accel.recall_permille") {
-                            let _ = writeln!(out, "accel recall: {:.3}", v as f64 / 1000.0);
-                        }
-                    }
-                    Ok(())
-                }
-                other => Err(CliError::from(format!("unexpected response {other:?}"))),
-            }
-        }
-        RemoteCommand::ObsStats { addr } => {
-            let mut client = Client::connect(addr.as_str()).map_err(client_error)?;
-            let snapshot = client.obs_stats().map_err(client_error)?;
-            render_obs_snapshot(out, &snapshot);
-            Ok(())
-        }
-        RemoteCommand::Shutdown { addr } => {
-            let mut client = Client::connect(addr.as_str()).map_err(client_error)?;
-            client.shutdown().map_err(client_error)?;
-            let _ = writeln!(out, "shutdown requested");
-            Ok(())
-        }
+        other => return Err(format!("{other:?} does not need a typed tree")),
     }
+    Ok(())
+}
+
+/// `stats --addr`: the index summary and admission counters, a digest of
+/// the event loop's and the learned model's health, then the full
+/// observability snapshot the digest was read from.
+fn server_stats(out: &mut String, addr: &str) -> Result<(), CliError> {
+    let mut client = Client::connect(addr).map_err(client_error)?;
+    let Response::Stats {
+        schema,
+        len,
+        storage_bytes,
+        num_pivots,
+        served,
+        shed,
+        deadline_miss,
+    } = client.stats().map_err(client_error)?
+    else {
+        return Err("the server answered `stats` with another response"
+            .to_owned()
+            .into());
+    };
+    describe(out, &schema, len, storage_bytes, num_pivots as usize);
+    let _ = writeln!(out, "served:  {served}");
+    let _ = writeln!(out, "shed:    {shed}");
+    let _ = writeln!(out, "deadline misses: {deadline_miss}");
+    let snap = client.obs_stats().map_err(client_error)?;
+    // Event-loop health: live connections, poll wakeups, and how well
+    // the dispatcher is coalescing work into batches.
+    if let Some(v) = snap.gauge("open_connections") {
+        let _ = writeln!(out, "open connections: {v}");
+    }
+    if let Some(v) = snap.counter("readiness_wakeups") {
+        let _ = writeln!(out, "readiness wakeups: {v}");
+    }
+    if let Some(h) = snap.hist("dispatch_batch_size") {
+        let _ = writeln!(
+            out,
+            "dispatch batch size: p50 {} p90 {} max {} ({} batches)",
+            h.p50, h.p90, h.max, h.count
+        );
+    }
+    // Learned-positioning health: how often queries ride the model vs
+    // fall back to classic descent, and the last measured recall.
+    let hit = snap.counter("accel.model_hit").unwrap_or(0);
+    let fallback = snap.counter("accel.model_fallback").unwrap_or(0);
+    if hit + fallback > 0 {
+        let _ = writeln!(out, "accel model hits: {hit}");
+        let _ = writeln!(out, "accel model fallbacks: {fallback}");
+    }
+    if let Some(v) = snap.counter("accel.model_retrain") {
+        let _ = writeln!(out, "accel model retrains: {v}");
+    }
+    if let Some(v) = snap.gauge("accel.recall_permille") {
+        let _ = writeln!(out, "accel recall: {:.3}", v as f64 / 1000.0);
+    }
+    render_obs_snapshot(out, &snap);
+    Ok(())
 }
 
 /// Formats a nanosecond reading with a human unit (`1.2ms`, `340us`).
@@ -964,249 +1083,6 @@ fn render_obs_snapshot(out: &mut String, snap: &spb_obs::Snapshot) {
     }
 }
 
-fn run_local(cmd: &Command, out: &mut String) -> Result<(), String> {
-    match cmd {
-        Command::Build {
-            input,
-            index,
-            schema_flag,
-            pivots,
-            curve,
-            accel,
-        } => {
-            let curve = parse_curve(curve)?;
-            let accel = parse_accel(accel)?;
-            let cfg = SpbConfig {
-                num_pivots: *pivots,
-                curve,
-                accel,
-                ..SpbConfig::default()
-            };
-            let file = std::fs::File::open(input).map_err(|e| format!("open {input:?}: {e}"))?;
-            let reader = io::BufReader::new(file);
-            match schema_flag.as_str() {
-                "words" => {
-                    let words = load_words(reader).map_err(|e| e.to_string())?;
-                    if words.is_empty() {
-                        return Err("input file holds no words".to_owned());
-                    }
-                    let max_len = words.iter().map(Word::len).max().unwrap_or(1);
-                    let metric = EditDistance::new(max_len);
-                    let tree =
-                        SpbTree::build(index, &words, metric, &cfg).map_err(|e| e.to_string())?;
-                    std::fs::write(schema_path(index), Schema::Words { max_len }.to_line())
-                        .map_err(|e| e.to_string())?;
-                    report_build(out, tree.build_stats(), tree.storage_bytes());
-                }
-                "vectors:l2" | "vectors:l5" => {
-                    let (vecs, dim) = load_vectors(reader).map_err(|e| e.to_string())?;
-                    if vecs.is_empty() {
-                        return Err("input file holds no vectors".to_owned());
-                    }
-                    let p: u32 = if schema_flag.ends_with("l2") { 2 } else { 5 };
-                    let metric = LpNorm::new(p as f64, dim, 1.0);
-                    let tree =
-                        SpbTree::build(index, &vecs, metric, &cfg).map_err(|e| e.to_string())?;
-                    std::fs::write(schema_path(index), Schema::Vectors { p, dim }.to_line())
-                        .map_err(|e| e.to_string())?;
-                    report_build(out, tree.build_stats(), tree.storage_bytes());
-                }
-                other => {
-                    return Err(format!(
-                        "unknown schema {other:?} (expected words|vectors:l2|vectors:l5)"
-                    ))
-                }
-            }
-            Ok(())
-        }
-        Command::Range {
-            index,
-            query,
-            radius,
-        } => with_index(index, |idx| match idx {
-            Index::Words(tree) => {
-                let (hits, stats) = tree
-                    .range(&Word::new(query.clone()), *radius)
-                    .map_err(|e| e.to_string())?;
-                for (id, w) in &hits {
-                    let _ = writeln!(out, "{id}\t{}", w.as_str());
-                }
-                report_query(out, hits.len(), &stats);
-                Ok(())
-            }
-            Index::Vectors(tree, dim) => {
-                let q = parse_vector(query, dim)?;
-                let (hits, stats) = tree.range(&q, *radius).map_err(|e| e.to_string())?;
-                for (id, _) in &hits {
-                    let _ = writeln!(out, "{id}");
-                }
-                report_query(out, hits.len(), &stats);
-                Ok(())
-            }
-        }),
-        Command::Count {
-            index,
-            query,
-            radius,
-        } => with_index(index, |idx| match idx {
-            Index::Words(tree) => {
-                let (count, stats) = tree
-                    .range_count(&Word::new(query.clone()), *radius)
-                    .map_err(|e| e.to_string())?;
-                let _ = writeln!(out, "{count}");
-                report_query(out, count as usize, &stats);
-                Ok(())
-            }
-            Index::Vectors(tree, dim) => {
-                let q = parse_vector(query, dim)?;
-                let (count, stats) = tree.range_count(&q, *radius).map_err(|e| e.to_string())?;
-                let _ = writeln!(out, "{count}");
-                report_query(out, count as usize, &stats);
-                Ok(())
-            }
-        }),
-        Command::Knn {
-            index,
-            query,
-            plan,
-            approx,
-            recall_target,
-        } => with_index(index, |idx| match idx {
-            Index::Words(tree) => {
-                let q = Word::new(query.clone());
-                let (nn, stats) = run_knn_tuned(out, tree, &q, *plan, *approx, *recall_target)?;
-                for (id, w, d) in &nn {
-                    let _ = writeln!(out, "{id}\t{d}\t{}", w.as_str());
-                }
-                report_query(out, nn.len(), &stats);
-                Ok(())
-            }
-            Index::Vectors(tree, dim) => {
-                let q = parse_vector(query, dim)?;
-                let (nn, stats) = run_knn_tuned(out, tree, &q, *plan, *approx, *recall_target)?;
-                for (id, _, d) in &nn {
-                    let _ = writeln!(out, "{id}\t{d}");
-                }
-                report_query(out, nn.len(), &stats);
-                Ok(())
-            }
-        }),
-        Command::Batch {
-            index,
-            queries,
-            radius,
-            k,
-            threads,
-        } => {
-            let text =
-                std::fs::read_to_string(queries).map_err(|e| format!("open {queries:?}: {e}"))?;
-            let lines: Vec<&str> = text
-                .lines()
-                .map(str::trim)
-                .filter(|l| !l.is_empty())
-                .collect();
-            with_index_sharded(index, *threads, |idx| match idx {
-                Index::Words(tree) => {
-                    let qs: Vec<Word> = lines.iter().map(|l| Word::new(*l)).collect();
-                    run_batch(out, tree, &qs, *radius, *k, *threads)
-                }
-                Index::Vectors(tree, dim) => {
-                    let qs = lines
-                        .iter()
-                        .map(|l| parse_vector(l, dim))
-                        .collect::<Result<Vec<FloatVec>, String>>()?;
-                    run_batch(out, tree, &qs, *radius, *k, *threads)
-                }
-            })
-        }
-        Command::Stats { index } => with_index(index, |idx| {
-            match idx {
-                Index::Words(tree) => {
-                    let _ = writeln!(out, "schema: words");
-                    describe(
-                        out,
-                        tree.len(),
-                        tree.storage_bytes(),
-                        tree.table().num_pivots(),
-                        tree.table().delta(),
-                    );
-                }
-                Index::Vectors(tree, dim) => {
-                    let _ = writeln!(out, "schema: vectors (dim {dim})");
-                    describe(
-                        out,
-                        tree.len(),
-                        tree.storage_bytes(),
-                        tree.table().num_pivots(),
-                        tree.table().delta(),
-                    );
-                }
-            }
-            Ok(())
-        }),
-        Command::Verify { index } => {
-            let report = spb_core::verify_dir(index).map_err(|e| e.to_string())?;
-            let _ = writeln!(
-                out,
-                "checked {} page(s), {} entrie(s)",
-                report.pages_checked, report.entries_checked
-            );
-            if report.ok() {
-                let _ = writeln!(out, "ok");
-                Ok(())
-            } else {
-                for p in &report.problems {
-                    let _ = writeln!(out, "problem: {}: {}", p.file, p.detail);
-                }
-                Err(format!("{} problem(s) found", report.problems.len()))
-            }
-        }
-        Command::Recover { index } => {
-            let report = spb_core::recover_dir(index).map_err(|e| e.to_string())?;
-            if report.clean() {
-                let _ = writeln!(out, "clean: nothing to recover");
-            } else {
-                let _ = writeln!(
-                    out,
-                    "recovered: {} txn(s) redone ({} page image(s)), {} txn(s) discarded, \
-                     {} torn WAL byte(s), {} torn data byte(s)",
-                    report.redone_txns,
-                    report.redone_pages,
-                    report.discarded_txns,
-                    report.torn_wal_bytes,
-                    report.torn_data_bytes
-                );
-            }
-            Ok(())
-        }
-        Command::Cluster {
-            input,
-            shards,
-            replicas,
-            dir,
-        } => {
-            let file = std::fs::File::open(input).map_err(|e| format!("open {input:?}: {e}"))?;
-            let words = load_words(io::BufReader::new(file)).map_err(|e| e.to_string())?;
-            if words.len() < 2 {
-                return Err("cluster needs at least two input words".to_owned());
-            }
-            let (base, throwaway) = match dir {
-                Some(d) => (d.clone(), false),
-                None => (
-                    std::env::temp_dir().join(format!("spb-cluster-{}", std::process::id())),
-                    true,
-                ),
-            };
-            let result = run_cluster(out, &words, *shards, *replicas, &base);
-            if throwaway {
-                let _ = std::fs::remove_dir_all(&base);
-            }
-            result
-        }
-        Command::Serve { .. } | Command::Remote(_) => unreachable!("dispatched in run"),
-    }
-}
-
 /// `spb-cli cluster`: launch, cross-check against a single node, then
 /// (with replicas) kill shard 0's primary and cross-check again. Every
 /// probe compares byte-for-byte; any divergence aborts with the failing
@@ -1220,45 +1096,40 @@ fn run_cluster(
 ) -> Result<(), String> {
     let max_len = words.iter().map(Word::len).max().unwrap_or(1);
     let metric = EditDistance::new(max_len);
+    let schema = Schema::Words { max_len };
     let cfg = spb_cluster::ClusterConfig {
         shards,
         replicas,
         ..spb_cluster::ClusterConfig::default()
     };
-    let mut cluster = spb_cluster::Cluster::launch(
-        &base.join("cluster"),
-        words,
-        metric,
-        Schema::Words { max_len },
-        &cfg,
-    )
-    .map_err(|e| format!("cluster launch: {e}"))?;
+    let mut cluster =
+        spb_cluster::Cluster::launch(&base.join("cluster"), words, metric, schema.clone(), &cfg)
+            .map_err(|e| format!("cluster launch: {e}"))?;
     let _ = writeln!(
         out,
         "launched {} shard(s), {replicas} replica(s) each, over {} object(s)",
         cluster.num_shards(),
         words.len()
     );
-    let reference = SpbTree::build(&base.join("single"), words, metric, &SpbConfig::default())
+    let single = SpbTree::build(&base.join("single"), words, metric, &SpbConfig::default())
         .map_err(|e| format!("single-node build: {e}"))?;
+    let reference = TreeService::new(single, schema);
 
     // Probe with real members (hits guaranteed) plus their neighbourhood.
     let probes: Vec<Word> = words.iter().take(8).cloned().collect();
+    let range = |radius| QueryPlan::exact(QueryShape::Range { radius });
+    let knn = |k| QueryPlan::exact(QueryShape::Knn { k });
     let router = cluster.router();
-    let mut checks = 0usize;
+    let plans = [range(1.0), range(2.0), knn(3), knn(10)];
     for q in &probes {
-        for r in [1.0, 2.0] {
-            compare_range(&router, &reference, q, r)?;
-            checks += 1;
-        }
-        for k in [3usize, 10] {
-            compare_knn(&router, &reference, q, k)?;
-            checks += 1;
+        for plan in plans {
+            compare(&router, &reference, q, plan)?;
         }
     }
     let _ = writeln!(
         out,
-        "cluster-identical: OK ({checks} checks across {} shard(s))",
+        "cluster-identical: OK ({} checks across {} shard(s))",
+        probes.len() * plans.len(),
         cluster.num_shards()
     );
 
@@ -1271,8 +1142,8 @@ fn run_cluster(
             .map_err(|e| format!("primary kill: {e}"))?;
         let router = cluster.router();
         for q in &probes {
-            compare_range(&router, &reference, q, 2.0)?;
-            compare_knn(&router, &reference, q, 3)?;
+            compare(&router, &reference, q, range(2.0))?;
+            compare(&router, &reference, q, knn(3))?;
         }
         let _ = writeln!(
             out,
@@ -1283,164 +1154,103 @@ fn run_cluster(
     Ok(())
 }
 
-fn compare_range(
+/// Holds the router's answer to `plan` to the single node's: the same
+/// rows once both are in the router's order (range hits ascending by id).
+/// Costs are not compared — other trees answer for the router.
+fn compare(
     router: &spb_cluster::Router<Word, EditDistance>,
-    reference: &SpbTree<Word, EditDistance>,
+    reference: &dyn IndexService,
     q: &Word,
-    r: f64,
+    plan: QueryPlan,
 ) -> Result<(), String> {
-    let (got, _) = router
-        .range(q, r)
-        .map_err(|e| format!("router range: {e}"))?;
-    let (hits, _) = reference.range(q, r).map_err(|e| e.to_string())?;
-    let mut want: Vec<(u32, Vec<u8>)> = hits
-        .into_iter()
-        .map(|(id, o)| (id, spb_metric::MetricObject::encoded(&o)))
-        .collect();
-    want.sort_unstable_by_key(|&(id, _)| id);
-    if got != want {
-        return Err(format!(
-            "cluster-identical: FAILED on range({:?}, {r}): cluster {} hit(s), single node {}",
-            q.as_str(),
-            got.len(),
-            want.len()
-        ));
+    fn rows(answers: Answers) -> Answers {
+        match answers {
+            Answers::Range(rows) => Answers::Range(
+                rows.into_iter()
+                    .map(|(mut hits, _)| {
+                        hits.sort_unstable_by_key(|&(id, _)| id);
+                        (hits, WireStats::default())
+                    })
+                    .collect(),
+            ),
+            Answers::Knn(rows) => Answers::Knn(
+                rows.into_iter()
+                    .map(|(nn, _)| (nn, WireStats::default()))
+                    .collect(),
+            ),
+        }
     }
-    Ok(())
-}
-
-fn compare_knn(
-    router: &spb_cluster::Router<Word, EditDistance>,
-    reference: &SpbTree<Word, EditDistance>,
-    q: &Word,
-    k: usize,
-) -> Result<(), String> {
-    let (got, _) = router.knn(q, k).map_err(|e| format!("router knn: {e}"))?;
-    let (nn, _) = reference.knn(q, k).map_err(|e| e.to_string())?;
-    let want: Vec<(u32, f64, Vec<u8>)> = nn
-        .into_iter()
-        .map(|(id, o, d)| (id, d, spb_metric::MetricObject::encoded(&o)))
-        .collect();
-    if got != want {
+    let got = router
+        .query(plan, std::slice::from_ref(q))
+        .map_err(|e| format!("router: {e}"))?;
+    let want = reference
+        .query(plan, &[q.encoded()], 1, Deadline::none())
+        .map_err(|e| e.to_string())?;
+    if rows(got) != rows(want) {
         return Err(format!(
-            "cluster-identical: FAILED on knn({:?}, {k})",
+            "cluster-identical: FAILED on {plan:?} for {:?}",
             q.as_str()
         ));
     }
     Ok(())
 }
 
-enum Index {
-    Words(SpbTree<Word, EditDistance>),
-    Vectors(SpbTree<FloatVec, LpNorm>, usize),
-}
-
-fn with_index<F>(index: &Path, f: F) -> Result<(), String>
-where
-    F: FnOnce(&Index) -> Result<(), String>,
-{
-    with_index_sharded(index, 1, f)
-}
-
-fn with_index_sharded<F>(index: &Path, shards: usize, f: F) -> Result<(), String>
-where
-    F: FnOnce(&Index) -> Result<(), String>,
-{
-    let line = std::fs::read_to_string(schema_path(index)).map_err(|e| {
-        format!(
-            "read {:?}: {e} (is this an spb-cli index?)",
-            schema_path(index)
-        )
-    })?;
-    let schema = Schema::from_line(line.trim())?;
-    let idx = match schema {
-        Schema::Words { max_len } => Index::Words(
-            SpbTree::open_sharded(index, EditDistance::new(max_len), 32, true, shards)
-                .map_err(|e| e.to_string())?,
-        ),
-        Schema::Vectors { p, dim } => Index::Vectors(
-            SpbTree::open_sharded(index, LpNorm::new(p as f64, dim, 1.0), 32, true, shards)
-                .map_err(|e| e.to_string())?,
-            dim,
-        ),
-    };
-    f(&idx)
-}
-
-/// Runs a parsed batch (range when `radius` is set, kNN otherwise) and
-/// reports per-query costs plus aggregate throughput.
-fn run_batch<O, D>(
+/// The one place [`Answers`] become output lines: `id\t[dist\t]object`
+/// per hit and a cost summary for a query whose hits were asked for, or
+/// — for a `batch`, which passes how long its queries took together —
+/// one cost line per query and the aggregate throughput.
+fn report_answers(
     out: &mut String,
-    tree: &SpbTree<O, D>,
-    qs: &[O],
-    radius: Option<f64>,
-    k: Option<usize>,
-    threads: usize,
-) -> Result<(), String>
-where
-    O: spb_metric::MetricObject,
-    D: spb_metric::Distance<O>,
-{
-    let start = std::time::Instant::now();
-    let per_query: Vec<(usize, spb_core::QueryStats)> = if let Some(r) = radius {
-        let pairs: Vec<(O, f64)> = qs.iter().cloned().map(|q| (q, r)).collect();
-        tree.range_batch(&pairs, threads)
-            .map_err(|e| e.to_string())?
+    schema: &Schema,
+    answers: Answers,
+    batch: Option<std::time::Duration>,
+) -> Result<(), String> {
+    type Hit = (u32, Option<f64>, Vec<u8>);
+    let rows: Vec<(Vec<Hit>, WireStats)> = match answers {
+        Answers::Range(rows) => rows
             .into_iter()
-            .map(|(hits, stats)| (hits.len(), stats))
-            .collect()
-    } else {
-        let k = k.expect("parser guarantees one of radius/k");
-        tree.knn_batch(qs, k, threads)
-            .map_err(|e| e.to_string())?
+            .map(|(hits, s)| (hits.into_iter().map(|(id, o)| (id, None, o)).collect(), s))
+            .collect(),
+        Answers::Knn(rows) => rows
             .into_iter()
-            .map(|(nn, stats)| (nn.len(), stats))
-            .collect()
+            .map(|(nn, s)| {
+                (
+                    nn.into_iter().map(|(id, d, o)| (id, Some(d), o)).collect(),
+                    s,
+                )
+            })
+            .collect(),
     };
-    let elapsed = start.elapsed().as_secs_f64();
-    for (i, (results, stats)) in per_query.iter().enumerate() {
+    for (i, (hits, stats)) in rows.iter().enumerate() {
+        if batch.is_some() {
+            let _ = writeln!(
+                out,
+                "query {i}: {} result(s); {} compdists, {} page accesses",
+                hits.len(),
+                stats.compdists,
+                stats.page_accesses
+            );
+            continue;
+        }
+        for (id, dist, obj) in hits {
+            let obj = schema.render(obj)?;
+            let _ = match dist {
+                Some(d) => writeln!(out, "{id}\t{d}\t{obj}"),
+                None => writeln!(out, "{id}\t{obj}"),
+            };
+        }
+        report_query(out, hits.len(), &stats.into());
+    }
+    if let Some(elapsed) = batch {
+        let elapsed = elapsed.as_secs_f64();
         let _ = writeln!(
             out,
-            "query {i}: {results} result(s); {} compdists, {} page accesses",
-            stats.compdists, stats.page_accesses
+            "# {} queries: {elapsed:.3}s total, {:.1} queries/s",
+            rows.len(),
+            rows.len() as f64 / elapsed
         );
     }
-    let qps = if elapsed > 0.0 {
-        per_query.len() as f64 / elapsed
-    } else {
-        f64::INFINITY
-    };
-    let _ = writeln!(
-        out,
-        "# {} queries on {threads} thread(s): {:.3}s total, {qps:.1} queries/s",
-        per_query.len(),
-        elapsed
-    );
     Ok(())
-}
-
-fn parse_vector(query: &str, dim: &usize) -> Result<FloatVec, String> {
-    let coords: Result<Vec<f32>, _> = query.split(',').map(|c| c.trim().parse()).collect();
-    let coords = coords.map_err(|e| format!("bad query vector: {e}"))?;
-    if coords.len() != *dim {
-        return Err(format!(
-            "query has {} coordinates; the index stores {dim}-dimensional vectors",
-            coords.len()
-        ));
-    }
-    Ok(FloatVec::new(coords))
-}
-
-fn report_build(out: &mut String, b: spb_core::BuildStats, storage: u64) {
-    let _ = writeln!(
-        out,
-        "built: {} objects, {} distance computations, {} page accesses, {:.1} KB, {:.2}s",
-        b.num_objects,
-        b.compdists,
-        b.page_accesses,
-        storage as f64 / 1024.0,
-        b.duration.as_secs_f64()
-    );
 }
 
 fn report_query(out: &mut String, results: usize, stats: &spb_core::QueryStats) {
@@ -1451,56 +1261,13 @@ fn report_query(out: &mut String, results: usize, stats: &spb_core::QueryStats) 
         stats.page_accesses,
         stats.duration.as_secs_f64() * 1e3
     );
-    if let Some(recall) = stats.recall {
-        let _ = writeln!(out, "# recall: {recall:.3}");
-    }
 }
 
-/// A kNN answer: `(id, object, distance)` triples plus query stats.
-type KnnAnswer<O> = (Vec<(u32, O, f64)>, spb_core::QueryStats);
-
-/// Runs a local kNN query with the requested accuracy mode:
-/// `--recall-target` auto-tunes `alpha` on the query itself (walking
-/// the ladder, exact `1.0` last), `--approx` measures recall for the
-/// plan's `alpha`, and the default runs the plan unmeasured (exact
-/// without an `alpha`).
-fn run_knn_tuned<O, D>(
-    out: &mut String,
-    tree: &SpbTree<O, D>,
-    q: &O,
-    plan: QueryPlan,
-    approx: bool,
-    recall_target: Option<f64>,
-) -> Result<KnnAnswer<O>, String>
-where
-    O: spb_metric::MetricObject,
-    D: spb_metric::Distance<O>,
-{
-    let (k, alpha) = (knn_k(plan)?, plan.factor());
-    if let Some(target) = recall_target {
-        let tuned = tree
-            .tune_knn_alpha(std::slice::from_ref(q), k, target)
-            .map_err(|e| e.to_string())?;
-        let _ = writeln!(
-            out,
-            "# tuned alpha: {} (measured recall {:.3}, target {target})",
-            tuned.param, tuned.achieved
-        );
-        tree.knn_approx_measured(q, k, tuned.param)
-            .map_err(|e| e.to_string())
-    } else if approx {
-        tree.knn_approx_measured(q, k, alpha)
-            .map_err(|e| e.to_string())
-    } else {
-        tree.knn_approx(q, k, alpha).map_err(|e| e.to_string())
-    }
-}
-
-fn describe(out: &mut String, len: u64, storage: u64, pivots: usize, delta: f64) {
+fn describe(out: &mut String, schema_line: &str, len: u64, storage: u64, pivots: usize) {
+    let _ = writeln!(out, "schema: {schema_line}");
     let _ = writeln!(out, "objects: {len}");
     let _ = writeln!(out, "storage: {:.1} KB", storage as f64 / 1024.0);
     let _ = writeln!(out, "pivots:  {pivots}");
-    let _ = writeln!(out, "delta:   {delta}");
 }
 
 #[cfg(test)]
@@ -1513,6 +1280,27 @@ mod tests {
 
     fn knn(k: usize, alpha: Option<f64>) -> QueryPlan {
         QueryPlan::new(QueryShape::Knn { k }, alpha).unwrap()
+    }
+
+    fn range(radius: f64) -> QueryPlan {
+        QueryPlan::exact(QueryShape::Range { radius })
+    }
+
+    /// `range` / `knn` on a local index.
+    fn query_one(index: &Path, plan: QueryPlan, query: &str) -> Command {
+        Command::Query {
+            target: Target::Index(index.into()),
+            plan,
+            input: QueryInput::One(query.into()),
+            threads: 1,
+            deadline_ms: 0,
+        }
+    }
+
+    /// Parses and runs one command line.
+    fn cli(line: &str) -> Result<String, CliError> {
+        let mut out = String::new();
+        run(&parse_args(&args(line)).expect(line), &mut out).map(|()| out)
     }
 
     #[test]
@@ -1537,17 +1325,15 @@ mod tests {
     #[test]
     fn parses_queries_with_defaults() {
         let cmd = parse_args(&args("knn --index ./idx --query hello")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Knn {
-                index: "./idx".into(),
-                query: "hello".into(),
-                plan: knn(10, None),
-                approx: false,
-                recall_target: None,
-            }
-        );
+        assert_eq!(cmd, query_one(Path::new("./idx"), knn(10, None), "hello"));
+        let cmd = parse_args(&args("range --index ./idx --query hello --radius 2")).unwrap();
+        assert_eq!(cmd, query_one(Path::new("./idx"), range(2.0), "hello"));
         assert!(parse_args(&args("range --index ./idx --query hello")).is_err());
+        assert!(parse_args(&args("range --query hello --radius 2")).is_err());
+        assert!(parse_args(&args(
+            "range --index ./idx --addr x:1 --query hello --radius 2"
+        ))
+        .is_err());
         assert!(parse_args(&args("bogus --x y")).is_err());
         assert!(parse_args(&[]).is_err());
     }
@@ -1562,22 +1348,20 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Knn {
+            Command::KnnMeasured {
                 index: "./idx".into(),
                 query: "hello".into(),
                 plan: knn(10, Some(2.0)),
-                approx: true,
                 recall_target: None,
             }
         );
         let cmd = parse_args(&args("knn --index ./idx --query hello --recall-target 0.9")).unwrap();
         assert_eq!(
             cmd,
-            Command::Knn {
+            Command::KnnMeasured {
                 index: "./idx".into(),
                 query: "hello".into(),
                 plan: knn(10, None),
-                approx: false,
                 recall_target: Some(0.9),
             }
         );
@@ -1585,10 +1369,10 @@ mod tests {
             "knn --index ./idx --query hello --recall-target high"
         ))
         .is_err());
-        // Local and remote share one flag -> plan function: a bare
-        // `--approx` is the approximate mode at alpha 1, a remote
-        // `--alpha` needs no `--approx`, and an alpha the plan rejects is
-        // a usage error on both (it used to panic the local command).
+        // Every target shares one flag -> plan function: a bare
+        // `--approx` is the approximate mode at alpha 1, an `--alpha`
+        // needs no `--approx`, and an alpha the plan rejects is a usage
+        // error everywhere (it used to panic the local command).
         for cmd in ["knn --index ./idx", "remote knn --addr 127.0.0.1:7878"] {
             for alpha in ["0.5", "nan", "inf", "-2"] {
                 let err =
@@ -1599,8 +1383,7 @@ mod tests {
                 |extra: &str| match parse_args(&args(&format!("{cmd} --query hello {extra}")))
                     .unwrap()
                 {
-                    Command::Knn { plan, .. }
-                    | Command::Remote(RemoteCommand::Knn { plan, .. }) => plan,
+                    Command::Query { plan, .. } | Command::KnnMeasured { plan, .. } => plan,
                     other => panic!("{other:?}"),
                 };
             assert_eq!(plan_of("--k 3"), knn(3, None));
@@ -1613,12 +1396,13 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Remote(RemoteCommand::Knn {
-                addr: "127.0.0.1:7878".into(),
-                query: "hello".into(),
+            Command::Query {
+                target: Target::Addr("127.0.0.1:7878".into()),
                 plan: knn(10, Some(1.5)),
+                input: QueryInput::One("hello".into()),
+                threads: 1,
                 deadline_ms: 0,
-            })
+            }
         );
     }
 
@@ -1670,41 +1454,22 @@ mod tests {
         assert!(out.contains("built: 5 objects"));
 
         let mut out = String::new();
-        run(
-            &Command::Range {
-                index: index.clone(),
-                query: "carrot".into(),
-                radius: 1.0,
-            },
-            &mut out,
-        )
-        .unwrap();
+        run(&query_one(&index, range(1.0), "carrot"), &mut out).unwrap();
         assert!(out.contains("carrot"));
         assert!(out.contains("carrots"));
         assert!(!out.contains("banana"));
 
         let mut out = String::new();
-        run(
-            &Command::Knn {
-                index: index.clone(),
-                query: "parrots".into(),
-                plan: knn(2, None),
-                approx: false,
-                recall_target: None,
-            },
-            &mut out,
-        )
-        .unwrap();
+        run(&query_one(&index, knn(2, None), "parrots"), &mut out).unwrap();
         assert!(out.contains("parrot"));
 
         // `--recall-target` tunes alpha and reports measured recall.
         let mut out = String::new();
         run(
-            &Command::Knn {
+            &Command::KnnMeasured {
                 index: index.clone(),
                 query: "parrots".into(),
                 plan: knn(2, None),
-                approx: false,
                 recall_target: Some(1.0),
             },
             &mut out,
@@ -1716,12 +1481,13 @@ mod tests {
         let mut out = String::new();
         run(
             &Command::Stats {
-                index: index.clone(),
+                target: Target::Index(index.clone()),
             },
             &mut out,
         )
         .unwrap();
         assert!(out.contains("objects: 5"));
+        assert!(out.contains("delta:"), "out = {out}");
 
         // `--accel learned` persists a model next to the index and the
         // learned index answers identically.
@@ -1743,15 +1509,7 @@ mod tests {
         .unwrap();
         assert!(accel_index.join("spb.model").exists());
         let mut out = String::new();
-        run(
-            &Command::Range {
-                index: accel_index,
-                query: "carrot".into(),
-                radius: 1.0,
-            },
-            &mut out,
-        )
-        .unwrap();
+        run(&query_one(&accel_index, range(1.0), "carrot"), &mut out).unwrap();
         assert!(out.contains("carrots"));
 
         // A freshly built index verifies clean and has nothing to recover.
@@ -1795,23 +1553,26 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Batch {
-                index: "./idx".into(),
-                queries: "q.txt".into(),
-                radius: Some(2.0),
-                k: None,
+            Command::Query {
+                target: Target::Index("./idx".into()),
+                plan: range(2.0),
+                input: QueryInput::File("q.txt".into()),
                 threads: 4,
+                deadline_ms: 0,
             }
         );
-        let cmd = parse_args(&args("batch --index ./idx --queries q.txt --k 3")).unwrap();
+        let cmd = parse_args(&args(
+            "batch --addr x:1 --queries q.txt --k 3 --deadline-ms 50",
+        ))
+        .unwrap();
         assert_eq!(
             cmd,
-            Command::Batch {
-                index: "./idx".into(),
-                queries: "q.txt".into(),
-                radius: None,
-                k: Some(3),
+            Command::Query {
+                target: Target::Addr("x:1".into()),
+                plan: knn(3, None),
+                input: QueryInput::File("q.txt".into()),
                 threads: 1,
+                deadline_ms: 50,
             }
         );
         // Exactly one of --radius / --k.
@@ -1846,34 +1607,19 @@ mod tests {
 
         let qfile = dir.join("queries.txt");
         std::fs::write(&qfile, "carrot\nbanana\n").unwrap();
-        let mut out = String::new();
-        run(
-            &Command::Batch {
-                index: index.clone(),
-                queries: qfile.clone(),
-                radius: Some(1.0),
-                k: None,
-                threads: 2,
-            },
-            &mut out,
-        )
+        let (index, qfile) = (index.display(), qfile.display());
+        let out = cli(&format!(
+            "batch --index {index} --queries {qfile} --radius 1 --threads 2"
+        ))
         .unwrap();
         // carrot → {carrot, carrots, parrot} at edit distance ≤ 1.
         assert!(out.contains("query 0: 3 result(s)"), "out = {out}");
         assert!(out.contains("query 1: 1 result(s)"), "out = {out}");
-        assert!(out.contains("2 queries on 2 thread(s)"), "out = {out}");
+        assert!(out.contains("# 2 queries: "), "out = {out}");
 
-        let mut out = String::new();
-        run(
-            &Command::Batch {
-                index,
-                queries: qfile,
-                radius: None,
-                k: Some(2),
-                threads: 2,
-            },
-            &mut out,
-        )
+        let out = cli(&format!(
+            "batch --index {index} --queries {qfile} --k 2 --threads 2"
+        ))
         .unwrap();
         assert!(out.contains("query 0: 2 result(s)"), "out = {out}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1933,16 +1679,21 @@ mod tests {
 
         // Wrong dimensionality is a helpful error, not a panic.
         let mut out = String::new();
-        let err = run(
-            &Command::Range {
-                index,
-                query: "0.1".into(),
-                radius: 0.1,
-            },
-            &mut out,
-        )
-        .unwrap_err();
-        assert!(err.message.contains("2-dimensional"));
+        let err = run(&query_one(&index, range(0.1), "0.1"), &mut out).unwrap_err();
+        assert!(err.message.contains("index expects 2"), "{err}");
+        let mut out = String::new();
+        let count = Command::Count {
+            index: index.clone(),
+            query: "0.1".into(),
+            radius: 0.1,
+        };
+        let err = run(&count, &mut out).unwrap_err();
+        assert!(err.message.contains("index expects 2"), "{err}");
+
+        // A vector hit prints its object, like a word hit does.
+        let mut out = String::new();
+        run(&query_one(&index, range(0.05), "0.1,0.1"), &mut out).unwrap();
+        assert!(out.contains("\t0.12,0.1\n"), "out = {out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1967,26 +1718,51 @@ mod tests {
         let cmd = parse_args(&args("serve --index ./idx --trace on")).unwrap();
         assert!(matches!(cmd, Command::Serve { trace: true, .. }));
         assert!(parse_args(&args("serve --index ./idx --trace maybe")).is_err());
-        let cmd = parse_args(&args("stats --addr 127.0.0.1:9000")).unwrap();
+        // `remote` is a spelling the parser drops, nothing more.
+        for line in [
+            "stats --addr 127.0.0.1:9000",
+            "obs-stats --addr 127.0.0.1:9000",
+            "range --addr localhost:9000 --query carrot --radius 1 --deadline-ms 500",
+            "knn --addr localhost:9000 --query carrot --k 3 --approx",
+            "batch --addr localhost:9000 --queries q.txt --k 3",
+            "insert --addr localhost:9000 --object carrot",
+            "delete --addr localhost:9000 --object carrot --deadline-ms 9",
+            "ping --addr localhost:9000",
+            "shutdown --addr localhost:9000",
+        ] {
+            let plain = parse_args(&args(line)).expect(line);
+            let prefixed = parse_args(&args(&format!("remote {line}"))).expect(line);
+            assert_eq!(plain, prefixed, "{line}");
+        }
         assert_eq!(
-            cmd,
-            Command::Remote(RemoteCommand::ObsStats {
-                addr: "127.0.0.1:9000".into(),
-            })
+            parse_args(&args("remote stats --addr 127.0.0.1:9000")).unwrap(),
+            Command::Stats {
+                target: Target::Addr("127.0.0.1:9000".into()),
+            }
         );
-        let cmd = parse_args(&args(
-            "remote range --addr localhost:9000 --query carrot --radius 1 --deadline-ms 500",
-        ))
-        .unwrap();
         assert_eq!(
-            cmd,
-            Command::Remote(RemoteCommand::Range {
-                addr: "localhost:9000".into(),
-                query: "carrot".into(),
-                radius: 1.0,
+            parse_args(&args(
+                "remote range --addr localhost:9000 --query carrot --radius 1 --deadline-ms 500",
+            ))
+            .unwrap(),
+            Command::Query {
+                target: Target::Addr("localhost:9000".into()),
+                plan: range(1.0),
+                input: QueryInput::One("carrot".into()),
+                threads: 1,
                 deadline_ms: 500,
-            })
+            }
         );
+        // What has no wire form is a usage error on a server target.
+        for line in [
+            "count --addr x:1 --query q --radius 1",
+            "remote count --addr x:1 --query q --radius 1",
+            "knn --addr x:1 --query q --recall-target 0.9",
+            "knn --addr x:1 --query q --approx --recall-target 0.9",
+        ] {
+            let err = parse_args(&args(line)).unwrap_err();
+            assert!(err.contains("has no wire form"), "{line}: {err}");
+        }
         assert!(parse_args(&args("remote --addr x:1")).is_err(), "no sub");
         assert!(
             parse_args(&args("remote bogus --addr x:1")).is_err(),
@@ -2089,7 +1865,7 @@ mod tests {
         });
 
         let mut out = String::new();
-        let err = run(&Command::Remote(RemoteCommand::Ping { addr }), &mut out).unwrap_err();
+        let err = run(&Command::Ping { addr }, &mut out).unwrap_err();
         server.join().unwrap();
         assert_eq!(err.code, EXIT_VERSION, "message: {}", err.message);
         assert!(err.message.contains('2'), "message: {}", err.message);
@@ -2099,14 +1875,23 @@ mod tests {
     fn remote_connection_refused_maps_to_exit_10() {
         // Port 1 on localhost: nothing listens there.
         let mut out = String::new();
-        let err = run(
-            &Command::Remote(RemoteCommand::Ping {
+        let refused = Target::Addr("127.0.0.1:1".into());
+        for cmd in [
+            Command::Ping {
                 addr: "127.0.0.1:1".into(),
-            }),
-            &mut out,
-        )
-        .unwrap_err();
-        assert_eq!(err.code, EXIT_CONNECT, "message: {}", err.message);
+            },
+            Command::Stats {
+                target: refused.clone(),
+            },
+            Command::Insert {
+                target: refused,
+                object: "carrot".into(),
+                deadline_ms: 0,
+            },
+        ] {
+            let err = run(&cmd, &mut out).unwrap_err();
+            assert_eq!(err.code, EXIT_CONNECT, "message: {}", err.message);
+        }
     }
 
     #[test]
@@ -2138,123 +1923,246 @@ mod tests {
         );
     }
 
+    /// Builds `rows` into `dir/name` under `schema_flag`.
+    fn build_index(dir: &Path, name: &str, schema_flag: &str, rows: &str) -> PathBuf {
+        let data = dir.join(format!("{name}.txt"));
+        std::fs::write(&data, rows).unwrap();
+        let index = dir.join(name);
+        cli(&format!(
+            "build --input {} --index {} --schema {schema_flag} --pivots 2",
+            data.display(),
+            index.display()
+        ))
+        .unwrap();
+        index
+    }
+
+    /// Serves `index` on an OS-assigned port in a background thread and
+    /// learns the address through the `on_start` hook.
+    fn serve_in_background(
+        index: &Path,
+    ) -> (String, std::thread::JoinHandle<Result<(), CliError>>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let index = index.to_path_buf();
+        let server = std::thread::spawn(move || {
+            serve_blocking(&index, "127.0.0.1:0", ServerConfig::default(), |a| {
+                tx.send(a).unwrap();
+            })
+        });
+        let addr = rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
+        (addr.to_string(), server)
+    }
+
     #[test]
     fn serve_then_remote_roundtrip() {
         let dir = std::env::temp_dir().join(format!("spbcli-serve-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let data = dir.join("words.txt");
-        std::fs::write(&data, "carrot\ncarrots\nparrot\nbanana\napple\n").unwrap();
-        let index = dir.join("idx");
-        let mut out = String::new();
-        run(
-            &Command::Build {
-                input: data,
-                index: index.clone(),
-                schema_flag: "words".into(),
-                pivots: 2,
-                curve: "hilbert".into(),
-                accel: "off".into(),
-            },
-            &mut out,
-        )
-        .unwrap();
+        let index = build_index(
+            &dir,
+            "idx",
+            "words",
+            "carrot\ncarrots\nparrot\nbanana\napple\n",
+        );
+        let (addr, server) = serve_in_background(&index);
 
-        // Serve on an OS-assigned port in a background thread; learn the
-        // address through the on_start hook.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let idx = index.clone();
-        let server = std::thread::spawn(move || {
-            serve_blocking(&idx, "127.0.0.1:0", ServerConfig::default(), |a| {
-                tx.send(a).unwrap();
-            })
-        });
-        let addr = rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .unwrap()
-            .to_string();
-
-        let mut out = String::new();
-        run(
-            &Command::Remote(RemoteCommand::Ping { addr: addr.clone() }),
-            &mut out,
-        )
-        .unwrap();
+        let out = cli(&format!("remote ping --addr {addr}")).unwrap();
         assert!(out.contains("objects: 5"), "out = {out}");
 
-        let mut out = String::new();
-        run(
-            &Command::Remote(RemoteCommand::Range {
-                addr: addr.clone(),
-                query: "carrot".into(),
-                radius: 1.0,
-                deadline_ms: 0,
-            }),
-            &mut out,
-        )
+        let out = cli(&format!(
+            "remote range --addr {addr} --query carrot --radius 1"
+        ))
         .unwrap();
         assert!(out.contains("carrots"), "out = {out}");
         assert!(!out.contains("banana"), "out = {out}");
 
-        let mut out = String::new();
-        run(
-            &Command::Remote(RemoteCommand::Insert {
-                addr: addr.clone(),
-                object: "carrotz".into(),
-                deadline_ms: 0,
-            }),
-            &mut out,
-        )
-        .unwrap();
+        let out = cli(&format!("remote insert --addr {addr} --object carrotz")).unwrap();
         assert!(out.contains("inserted"), "out = {out}");
 
         let qfile = dir.join("queries.txt");
         std::fs::write(&qfile, "carrot\nbanana\n").unwrap();
-        let mut out = String::new();
-        run(
-            &Command::Remote(RemoteCommand::Batch {
-                addr: addr.clone(),
-                queries: qfile,
-                radius: Some(1.0),
-                k: None,
-                deadline_ms: 0,
-            }),
-            &mut out,
-        )
+        let out = cli(&format!(
+            "remote batch --addr {addr} --queries {} --radius 1",
+            qfile.display()
+        ))
         .unwrap();
         // carrot → {carrot, carrots, carrotz, parrot} at distance ≤ 1.
         assert!(out.contains("query 0: 4 result(s)"), "out = {out}");
         assert!(out.contains("query 1: 1 result(s)"), "out = {out}");
 
-        let mut out = String::new();
-        run(
-            &Command::Remote(RemoteCommand::Stats { addr: addr.clone() }),
-            &mut out,
-        )
-        .unwrap();
-        assert!(out.contains("objects: 6"), "out = {out}");
-        assert!(out.contains("deadline misses: 0"), "out = {out}");
+        // One `stats` for a server: the index summary, the admission
+        // counters, and the observability snapshot that travelled the
+        // wire — the batch above must show up in the served counter and
+        // leave at least one traversal-phase latency sample.
+        for spelling in ["stats", "remote stats", "remote obs-stats"] {
+            let out = cli(&format!("{spelling} --addr {addr}")).unwrap();
+            assert!(out.contains("schema: words 7"), "out = {out}");
+            assert!(out.contains("objects: 6"), "out = {out}");
+            assert!(out.contains("deadline misses: 0"), "out = {out}");
+            assert!(out.contains("admission.served"), "out = {out}");
+            assert!(out.contains("phase.traversal"), "out = {out}");
+        }
 
-        // The observability snapshot travels the wire and renders: the
-        // batch above must show up in the served counter and leave at
-        // least one traversal-phase latency sample.
-        let mut out = String::new();
-        run(
-            &Command::Remote(RemoteCommand::ObsStats { addr: addr.clone() }),
-            &mut out,
-        )
-        .unwrap();
-        assert!(out.contains("admission.served"), "out = {out}");
-        assert!(out.contains("phase.traversal"), "out = {out}");
-
-        let mut out = String::new();
-        run(&Command::Remote(RemoteCommand::Shutdown { addr }), &mut out).unwrap();
+        cli(&format!("remote shutdown --addr {addr}")).unwrap();
         server.join().unwrap().unwrap();
 
         // The shutdown drained and checkpointed: the index reopens clean.
-        let mut out = String::new();
-        run(&Command::Verify { index }, &mut out).unwrap();
+        let out = cli(&format!("verify --index {}", index.display())).unwrap();
         assert!(out.contains("ok"), "out = {out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Output lines without their wall-clock fields (`… ms`, and the
+    /// `…s total, … queries/s` of a batch).
+    fn untimed(out: &str) -> Vec<String> {
+        out.lines()
+            .map(|l| {
+                let cut = if l.ends_with(" ms") {
+                    l.rfind(", ")
+                } else if l.ends_with(" queries/s") {
+                    l.rfind(": ")
+                } else {
+                    None
+                };
+                l[..cut.unwrap_or(l.len())].to_owned()
+            })
+            .collect()
+    }
+
+    /// Every shared command prints the same lines for `--index DIR` and
+    /// for `--addr` of a server over the same data. The server gets its
+    /// own copy of the directory: a live server and a local open must
+    /// never share one `spb.wal`.
+    #[test]
+    fn index_and_addr_targets_print_the_same_lines() {
+        let dir = std::env::temp_dir().join(format!("spbcli-targets-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut words = String::new();
+        let mut vectors = String::new();
+        for i in 0..120u32 {
+            let _ = writeln!(
+                words,
+                "w{:02}{}",
+                i % 37,
+                "abcdefgh".split_at(i as usize % 8).0
+            );
+            let _ = writeln!(
+                vectors,
+                "{},{},{}",
+                (i % 11) as f32 / 11.0,
+                (i % 7) as f32 / 7.0,
+                (i % 5) as f32 / 5.0
+            );
+        }
+        // (schema, rows, a query, a batch file, radius, a new object)
+        let cases = [
+            (
+                "words",
+                words,
+                "w05abc",
+                "w05abc\nw11\nzzz\n",
+                "2",
+                "w05abcz",
+            ),
+            (
+                "vectors:l2",
+                vectors,
+                "0.5,0.5,0.5",
+                "0.5,0.5,0.5\n0,0,0\n",
+                "0.3",
+                "0.51,0.52,0.53",
+            ),
+        ];
+        for (schema_flag, rows, query, batch, radius, object) in cases {
+            let name = schema_flag.replace(':', "-");
+            let local = build_index(&dir, &name, schema_flag, &rows);
+            let served = dir.join(format!("{name}-served"));
+            std::fs::create_dir_all(&served).unwrap();
+            for file in std::fs::read_dir(&local).unwrap() {
+                let file = file.unwrap();
+                std::fs::copy(file.path(), served.join(file.file_name())).unwrap();
+            }
+            let qfile = dir.join(format!("{name}-queries.txt"));
+            std::fs::write(&qfile, batch).unwrap();
+            let (addr, server) = serve_in_background(&served);
+
+            let (index, qfile) = (local.display(), qfile.display());
+            let both = |command: &str| {
+                let on_index = cli(&command.replace("TARGET", &format!("--index {index}")));
+                let on_addr = cli(&command.replace("TARGET", &format!("--addr {addr}")));
+                (on_index.expect(command), on_addr.expect(command))
+            };
+            for command in [
+                format!("range TARGET --query {query} --radius {radius}"),
+                format!("range TARGET --query {query} --radius {radius} --deadline-ms 60000"),
+                format!("knn TARGET --query {query} --k 4"),
+                format!("knn TARGET --query {query} --k 4 --alpha 1.5"),
+                format!("batch TARGET --queries {qfile} --radius {radius} --threads 2"),
+                format!("batch TARGET --queries {qfile} --k 3"),
+                format!("insert TARGET --object {object}"),
+                format!("delete TARGET --object {object}"),
+                format!("delete TARGET --object {object}"),
+            ] {
+                let (on_index, on_addr) = both(&command);
+                assert_eq!(
+                    untimed(&on_index),
+                    untimed(&on_addr),
+                    "{schema_flag}: {command}"
+                );
+                let hits = on_index.lines().filter(|l| !l.starts_with('#')).count();
+                assert!(
+                    hits >= 1,
+                    "{command} printed no hit or verdict:\n{on_index}"
+                );
+            }
+            // After an update the two trees hold the same objects but are
+            // no longer the same tree: the local one was reopened, the
+            // served one still has its RAF tail page in memory, so page
+            // accesses may differ by that page. The hits may not.
+            let (on_index, on_addr) =
+                both(&format!("range TARGET --query {query} --radius {radius}"));
+            let hits = |out: &str| -> Vec<String> {
+                let lines = out.lines().filter(|l| !l.starts_with('#'));
+                lines.map(str::to_owned).collect()
+            };
+            assert_eq!(
+                hits(&on_index),
+                hits(&on_addr),
+                "{schema_flag}: after updates"
+            );
+
+            cli(&format!("shutdown --addr {addr}")).unwrap();
+            server.join().unwrap().unwrap();
+            for checked in [&local, &served] {
+                let out = cli(&format!("verify --index {}", checked.display())).unwrap();
+                assert!(out.contains("ok"), "out = {out}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `--deadline-ms` is honoured on a local target too: the one query
+    /// path takes a deadline whatever answers it.
+    #[test]
+    fn an_expired_deadline_on_a_local_index_exits_12() {
+        let dir = std::env::temp_dir().join(format!("spbcli-deadline-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut words = String::new();
+        for i in 0..400 {
+            let _ = writeln!(words, "word{i:03}");
+        }
+        let index = build_index(&dir, "idx", "words", &words);
+        let qfile = dir.join("queries.txt");
+        std::fs::write(&qfile, words.repeat(8)).unwrap();
+        let err = cli(&format!(
+            "batch --index {} --queries {} --radius 3 --deadline-ms 1",
+            index.display(),
+            qfile.display()
+        ))
+        .unwrap_err();
+        assert_eq!(err.code, EXIT_DEADLINE, "message: {}", err.message);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

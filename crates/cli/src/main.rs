@@ -7,10 +7,10 @@
 //! spb-cli count --index ./idx --query similarty --radius 2
 //! spb-cli stats --index ./idx
 //! spb-cli serve --index ./idx --addr 127.0.0.1:7878
-//! spb-cli remote range --addr 127.0.0.1:7878 --query similarty --radius 2
+//! spb-cli range --addr 127.0.0.1:7878 --query similarty --radius 2
 //! ```
 //!
-//! Remote failures exit with distinct codes so scripts can react:
+//! Failures exit with distinct codes so scripts can react:
 //! 10 = could not connect, 11 = server overloaded (back off and retry),
 //! 12 = deadline exceeded, 13 = protocol version mismatch.
 

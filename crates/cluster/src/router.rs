@@ -308,14 +308,14 @@ impl<O: MetricObject, D: Distance<O>> Router<O, D> {
     /// `RQ(q, r)` across the cluster. Hits carry global ids and come
     /// back sorted by id; stats are the sum over the queried shards.
     pub fn range(&self, q: &O, radius: f64) -> Result<(Vec<WireHit>, WireStats), RouterError> {
-        self.range_scatter(q, radius, None)
+        self.range_scatter(q, QueryPlan::exact(QueryShape::Range { radius }), radius)
     }
 
     /// `kNN(q, k)` across the cluster, in ascending-bound waves under a
     /// shrinking global radius. Results are byte-identical to a single
     /// node over the union of the shards, tie-breaks included.
     pub fn knn(&self, q: &O, k: usize) -> Result<(Vec<WireNn>, WireStats), RouterError> {
-        self.knn_scatter(q, k, None)
+        self.knn_scatter(q, QueryPlan::exact(QueryShape::Knn { k }), k)
     }
 
     /// Runs `plan` for every query across the cluster, one answer row
@@ -327,27 +327,27 @@ impl<O: MetricObject, D: Distance<O>> Router<O, D> {
         match plan.shape() {
             QueryShape::Range { radius } => qs
                 .iter()
-                .map(|q| self.range_scatter(q, radius, plan.approx()))
+                .map(|q| self.range_scatter(q, plan, radius))
                 .collect::<Result<_, _>>()
                 .map(Answers::Range),
             QueryShape::Knn { k } => qs
                 .iter()
-                .map(|q| self.knn_scatter(q, k, plan.approx()))
+                .map(|q| self.knn_scatter(q, plan, k))
                 .collect::<Result<_, _>>()
                 .map(Answers::Knn),
         }
     }
 
-    /// The range body: one wave over every shard the *true* radius can
-    /// reach. With a `contraction` each shard contracts its own pruning
-    /// radius while checking candidates against `radius`, so the merged
+    /// The range body: one wave of `plan` over every shard its *true*
+    /// `radius` can reach. With a contraction each shard contracts its own
+    /// pruning radius while checking candidates against `radius`, so the merged
     /// answer keeps perfect precision; shard pruning never contracts — a
     /// contracted fan-out would compound the recall loss invisibly.
     fn range_scatter(
         &self,
         q: &O,
+        plan: QueryPlan,
         radius: f64,
-        contraction: Option<f64>,
     ) -> Result<(Vec<WireHit>, WireStats), RouterError> {
         let qp = self.q_phi(q);
         let obj = encode(q);
@@ -357,32 +357,37 @@ impl<O: MetricObject, D: Distance<O>> Router<O, D> {
             .filter(|&i| shard_mind(&qp, &self.nodes[i].route.mbb) <= radius)
             .collect();
         fanout_hist().record(targets.len() as u64);
-        let results = self.scatter(&targets, &move |c: &mut Client| {
-            c.range(&obj, radius, contraction, 0)
+        let results = self.scatter(&targets, &|c: &mut Client| {
+            c.query(plan, vec![obj.clone()], 0)
         })?;
 
         let mut hits = Vec::new();
         let mut stats = WireStats::default();
-        for (shard_hits, shard_stats) in results {
-            sum_stats(&mut stats, &shard_stats);
-            hits.extend(shard_hits);
+        for answers in results {
+            // `Client::query` lets only range rows answer a range plan.
+            if let Answers::Range(rows) = answers {
+                for (shard_hits, shard_stats) in rows {
+                    sum_stats(&mut stats, &shard_stats);
+                    hits.extend(shard_hits);
+                }
+            }
         }
         hits.sort_unstable_by_key(|&(id, _)| id);
         Ok((hits, stats))
     }
 
-    /// The kNN body: shrinking-radius waves in ascending shard-bound
-    /// order. With an `alpha` every shard answers its α-approximate
-    /// top-`k`, while wave pruning still compares shard bounds against
+    /// The kNN body: shrinking-radius waves of `plan` (a kNN plan for `k`)
+    /// in ascending shard-bound order. With an α every shard answers its
+    /// α-approximate top-`k`, while wave pruning still compares shard bounds against
     /// the merged k-th distance unrelaxed (shard pruning must not
     /// compound the per-shard approximation); the merged list is the best
     /// `k` of the shards' candidates, so every returned distance is
-    /// within `alpha` of the true k-th NN distance.
+    /// within α of the true k-th NN distance.
     fn knn_scatter(
         &self,
         q: &O,
+        plan: QueryPlan,
         k: usize,
-        alpha: Option<f64>,
     ) -> Result<(Vec<WireNn>, WireStats), RouterError> {
         let mut stats = WireStats::default();
         if k == 0 || self.nodes.is_empty() {
@@ -409,12 +414,18 @@ impl<O: MetricObject, D: Distance<O>> Router<O, D> {
         let mut fanout = 0u64;
         while !wave.is_empty() {
             fanout += wave.len() as u64;
-            let results = self.scatter(&wave, &|c: &mut Client| c.knn(&obj, k as u32, alpha, 0))?;
+            let results =
+                self.scatter(&wave, &|c: &mut Client| c.query(plan, vec![obj.clone()], 0))?;
             let mut lists = vec![std::mem::take(&mut best)];
-            for (&shard, (nns, shard_stats)) in wave.iter().zip(results) {
+            for (&shard, answers) in wave.iter().zip(results) {
                 visited[shard] = true;
-                sum_stats(&mut stats, &shard_stats);
-                lists.push(nns);
+                // `Client::query` lets only kNN rows answer a kNN plan.
+                if let Answers::Knn(rows) = answers {
+                    for (nns, shard_stats) in rows {
+                        sum_stats(&mut stats, &shard_stats);
+                        lists.push(nns);
+                    }
+                }
             }
             best = merge_topk(k, lists);
             let r_k = if best.len() >= k {

@@ -10,6 +10,19 @@ use spb_server::{Answers, Client, Schema};
 use spb_storage::fault::{self, FaultMode, FaultPlan};
 use spb_storage::TempDir;
 
+/// One node's own answer to `RQ(q, radius)`: the single row.
+fn node_range(
+    conn: &mut Client,
+    q: &Word,
+    radius: f64,
+) -> (Vec<(u32, Vec<u8>)>, spb_server::WireStats) {
+    let plan = QueryPlan::exact(QueryShape::Range { radius });
+    match conn.query(plan, vec![q.encoded()], 0).expect("node range") {
+        Answers::Range(mut rows) if rows.len() == 1 => rows.remove(0),
+        other => panic!("{other:?} is not one range row"),
+    }
+}
+
 fn words_schema() -> Schema {
     // EditDistance::default() is the paper's Words metric (d⁺ = 34).
     Schema::Words { max_len: 34 }
@@ -139,9 +152,7 @@ fn sharded_cluster_answers_byte_identically_to_a_single_node() {
     let mut summed = spb_server::wire::WireStats::default();
     for shard in 0..cluster.num_shards() {
         let mut conn = Client::connect(cluster.primary_addr(shard)).expect("shard connect");
-        let (_, stats) = conn
-            .range(&q.encoded(), full, None, 0)
-            .expect("shard range");
+        let (_, stats) = node_range(&mut conn, q, full);
         spb_cluster::sum_stats(&mut summed, &stats);
     }
     assert_eq!(routed.compdists, summed.compdists);
@@ -205,17 +216,13 @@ fn lagging_replica_catches_up_and_serves_reads_after_primary_kill() {
 
     // The caught-up replica answers for the shipped writes directly.
     let mut replica_conn = Client::connect(cluster.replica_addrs(0)[0]).expect("replica connect");
-    let (hits, _) = replica_conn
-        .range(&inserted[3].encoded(), 0.0, None, 0)
-        .expect("replica range");
+    let (hits, _) = node_range(&mut replica_conn, &inserted[3], 0.0);
     assert!(
         hits.iter()
             .any(|(_, bytes)| bytes == &inserted[3].encoded()),
         "replica must serve the replicated insert"
     );
-    let (torn, _) = replica_conn
-        .range(&Word::new("tornword").encoded(), 0.0, None, 0)
-        .expect("replica range (torn)");
+    let (torn, _) = node_range(&mut replica_conn, &Word::new("tornword"), 0.0);
     assert!(torn.is_empty(), "the torn transaction must not replicate");
 
     // Record router answers while the primary is alive...

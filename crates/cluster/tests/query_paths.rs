@@ -12,8 +12,8 @@ use spb_metric::{dataset, EditDistance, MetricObject, Word};
 use spb_server::admission::Deadline;
 use spb_server::wire::{WireHit, WireNn, WireStats};
 use spb_server::{
-    serve, Answers, Client, IndexService, Request, Response, Schema, ServerConfig, ServerHandle,
-    ServiceError, TreeService,
+    serve, Answers, Client, ClientError, IndexService, Request, Response, Schema, ServerConfig,
+    ServerHandle, ServiceError, TreeService,
 };
 use spb_storage::TempDir;
 
@@ -117,31 +117,7 @@ impl Served {
 
 /// The wire request that carries `plan` for one query object.
 fn request(plan: QueryPlan, obj: &[u8], deadline_ms: u32) -> Request {
-    let obj = obj.to_vec();
-    match (plan.shape(), plan.approx()) {
-        (QueryShape::Range { radius }, None) => Request::Range {
-            deadline_ms,
-            radius,
-            obj,
-        },
-        (QueryShape::Range { radius }, Some(contraction)) => Request::RangeApprox {
-            deadline_ms,
-            radius,
-            contraction,
-            obj,
-        },
-        (QueryShape::Knn { k }, None) => Request::Knn {
-            deadline_ms,
-            k: k as u32,
-            obj,
-        },
-        (QueryShape::Knn { k }, Some(alpha)) => Request::KnnApprox {
-            deadline_ms,
-            k: k as u32,
-            alpha,
-            obj,
-        },
-    }
+    Request::from_query(plan, vec![obj.to_vec()], deadline_ms).expect("a solo op for every plan")
 }
 
 /// Answer rows without their stats (durations differ run to run).
@@ -203,9 +179,9 @@ fn collect(plan: QueryPlan, resps: Vec<Response>) -> Answers {
         QueryShape::Knn { .. } => Answers::Knn(Vec::new()),
     };
     for resp in resps {
-        match (resp, &mut out) {
-            (Response::Range { hits, stats }, Answers::Range(rows)) => rows.push((hits, stats)),
-            (Response::Knn { hits, stats }, Answers::Knn(rows)) => rows.push((hits, stats)),
+        match (resp.into_answers(), &mut out) {
+            (Ok(Answers::Range(row)), Answers::Range(rows)) => rows.extend(row),
+            (Ok(Answers::Knn(row)), Answers::Knn(rows)) => rows.extend(row),
             (other, _) => panic!("{other:?} does not answer {plan:?}"),
         }
     }
@@ -317,11 +293,14 @@ fn every_answering_path_agrees_on_every_plan() {
         let direct = served.service.query(plan, &objs, 2, Deadline::none());
         check("TreeService", direct.unwrap());
 
+        // `Client::query` is the one client call. One object travels as
+        // the solo op (under a deadline here, so nothing coalesces) …
         served.take_seen();
-        let solo: Vec<Response> = objs
-            .iter()
-            .map(|o| client.request(&request(plan, o, 60_000)).expect("solo"))
-            .collect();
+        let mut solo = Vec::new();
+        for o in &objs {
+            let answers = client.query(plan, vec![o.clone()], 60_000).expect("solo");
+            solo.extend(Response::from_answers(answers, false));
+        }
         check("served solo", collect(plan, solo));
         let seen = served.take_seen();
         assert_eq!(seen, vec![(plan, 1); objs.len()], "solo executions");
@@ -336,16 +315,19 @@ fn every_answering_path_agrees_on_every_plan() {
             "nothing coalesced for {plan:?}: {seen:?}"
         );
 
-        if plan.approx().is_none() {
-            let batch = match plan.shape() {
-                QueryShape::Range { radius } => {
-                    Answers::Range(client.batch_range(objs.clone(), radius, 0).unwrap())
-                }
-                QueryShape::Knn { k } => {
-                    Answers::Knn(client.batch_knn(objs.clone(), k as u32, 0).unwrap())
-                }
-            };
-            check("explicit batch", batch);
+        // … and several objects as the batch op, which only exact plans
+        // have: an approximate batch is refused before anything is sent.
+        match client.query(plan, objs.clone(), 0) {
+            Ok(batch) => {
+                check("explicit batch", batch);
+                assert_eq!(served.take_seen(), vec![(plan, objs.len())]);
+            }
+            Err(ClientError::NoWireOp(refused)) => {
+                assert!(plan.approx().is_some(), "{plan:?} has a batch op");
+                assert_eq!(refused, plan);
+                assert!(served.take_seen().is_empty(), "nothing was sent");
+            }
+            Err(e) => panic!("{plan:?}: {e}"),
         }
 
         // The replica replayed the primary's log into its own copy of the

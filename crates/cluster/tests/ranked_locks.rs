@@ -12,8 +12,9 @@
 #![cfg(debug_assertions)]
 
 use spb_cluster::{Cluster, ClusterConfig};
+use spb_core::{QueryPlan, QueryShape};
 use spb_metric::{dataset, MetricObject, Word};
-use spb_server::{Client, Schema};
+use spb_server::{Answers, Client, Schema};
 use spb_storage::lockrank::{checked_acquisitions, LockRank};
 use spb_storage::TempDir;
 
@@ -53,10 +54,12 @@ fn a_served_cluster_takes_all_eight_ranks_under_the_checker() {
     // and a replica read holds that lock shared across the query.
     assert!(cluster.sync_replicas().expect("catch-up") > 0);
     let mut replica = Client::connect(cluster.replica_addrs(0)[0]).expect("replica connect");
-    let (hits, _) = replica
-        .range(&fresh.encoded(), 0.0, None, 0)
-        .expect("replica range");
-    assert_eq!(hits.len(), 1, "the replica serves the shipped insert");
+    let at_fresh = QueryPlan::exact(QueryShape::Range { radius: 0.0 });
+    let hits = replica.query(at_fresh, vec![fresh.encoded()], 0);
+    let Ok(Answers::Range(rows)) = hits else {
+        panic!("replica range: {hits:?}");
+    };
+    assert_eq!(rows[0].0.len(), 1, "the replica serves the shipped insert");
 
     // Draining every node checkpoints each tree under its latch.
     cluster.shutdown().expect("clean shutdown");

@@ -392,17 +392,6 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
     pub fn join(&self, other: &SpbTree<O, D>, eps: f64) -> io::Result<(Vec<JoinPair>, QueryStats)> {
         similarity_join(self, other, eps)
     }
-
-    /// Convenience method form of [`similarity_join_parallel`]: `self` is
-    /// `Q`.
-    pub fn join_parallel(
-        &self,
-        other: &SpbTree<O, D>,
-        eps: f64,
-        threads: usize,
-    ) -> io::Result<(Vec<JoinPair>, QueryStats)> {
-        similarity_join_parallel(self, other, eps, threads)
-    }
 }
 
 #[cfg(test)]

@@ -407,10 +407,10 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         } else {
             table.delta() / 2.0
         };
-        let phis: Vec<Vec<f64>> = btree
-            .scan_all()?
-            .into_iter()
-            .map(|(key, _)| {
+        let entries = btree.scan_all()?;
+        let phis: Vec<Vec<f64>> = entries
+            .iter()
+            .map(|&(key, _)| {
                 curve
                     .decode(key)
                     .into_iter()
@@ -420,12 +420,11 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
             .collect();
         // Calibration probe: fetch a slice of objects back from the RAF
         // and measure pivot precision against their stored cells.
-        let probe: Vec<(u32, O)> = btree
-            .scan_all()?
-            .into_iter()
+        let probe: Vec<(u32, O)> = entries
+            .iter()
             .step_by((len as usize / 200).max(1))
             .take(200)
-            .map(|(_, off)| -> io::Result<(u32, O)> {
+            .map(|&(_, off)| -> io::Result<(u32, O)> {
                 let e = raf.get(spb_storage::RafPtr { offset: off })?;
                 Ok((e.id, decode_entry::<O>(&e.bytes)?))
             })
@@ -892,15 +891,6 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
             policy == spb_accel::AccelPolicy::Learned,
             std::sync::atomic::Ordering::SeqCst,
         );
-    }
-
-    /// The currently effective acceleration policy.
-    pub fn accel_policy(&self) -> spb_accel::AccelPolicy {
-        if self.accel_on.load(std::sync::atomic::Ordering::SeqCst) {
-            spb_accel::AccelPolicy::Learned
-        } else {
-            spb_accel::AccelPolicy::Off
-        }
     }
 
     /// Resolves a per-query positioning request to a usable model.

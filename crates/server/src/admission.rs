@@ -76,7 +76,7 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// Why [`Admission::admit`] refused a request.
+/// Why [`Admission`] refused a request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmitError {
     /// The wait queue is full; the request was shed immediately.
@@ -163,53 +163,10 @@ impl Admission {
         }
     }
 
-    /// Requests an execution slot, blocking (up to the deadline) while the
-    /// queue has room. Returns a [`Permit`] on success; the caller runs
-    /// the request while holding it.
-    pub fn admit(&self, deadline: Deadline, shutdown: &AtomicBool) -> Result<Permit, AdmitError> {
-        let inner = &self.inner;
-        let mut c = inner.counters.lock();
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                return Err(AdmitError::ShuttingDown);
-            }
-            if deadline.expired() {
-                inner.deadline_missed.fetch_add(1, Ordering::Relaxed);
-                inner.obs_deadline_miss.incr();
-                return Err(AdmitError::DeadlineExceeded);
-            }
-            if c.running < inner.cfg.max_inflight {
-                c.running += 1;
-                inner.served.fetch_add(1, Ordering::Relaxed);
-                inner.obs_served.incr();
-                return Ok(Permit {
-                    inner: Arc::clone(inner),
-                });
-            }
-            if c.queued >= inner.cfg.max_queue {
-                inner.shed.fetch_add(1, Ordering::Relaxed);
-                inner.obs_shed.incr();
-                return Err(AdmitError::Overloaded);
-            }
-            // Wait for a slot, bounded so shutdown and deadline are
-            // observed even if no permit is ever released.
-            c.queued += 1;
-            inner.obs_queue_depth.set(c.queued as i64);
-            let wait = deadline
-                .remaining()
-                .unwrap_or(Duration::from_millis(50))
-                .min(Duration::from_millis(50));
-            c = c.wait_timeout(&inner.slot_freed, wait);
-            c.queued = c.queued.saturating_sub(1);
-            inner.obs_queue_depth.set(c.queued as i64);
-        }
-    }
-
     // -----------------------------------------------------------------
-    // Event-loop API. The readiness-based server separates *queueing*
-    // (non-blocking, done on the event-loop thread as frames decode)
-    // from *slot acquisition* (done on dispatcher workers, which may
-    // block). The capacity rule matches `admit` exactly: at most
+    // *Queueing* (non-blocking, done on the event-loop thread as frames
+    // decode) is separate from *slot acquisition* (done on dispatcher
+    // workers, which may block). The capacity rule: at most
     // `max_inflight` requests hold slots and at most `max_queue` more
     // wait, so `running + queued < max_inflight + max_queue` admits.
     // -----------------------------------------------------------------
@@ -337,7 +294,7 @@ impl Admission {
         self.inner.deadline_missed.load(Ordering::Relaxed)
     }
 
-    /// Counts a deadline miss detected outside `admit` (a request whose
+    /// Counts a deadline miss detected after admission (a request whose
     /// budget ran out during execution).
     pub fn record_deadline_miss(&self) {
         self.inner.deadline_missed.fetch_add(1, Ordering::Relaxed);
@@ -349,85 +306,66 @@ impl Admission {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
     use std::thread;
+
+    fn gate(max_inflight: usize, max_queue: usize) -> Admission {
+        Admission::new(AdmissionConfig {
+            max_inflight,
+            max_queue,
+        })
+    }
+
+    /// Enqueue + acquire: what one request does on its way to a slot.
+    fn through_the_gate(
+        a: &Admission,
+        deadline: Deadline,
+        shutdown: &AtomicBool,
+    ) -> Result<Permit, AdmitError> {
+        a.try_enqueue(shutdown)?;
+        a.acquire_queued(deadline, shutdown)
+    }
 
     #[test]
     fn admits_up_to_max_inflight() {
-        let a = Admission::new(AdmissionConfig {
-            max_inflight: 2,
-            max_queue: 0,
-        });
+        let a = gate(2, 0);
         let shutdown = AtomicBool::new(false);
-        let p1 = a.admit(Deadline::none(), &shutdown).unwrap();
-        let _p2 = a.admit(Deadline::none(), &shutdown).unwrap();
+        let p1 = through_the_gate(&a, Deadline::none(), &shutdown).unwrap();
+        let _p2 = through_the_gate(&a, Deadline::none(), &shutdown).unwrap();
         // Queue size 0: the third request is shed immediately.
         assert_eq!(
-            a.admit(Deadline::from_ms(10), &shutdown).unwrap_err(),
+            through_the_gate(&a, Deadline::from_ms(10), &shutdown).unwrap_err(),
             AdmitError::Overloaded
         );
         assert_eq!(a.shed_count(), 1);
         drop(p1);
-        let _p3 = a.admit(Deadline::from_ms(1000), &shutdown).unwrap();
+        let _p3 = through_the_gate(&a, Deadline::from_ms(1000), &shutdown).unwrap();
         assert_eq!(a.served_count(), 3);
     }
 
     #[test]
     fn queued_request_gets_slot_when_freed() {
-        let a = Admission::new(AdmissionConfig {
-            max_inflight: 1,
-            max_queue: 4,
-        });
+        let a = gate(1, 4);
         let shutdown = AtomicBool::new(false);
-        let p = a.admit(Deadline::none(), &shutdown).unwrap();
+        let p = through_the_gate(&a, Deadline::none(), &shutdown).unwrap();
+        // The waiter is in the queue before the slot is freed, so its
+        // permit can only come from the release.
+        a.try_enqueue(&shutdown).unwrap();
         let a2 = a.clone();
         let waiter = thread::spawn(move || {
             let shutdown = AtomicBool::new(false);
-            a2.admit(Deadline::from_ms(5_000), &shutdown).map(|_| ())
+            a2.acquire_queued(Deadline::from_ms(5_000), &shutdown)
+                .map(|_| ())
         });
-        thread::sleep(Duration::from_millis(20));
         drop(p);
         assert!(waiter.join().unwrap().is_ok());
-    }
-
-    #[test]
-    fn queued_request_times_out_at_deadline() {
-        let a = Admission::new(AdmissionConfig {
-            max_inflight: 1,
-            max_queue: 4,
-        });
-        let shutdown = AtomicBool::new(false);
-        let _p = a.admit(Deadline::none(), &shutdown).unwrap();
-        let err = a.admit(Deadline::from_ms(30), &shutdown).unwrap_err();
-        assert_eq!(err, AdmitError::DeadlineExceeded);
-    }
-
-    #[test]
-    fn shutdown_rejects_queued_requests() {
-        let a = Admission::new(AdmissionConfig {
-            max_inflight: 1,
-            max_queue: 4,
-        });
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let _p = a.admit(Deadline::none(), &shutdown).unwrap();
-        let a2 = a.clone();
-        let sd = Arc::clone(&shutdown);
-        let waiter = thread::spawn(move || a2.admit(Deadline::none(), &sd).map(|_| ()));
-        thread::sleep(Duration::from_millis(20));
-        shutdown.store(true, Ordering::SeqCst);
-        assert_eq!(
-            waiter.join().unwrap().unwrap_err(),
-            AdmitError::ShuttingDown
-        );
+        assert_eq!(a.served_count(), 2);
     }
 
     #[test]
     fn try_enqueue_sheds_exactly_beyond_capacity() {
-        // Capacity = max_inflight + max_queue total outstanding, the
-        // same rule `admit` enforces.
-        let a = Admission::new(AdmissionConfig {
-            max_inflight: 1,
-            max_queue: 0,
-        });
+        // Capacity = max_inflight + max_queue total outstanding.
+        let a = gate(1, 0);
         let shutdown = AtomicBool::new(false);
         a.try_enqueue(&shutdown).unwrap();
         assert_eq!(
@@ -450,10 +388,7 @@ mod tests {
 
     #[test]
     fn promote_widens_up_to_max_inflight_only() {
-        let a = Admission::new(AdmissionConfig {
-            max_inflight: 2,
-            max_queue: 8,
-        });
+        let a = gate(2, 8);
         let shutdown = AtomicBool::new(false);
         for _ in 0..3 {
             a.try_enqueue(&shutdown).unwrap();
@@ -467,10 +402,7 @@ mod tests {
 
     #[test]
     fn collapse_counts_served_without_a_slot() {
-        let a = Admission::new(AdmissionConfig {
-            max_inflight: 1,
-            max_queue: 4,
-        });
+        let a = gate(1, 4);
         let shutdown = AtomicBool::new(false);
         a.try_enqueue(&shutdown).unwrap();
         a.try_enqueue(&shutdown).unwrap();
@@ -483,40 +415,62 @@ mod tests {
 
     #[test]
     fn acquire_queued_observes_deadline_and_shutdown() {
-        let a = Admission::new(AdmissionConfig {
-            max_inflight: 1,
-            max_queue: 4,
-        });
+        let a = gate(1, 4);
         let shutdown = AtomicBool::new(false);
-        a.try_enqueue(&shutdown).unwrap();
-        let _p = a.acquire_queued(Deadline::none(), &shutdown).unwrap();
-        a.try_enqueue(&shutdown).unwrap();
-        let err = a
-            .acquire_queued(Deadline::from_ms(30), &shutdown)
-            .unwrap_err();
+        let _p = through_the_gate(&a, Deadline::none(), &shutdown).unwrap();
+        let err = through_the_gate(&a, Deadline::from_ms(30), &shutdown).unwrap_err();
         assert_eq!(err, AdmitError::DeadlineExceeded);
         assert_eq!(a.deadline_miss_count(), 1);
         a.try_enqueue(&shutdown).unwrap();
         shutdown.store(true, Ordering::SeqCst);
         let err = a.acquire_queued(Deadline::none(), &shutdown).unwrap_err();
         assert_eq!(err, AdmitError::ShuttingDown);
+        // Both left the queue: with the slot still held, the gate has
+        // room for exactly `max_queue` waiters again.
+        shutdown.store(false, Ordering::SeqCst);
+        for _ in 0..4 {
+            a.try_enqueue(&shutdown).unwrap();
+        }
+        assert_eq!(
+            a.try_enqueue(&shutdown).unwrap_err(),
+            AdmitError::Overloaded
+        );
+    }
+
+    #[test]
+    fn shutdown_rejects_a_request_already_waiting_for_a_slot() {
+        let a = gate(1, 4);
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let _p = through_the_gate(&a, Deadline::none(), &shutdown).unwrap();
+        a.try_enqueue(&shutdown).unwrap();
+        let (a2, sd) = (a.clone(), Arc::clone(&shutdown));
+        let (waiting, on_waiting) = mpsc::channel();
+        let waiter = thread::spawn(move || {
+            waiting.send(()).unwrap();
+            a2.acquire_queued(Deadline::none(), &sd).map(|_| ())
+        });
+        // No permit is ever released: only the bounded wait can notice
+        // the flag, whether it flips before or after the waiter blocks.
+        on_waiting.recv().unwrap();
+        shutdown.store(true, Ordering::SeqCst);
+        assert_eq!(
+            waiter.join().unwrap().unwrap_err(),
+            AdmitError::ShuttingDown
+        );
     }
 
     #[test]
     fn permit_released_on_panic() {
-        let a = Admission::new(AdmissionConfig {
-            max_inflight: 1,
-            max_queue: 0,
-        });
+        let a = gate(1, 0);
         let shutdown = AtomicBool::new(false);
         let a2 = a.clone();
         let _ = thread::spawn(move || {
             let shutdown = AtomicBool::new(false);
-            let _p = a2.admit(Deadline::none(), &shutdown).unwrap();
+            let _p = through_the_gate(&a2, Deadline::none(), &shutdown).unwrap();
             panic!("handler died");
         })
         .join();
         // The slot must be free again.
-        assert!(a.admit(Deadline::from_ms(100), &shutdown).is_ok());
+        assert!(through_the_gate(&a, Deadline::from_ms(100), &shutdown).is_ok());
     }
 }

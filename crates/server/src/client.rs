@@ -1,7 +1,9 @@
-//! Blocking client for the wire protocol, reused by `spb-cli remote`.
+//! Blocking client for the wire protocol, reused by `spb-cli --addr` and
+//! the cluster router.
 //!
-//! One [`Client`] wraps one TCP connection. The typed helpers issue one
-//! request and wait for its response; [`Client::send_many`] pipelines a
+//! One [`Client`] wraps one TCP connection. [`Client::query`] carries any
+//! [`QueryPlan`]; it and the other typed helpers issue one request and
+//! wait for its response; [`Client::send_many`] pipelines a
 //! whole slice of requests — all frames are written before any reply is
 //! read, and the server answers them strictly in request order. Frames
 //! encode into (and responses decode from) per-client scratch buffers
@@ -14,9 +16,12 @@ use std::fmt;
 use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
+use spb_core::{QueryPlan, QueryShape};
+
+use crate::service::Answers;
 use crate::wire::{
-    frame_into, read_frame_into, ErrorCode, Request, Response, WireError, WireHit, WireNn,
-    WireStats, DEFAULT_MAX_FRAME,
+    frame_into, read_frame_into, ErrorCode, Request, Response, WireError, WireStats,
+    DEFAULT_MAX_FRAME,
 };
 
 /// Why a client call failed.
@@ -39,6 +44,9 @@ pub enum ClientError {
     },
     /// The server answered with a response of the wrong kind.
     Unexpected(String),
+    /// The wire has no request for this plan (an approximate plan over
+    /// other than one object); nothing was sent.
+    NoWireOp(QueryPlan),
 }
 
 impl fmt::Display for ClientError {
@@ -49,6 +57,9 @@ impl fmt::Display for ClientError {
             ClientError::Wire(e) => write!(f, "protocol error: {e}"),
             ClientError::Server { code, message, .. } => write!(f, "server: {code}: {message}"),
             ClientError::Unexpected(m) => write!(f, "unexpected response: {m}"),
+            ClientError::NoWireOp(plan) => {
+                write!(f, "the wire has no batched op for the approximate {plan:?}")
+            }
         }
     }
 }
@@ -156,62 +167,24 @@ impl Client {
         })
     }
 
-    /// `RQ(q, r)` over the wire; `deadline_ms = 0` means no deadline.
-    /// With a `contraction` the query is approximate: the server prunes
-    /// with `r · contraction` (precision stays exact, recall is traded).
-    pub fn range(
+    /// Runs `plan` for every encoded query object and returns one answer
+    /// row per object, in input order — the client end of
+    /// [`IndexService::query`](crate::IndexService::query).
+    /// `deadline_ms = 0` means no deadline. The request is whatever
+    /// [`Request::from_query`] picks; a plan the wire cannot carry is
+    /// [`ClientError::NoWireOp`] and nothing is sent.
+    pub fn query(
         &mut self,
-        obj: &[u8],
-        radius: f64,
-        contraction: Option<f64>,
+        plan: QueryPlan,
+        objs: Vec<Vec<u8>>,
         deadline_ms: u32,
-    ) -> Result<(Vec<WireHit>, WireStats), ClientError> {
-        let obj = obj.to_vec();
-        let req = match contraction {
-            None => Request::Range {
-                deadline_ms,
-                radius,
-                obj,
-            },
-            Some(contraction) => Request::RangeApprox {
-                deadline_ms,
-                radius,
-                contraction,
-                obj,
-            },
-        };
+    ) -> Result<Answers, ClientError> {
+        let req =
+            Request::from_query(plan, objs, deadline_ms).ok_or(ClientError::NoWireOp(plan))?;
+        let range = matches!(plan.shape(), QueryShape::Range { .. });
         self.expect(&req, |r| match r {
-            Response::Range { hits, stats } => Ok((hits, stats)),
-            other => Err(other),
-        })
-    }
-
-    /// `kNN(q, k)` over the wire. With an `alpha` the query is
-    /// α-approximate: every returned distance is within `alpha` of the
-    /// true k-th NN distance.
-    pub fn knn(
-        &mut self,
-        obj: &[u8],
-        k: u32,
-        alpha: Option<f64>,
-        deadline_ms: u32,
-    ) -> Result<(Vec<WireNn>, WireStats), ClientError> {
-        let obj = obj.to_vec();
-        let req = match alpha {
-            None => Request::Knn {
-                deadline_ms,
-                k,
-                obj,
-            },
-            Some(alpha) => Request::KnnApprox {
-                deadline_ms,
-                k,
-                alpha,
-                obj,
-            },
-        };
-        self.expect(&req, |r| match r {
-            Response::Knn { hits, stats } => Ok((hits, stats)),
+            Response::Range { .. } | Response::BatchRange { .. } if range => r.into_answers(),
+            Response::Knn { .. } | Response::BatchKnn { .. } if !range => r.into_answers(),
             other => Err(other),
         })
     }
@@ -240,42 +213,6 @@ impl Client {
         };
         self.expect(&req, |r| match r {
             Response::Delete { found, stats } => Ok((found, stats)),
-            other => Err(other),
-        })
-    }
-
-    /// A batch of range queries sharing one radius.
-    pub fn batch_range(
-        &mut self,
-        objs: Vec<Vec<u8>>,
-        radius: f64,
-        deadline_ms: u32,
-    ) -> Result<Vec<(Vec<WireHit>, WireStats)>, ClientError> {
-        let req = Request::BatchRange {
-            deadline_ms,
-            radius,
-            objs,
-        };
-        self.expect(&req, |r| match r {
-            Response::BatchRange { queries } => Ok(queries),
-            other => Err(other),
-        })
-    }
-
-    /// A batch of kNN queries sharing one `k`.
-    pub fn batch_knn(
-        &mut self,
-        objs: Vec<Vec<u8>>,
-        k: u32,
-        deadline_ms: u32,
-    ) -> Result<Vec<(Vec<WireNn>, WireStats)>, ClientError> {
-        let req = Request::BatchKnn {
-            deadline_ms,
-            k,
-            objs,
-        };
-        self.expect(&req, |r| match r {
-            Response::BatchKnn { queries } => Ok(queries),
             other => Err(other),
         })
     }

@@ -5,11 +5,11 @@
 //!
 //! ## Why batching helps on the wire path
 //!
-//! The blocking server executed one request per connection thread, so
-//! the PR-3 batch engine never saw more than one query at a time. Here
-//! a worker that wins an execution slot first scans the queue it came
-//! from: every *identical* deadline-free query attaches to the same
-//! execution as a follower (the index runs once, the answer fans out —
+//! Executing each request by itself would never show the batch engine
+//! more than one query at a time. Instead a worker that wins an
+//! execution slot first scans the queue it came from: every *identical*
+//! deadline-free query attaches to the same execution as a follower
+//! (the index runs once, the answer fans out —
 //! `SpbTree::range_locked` is deterministic, so followers receive
 //! byte-identical hits and stats, the property
 //! `same_query_twice_in_a_batch_reports_identical_stats` pins down),
@@ -29,7 +29,7 @@
 //! `served + shed` always equals the number of admitted-or-shed work
 //! requests. Requests with a deadline never join a shared batch: their
 //! budget is theirs alone, and they execute solo under their own
-//! deadline exactly like the blocking server ran them.
+//! deadline, checked between traversal slices by the service.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -204,26 +204,12 @@ fn coalescable(req: &mut Request) -> Option<(QueryPlan, &mut Vec<u8>)> {
     }
 }
 
-/// One response per answer row: how single (and coalesced) queries are
-/// answered.
-fn row_responses(answers: Answers) -> Vec<Response> {
-    match answers {
-        Answers::Range(rows) => rows
-            .into_iter()
-            .map(|(hits, stats)| Response::Range { hits, stats })
-            .collect(),
-        Answers::Knn(rows) => rows
-            .into_iter()
-            .map(|(hits, stats)| Response::Knn { hits, stats })
-            .collect(),
-    }
-}
-
-/// The response to a single query: the one row it asked for.
-fn single_response(answers: Answers) -> Response {
-    row_responses(answers)
+/// The one response a request executed by itself is owed: its single
+/// row, or every row in one `Batch*` response for an explicit batch op.
+fn sole_response(answers: Answers, batch: bool) -> Result<Response, ServiceError> {
+    Response::from_answers(answers, batch)
         .pop()
-        .unwrap_or_else(|| error_response(ErrorCode::Internal, "a single query answered no row"))
+        .ok_or_else(|| ServiceError::Internal("a single query answered no row".to_owned()))
 }
 
 /// Distinct queries one batch will carry at most (followers of each are
@@ -360,7 +346,7 @@ fn run_batch(
     let mut comps: Vec<Completion> = Vec::with_capacity(total);
     match svc.query(plan, &objs, threads, Deadline::none()) {
         Ok(answers) => {
-            for (resp, fans) in row_responses(answers).into_iter().zip(subs) {
+            for (resp, fans) in Response::from_answers(answers, false).into_iter().zip(subs) {
                 for (c, s) in fans {
                     comps.push(Completion {
                         conn: c,
@@ -379,7 +365,7 @@ fn run_batch(
             for (obj, fans) in objs.into_iter().zip(subs) {
                 let resp = svc
                     .query(plan, std::slice::from_ref(&obj), threads, Deadline::none())
-                    .map(single_response)
+                    .and_then(|answers| sole_response(answers, false))
                     .unwrap_or_else(|e| service_error_response(e, shared));
                 for (c, s) in fans {
                     comps.push(Completion {
@@ -419,12 +405,7 @@ fn execute(mut req: Request, deadline: Deadline, shared: &Shared) -> Response {
         let result = query
             .map_err(|e| ServiceError::Malformed(e.to_string()))
             .and_then(|Query { plan, objs, batch }| {
-                let answers = svc.query(plan, objs, threads, deadline)?;
-                Ok(match (batch, answers) {
-                    (false, answers) => single_response(answers),
-                    (true, Answers::Range(queries)) => Response::BatchRange { queries },
-                    (true, Answers::Knn(queries)) => Response::BatchKnn { queries },
-                })
+                sole_response(svc.query(plan, objs, threads, deadline)?, batch)
             });
         return result.unwrap_or_else(|e| service_error_response(e, shared));
     }

@@ -18,8 +18,9 @@
 //! * [`server`] — the readiness-based event-loop server (`poll(2)` over
 //!   non-blocking sockets, pipelined frames, a batching dispatcher)
 //!   with graceful drain-and-checkpoint shutdown;
-//! * [`client`] — a blocking client with a pipelined `send_many` path,
-//!   reused by `spb-cli remote`.
+//! * [`client`] — a blocking client: one `query(plan, …)` call for every
+//!   query op and a pipelined `send_many` path, reused by `spb-cli --addr`
+//!   and the cluster router.
 //!
 //! No async runtime and no network dependencies: std threads and sockets
 //! only.
@@ -41,7 +42,7 @@ pub mod wire;
 
 pub use admission::{Admission, AdmissionConfig, Deadline};
 pub use client::{Client, ClientError};
-pub use schema::{open_index, schema_path, Schema};
+pub use schema::{open_index, read_schema, schema_path, Schema};
 pub use server::{serve, serve_until_shutdown, ServerConfig, ServerHandle};
 pub use service::{Answers, IndexService, ServiceError, TreeService};
 pub use wire::{ErrorCode, Request, Response, WireError, WireStats, PROTOCOL_VERSION};

@@ -102,6 +102,18 @@ pub fn schema_path(index: &Path) -> std::path::PathBuf {
     index.join("cli.schema")
 }
 
+/// The schema `spb-cli build` recorded in an index directory.
+pub fn read_schema(index: &Path) -> io::Result<Schema> {
+    let path = schema_path(index);
+    let line = std::fs::read_to_string(&path).map_err(|e| {
+        io::Error::new(
+            e.kind(),
+            format!("read {path:?}: {e} (is this an spb-cli index?)"),
+        )
+    })?;
+    Schema::from_line(line.trim()).map_err(io::Error::other)
+}
+
 /// Opens an index directory as a type-erased service, reading the
 /// schema from `cli.schema`.
 ///
@@ -114,14 +126,7 @@ pub fn open_index(
     cache_pages: usize,
     cache_shards: usize,
 ) -> io::Result<Box<dyn IndexService>> {
-    let path = schema_path(index);
-    let line = std::fs::read_to_string(&path).map_err(|e| {
-        io::Error::new(
-            e.kind(),
-            format!("read {path:?}: {e} (is this an spb-cli index?)"),
-        )
-    })?;
-    let schema = Schema::from_line(line.trim()).map_err(io::Error::other)?;
+    let schema = read_schema(index)?;
     Ok(match &schema {
         Schema::Words { max_len } => {
             let tree = SpbTree::open_sharded(

@@ -361,9 +361,9 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::schema::Schema;
-    use crate::service::TreeService;
+    use crate::service::{Answers, TreeService};
     use crate::wire::WireStats;
-    use spb_core::{SpbConfig, SpbTree};
+    use spb_core::{QueryPlan, QueryShape, SpbConfig, SpbTree};
     use spb_metric::{dataset, MetricObject};
     use spb_storage::TempDir;
     use std::io::Write;
@@ -393,7 +393,11 @@ mod tests {
         assert_eq!(len, 200);
 
         let q = dataset::words(200, 81)[0].encoded();
-        let (hits, stats) = c.range(&q, 1.0, None, 0).unwrap();
+        let plan = QueryPlan::exact(QueryShape::Range { radius: 1.0 });
+        let Answers::Range(mut rows) = c.query(plan, vec![q.clone()], 0).unwrap() else {
+            panic!("a range plan answers range rows");
+        };
+        let (hits, stats) = rows.pop().unwrap();
         assert!(hits.iter().any(|(_, o)| o == &q), "query object is a hit");
         assert!(stats.compdists > 0);
 

@@ -57,6 +57,8 @@ use std::time::Duration;
 use spb_core::{PlanError, QueryPlan, QueryShape, QueryStats};
 use spb_storage::crc32;
 
+use crate::service::Answers;
+
 /// Version byte every payload starts with.
 pub const PROTOCOL_VERSION: u8 = 1;
 
@@ -928,6 +930,49 @@ impl Request {
         Some(QueryPlan::new(shape, approx).map(|plan| Query { plan, objs, batch }))
     }
 
+    /// The request that carries `plan` for `objs` — the inverse of
+    /// [`query`](Request::query): one object travels as the solo op,
+    /// any other number as the batch op. `None` when the wire has no such
+    /// op: an approximate plan over other than one object.
+    pub fn from_query(plan: QueryPlan, mut objs: Vec<Vec<u8>>, deadline_ms: u32) -> Option<Self> {
+        let solo = if objs.len() == 1 { objs.pop() } else { None };
+        Some(match (plan.shape(), plan.approx(), solo) {
+            (QueryShape::Range { radius }, None, Some(obj)) => Request::Range {
+                deadline_ms,
+                radius,
+                obj,
+            },
+            (QueryShape::Range { radius }, Some(contraction), Some(obj)) => Request::RangeApprox {
+                deadline_ms,
+                radius,
+                contraction,
+                obj,
+            },
+            (QueryShape::Knn { k }, None, Some(obj)) => Request::Knn {
+                deadline_ms,
+                k: wire_k(k),
+                obj,
+            },
+            (QueryShape::Knn { k }, Some(alpha), Some(obj)) => Request::KnnApprox {
+                deadline_ms,
+                k: wire_k(k),
+                alpha,
+                obj,
+            },
+            (QueryShape::Range { radius }, None, None) => Request::BatchRange {
+                deadline_ms,
+                radius,
+                objs,
+            },
+            (QueryShape::Knn { k }, None, None) => Request::BatchKnn {
+                deadline_ms,
+                k: wire_k(k),
+                objs,
+            },
+            (_, Some(_), None) => return None,
+        })
+    }
+
     /// The request's relative deadline, if any.
     pub fn deadline_ms(&self) -> u32 {
         match self {
@@ -948,7 +993,43 @@ impl Request {
     }
 }
 
+/// A plan's `k` as the wire carries it (saturating: no index holds 2³²
+/// objects, so a larger `k` asks for everything either way).
+fn wire_k(k: usize) -> u32 {
+    u32::try_from(k).unwrap_or(u32::MAX)
+}
+
 impl Response {
+    /// How `answers` travel: as one `Batch*` response holding every row
+    /// (`batch`, the answer to an explicit batch op) or as one response per
+    /// row (single and coalesced queries).
+    pub fn from_answers(answers: Answers, batch: bool) -> Vec<Response> {
+        match (answers, batch) {
+            (Answers::Range(queries), true) => vec![Response::BatchRange { queries }],
+            (Answers::Knn(queries), true) => vec![Response::BatchKnn { queries }],
+            (Answers::Range(rows), false) => rows
+                .into_iter()
+                .map(|(hits, stats)| Response::Range { hits, stats })
+                .collect(),
+            (Answers::Knn(rows), false) => rows
+                .into_iter()
+                .map(|(hits, stats)| Response::Knn { hits, stats })
+                .collect(),
+        }
+    }
+
+    /// The answer rows a query response carries (one row for a solo
+    /// response); any other response comes back unchanged.
+    pub fn into_answers(self) -> Result<Answers, Response> {
+        Ok(match self {
+            Response::Range { hits, stats } => Answers::Range(vec![(hits, stats)]),
+            Response::Knn { hits, stats } => Answers::Knn(vec![(hits, stats)]),
+            Response::BatchRange { queries } => Answers::Range(queries),
+            Response::BatchKnn { queries } => Answers::Knn(queries),
+            other => return Err(other),
+        })
+    }
+
     /// Serialises into a payload (version + opcode + body).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -1501,5 +1582,96 @@ mod tests {
         let w = stats();
         let q: QueryStats = (&w).into();
         assert_eq!(WireStats::from(&q), w);
+    }
+
+    /// `from_query` is the inverse of `query()` on each of the six query
+    /// ops, and picks the op by the plan and the number of objects alone.
+    #[test]
+    fn from_query_inverts_the_query_projection() {
+        let range = QueryShape::Range { radius: 1.5 };
+        let knn = QueryShape::Knn { k: 7 };
+        let one = vec![vec![1u8, 2]];
+        let many = vec![vec![1u8, 2], vec![], vec![3]];
+        let exact = QueryPlan::exact;
+        let approx = |shape, factor| QueryPlan::new(shape, Some(factor)).unwrap();
+        type Is = fn(&Request) -> bool;
+        let cases: [(QueryPlan, &Vec<Vec<u8>>, Is); 8] = [
+            (exact(range), &one, |r| matches!(r, Request::Range { .. })),
+            (exact(knn), &one, |r| matches!(r, Request::Knn { .. })),
+            (approx(range, 0.7), &one, |r| {
+                matches!(r, Request::RangeApprox { .. })
+            }),
+            (approx(knn, 1.8), &one, |r| {
+                matches!(r, Request::KnnApprox { .. })
+            }),
+            (exact(range), &many, |r| {
+                matches!(r, Request::BatchRange { .. })
+            }),
+            (exact(knn), &many, |r| matches!(r, Request::BatchKnn { .. })),
+            // No object is a batch of none, not a solo op.
+            (exact(range), &Vec::new(), |r| {
+                matches!(r, Request::BatchRange { .. })
+            }),
+            (exact(knn), &Vec::new(), |r| {
+                matches!(r, Request::BatchKnn { .. })
+            }),
+        ];
+        for (plan, objs, is_expected_op) in cases {
+            let mut req = Request::from_query(plan, objs.clone(), 250).unwrap();
+            assert!(is_expected_op(&req), "{plan:?} x {} -> {req:?}", objs.len());
+            assert_eq!(req.deadline_ms(), 250);
+            let Query {
+                plan: got,
+                objs: got_objs,
+                batch,
+            } = req.query().unwrap().unwrap();
+            assert_eq!(got, plan);
+            assert_eq!(got_objs, objs.as_slice());
+            assert_eq!(batch, objs.len() != 1);
+            roundtrip_req(req);
+        }
+        // The wire has no batched approximate op.
+        for plan in [approx(range, 0.7), approx(knn, 1.8), approx(knn, 1.0)] {
+            assert!(Request::from_query(plan, many.clone(), 0).is_none());
+            assert!(Request::from_query(plan, Vec::new(), 0).is_none());
+        }
+        // A `k` the wire cannot carry saturates instead of wrapping.
+        let huge = exact(QueryShape::Knn { k: usize::MAX });
+        let req = Request::from_query(huge, one.clone(), 0).unwrap();
+        assert!(matches!(req, Request::Knn { k: u32::MAX, .. }), "{req:?}");
+    }
+
+    #[test]
+    fn answers_survive_the_trip_through_responses() {
+        let hit = |id: u32| (id, vec![id as u8; 3]);
+        let nn = |id: u32| (id, f64::from(id) * 0.5, vec![id as u8]);
+        let range = Answers::Range(vec![
+            (vec![hit(1), hit(9)], stats()),
+            (vec![], WireStats::default()),
+        ]);
+        let knn = Answers::Knn(vec![(vec![nn(4)], stats()), (vec![nn(2), nn(3)], stats())]);
+        for answers in [range, knn] {
+            // An explicit batch: every row in one response.
+            let mut batch = Response::from_answers(answers.clone(), true);
+            assert_eq!(batch.len(), 1);
+            assert_eq!(batch.pop().unwrap().into_answers().unwrap(), answers);
+            // Single and coalesced queries: one response per row, each
+            // carrying exactly its row.
+            let solo = Response::from_answers(answers.clone(), false);
+            let rows: Vec<Answers> = match &answers {
+                Answers::Range(rows) => rows
+                    .iter()
+                    .map(|r| Answers::Range(vec![r.clone()]))
+                    .collect(),
+                Answers::Knn(rows) => rows.iter().map(|r| Answers::Knn(vec![r.clone()])).collect(),
+            };
+            let back: Vec<Answers> = solo
+                .into_iter()
+                .map(|r| r.into_answers().unwrap())
+                .collect();
+            assert_eq!(back, rows);
+        }
+        // Anything else is handed back untouched.
+        assert_eq!(Response::Shutdown.into_answers(), Err(Response::Shutdown));
     }
 }

@@ -10,16 +10,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use spb::core::{QueryPlan, QueryShape};
 use spb::metric::{dataset, MetricObject, Word};
 use spb::storage::TempDir;
 use spb::{SpbConfig, SpbTree};
 use spb_server::{
-    open_index, schema_path, serve, AdmissionConfig, Client, ClientError, ErrorCode, Request,
-    Response, Schema, ServerConfig,
+    open_index, schema_path, serve, AdmissionConfig, Answers, Client, ClientError, ErrorCode,
+    Request, Response, Schema, ServerConfig,
 };
 
 const RADIUS: f64 = 2.0;
 const K: u32 = 5;
+
+fn range_plan() -> QueryPlan {
+    QueryPlan::exact(QueryShape::Range { radius: RADIUS })
+}
 const CACHE_PAGES: usize = 32;
 const SHARDS: usize = 4;
 
@@ -74,7 +79,9 @@ fn remote_batches_are_byte_identical_to_in_process() {
     let mut client = Client::connect(server.addr()).unwrap();
     let objs: Vec<Vec<u8>> = queries.iter().map(MetricObject::encoded).collect();
 
-    let remote_range = client.batch_range(objs.clone(), RADIUS, 0).unwrap();
+    let Answers::Range(remote_range) = client.query(range_plan(), objs.clone(), 0).unwrap() else {
+        panic!("a range plan answers range rows");
+    };
     assert_eq!(remote_range.len(), local_range.len());
     for (i, ((r_hits, r_stats), (l_hits, l_stats))) in
         remote_range.iter().zip(&local_range).enumerate()
@@ -92,7 +99,10 @@ fn remote_batches_are_byte_identical_to_in_process() {
         assert_eq!(r_stats.fsyncs, l_stats.fsyncs, "range query {i}");
     }
 
-    let remote_knn = client.batch_knn(objs, K, 0).unwrap();
+    let knn_plan = QueryPlan::exact(QueryShape::Knn { k: K as usize });
+    let Answers::Knn(remote_knn) = client.query(knn_plan, objs, 0).unwrap() else {
+        panic!("a kNN plan answers kNN rows");
+    };
     assert_eq!(remote_knn.len(), local_knn.len());
     for (i, ((r_nn, r_stats), (l_nn, l_stats))) in remote_knn.iter().zip(&local_knn).enumerate() {
         let local_bytes: Vec<(u32, f64, Vec<u8>)> = l_nn
@@ -140,7 +150,8 @@ fn overload_sheds_with_bounded_queue() {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 for i in 0..30 {
-                    match client.range(&queries[(c + i) % queries.len()], RADIUS, None, 0) {
+                    let q = queries[(c + i) % queries.len()].clone();
+                    match client.query(range_plan(), vec![q], 0) {
                         Ok(_) => {
                             ok.fetch_add(1, Ordering::Relaxed);
                         }
@@ -180,7 +191,7 @@ fn expired_deadlines_get_typed_errors() {
     // A large batch with a 1 ms budget: the deadline check between
     // traversal slices must trip long before the batch completes.
     let objs: Vec<Vec<u8>> = data[..256].iter().map(MetricObject::encoded).collect();
-    let err = client.batch_range(objs, RADIUS, 1).unwrap_err();
+    let err = client.query(range_plan(), objs, 1).unwrap_err();
     match err {
         ClientError::Server {
             code: ErrorCode::DeadlineExceeded,
@@ -190,8 +201,10 @@ fn expired_deadlines_get_typed_errors() {
     }
 
     // The connection survives a deadline miss: the next request works.
-    let (_, stats) = client.range(&data[0].encoded(), RADIUS, None, 0).unwrap();
-    assert!(stats.compdists > 0);
+    let Ok(Answers::Range(rows)) = client.query(range_plan(), vec![data[0].encoded()], 0) else {
+        panic!("the connection did not survive the deadline miss");
+    };
+    assert!(rows[0].1.compdists > 0);
 }
 
 /// Zeroes the server-side wall-clock field so responses can be compared
