@@ -1,8 +1,6 @@
 //! Shared experiment plumbing: index builders and averaged query runners,
 //! generic over the dataset's object type and metric.
 
-use std::path::Path;
-
 use spb_core::{QueryStats, SpbConfig, SpbTree, Traversal};
 use spb_mams::{
     EdIndex, EdIndexParams, MIndex, MIndexParams, MTree, MTreeParams, OmniParams, OmniRTree,
@@ -122,19 +120,10 @@ pub fn suite_range_avg<O: MetricObject, D: Distance<O>>(
     ]
 }
 
-/// Averaged kNN per MAM: `[M-tree, OmniR-tree, M-Index, SPB-tree]`.
-/// The SPB-tree uses the incremental traversal (the paper's default).
-pub fn suite_knn_avg<O: MetricObject, D: Distance<O>>(
-    suite: &MamSuite<O, D>,
-    queries: &[O],
-    k: usize,
-) -> [AvgStats; 4] {
-    suite_knn_avg_with(suite, queries, k, Traversal::Incremental)
-}
-
-/// Like [`suite_knn_avg`] with an explicit SPB traversal — the paper uses
-/// greedy on its low-precision dataset (DNA; our Signature stand-in falls
-/// in the same regime, see Section 6.1's "greedy ... default on DNA").
+/// Averaged kNN per MAM: `[M-tree, OmniR-tree, M-Index, SPB-tree]`, with
+/// an explicit SPB traversal — incremental is the paper's default, and it
+/// uses greedy on its low-precision dataset (DNA; our Signature stand-in
+/// falls in the same regime, see Section 6.1's "greedy ... default on DNA").
 pub fn suite_knn_avg_with<O: MetricObject, D: Distance<O>>(
     suite: &MamSuite<O, D>,
     queries: &[O],
@@ -224,11 +213,4 @@ pub fn build_edindex<O: MetricObject, D: Distance<O>>(
 /// protocol), excluding nothing — queries are dataset members.
 pub fn workload<'a, O>(data: &'a [O], scale: &Scale) -> &'a [O] {
     &data[..scale.queries().min(data.len())]
-}
-
-/// Asserts a path exists (sanity check for persisted index files).
-pub fn assert_files(dir: &Path, names: &[&str]) {
-    for n in names {
-        assert!(dir.join(n).exists(), "expected index file {n}");
-    }
 }

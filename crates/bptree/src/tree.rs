@@ -675,18 +675,6 @@ impl<M: MbbOps> BPlusTree<M> {
 
     /// All `(key, value)` pairs with `lo ≤ key ≤ hi`, in key order.
     pub fn scan_range(&self, lo: u128, hi: u128) -> io::Result<Vec<(u128, u64)>> {
-        self.scan_range_traced(lo, hi, &mut |_| {})
-    }
-
-    /// [`BPlusTree::scan_range`], calling `trace` with every node page it
-    /// reads — the hook per-query accounting uses to attribute this scan's
-    /// page accesses to one query without diffing shared pool counters.
-    pub fn scan_range_traced(
-        &self,
-        lo: u128,
-        hi: u128,
-        trace: &mut dyn FnMut(PageId),
-    ) -> io::Result<Vec<(u128, u64)>> {
         let mut out = Vec::new();
         let Some(root) = self.meta.lock().root else {
             return Ok(out);
@@ -695,7 +683,6 @@ impl<M: MbbOps> BPlusTree<M> {
         // straddle node boundaries are not missed.
         let mut page = root;
         loop {
-            trace(page);
             match self.read_node(page)? {
                 Node::Internal(node) => {
                     let idx = node
@@ -716,10 +703,7 @@ impl<M: MbbOps> BPlusTree<M> {
                             }
                         }
                         cur = match l.next {
-                            Some(n) => {
-                                trace(n);
-                                Some(self.read_leaf(n)?)
-                            }
+                            Some(n) => Some(self.read_leaf(n)?),
                             None => None,
                         };
                     }

@@ -24,7 +24,7 @@
 //! | Similarity join (SJA) | Algorithm 3 | [`similarity_join`] |
 //! | Batch queries (parallel) | extension | [`SpbTree::range_batch`], [`SpbTree::knn_batch`] |
 //! | One plan for exact and approximate queries | extension | [`QueryPlan`], [`SpbTree::query_batch`] |
-//! | Parallel join | extension | [`similarity_join_parallel`] |
+//! | Parallel join | extension (the same SJA merge, one per chunk of Q) | [`similarity_join_parallel`] |
 //! | Cost models | eqs. 1–8 | [`CostModel`] |
 //! | Count-only range query | extension | [`SpbTree::range_count`] |
 //! | α-approximate kNN | extension | [`SpbTree::knn_approx`] |

@@ -250,6 +250,13 @@ impl<O: MetricObject> PivotTable<O> {
         let bits = rd_u32(20);
         let d_plus = rd_f64(24);
         let discrete = bytes[32] != 0;
+        // What `new` establishes and `Sfc::new` asserts. The pivot count
+        // is bounded before anything is allocated for it.
+        let grid_ok = (1..=16).contains(&n) && (1..=32).contains(&bits) && n as u32 * bits <= 127;
+        let positive = |x: f64| x > 0.0 && x.is_finite();
+        if !grid_ok || !positive(delta) || !positive(d_plus) {
+            return Err(err("corrupt pivot table header"));
+        }
         let mut off = 33;
         let mut pivots = Vec::with_capacity(n);
         for _ in 0..n {
@@ -258,10 +265,11 @@ impl<O: MetricObject> PivotTable<O> {
             }
             let len = rd_u32(off) as usize;
             off += 4;
-            if off + len > bytes.len() {
+            if len > bytes.len() - off {
                 return Err(err("truncated pivot table"));
             }
-            pivots.push(O::decode(&bytes[off..off + len]));
+            let pivot = O::try_decode(&bytes[off..off + len]);
+            pivots.push(pivot.ok_or_else(|| err("pivot does not decode"))?);
             off += len;
         }
         Ok(PivotTable {

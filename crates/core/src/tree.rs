@@ -43,6 +43,22 @@ fn decode_entry<O: MetricObject>(bytes: &[u8]) -> io::Result<O> {
     })
 }
 
+/// The value of `key=` in `spb.meta`. A missing key or a value that does
+/// not parse is corruption, never a default: a guessed curve or a zero
+/// `next_id` would answer wrongly or hand out duplicate ids.
+fn meta_field<T: std::str::FromStr>(meta: &str, key: &str) -> io::Result<T> {
+    (meta.lines())
+        .find_map(|l| l.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
+        .ok_or_else(|| corrupt_meta(key))
+}
+
+fn corrupt_meta(key: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("corrupt spb.meta: {key}"),
+    )
+}
+
 /// Costs of building the index (one row of Table 6).
 #[derive(Clone, Copy, Debug)]
 pub struct BuildStats {
@@ -359,27 +375,14 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         let counter = DistCounter::new();
         let metric = CountingDistance::with_counter(metric, counter.clone());
         let table: PivotTable<O> = PivotTable::load(&dir.join("pivots.tbl"))?;
-        let meta = std::fs::read_to_string(dir.join("spb.meta"))?;
-        let mut curve_kind = spb_sfc::CurveKind::Hilbert;
-        let mut len: u64 = 0;
-        let mut next_id: u32 = 0;
-        for line in meta.lines() {
-            match line.split_once('=') {
-                Some(("curve", "z")) => curve_kind = spb_sfc::CurveKind::Z,
-                Some(("curve", _)) => curve_kind = spb_sfc::CurveKind::Hilbert,
-                Some(("len", v)) => {
-                    len = v.parse().map_err(|_| {
-                        io::Error::new(io::ErrorKind::InvalidData, "corrupt spb.meta: len")
-                    })?;
-                }
-                Some(("next_id", v)) => {
-                    next_id = v.parse().map_err(|_| {
-                        io::Error::new(io::ErrorKind::InvalidData, "corrupt spb.meta: next_id")
-                    })?;
-                }
-                _ => {}
-            }
-        }
+        let meta = std::fs::read_to_string(dir.join(META_FILE))?;
+        let curve_kind = match meta_field::<String>(&meta, "curve")?.as_str() {
+            "z" => spb_sfc::CurveKind::Z,
+            "hilbert" => spb_sfc::CurveKind::Hilbert,
+            _ => return Err(corrupt_meta("curve")),
+        };
+        let len: u64 = meta_field(&meta, "len")?;
+        let next_id: u32 = meta_field(&meta, "next_id")?;
         let curve = table.curve(curve_kind);
         let btree = BPlusTree::open_sharded(
             &dir.join("index.bpt"),
@@ -800,17 +803,18 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         Ok((entry.id, decode_entry::<O>(&entry.bytes)?))
     }
 
-    /// One counted distance computation attributed to `col` (the global
-    /// counter is still bumped, so aggregate totals remain meaningful).
+    /// One distance computation, counted in `col` and nowhere else: the
+    /// tree-wide counter behind `self.metric` serves the build and the
+    /// updates, which diff it under the exclusive latch.
     pub(crate) fn dist_traced(&self, col: &mut StatsCollector, a: &O, b: &O) -> f64 {
         col.add_compdists(1);
-        self.metric.distance(a, b)
+        self.metric.inner().distance(a, b)
     }
 
     /// `φ(q)` with its `|P|` distance computations attributed to `col`.
     pub(crate) fn phi_traced(&self, col: &mut StatsCollector, o: &O) -> Vec<f64> {
         col.add_compdists(self.table.num_pivots() as u64);
-        self.table.phi(&self.metric, o)
+        self.table.phi(self.metric.inner(), o)
     }
 
     // ------------------------------------------------------------------

@@ -158,8 +158,10 @@ fn concurrent_tree_traffic_respects_lock_order() {
                 }
             });
         }
-        // The join holds the tree's latch shared twice (both sides are
-        // the same tree here) — the one sanctioned equal-rank nesting.
+        // Both sides are the same tree, so the join latches it once: a
+        // second shared hold could queue behind the writer below and
+        // deadlock. (Two *distinct* trees' latches, both shared, are the
+        // one sanctioned equal-rank nesting.)
         {
             let tree = &tree;
             s.spawn(move || {

@@ -3,7 +3,7 @@
 //! variants — the pruning lemmas (1–7) as executable properties.
 
 use proptest::prelude::*;
-use spb_core::{similarity_join, SpbConfig, SpbTree, Traversal};
+use spb_core::{similarity_join, similarity_join_parallel, SpbConfig, SpbTree, Traversal};
 use spb_metric::{Distance, EditDistance, FloatVec, LpNorm, Word};
 use spb_sfc::CurveKind;
 use spb_storage::TempDir;
@@ -110,6 +110,7 @@ proptest! {
         q_data in word_set(),
         o_data in word_set(),
         eps in 0.0f64..4.0,
+        threads in 1usize..5,
     ) {
         let metric = EditDistance::default();
         let (dq, do_) = (TempDir::new("prop-jq"), TempDir::new("prop-jo"));
@@ -124,7 +125,11 @@ proptest! {
             0,
         )
         .unwrap();
-        let (pairs, _) = similarity_join(&spb_q, &spb_o, eps).unwrap();
+        let (pairs, stats) = similarity_join(&spb_q, &spb_o, eps).unwrap();
+        let (par, par_stats) = similarity_join_parallel(&spb_q, &spb_o, eps, threads).unwrap();
+        prop_assert_eq!(&par, &pairs, "a one-leaf Q is one chunk: the sequential join");
+        prop_assert_eq!(par_stats.compdists, stats.compdists);
+        prop_assert_eq!(par_stats.page_accesses, stats.page_accesses);
         let mut got: Vec<(u32, u32)> = pairs.iter().map(|p| (p.q_id, p.o_id)).collect();
         got.sort_unstable();
         let before = got.len();
@@ -169,5 +174,91 @@ proptest! {
             ys.sort_unstable();
             prop_assert_eq!(xs, ys);
         }
+    }
+}
+
+// `pivots.tbl` and `spb.meta` carry no checksum, so `SpbTree::open` must
+// decode them totally: whatever the bytes, it answers `Ok` or a typed
+// `Err` — a panic (or an allocation sized by a corrupt count) fails here.
+
+fn small_index(name: &str) -> TempDir {
+    let dir = TempDir::new(name);
+    let data: Vec<Word> = (0..60)
+        .map(|i| Word::new(format!("w{i}ord{}", i % 7)))
+        .collect();
+    drop(
+        SpbTree::build(
+            dir.path(),
+            &data,
+            EditDistance::default(),
+            &SpbConfig::default(),
+        )
+        .unwrap(),
+    );
+    dir
+}
+
+fn open_with_bytes(dir: &TempDir, file: &str, bytes: &[u8]) -> std::io::Result<()> {
+    std::fs::write(dir.path().join(file), bytes).unwrap();
+    SpbTree::<Word, _>::open(dir.path(), EditDistance::default(), 16).map(drop)
+}
+
+#[test]
+fn every_single_byte_corruption_and_truncation_of_the_side_files_opens_or_errs() {
+    let dir = small_index("prop-side-files");
+    for file in ["pivots.tbl", "spb.meta"] {
+        let good = std::fs::read(dir.path().join(file)).unwrap();
+        let mut rejected = 0;
+        for cut in 0..good.len() {
+            rejected += open_with_bytes(&dir, file, &good[..cut]).is_err() as usize;
+        }
+        for at in 0..good.len() {
+            for mask in [0x01, 0x20, 0x80, 0xFF] {
+                let mut bad = good.clone();
+                bad[at] ^= mask;
+                rejected += open_with_bytes(&dir, file, &bad).is_err() as usize;
+            }
+        }
+        assert!(
+            rejected > good.len(),
+            "{file}: only {rejected} damaged copies were rejected"
+        );
+        open_with_bytes(&dir, file, &good).expect("the undamaged file still opens");
+    }
+    // No default stands in for an unknown curve or a missing counter.
+    let meta = std::fs::read_to_string(dir.path().join("spb.meta")).unwrap();
+    assert_eq!(meta, "curve=hilbert\nlen=60\nnext_id=60\n");
+    for bad in [
+        "curve=hilbert2\nlen=60\nnext_id=60\n",
+        "len=60\nnext_id=60\n",
+        "curve=hilbert\nnext_id=60\n",
+        "curve=hilbert\nlen=60\n",
+    ] {
+        let err = open_with_bytes(&dir, "spb.meta", bad.as_bytes()).unwrap_err();
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidData,
+            "{bad:?}: {err}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn arbitrary_side_file_bytes_open_or_err(
+        bytes in proptest::collection::vec(any::<u8>(), 0..160),
+        keep_magic in any::<bool>(),
+        meta in any::<bool>(),
+    ) {
+        let dir = small_index("prop-side-bytes");
+        let file = if meta { "spb.meta" } else { "pivots.tbl" };
+        let mut bytes = bytes;
+        if keep_magic && !meta {
+            // Past the magic check, into the header and pivot decoding.
+            bytes.splice(0..bytes.len().min(8), *b"SPBPIVT1");
+        }
+        let _ = open_with_bytes(&dir, file, &bytes);
     }
 }

@@ -85,12 +85,6 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Records a duration as nanoseconds (saturating).
-    #[inline]
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     /// Reads the bucket counts and derives count / quantiles. Concurrent
     /// recorders may land events between bucket reads; the snapshot is
     /// a consistent lower bound (every counted event is in a bucket the

@@ -15,8 +15,8 @@
 //! ## Shutdown
 //!
 //! `ServerHandle::shutdown()` (or a remote `Shutdown` request, or a
-//! SIGINT/SIGTERM when the host process installed
-//! [`install_signal_handler`]) sets one flag and wakes the loop. The
+//! SIGINT/SIGTERM under [`serve_until_shutdown`], which routes both
+//! signals) sets one flag and wakes the loop. The
 //! listener stops being polled, dispatched work finishes — admitted
 //! work is never abandoned — queued work is refused with
 //! `ShuttingDown`, and every owed response is flushed before its
@@ -302,7 +302,7 @@ pub(crate) fn control_response(req: Request, shared: &Shared) -> Response {
 }
 
 // ---------------------------------------------------------------------
-// Signal handling (installed by the host binary, e.g. `spb-cli serve`).
+// Signal handling (installed by `serve_until_shutdown`).
 // ---------------------------------------------------------------------
 
 static SIGNAL_SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -312,11 +312,10 @@ extern "C" fn on_signal(_sig: i32) {
     SIGNAL_SHUTDOWN.store(true, Ordering::SeqCst);
 }
 
-/// Routes SIGINT/SIGTERM to a flag readable via
-/// [`signal_shutdown_requested`], so a serving process can drain and
-/// checkpoint instead of dying mid-write. No-op outside Unix.
+/// Routes SIGINT/SIGTERM to `SIGNAL_SHUTDOWN`, so a serving process can
+/// drain and checkpoint instead of dying mid-write. No-op outside Unix.
 #[allow(unsafe_code)] // fenced FFI site, justified on the marker below
-pub fn install_signal_handler() {
+fn install_signal_handler() {
     #[cfg(unix)]
     {
         extern "C" {
@@ -334,12 +333,7 @@ pub fn install_signal_handler() {
     }
 }
 
-/// True once a signal routed by [`install_signal_handler`] has arrived.
-pub fn signal_shutdown_requested() -> bool {
-    SIGNAL_SHUTDOWN.load(Ordering::SeqCst)
-}
-
-/// Serves until shutdown is requested by signal or by a remote
+/// Serves until shutdown is requested by SIGINT/SIGTERM or by a remote
 /// `Shutdown` request, then drains and checkpoints. This is the blocking
 /// entry point `spb-cli serve` uses.
 pub fn serve_until_shutdown(
@@ -348,9 +342,10 @@ pub fn serve_until_shutdown(
     cfg: ServerConfig,
     mut on_start: impl FnMut(SocketAddr),
 ) -> io::Result<()> {
+    install_signal_handler();
     let handle = serve(service, addr, cfg)?;
     on_start(handle.addr());
-    while !handle.is_shutting_down() && !signal_shutdown_requested() {
+    while !handle.is_shutting_down() && !SIGNAL_SHUTDOWN.load(Ordering::SeqCst) {
         thread::sleep(Duration::from_millis(50));
     }
     handle.join()
