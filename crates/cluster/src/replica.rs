@@ -30,7 +30,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use spb_core::{QueryPlan, SpbTree};
+use spb_core::{QueryPlan, SpbTree, WAL_FILE};
 use spb_metric::{Distance, MetricObject};
 use spb_server::admission::Deadline;
 use spb_server::service::{Answers, IndexService, ServiceError, TreeService};
@@ -38,10 +38,6 @@ use spb_server::wire::WireStats;
 use spb_server::{ClientError, Schema};
 use spb_storage::lockrank::{LockRank, RankedRwLock};
 use spb_storage::Wal;
-
-/// The WAL's file name inside an index directory (the same name the
-/// tree's recovery path uses).
-const WAL_FILE: &str = "spb.wal";
 
 /// Why a replica could not serve or catch up.
 #[derive(Debug)]

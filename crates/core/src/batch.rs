@@ -92,7 +92,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         contraction: f64,
         threads: usize,
     ) -> io::Result<RangeBatch<O>> {
-        let _guard = self.latch_shared();
+        let _guard = self.latch_shared()?;
         parallel_map(threads, items, |_, item| {
             let (q, r) = query_of(item);
             let mut col = self.collector();
@@ -112,7 +112,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         alpha: f64,
         threads: usize,
     ) -> io::Result<KnnBatch<O>> {
-        let _guard = self.latch_shared();
+        let _guard = self.latch_shared()?;
         parallel_map(threads, queries, |_, q| {
             let mut col = self.collector();
             let nn = self.knn_locked(

@@ -324,8 +324,10 @@ pub fn similarity_join_parallel<O: MetricObject, D: Distance<O>>(
 
     // A self-join latches its one tree once: the latch is not reentrant,
     // and a writer queued between two shared holds would deadlock both.
-    let _guard_q = spb_q.latch_shared();
-    let _guard_o = (!std::ptr::eq(spb_q, spb_o)).then(|| spb_o.latch_shared());
+    let _guard_q = spb_q.latch_shared()?;
+    let _guard_o = (!std::ptr::eq(spb_q, spb_o))
+        .then(|| spb_o.latch_shared())
+        .transpose()?;
     let start = spb_obs::clock::now();
     let grid = Grid {
         curve: &spb_q.curve,

@@ -213,7 +213,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         alpha: f64,
         pos: spb_accel::Positioning,
     ) -> KnnResult<O> {
-        let _guard = self.latch_shared();
+        let _guard = self.latch_shared()?;
         let mut col = self.collector();
         let out = self.knn_locked(q, k, traversal, alpha, pos, &mut col)?;
         Ok((out, col.finish()))

@@ -70,6 +70,7 @@
 mod batch;
 mod config;
 mod cost;
+mod durable;
 mod exec;
 mod join;
 mod knn;
@@ -77,19 +78,21 @@ mod mapping;
 mod partition;
 mod plan;
 mod range;
-mod recovery;
 mod stats;
 mod tree;
 
 pub use batch::{KnnBatch, QueryAnswers, RangeBatch};
 pub use config::SpbConfig;
 pub use cost::{CostEstimate, CostModel};
+pub use durable::{
+    recover_dir, verify_dir, NeedsRecovery, RecoveryReport, VerifyProblem, VerifyReport,
+    BTREE_FILE, META_FILE, PIVOTS_FILE, RAF_FILE, WAL_FILE,
+};
 pub use exec::parallel_map;
 pub use join::{similarity_join, similarity_join_parallel, JoinPair};
 pub use knn::{KnnResult, Traversal};
 pub use mapping::{PivotTable, SfcMbbOps};
 pub use partition::{plan_shards, shard_mind, ShardPlan, ShardSpec};
 pub use plan::{PlanError, QueryPlan, QueryShape};
-pub use recovery::{recover_dir, verify_dir, RecoveryReport, VerifyProblem, VerifyReport};
 pub use spb_accel::{AccelPolicy, LeafModel, Positioning, Tuned};
 pub use tree::{BuildStats, QueryStats, SpbTree};

@@ -118,7 +118,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         r: f64,
         pos: spb_accel::Positioning,
     ) -> io::Result<(Vec<(u32, O)>, QueryStats)> {
-        let _guard = self.latch_shared();
+        let _guard = self.latch_shared()?;
         let mut col = self.collector();
         let result = self.range_exec(q, r, 1.0, pos, &mut col)?;
         Ok((result, col.finish()))
@@ -130,7 +130,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
     /// whereas [`range`](SpbTree::range) still has to fetch it. Always
     /// descends classically, whatever the tree's positioning policy.
     pub fn range_count(&self, q: &O, r: f64) -> io::Result<(u64, QueryStats)> {
-        let _guard = self.latch_shared();
+        let _guard = self.latch_shared()?;
         let mut col = self.collector();
         let mut count = Count(0);
         let pos = spb_accel::Positioning::Classic;

@@ -3,7 +3,7 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use spb_bptree::BPlusTree;
@@ -11,7 +11,7 @@ use spb_metric::{CountingDistance, DistCounter, Distance, MetricObject};
 use spb_pivots::select_pivots;
 use spb_sfc::Sfc;
 use spb_storage::lockrank::{LockRank, RankedReadGuard, RankedRwLock, RankedWriteGuard};
-use spb_storage::{atomic_write_file, IoStats, Raf, RafPtr, Wal, WalFileTag};
+use spb_storage::{IoStats, Raf, RafPtr, Wal};
 
 use crate::config::SpbConfig;
 use crate::cost::CostModel;
@@ -22,13 +22,9 @@ fn latch_wait_hist() -> &'static std::sync::Arc<spb_obs::Histogram> {
     static H: std::sync::OnceLock<std::sync::Arc<spb_obs::Histogram>> = std::sync::OnceLock::new();
     H.get_or_init(|| spb_obs::histogram("phase.latch_wait"))
 }
+use crate::durable::{Durable, Meta, BTREE_FILE, PIVOTS_FILE, RAF_FILE};
 use crate::mapping::{PivotTable, SfcMbbOps};
-use crate::recovery::{recover_dir, META_FILE, WAL_FILE};
 use crate::stats::StatsCollector;
-
-/// WAL size, in bytes, beyond which a commit triggers a checkpoint
-/// (fsync both data files, then empty the log).
-const WAL_CHECKPOINT_BYTES: u64 = 1 << 20;
 
 /// Decodes a RAF record's object bytes, turning corruption into a typed
 /// `InvalidData` error instead of a panic: RAF pages are checksummed, but
@@ -41,22 +37,6 @@ fn decode_entry<O: MetricObject>(bytes: &[u8]) -> io::Result<O> {
             "RAF record does not decode as an object of the index's type",
         )
     })
-}
-
-/// The value of `key=` in `spb.meta`. A missing key or a value that does
-/// not parse is corruption, never a default: a guessed curve or a zero
-/// `next_id` would answer wrongly or hand out duplicate ids.
-fn meta_field<T: std::str::FromStr>(meta: &str, key: &str) -> io::Result<T> {
-    (meta.lines())
-        .find_map(|l| l.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
-        .ok_or_else(|| corrupt_meta(key))
-}
-
-fn corrupt_meta(key: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("corrupt spb.meta: {key}"),
-    )
 }
 
 /// Costs of building the index (one row of Table 6).
@@ -128,13 +108,10 @@ pub struct SpbTree<O: MetricObject, D: Distance<O>> {
     pub(crate) btree: BPlusTree<SfcMbbOps>,
     pub(crate) raf: Raf,
     pub(crate) cost: CostModel,
-    /// Write-ahead log; `None` when durability is off (every update then
-    /// writes through without fsync, as the seed implementation did).
-    wal: Option<Wal>,
-    len: AtomicU64,
-    next_id: AtomicU32,
+    /// The directory's durable state: its log, its `len` / `next_id`
+    /// counters and the update / checkpoint protocol over them.
+    durable: Durable,
     build_stats: BuildStats,
-    dir: std::path::PathBuf,
     pub(crate) use_lemma2: bool,
     pub(crate) use_cell_merge: bool,
     /// Learned leaf-positioning model (`spb-accel`), shared so queries
@@ -219,7 +196,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         let metric = CountingDistance::with_counter(metric, counter.clone());
 
         let table = PivotTable::new(pivots, &metric, config.delta);
-        table.save(&dir.join("pivots.tbl"))?;
+        table.save(&dir.join(PIVOTS_FILE))?;
         let curve = table.curve(config.curve);
 
         // Map every object: |O| · |P| counted distance computations.
@@ -235,11 +212,8 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         mapped.sort_unstable_by_key(|&(sfc, idx, _)| (sfc, idx));
 
         // RAF in ascending SFC order.
-        let raf = Raf::create_sharded(
-            &dir.join("objects.raf"),
-            config.cache_pages,
-            config.cache_shards,
-        )?;
+        let raf =
+            Raf::create_sharded(&dir.join(RAF_FILE), config.cache_pages, config.cache_shards)?;
         let mut entries: Vec<(u128, u64)> = Vec::with_capacity(mapped.len());
         let mut buf = Vec::new();
         for &(sfc, idx, _) in &mapped {
@@ -252,7 +226,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
 
         // Bulk-load the B+-tree bottom-up.
         let btree = BPlusTree::create_sharded(
-            &dir.join("index.bpt"),
+            &dir.join(BTREE_FILE),
             config.cache_pages,
             config.cache_shards,
             SfcMbbOps::new(curve),
@@ -297,13 +271,12 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         // in durable mode, start from an empty log.
         btree.pool().sync()?;
         raf.sync()?;
-        let wal = if config.durability {
-            let wal = Wal::open(&dir.join(WAL_FILE))?;
-            wal.reset()?;
-            Some(wal)
-        } else {
-            None
+        let meta = Meta {
+            curve: config.curve,
+            len: objects.len() as u64,
+            next_id: ids.iter().max().map_or(0, |&m| m + 1),
         };
+        let durable = Durable::create(dir, meta, config.durability)?;
 
         btree.pool().reset_stats();
         raf.reset_stats();
@@ -317,11 +290,8 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
             btree,
             raf,
             cost,
-            wal,
-            len: AtomicU64::new(objects.len() as u64),
-            next_id: AtomicU32::new(ids.iter().max().map_or(0, |&m| m + 1)),
+            durable,
             build_stats,
-            dir: dir.to_path_buf(),
             use_lemma2: config.use_lemma2,
             use_cell_merge: config.use_cell_merge,
             accel: parking_lot::Mutex::new(None),
@@ -335,7 +305,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
             // leaves a model whose epoch recovery can still validate.
             tree.train_and_save_accel()?;
         }
-        tree.write_meta()?;
+        tree.durable.write_meta()?;
         Ok(tree)
     }
 
@@ -366,31 +336,19 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         durable: bool,
         cache_shards: usize,
     ) -> io::Result<Self> {
-        recover_dir(dir)?;
-        let wal = if durable {
-            Some(Wal::open(&dir.join(WAL_FILE))?)
-        } else {
-            None
-        };
+        let durable = Durable::open(dir, durable)?;
+        let Meta { curve, len, .. } = durable.meta();
         let counter = DistCounter::new();
         let metric = CountingDistance::with_counter(metric, counter.clone());
-        let table: PivotTable<O> = PivotTable::load(&dir.join("pivots.tbl"))?;
-        let meta = std::fs::read_to_string(dir.join(META_FILE))?;
-        let curve_kind = match meta_field::<String>(&meta, "curve")?.as_str() {
-            "z" => spb_sfc::CurveKind::Z,
-            "hilbert" => spb_sfc::CurveKind::Hilbert,
-            _ => return Err(corrupt_meta("curve")),
-        };
-        let len: u64 = meta_field(&meta, "len")?;
-        let next_id: u32 = meta_field(&meta, "next_id")?;
-        let curve = table.curve(curve_kind);
+        let table: PivotTable<O> = PivotTable::load(&dir.join(PIVOTS_FILE))?;
+        let curve = table.curve(curve);
         let btree = BPlusTree::open_sharded(
-            &dir.join("index.bpt"),
+            &dir.join(BTREE_FILE),
             cache_pages,
             cache_shards,
             SfcMbbOps::new(curve),
         )?;
-        let raf = Raf::open_sharded(&dir.join("objects.raf"), cache_pages, cache_shards)?;
+        let raf = Raf::open_sharded(&dir.join(RAF_FILE), cache_pages, cache_shards)?;
 
         // A persisted model signals the build's accel policy. Loading
         // tolerates torn or corrupt files (`None`): queries then fall
@@ -464,9 +422,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
             btree,
             raf,
             cost,
-            wal,
-            len: AtomicU64::new(len),
-            next_id: AtomicU32::new(next_id),
+            durable,
             build_stats: BuildStats {
                 compdists: 0,
                 pivot_compdists: 0,
@@ -475,7 +431,6 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
                 storage_bytes: 0,
                 num_objects: len,
             },
-            dir: dir.to_path_buf(),
             use_lemma2: true,
             use_cell_merge: true,
             accel: parking_lot::Mutex::new(accel_model),
@@ -530,105 +485,20 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         }
     }
 
-    /// The `spb.meta` contents reflecting the current in-memory state.
-    fn meta_bytes(&self) -> String {
-        let curve = match self.curve.kind() {
-            spb_sfc::CurveKind::Hilbert => "hilbert",
-            spb_sfc::CurveKind::Z => "z",
-        };
-        format!(
-            "curve={curve}\nlen={}\nnext_id={}\n",
-            self.len.load(Ordering::SeqCst),
-            self.next_id.load(Ordering::SeqCst)
-        )
-    }
-
-    /// Persists the small out-of-band metadata (`spb.meta`) atomically
-    /// (temp file + fsync + rename): readers and crash recovery observe
-    /// either the old contents or the new, never a torn mixture. Outside
-    /// the paged I/O accounting.
-    fn write_meta(&self) -> io::Result<()> {
-        atomic_write_file(&self.dir.join(META_FILE), self.meta_bytes().as_bytes())
-    }
-
     // ------------------------------------------------------------------
-    // Updates (Appendix C) and their durability protocol.
-    //
-    // With durability on, one logical update is one transaction:
-    // both pagers stage their dirty pages in memory (no-steal), the WAL
-    // makes the transaction durable with a single group-commit fsync,
-    // and only then do the staged pages reach the data files (redo-only
-    // logging needs no undo because uncommitted changes never hit disk).
+    // Updates (Appendix C). When and in what order their bytes become
+    // durable is `durable.rs`'s business.
     // ------------------------------------------------------------------
 
-    /// Starts staging page writes in both pagers (durable mode only).
-    fn txn_begin(&self) -> io::Result<()> {
-        if self.wal.is_some() {
-            self.btree.pool().pager().txn_begin()?;
-            self.raf.pool().pager().txn_begin()?;
-        }
-        Ok(())
-    }
-
-    /// Commits the staged update: WAL (page images + meta, one fsync),
-    /// then the data files, then `spb.meta`. The WAL fsync is the commit
-    /// point — everything after it is redone from the log if we crash.
-    fn txn_commit(&self) -> io::Result<()> {
-        let Some(wal) = &self.wal else {
-            return self.write_meta();
-        };
-        let btree_pages = self.btree.pool().pager().txn_pages()?;
-        let raf_pages = self.raf.pool().pager().txn_pages()?;
-        if btree_pages.is_empty() && raf_pages.is_empty() {
-            // Nothing changed (e.g. a delete that found no match): close
-            // the empty transaction without spending an fsync.
-            self.btree.pool().pager().txn_commit()?;
-            self.raf.pool().pager().txn_commit()?;
-            return Ok(());
-        }
-        let txid = wal.begin()?;
-        for (id, page) in &btree_pages {
-            wal.log_page(txid, WalFileTag::BTree, id.0, page.bytes());
-        }
-        for (id, page) in &raf_pages {
-            wal.log_page(txid, WalFileTag::Raf, id.0, page.bytes());
-        }
-        let meta = self.meta_bytes();
-        wal.log_meta(txid, meta.as_bytes());
-        wal.commit(txid)?; // durability point: one fsync
-        self.btree.pool().pager().txn_commit()?;
-        self.raf.pool().pager().txn_commit()?;
-        atomic_write_file(&self.dir.join(META_FILE), meta.as_bytes())?;
-        if wal.len() >= WAL_CHECKPOINT_BYTES {
-            // The caller (insert/delete) already holds the write latch.
-            self.checkpoint_locked()?;
-        }
-        Ok(())
-    }
-
-    /// Rolls back a failed update: drops staged pages, restores the
-    /// in-memory counters, and reloads both files' in-memory state from
-    /// disk. Best-effort — the caller propagates the original error.
-    fn txn_rollback(&self, len_before: u64, next_id_before: u32) {
-        self.len.store(len_before, Ordering::SeqCst);
-        self.next_id.store(next_id_before, Ordering::SeqCst);
-        if let Some(wal) = &self.wal {
-            wal.abort();
-            self.btree.pool().pager().txn_abort();
-            self.raf.pool().pager().txn_abort();
-            let _ = self.btree.reload_meta();
-            let _ = self.raf.reload();
-        }
-    }
-
-    /// Fsyncs both data files and empties the WAL. Called automatically
-    /// once the log exceeds a size threshold, and on drop; exposed so
-    /// benchmarks can bound WAL replay cost deterministically and so a
-    /// server can leave a clean log on graceful shutdown. Takes the
-    /// write latch: syncing page images while an update stages new ones
-    /// could truncate the log with uncommitted work in flight.
+    /// Fsyncs both data files, brings `spb.meta` up to date and empties
+    /// the WAL. Called automatically once the log exceeds a size
+    /// threshold, and on drop; exposed so benchmarks can bound WAL replay
+    /// cost deterministically and so a server can leave a clean log on
+    /// graceful shutdown. Takes the write latch: syncing page images
+    /// while an update stages new ones could truncate the log with
+    /// uncommitted work in flight.
     pub fn checkpoint(&self) -> io::Result<()> {
-        let _guard = self.latch_exclusive();
+        let _guard = self.latch_exclusive()?;
         self.checkpoint_locked()
     }
 
@@ -644,36 +514,22 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         if self.accel_on.load(Ordering::SeqCst) && !self.accel_model_fresh() {
             self.train_and_save_accel()?;
         }
-        let Some(wal) = &self.wal else {
-            return Ok(());
-        };
-        self.btree.pool().sync()?;
-        self.raf.sync()?;
-        wal.reset()
+        self.durable.checkpoint(&self.btree, &self.raf)
     }
 
-    /// Runs one update under the write latch as one transaction: begin,
-    /// `body`, commit. Any failure rolls back the staged pages and the
-    /// in-memory counters (a failed begin staged nothing, but the
-    /// rollback aborts whichever pager did begin). Returns the body's
-    /// value with the update's cost.
-    fn update_txn<T>(&self, body: impl FnOnce() -> io::Result<T>) -> io::Result<(T, QueryStats)> {
-        let _guard = self.latch_exclusive();
+    /// Runs `body` under the write latch as one durable update (see
+    /// [`Durable::transact`]) and returns its value with the update's cost.
+    fn update_txn<T>(
+        &self,
+        body: impl FnOnce(&mut Meta) -> io::Result<T>,
+    ) -> io::Result<(T, QueryStats)> {
+        let _guard = self.latch_exclusive()?;
         let snap = self.snapshot();
-        let len_before = self.len.load(Ordering::SeqCst);
-        let next_id_before = self.next_id.load(Ordering::SeqCst);
-        let result = self.txn_begin().and_then(|()| {
-            let value = body()?;
-            self.txn_commit()?;
-            Ok(value)
-        });
-        match result {
-            Ok(value) => Ok((value, self.stats_since(snap))),
-            Err(e) => {
-                self.txn_rollback(len_before, next_id_before);
-                Err(e)
-            }
+        let value = self.durable.transact(&self.btree, &self.raf, body)?;
+        if self.durable.checkpoint_due() {
+            self.checkpoint_locked()?;
         }
+        Ok((value, self.stats_since(snap)))
     }
 
     /// Inserts one object: map it (`|P|` distance computations), append to
@@ -682,17 +538,17 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
     /// through the WAL (a crash either keeps it entirely or loses it
     /// entirely — never a B⁺-tree entry pointing at an unwritten object).
     pub fn insert(&self, o: &O) -> io::Result<QueryStats> {
-        let (phi, stats) = self.update_txn(|| {
+        let (phi, stats) = self.update_txn(|meta| {
             let phi = self.table.phi(&self.metric, o);
             let cell = self.table.cell_of_phi(&phi);
             let sfc = self.curve.encode(&cell);
-            let id = self.next_id.fetch_add(1, Ordering::SeqCst);
             let mut buf = Vec::new();
             o.encode(&mut buf);
-            let ptr = self.raf.append(id, &buf)?;
+            let ptr = self.raf.append(meta.next_id, &buf)?;
             self.raf.flush()?;
             self.btree.insert(sfc, ptr.offset)?;
-            self.len.fetch_add(1, Ordering::SeqCst);
+            meta.next_id += 1;
+            meta.len += 1;
             Ok(phi)
         })?;
         self.cost.record_insert(&phi);
@@ -702,10 +558,9 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
     /// Deletes one object equal to `o`. Returns query stats and whether an
     /// object was removed. The B⁺-tree entry is removed; the RAF record is
     /// only marked freed (reclaimed by rebuilding, as in the paper). A
-    /// delete that finds nothing commits an empty transaction, which
-    /// closes the staging.
+    /// delete that finds nothing changes no page and writes no log record.
     pub fn delete(&self, o: &O) -> io::Result<(bool, QueryStats)> {
-        let (found, stats) = self.update_txn(|| {
+        let (found, stats) = self.update_txn(|meta| {
             let phi = self.table.phi(&self.metric, o);
             let cell = self.table.cell_of_phi(&phi);
             let sfc = self.curve.encode(&cell);
@@ -714,7 +569,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
                 if decode_entry::<O>(&entry.bytes)? == *o {
                     self.btree.delete(sfc, offset)?;
                     self.raf.free(RafPtr { offset })?;
-                    self.len.fetch_sub(1, Ordering::SeqCst);
+                    meta.len -= 1;
                     return Ok(true);
                 }
             }
@@ -738,19 +593,24 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
     /// Takes the structure latch shared (queries). The time spent
     /// blocked is recorded into the `phase.latch_wait` histogram — under
     /// a latch convoy this is the histogram that grows.
-    pub(crate) fn latch_shared(&self) -> RankedReadGuard<'_, ()> {
+    ///
+    /// # Errors
+    /// [`NeedsRecovery`](crate::NeedsRecovery) — here and in
+    /// [`SpbTree::latch_exclusive`] — once an update was committed to the
+    /// log but not applied: what the latch protects is then not the index.
+    pub(crate) fn latch_shared(&self) -> io::Result<RankedReadGuard<'_, ()>> {
         let wait_start = spb_obs::clock::now();
         let guard = self.latch.read();
         latch_wait_hist().record(spb_obs::clock::nanos_since(wait_start));
-        guard
+        self.durable.check().map(|()| guard)
     }
 
     /// Takes the structure latch exclusively (updates, checkpoints).
-    pub(crate) fn latch_exclusive(&self) -> RankedWriteGuard<'_, ()> {
+    pub(crate) fn latch_exclusive(&self) -> io::Result<RankedWriteGuard<'_, ()>> {
         let wait_start = spb_obs::clock::now();
         let guard = self.latch.write();
         latch_wait_hist().record(spb_obs::clock::nanos_since(wait_start));
-        guard
+        self.durable.check().map(|()| guard)
     }
 
     /// A fresh collector sized to the current cache capacities.
@@ -768,7 +628,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         id_of: impl Fn(&T) -> u32,
         query_at: impl Fn(f64, &mut StatsCollector) -> io::Result<Vec<T>>,
     ) -> io::Result<(Vec<T>, QueryStats)> {
-        let _guard = self.latch_shared();
+        let _guard = self.latch_shared()?;
         let mut col = self.collector();
         let approx = query_at(factor, &mut col)?;
         let mut stats = col.finish();
@@ -848,18 +708,15 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
                 mbb_hi: mbb.hi,
             });
         }
-        Ok(spb_accel::LeafModel::train(
-            leaves,
-            self.len(),
-            self.next_id.load(Ordering::SeqCst),
-        ))
+        let Meta { len, next_id, .. } = self.durable.meta();
+        Ok(spb_accel::LeafModel::train(leaves, len, next_id))
     }
 
     /// Trains, persists (atomic write, so fault injection covers it like
     /// any other metadata file), and installs the model.
     fn train_and_save_accel(&self) -> io::Result<()> {
         let model = self.train_accel()?;
-        model.save(&self.dir.join(spb_accel::MODEL_FILE))?;
+        model.save(&self.durable.dir().join(spb_accel::MODEL_FILE))?;
         spb_accel::metrics::model_retrain().incr();
         *self.accel.lock() = Some(std::sync::Arc::new(model));
         Ok(())
@@ -867,10 +724,11 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
 
     /// True when the installed model matches the current tree epoch.
     pub fn accel_model_fresh(&self) -> bool {
+        let Meta { len, next_id, .. } = self.durable.meta();
         self.accel
             .lock()
             .as_ref()
-            .is_some_and(|m| m.fresh(self.len(), self.next_id.load(Ordering::SeqCst)))
+            .is_some_and(|m| m.fresh(len, next_id))
     }
 
     /// The installed positioning model, if any (fresh or stale).
@@ -882,7 +740,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
     /// recovery discarded or outdated the persisted model. Enables
     /// learned positioning as a side effect.
     pub fn rebuild_accel(&self) -> io::Result<()> {
-        let _guard = self.latch_exclusive();
+        let _guard = self.latch_exclusive()?;
         self.accel_on
             .store(true, std::sync::atomic::Ordering::SeqCst);
         self.train_and_save_accel()
@@ -913,8 +771,9 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         if !want {
             return None;
         }
+        let Meta { len, next_id, .. } = self.durable.meta();
         match self.accel.lock().clone() {
-            Some(m) if m.fresh(self.len(), self.next_id.load(Ordering::SeqCst)) => {
+            Some(m) if m.fresh(len, next_id) => {
                 spb_accel::metrics::model_hit().incr();
                 Some(m)
             }
@@ -931,7 +790,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
 
     /// Number of indexed objects.
     pub fn len(&self) -> u64 {
-        self.len.load(Ordering::SeqCst)
+        self.durable.meta().len
     }
 
     /// True iff no objects are indexed.
@@ -993,12 +852,12 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
 
     /// Whether this tree commits updates through a write-ahead log.
     pub fn durable(&self) -> bool {
-        self.wal.is_some()
+        self.wal().is_some()
     }
 
     /// The write-ahead log, if durability is on.
     pub fn wal(&self) -> Option<&Wal> {
-        self.wal.as_ref()
+        self.durable.wal()
     }
 
     /// Counter/IO snapshot for differential query accounting.
@@ -1007,7 +866,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
             self.counter.get(),
             self.btree.io_stats(),
             self.raf.io_stats(),
-            self.wal.as_ref().map_or(0, |w| w.fsyncs()),
+            self.wal().map_or(0, Wal::fsyncs),
             spb_obs::clock::now(),
         )
     }
@@ -1017,7 +876,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         let (c0, b0, r0, w0, t0) = snap;
         let b1 = self.btree.io_stats();
         let r1 = self.raf.io_stats();
-        let w1 = self.wal.as_ref().map_or(0, |w| w.fsyncs());
+        let w1 = self.wal().map_or(0, Wal::fsyncs);
         let btree_pa = b1.page_accesses() - b0.page_accesses();
         let raf_pa = r1.page_accesses() - r0.page_accesses();
         QueryStats {
@@ -1034,14 +893,12 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
 
 impl<O: MetricObject, D: Distance<O>> Drop for SpbTree<O, D> {
     /// Checkpoints on clean shutdown so a healthy close leaves an empty
-    /// WAL. Ordering matters: the WAL is only truncated after *both* data
-    /// files fsync successfully — if either sync fails (or a fault is
-    /// injected there), the log survives and reopen replays it.
+    /// WAL. If any step before the truncation fails (or a fault is
+    /// injected there, or the index needs recovery), the log survives
+    /// and reopen replays it.
     fn drop(&mut self) {
-        if let Some(wal) = &self.wal {
-            if !wal.is_empty() && self.btree.pool().sync().is_ok() && self.raf.sync().is_ok() {
-                let _ = wal.reset();
-            }
+        if self.wal().is_some_and(|wal| !wal.is_empty()) {
+            let _ = self.durable.checkpoint(&self.btree, &self.raf);
         }
     }
 }

@@ -17,10 +17,10 @@
 
 use std::path::{Path, PathBuf};
 
-use spb_core::{verify_dir, SpbConfig, SpbTree};
+use spb_core::{verify_dir, NeedsRecovery, SpbConfig, SpbTree};
 use spb_metric::{dataset, Distance, EditDistance, Word};
 use spb_storage::fault::{self, FaultMode, FaultPlan};
-use spb_storage::TempDir;
+use spb_storage::{TempDir, Wal, WalRecord};
 
 const BASELINE: usize = 80;
 
@@ -289,6 +289,10 @@ fn clean_shutdown_leaves_an_empty_wal() {
     let wal_len = std::fs::metadata(dir.path().join("spb.wal")).unwrap().len();
     assert_eq!(wal_len, 0, "clean shutdown must checkpoint the WAL away");
     assert!(verify_dir(dir.path()).unwrap().ok());
+    // The log was the only place the insert's counters were durable:
+    // drop must have written `spb.meta` before it reset the log.
+    let tree = SpbTree::open(dir.path(), EditDistance::default(), 32).unwrap();
+    assert_eq!(tree.len(), 61);
 }
 
 #[test]
@@ -325,17 +329,209 @@ fn durable_updates_pay_exactly_one_wal_fsync() {
         &SpbConfig::default(),
     )
     .unwrap();
+    let meta_path = dir.path().join("spb.meta");
+    let wal_path = dir.path().join("spb.wal");
+    let meta_before = std::fs::read_to_string(&meta_path).unwrap();
+    assert_eq!(meta_before, "curve=hilbert\nlen=60\nnext_id=60\n");
+
+    let guard = FaultPlan {
+        scope: dir.path().to_path_buf(),
+        fail_after: u64::MAX,
+        mode: FaultMode::Clean,
+        seed: 0,
+    }
+    .install();
     let stats = tree.insert(&Word::new("zzonefsync")).unwrap();
-    // One WAL group-commit fsync; the data files are not synced per
-    // update (the WAL carries redo until the next checkpoint). The meta
-    // file's fsync is outside paged accounting but inside `fsyncs`.
-    assert!(
-        (1..=2).contains(&stats.fsyncs),
-        "expected 1-2 fsyncs per durable insert, got {}",
-        stats.fsyncs
+    let ops = guard.ops_observed();
+    drop(guard);
+
+    // One WAL group-commit fsync and nothing else: the data files are
+    // not synced per update (the WAL carries redo until the next
+    // checkpoint) and neither is `spb.meta` (the commit record carries
+    // the counters).
+    assert_eq!(stats.fsyncs, 1);
+    let scan = Wal::scan_file(&wal_path).unwrap();
+    let images = (scan.records.iter())
+        .filter(|r| matches!(r, WalRecord::PageImage { .. }))
+        .count() as u64;
+    assert!(images > 0);
+    assert_eq!(
+        ops,
+        2 + images,
+        "one insert = WAL write + WAL fsync + one write per logged page"
     );
+    assert_eq!(std::fs::read_to_string(&meta_path).unwrap(), meta_before);
+    assert!(!dir.path().join("spb.meta.tmp").exists());
+
+    tree.checkpoint().unwrap();
+    assert_eq!(
+        std::fs::read_to_string(&meta_path).unwrap(),
+        "curve=hilbert\nlen=61\nnext_id=61\n"
+    );
+    assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), 0);
+
     let (_, qstats) = tree.range(&words[0], 1.0).unwrap();
     assert_eq!(qstats.fsyncs, 0, "queries never fsync");
+}
+
+#[test]
+fn verify_checks_the_meta_file_against_the_tree() {
+    let _serial = fault::test_lock();
+    let root = TempDir::new("spb-verify-meta");
+    let (base, _) = build_baseline(root.path());
+    let meta_path = base.join("spb.meta");
+    let good = std::fs::read_to_string(&meta_path).unwrap();
+
+    // A clean directory (empty log) whose meta disagrees with the tree,
+    // or does not parse: one problem, naming the file.
+    for doctored in [
+        good.replace("len=80", "len=79"),
+        good.replace("len=", "le="),
+    ] {
+        std::fs::write(&meta_path, doctored).unwrap();
+        let report = verify_dir(&base).unwrap();
+        assert_eq!(report.problems.len(), 1, "{:?}", report.problems);
+        assert_eq!(report.problems[0].file, "spb.meta");
+    }
+    std::fs::write(&meta_path, &good).unwrap();
+    assert!(verify_dir(&base).unwrap().ok());
+
+    // Between checkpoints `spb.meta` lags the log. That is not damage:
+    // a copy taken then reports its unapplied records and nothing else.
+    let tree = SpbTree::open(&base, EditDistance::default(), 32).unwrap();
+    tree.insert(&Word::new("zzlagging")).unwrap();
+    let live = root.path().join("live-copy");
+    copy_dir(&base, &live);
+    assert_eq!(
+        std::fs::read_to_string(live.join("spb.meta")).unwrap(),
+        good
+    );
+    let report = verify_dir(&live).unwrap();
+    assert_eq!(report.problems.len(), 1, "{:?}", report.problems);
+    assert_eq!(report.problems[0].file, "spb.wal");
+    assert!(report.problems[0].detail.contains("unapplied record(s)"));
+}
+
+fn needs_recovery(err: &std::io::Error) -> bool {
+    err.get_ref().is_some_and(|e| e.is::<NeedsRecovery>())
+}
+
+/// Every object in the index (no two words here are 64 edits apart).
+fn all_hits(tree: &SpbTree<Word, EditDistance>, q: &Word) -> Vec<(u32, Word)> {
+    tree.range(q, 64.0).unwrap().0
+}
+
+fn assert_len_hits_and_distinct_ids_agree(tree: &SpbTree<Word, EditDistance>, q: &Word, ctx: &str) {
+    let hits = all_hits(tree, q);
+    let mut ids: Vec<u32> = hits.iter().map(|&(id, _)| id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), hits.len(), "{ctx}: two hits share an id");
+    assert_eq!(
+        tree.len(),
+        hits.len() as u64,
+        "{ctx}: len != number of hits"
+    );
+}
+
+/// The commit point has two sides. A *transient* fault (one failed
+/// operation, then the disk works again and the process lives on) is
+/// injected at every hooked operation of one insert. Before the WAL
+/// fsync returns the insert must roll back and leave a usable tree;
+/// after it the insert is committed, so nothing may be rolled back: the
+/// tree either holds it or answers the typed needs-recovery error to
+/// every later call, and reopening redoes it from the log.
+///
+/// At the parent commit this fails: an error from a data-page write
+/// *after* the WAL fsync rolled `len` / `next_id` and both caches back.
+/// Here (a fresh copy per `k`) `k = 3` reopens to `verify_dir`'s "meta
+/// records 302 entries but the leaf chain holds 301"; the run that found
+/// the bug reused one tree across `k` and first broke at `k = 4`, the
+/// third data-page write after the fsync — `range` answered "corrupt RAF
+/// record … entry header past tail" and the next insert was handed an id
+/// already in the log (319 hits over 313 distinct ids).
+#[test]
+fn a_failure_after_the_commit_point_does_not_roll_back() {
+    let _serial = fault::test_lock();
+    let root = TempDir::new("spb-commit-point");
+    let base = root.path().join("base");
+    let baseline = dataset::words(300, 11);
+    let tree = SpbTree::build(
+        &base,
+        &baseline,
+        EditDistance::default(),
+        &SpbConfig::default(),
+    )
+    .unwrap();
+    drop(tree);
+    let open = |dir: &Path| SpbTree::open(dir, EditDistance::default(), 32).unwrap();
+    let plan = |dir: &Path, fail_after: u64| FaultPlan {
+        scope: dir.to_path_buf(),
+        fail_after,
+        mode: FaultMode::Clean,
+        seed: 0,
+    };
+
+    let count_dir = root.path().join("count");
+    copy_dir(&base, &count_dir);
+    let tree = open(&count_dir);
+    let guard = plan(&count_dir, u64::MAX).install();
+    tree.insert(&Word::new("zzcount")).unwrap();
+    let ops = guard.ops_observed();
+    drop(guard);
+    drop(tree);
+    assert!(ops > 2, "one insert has only {ops} hooked operations");
+
+    for k in 0..ops {
+        let work = root.path().join(format!("k{k}"));
+        copy_dir(&base, &work);
+        let tree = open(&work);
+        let failed = Word::new(format!("zzfail{k}"));
+        let after = Word::new(format!("zzafter{k}"));
+
+        let guard = plan(&work, k).install();
+        let err = tree.insert(&failed).unwrap_err();
+        assert!(fault::is_injected_crash(&err), "k={k}: {err}");
+        drop(guard); // the fault was transient; the process lives on
+
+        let mut acked = Vec::new();
+        match tree.range(&failed, 0.0) {
+            Ok((hits, _)) => {
+                // Rolled back: as if the insert was never tried.
+                assert!(hits.is_empty(), "k={k}: a failed insert is visible");
+                assert_eq!(tree.len(), 300, "k={k}");
+                tree.insert(&after).unwrap();
+                acked.push(after);
+                assert_len_hits_and_distinct_ids_agree(&tree, &failed, &format!("k={k}"));
+            }
+            Err(e) => {
+                // Committed, not applied: typed refusals from here on.
+                assert!(k >= 2, "k={k}: the WAL fsync had not returned");
+                assert!(needs_recovery(&e), "k={k}: {e}");
+                assert!(needs_recovery(&tree.insert(&after).unwrap_err()), "k={k}");
+                assert!(needs_recovery(&tree.knn(&failed, 1).unwrap_err()), "k={k}");
+                assert!(needs_recovery(&tree.checkpoint().unwrap_err()), "k={k}");
+                assert_eq!(tree.len(), 301, "k={k}: a committed insert was un-counted");
+                acked.push(failed.clone());
+            }
+        }
+        drop(tree);
+
+        let tree = open(&work);
+        let report = verify_dir(&work).unwrap();
+        assert!(report.ok(), "k={k}: {:?}", report.problems);
+        assert_eq!(tree.len(), 301, "k={k}");
+        assert_len_hits_and_distinct_ids_agree(&tree, &failed, &format!("k={k} reopened"));
+        let words: Vec<Word> = (all_hits(&tree, &failed).into_iter())
+            .map(|(_, w)| w)
+            .collect();
+        for w in &acked {
+            assert!(words.contains(w), "k={k}: {:?} lost", w.as_str());
+        }
+        assert_eq!(words.contains(&failed), acked.contains(&failed), "k={k}");
+        drop(tree);
+        std::fs::remove_dir_all(&work).unwrap();
+    }
 }
 
 #[test]

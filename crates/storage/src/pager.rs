@@ -111,14 +111,6 @@ fn classify(err: &io::Error, pred: impl Fn(&(dyn std::error::Error + 'static)) -
     false
 }
 
-/// Pages staged by an open transaction (no-steal policy: they must not
-/// reach the main file until commit).
-struct Txn {
-    pages: HashMap<u64, Page>,
-    /// `num_pages` when the transaction began, for allocation rollback.
-    pages_at_begin: u64,
-}
-
 /// A pager over one file: allocates, reads and writes 4 KB pages and counts
 /// raw disk operations. Higher layers access it through a [`BufferPool`]
 /// (which turns the raw counts into the paper's *PA* metric).
@@ -126,9 +118,10 @@ struct Txn {
 /// Every physical page carries a CRC-32 footer over its data area,
 /// stamped on write and verified on read; a mismatch surfaces as an
 /// `InvalidData` error wrapping [`StorageCorrupt`]. While a transaction
-/// is open ([`Pager::txn_begin`]) writes are staged in memory and only
-/// reach the file at [`Pager::txn_commit`] — the no-steal policy the
-/// redo-only WAL depends on.
+/// is open ([`Pager::txn_begin`]) writes are staged in memory and never
+/// reach the file: [`Pager::txn_commit`] hands them to the caller, who
+/// logs them and writes them back once they are durable — the no-steal
+/// policy the redo-only WAL depends on.
 ///
 /// [`BufferPool`]: crate::BufferPool
 pub struct Pager {
@@ -138,7 +131,8 @@ pub struct Pager {
     disk_reads: AtomicU64,
     disk_writes: AtomicU64,
     fsyncs: AtomicU64,
-    txn: Mutex<Option<Txn>>,
+    /// Pages staged by the open transaction, by page number.
+    txn: Mutex<Option<HashMap<u64, Page>>>,
 }
 
 impl Pager {
@@ -227,10 +221,8 @@ impl Pager {
         self.check_allocated(id)?;
         {
             let txn = self.txn.lock();
-            if let Some(t) = txn.as_ref() {
-                if let Some(page) = t.pages.get(&id.0) {
-                    return Ok(page.clone());
-                }
+            if let Some(page) = txn.as_ref().and_then(|staged| staged.get(&id.0)) {
+                return Ok(page.clone());
             }
         }
         let mut page = Page::new();
@@ -277,8 +269,8 @@ impl Pager {
         self.check_allocated(id)?;
         {
             let mut txn = self.txn.lock();
-            if let Some(t) = txn.as_mut() {
-                t.pages.insert(id.0, page.clone());
+            if let Some(staged) = txn.as_mut() {
+                staged.insert(id.0, page.clone());
                 return Ok(());
             }
         }
@@ -316,63 +308,38 @@ impl Pager {
         if txn.is_some() {
             return Err(io::Error::other("nested pager transaction"));
         }
-        *txn = Some(Txn {
-            pages: HashMap::new(),
-            pages_at_begin: self.num_pages.load(Ordering::SeqCst),
-        });
+        *txn = Some(HashMap::new());
         Ok(())
     }
 
-    /// Snapshot of the open transaction's staged pages in page order
-    /// (the images a WAL commit record must carry).
+    /// Closes the transaction and hands its staged pages over, in page
+    /// order. Nothing has reached the file: the caller makes the images
+    /// durable (WAL) and then writes them back with [`Pager::write_page`]
+    /// — or, if it cannot, calls [`Pager::txn_abort`].
     ///
     /// # Errors
     /// Fails if no transaction is open.
-    pub fn txn_pages(&self) -> io::Result<Vec<(PageId, Page)>> {
-        let txn = self.txn.lock();
-        let Some(t) = txn.as_ref() else {
+    pub fn txn_commit(&self) -> io::Result<Vec<(PageId, Page)>> {
+        let Some(staged) = self.txn.lock().take() else {
             return Err(io::Error::other("no open pager transaction"));
         };
-        let mut pages: Vec<(PageId, Page)> = t
-            .pages
-            .iter()
-            .map(|(&no, page)| (PageId(no), page.clone()))
-            .collect();
+        let mut pages: Vec<(PageId, Page)> =
+            (staged.into_iter().map(|(no, page)| (PageId(no), page))).collect();
         pages.sort_by_key(|(id, _)| id.0);
         Ok(pages)
     }
 
-    /// Applies the staged pages to the file and closes the transaction.
-    /// The caller must have made the transaction durable first (WAL) —
-    /// this method does not fsync.
-    ///
-    /// # Errors
-    /// Fails if no transaction is open; the write-back itself can fail
-    /// like any physical page write.
-    pub fn txn_commit(&self) -> io::Result<()> {
-        let staged = {
-            let mut txn = self.txn.lock();
-            let Some(t) = txn.take() else {
-                return Err(io::Error::other("no open pager transaction"));
-            };
-            let mut pages: Vec<(u64, Page)> = t.pages.into_iter().collect();
-            pages.sort_by_key(|&(no, _)| no);
-            pages
-        };
-        for (no, page) in staged {
-            self.write_page_raw(PageId(no), &page)?;
-        }
+    /// Rolls a transaction back, before or after [`Pager::txn_commit`]
+    /// handed its pages over: drops what is staged and returns the page
+    /// count to the file's own length, which no staged write or
+    /// allocation ever touched. Callers must also invalidate any caches
+    /// above the pager that may have seen staged pages.
+    pub fn txn_abort(&self) -> io::Result<()> {
+        self.txn.lock().take();
+        let len = self.file.lock().metadata()?.len();
+        self.num_pages
+            .store(len / PAGE_SIZE as u64, Ordering::SeqCst);
         Ok(())
-    }
-
-    /// Discards the staged pages and rolls back in-transaction
-    /// allocations. Callers must also invalidate any caches above the
-    /// pager that may have seen staged pages.
-    pub fn txn_abort(&self) {
-        let mut txn = self.txn.lock();
-        if let Some(t) = txn.take() {
-            self.num_pages.store(t.pages_at_begin, Ordering::SeqCst);
-        }
     }
 
     /// Extends the file to at least `pages` pages (zero-filled). Recovery
@@ -496,11 +463,10 @@ mod tests {
     fn txn_state_misuse_is_a_typed_error() {
         let dir = TempDir::new("pager-txn-misuse");
         let pager = Pager::create(&dir.path().join("p.db")).unwrap();
-        assert!(pager.txn_pages().is_err());
         assert!(pager.txn_commit().is_err());
         pager.txn_begin().unwrap();
         assert!(pager.txn_begin().is_err(), "nested txn must fail");
-        pager.txn_abort();
+        pager.txn_abort().unwrap();
         assert!(!pager.txn_active());
     }
 
@@ -575,10 +541,17 @@ mod tests {
         assert_eq!(pager.read_page(id).unwrap().read_u64(0), 7);
         // ...but nothing reached the file, not even the allocation.
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len_before);
-        assert_eq!(pager.txn_pages().unwrap().len(), 2);
 
-        pager.txn_commit().unwrap();
+        // Commit hands both pages over, in page order, still unwritten;
+        // writing them back is the caller's move once they are durable.
+        let staged = pager.txn_commit().unwrap();
         assert!(!pager.txn_active());
+        let ids: Vec<PageId> = staged.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [id, id2]);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len_before);
+        for (id, page) in &staged {
+            pager.write_page(*id, page).unwrap();
+        }
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
             2 * PAGE_SIZE as u64
@@ -601,10 +574,20 @@ mod tests {
         p2.write_u64(0, 2);
         pager.write_page(id, &p2).unwrap();
         pager.allocate().unwrap();
-        pager.txn_abort();
+        pager.txn_abort().unwrap();
 
         assert_eq!(pager.num_pages(), 1);
         assert_eq!(pager.read_page(id).unwrap().read_u64(0), 1);
+
+        // The same after the pages were handed over (a WAL commit that
+        // then failed): nothing reached the file, so abort still undoes
+        // the allocation.
+        pager.txn_begin().unwrap();
+        pager.allocate().unwrap();
+        assert_eq!(pager.txn_commit().unwrap().len(), 1);
+        assert_eq!(pager.num_pages(), 2);
+        pager.txn_abort().unwrap();
+        assert_eq!(pager.num_pages(), 1);
     }
 
     #[test]
