@@ -114,7 +114,8 @@ impl<O: MetricObject> PivotTable<O> {
         self.pivots.iter().map(|p| metric.distance(o, p)).collect()
     }
 
-    /// Discretises a mapped vector to its grid cell.
+    /// Discretises a mapped vector to its grid cell. A distance at or
+    /// beyond `max_coord()·δ` lands in the top cell, which is open-ended.
     pub fn cell_of_phi(&self, phi: &[f64]) -> Vec<u32> {
         phi.iter()
             .map(|&d| ((d / self.delta).floor() as i64).clamp(0, self.max_coord() as i64) as u32)
@@ -129,9 +130,12 @@ impl<O: MetricObject> PivotTable<O> {
 
     /// Largest metric distance to pivot `i` an object in cell coordinate
     /// `c` can have (`c·δ` exactly for discrete metrics; the open upper
-    /// edge `(c+1)·δ` otherwise).
+    /// edge `(c+1)·δ` otherwise; unbounded for the top cell, which holds
+    /// every distance the grid cannot reach).
     pub fn cell_dist_hi(&self, c: u32) -> f64 {
-        if self.discrete {
+        if c == self.max_coord() {
+            f64::INFINITY
+        } else if self.discrete {
             c as f64 * self.delta
         } else {
             (c + 1) as f64 * self.delta
@@ -142,6 +146,7 @@ impl<O: MetricObject> PivotTable<O> {
     /// For discrete metrics the lower edge is tight (`⌈(d−r)/δ⌉`: cells
     /// are exact distances); for continuous metrics it is the conservative
     /// `⌊(d−r)/δ⌋` (an object anywhere inside the edge cell may qualify).
+    /// A lower edge above the grid clamps to the open-ended top cell.
     /// `None` when the region falls outside the grid entirely (impossible
     /// for r ≥ 0, kept for robustness).
     pub fn rr_cells(&self, q_phi: &[f64], r: f64) -> Option<GridBox> {
@@ -154,7 +159,7 @@ impl<O: MetricObject> PivotTable<O> {
                 } else {
                     edge.floor()
                 };
-                (cell as i64).max(0)
+                (cell as i64).clamp(0, self.max_coord() as i64)
             })
             .collect();
         let hi: Vec<i64> = q_phi

@@ -44,6 +44,11 @@ use crate::tree::QueryStats;
 /// page numbers would be resident — plus the miss count.
 struct ColdCache {
     lru: Lru<()>,
+    /// The most recently used page, tracked only with capacity > 0.
+    /// Touching it again is a hit that changes nothing, and it is what a
+    /// RAF record's header-then-body access always does.
+    mru: Option<u64>,
+    cached: bool,
     misses: u64,
 }
 
@@ -51,6 +56,8 @@ impl ColdCache {
     fn new(capacity: usize) -> Self {
         ColdCache {
             lru: Lru::new(capacity),
+            mru: None,
+            cached: capacity > 0,
             misses: 0,
         }
     }
@@ -58,9 +65,15 @@ impl ColdCache {
     /// Records one logical read of `page` (always a miss with capacity
     /// 0, which mirrors the pool's cache-disabled mode).
     fn access(&mut self, page: u64) {
+        if self.mru == Some(page) {
+            return;
+        }
         if self.lru.get(PageId(page)).is_none() {
             self.misses += 1;
             self.lru.insert(PageId(page), ());
+        }
+        if self.cached {
+            self.mru = Some(page);
         }
     }
 }
@@ -141,6 +154,31 @@ mod tests {
             lru.access(7);
         }
         assert_eq!(lru.misses, 5);
+    }
+
+    #[test]
+    fn mru_shortcut_counts_the_misses_of_the_plain_lru() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for capacity in [0usize, 1, 2, 32] {
+            let mut rng = StdRng::seed_from_u64(capacity as u64);
+            let mut cold = ColdCache::new(capacity);
+            let mut plain = Lru::new(capacity);
+            let mut plain_misses = 0u64;
+            let mut page = 0u64;
+            for _ in 0..5_000 {
+                // Runs of repeats (a RAF record's header then body) among
+                // jumps over a working set twice the capacity.
+                if rng.gen_range(0..3u32) == 0 {
+                    page = rng.gen_range(0..2 * capacity as u64 + 3);
+                }
+                cold.access(page);
+                if plain.get(PageId(page)).is_none() {
+                    plain_misses += 1;
+                    plain.insert(PageId(page), ());
+                }
+                assert_eq!(cold.misses, plain_misses, "capacity {capacity}");
+            }
+        }
     }
 
     #[test]

@@ -650,17 +650,20 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         self.btree.read_node(id)
     }
 
-    /// Fetches and decodes the object behind a RAF offset, attributing the
-    /// RAF pages read to `col`.
+    /// Fetches and decodes the object behind a RAF offset (straight from
+    /// the cached page when the record sits on one), attributing the RAF
+    /// pages read to `col`.
     pub(crate) fn fetch_traced(
         &self,
         offset: u64,
         col: &mut StatsCollector,
     ) -> io::Result<(u32, O)> {
-        let entry = self
-            .raf
-            .get_traced(RafPtr { offset }, &mut |page| col.raf_page(page))?;
-        Ok((entry.id, decode_entry::<O>(&entry.bytes)?))
+        let (id, obj) = self.raf.get_traced(
+            RafPtr { offset },
+            &mut |page| col.raf_page(page),
+            |id, bytes| (id, decode_entry::<O>(bytes)),
+        )?;
+        Ok((id, obj?))
     }
 
     /// One distance computation, counted in `col` and nowhere else: the

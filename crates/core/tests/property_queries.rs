@@ -177,6 +177,51 @@ proptest! {
     }
 }
 
+/// An object farther from every pivot than the grid reaches lands in the
+/// top cell, which is open-ended: range (Lemma 1 and Lemma 2), count and
+/// kNN must still see it exactly where brute force does.
+#[test]
+fn objects_beyond_the_grid_are_found_exactly() {
+    let words = "apple banana cherry parrots grape lemon melon kiwi plum peach";
+    let data: Vec<Word> = words.split(' ').map(Word::new).collect();
+    // d⁺ = 7: three bits per pivot, top coordinate 7.
+    let metric = EditDistance::new(7);
+    let far = Word::new("carrotjuicexyzabc");
+    for curve in [CurveKind::Hilbert, CurveKind::Z] {
+        let dir = TempDir::new("prop-overflow");
+        let cfg = SpbConfig {
+            curve,
+            ..SpbConfig::default()
+        };
+        let tree = SpbTree::build(dir.path(), &data, metric, &cfg).unwrap();
+        assert_eq!(tree.table().max_coord(), 7);
+        tree.insert(&far).unwrap();
+        let all: Vec<Word> = data.iter().chain([&far]).cloned().collect();
+        let queries: Vec<Word> = all.iter().chain(tree.table().pivots()).cloned().collect();
+        for q in &queries {
+            let mut dists: Vec<f64> = all.iter().map(|o| metric.distance(q, o)).collect();
+            for r in [0.0, 1.0, 3.0, 7.0, 16.0] {
+                let at = format!("{curve:?} q={} r={r}", q.as_str());
+                let (hits, _) = tree.range(q, r).unwrap();
+                let mut got: Vec<u32> = hits.iter().map(|&(id, _)| id).collect();
+                got.sort_unstable();
+                let want: Vec<u32> = (0..all.len() as u32)
+                    .filter(|&i| dists[i as usize] <= r)
+                    .collect();
+                assert_eq!(got, want, "range {at}");
+                let (count, _) = tree.range_count(q, r).unwrap();
+                assert_eq!(count as usize, want.len(), "range_count {at}");
+            }
+            dists.sort_by(f64::total_cmp);
+            for k in [1, 3, all.len()] {
+                let (nn, _) = tree.knn(q, k).unwrap();
+                let got: Vec<f64> = nn.iter().map(|&(_, _, d)| d).collect();
+                assert_eq!(got, dists[..k], "knn {curve:?} q={} k={k}", q.as_str());
+            }
+        }
+    }
+}
+
 // `pivots.tbl` and `spb.meta` carry no checksum, so `SpbTree::open` must
 // decode them totally: whatever the bytes, it answers `Ok` or a typed
 // `Err` — a panic (or an allocation sized by a corrupt count) fails here.

@@ -90,13 +90,59 @@ impl Distance<Word> for EditDistance {
     }
 }
 
-/// Two-row dynamic-programming Levenshtein distance. `O(|a|·|b|)` time,
-/// `O(min(|a|,|b|))` space, no per-call heap allocation beyond one row.
+/// Levenshtein distance over bytes. When the shorter input fits one
+/// machine word (≤ 64 bytes, every word of the paper's datasets) this is
+/// Myers' bit-parallel algorithm in Hyyrö's formulation: `O(|long|)`
+/// word operations and no heap allocation. Longer inputs take the
+/// two-row dynamic program. Both are exact.
 pub fn levenshtein(a: &[u8], b: &[u8]) -> usize {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if short.is_empty() {
-        return long.len();
+        long.len()
+    } else if short.len() <= 64 {
+        levenshtein_bits(short, long)
+    } else {
+        levenshtein_dp(short, long)
     }
+}
+
+/// Bit-parallel Levenshtein for `1 ≤ |short| ≤ 64`. Bit `i` of the
+/// vertical delta vectors `pv`/`mv` says whether cell `i+1` of the current
+/// DP column is one more/less than cell `i`; a column step is a handful of
+/// word operations, and the score is tracked at the last row. Bits above
+/// `|short|` hold garbage that never flows downward (carries and shifts
+/// only move up).
+fn levenshtein_bits(short: &[u8], long: &[u8]) -> usize {
+    let mut peq = [0u64; 256];
+    for (i, &c) in short.iter().enumerate() {
+        peq[usize::from(c)] |= 1 << i;
+    }
+    let last = 1u64 << (short.len() - 1);
+    let (mut pv, mut mv) = (!0u64, 0u64);
+    let mut score = short.len();
+    for &c in long {
+        let eq = peq[usize::from(c)];
+        let xv = eq | mv;
+        let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
+        let ph = mv | !(xh | pv);
+        let mh = pv & xh;
+        if ph & last != 0 {
+            score += 1;
+        } else if mh & last != 0 {
+            score -= 1;
+        }
+        // Row 0 of the DP grows by one per column: shift a +1 in.
+        let ph = (ph << 1) | 1;
+        let mh = mh << 1;
+        pv = mh | !(xv | ph);
+        mv = ph & xv;
+    }
+    score
+}
+
+/// Two-row dynamic-programming Levenshtein. `O(|a|·|b|)` time, one
+/// `O(|short|)` row.
+fn levenshtein_dp(short: &[u8], long: &[u8]) -> usize {
     // `row[j]` holds the distance between long[..i] and short[..j].
     let mut row: Vec<usize> = (0..=short.len()).collect();
     for (i, &lc) in long.iter().enumerate() {
@@ -337,6 +383,31 @@ mod tests {
     }
 
     #[test]
+    fn levenshtein_kernel_hand_cases() {
+        let a64 = [b'a'; 64];
+        let b64: Vec<u8> = (0..64u8).map(|i| b'a' + i % 26).collect();
+        let a65 = [b'a'; 65];
+        for (x, y) in [
+            (&b""[..], &b""[..]),
+            (b"kitten", b"sitting"),
+            (b"identical", b"identical"),
+            (&a64[..], &a64[..]),
+            (&a64[..], &b64[..]),
+            (&a65[..], b"a"),
+            (&a65[..], b"z"),
+            (&a65[..], &a64[..]),
+        ] {
+            let want = levenshtein_dp(x, y);
+            assert_eq!(levenshtein(x, y), want);
+            assert_eq!(levenshtein(y, x), want);
+        }
+        assert_eq!(levenshtein(b"kitten", b"sitting"), 3);
+        assert_eq!(levenshtein(&a64, &a64), 0);
+        assert_eq!(levenshtein(&a65, b"a"), 64);
+        assert_eq!(levenshtein(&a65, b"z"), 65);
+    }
+
+    #[test]
     fn paper_running_example_range_query() {
         // RQ("defoliate", O, 1) = {"defoliates", "defoliated"} from Section 4.1.
         let d = EditDistance::default();
@@ -538,6 +609,36 @@ mod proptests {
             let (la, lb) = (a.len(), b.len());
             prop_assert!(d >= la.abs_diff(lb));
             prop_assert!(d <= la.max(lb));
+        }
+    }
+
+    /// The bit-parallel path against the dynamic program on both sides of
+    /// the 64/65-byte switch.
+    fn kernel_agrees(a: &[u8], b: &[u8]) -> Result<(), String> {
+        let want = levenshtein_dp(a, b);
+        prop_assert_eq!(levenshtein(a, b), want);
+        prop_assert_eq!(levenshtein(b, a), want);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn levenshtein_kernel_matches_dp_small_alphabet(a in "[a-e]{0,70}", b in "[a-e]{0,70}") {
+            kernel_agrees(a.as_bytes(), b.as_bytes())?;
+        }
+
+        #[test]
+        fn levenshtein_kernel_matches_dp_any_bytes(
+            a in collection::vec(any::<u8>(), 0..=70),
+            b in collection::vec(any::<u8>(), 0..=70),
+        ) {
+            kernel_agrees(&a, &b)?;
+        }
+
+        #[test]
+        fn levenshtein_kernel_matches_dp_utf8(a in "[aé€𝄞]{0,30}", b in "[aé€𝄞]{0,30}") {
+            kernel_agrees(a.as_bytes(), b.as_bytes())?;
         }
     }
 }

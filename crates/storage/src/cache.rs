@@ -375,8 +375,8 @@ mod tests {
 
     #[test]
     fn large_cache_eviction_is_cheap() {
-        // O(log n) eviction: a pass twice the capacity over a big pool
-        // stays comfortably fast (the old linear scan was quadratic).
+        // O(1) eviction: a pass twice the capacity over a big pool stays
+        // comfortably fast.
         let (_d, pool) = pool(4096);
         let ids: Vec<PageId> = (0..8192).map(|_| pool.allocate().unwrap()).collect();
         pool.reset_stats();

@@ -223,39 +223,73 @@ impl Raf {
 
     /// Reads the entry at `ptr`.
     pub fn get(&self, ptr: RafPtr) -> io::Result<RafEntry> {
-        self.get_traced(ptr, &mut |_| {})
+        self.get_traced(ptr, &mut |_| {}, |id, bytes| RafEntry {
+            id,
+            bytes: bytes.to_vec(),
+        })
     }
 
-    /// Like [`Raf::get`], but calls `trace` with the page number of every
-    /// buffer-pool read the entry causes (staged-tail hits bypass the pool
-    /// and are not traced). Per-query accounting hooks in here: the caller
-    /// learns exactly which pool accesses *its* fetch issued, without
-    /// diffing the pool's shared counters.
-    pub fn get_traced(&self, ptr: RafPtr, trace: &mut dyn FnMut(u64)) -> io::Result<RafEntry> {
+    /// Like [`Raf::get`], but hands the record's id and object bytes to
+    /// `decode` instead of copying them out, and calls `trace` with the
+    /// page number of every logical page access the entry makes: once for
+    /// the header's page, once per page the body covers (staged-tail hits
+    /// bypass the pool and are not traced). Per-query accounting hooks in
+    /// here: the caller learns exactly which accesses *its* fetch issued,
+    /// without diffing the pool's shared counters.
+    ///
+    /// A record whose header and body share one pooled page costs one
+    /// pool read and is decoded from the borrowed page; `trace` still
+    /// sees that page twice, so *PA* stays what a header read followed by
+    /// a body read costs at every cache capacity, including 0.
+    pub fn get_traced<R>(
+        &self,
+        ptr: RafPtr,
+        trace: &mut dyn FnMut(u64),
+        decode: impl FnOnce(u32, &[u8]) -> R,
+    ) -> io::Result<R> {
         let tail = self.tail.load(Ordering::SeqCst);
         let header_end = ptr
             .offset
             .checked_add(ENTRY_HEADER as u64)
             .filter(|&end| end <= tail)
             .ok_or_else(|| bad_record(ptr, "entry header past tail"))?;
+        let page_no = ptr.offset / PAGE_DATA_SIZE as u64;
+        let in_page = (ptr.offset % PAGE_DATA_SIZE as u64) as usize;
+        // The staged page, when there is one, holds the tail's last byte,
+        // so every page below that one is served by the pool.
+        let pooled = in_page + ENTRY_HEADER <= PAGE_DATA_SIZE
+            && page_no < (tail - 1) / PAGE_DATA_SIZE as u64;
         let mut header = [0u8; ENTRY_HEADER];
-        self.read_bytes(ptr.offset, &mut header, trace)?;
+        let page = if pooled {
+            trace(page_no);
+            let page = self.pool.read(PageId(page_no))?;
+            header.copy_from_slice(page.read_slice(in_page, ENTRY_HEADER));
+            Some(page)
+        } else {
+            self.read_bytes(ptr.offset, &mut header, trace)?;
+            None
+        };
         let [i0, i1, i2, i3, l0, l1, l2, l3] = header;
         let id = u32::from_le_bytes([i0, i1, i2, i3]);
-        let len = u32::from_le_bytes([l0, l1, l2, l3]) as u64;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
         // Validate the recorded length against the tail *before* the
         // allocation: a corrupt length must yield a typed error, not an
         // attempt to allocate (up to) 4 GiB and read past the file.
         if header_end
-            .checked_add(len)
+            .checked_add(len as u64)
             .filter(|&end| end <= tail)
             .is_none()
         {
             return Err(bad_record(ptr, "entry length past tail"));
         }
-        let mut bytes = vec![0u8; len as usize];
+        let body = in_page + ENTRY_HEADER;
+        if let Some(page) = page.filter(|_| len > 0 && body + len <= PAGE_DATA_SIZE) {
+            trace(page_no);
+            return Ok(decode(id, page.read_slice(body, len)));
+        }
+        let mut bytes = vec![0u8; len];
         self.read_bytes(header_end, &mut bytes, trace)?;
-        Ok(RafEntry { id, bytes })
+        Ok(decode(id, &bytes))
     }
 
     /// Reads `buf.len()` bytes at absolute offset `off`, consulting the
@@ -467,6 +501,121 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    /// The reference read path: header then body, each through
+    /// `read_bytes`, as every record was read before single-page records
+    /// took one pool read.
+    fn get_two_reads(raf: &Raf, ptr: RafPtr, trace: &mut dyn FnMut(u64)) -> RafEntry {
+        let mut header = [0u8; ENTRY_HEADER];
+        raf.read_bytes(ptr.offset, &mut header, trace).unwrap();
+        let id = u32::from_le_bytes(header[..4].try_into().unwrap());
+        let len = u32::from_le_bytes(header[4..].try_into().unwrap()) as usize;
+        let mut bytes = vec![0u8; len];
+        raf.read_bytes(ptr.offset + ENTRY_HEADER as u64, &mut bytes, trace)
+            .unwrap();
+        RafEntry { id, bytes }
+    }
+
+    /// Appends a filler so that the next record starts `at` bytes into a
+    /// page, then the record itself with a `len`-byte payload.
+    fn place(raf: &Raf, at: usize, len: usize, id: u32) -> RafPtr {
+        let pds = PAGE_DATA_SIZE as u64;
+        let min = raf.tail_offset() + ENTRY_HEADER as u64;
+        let target = (min - at as u64).div_ceil(pds) * pds + at as u64;
+        raf.append(u32::MAX, &vec![0xee; (target - min) as usize])
+            .unwrap();
+        let payload: Vec<u8> = (0..len).map(|i| (i as u32 ^ id) as u8).collect();
+        let p = raf.append(id, &payload).unwrap();
+        assert_eq!(p.offset % pds, at as u64);
+        p
+    }
+
+    #[test]
+    fn single_reads_trace_what_header_then_body_reads_trace() {
+        let pds = PAGE_DATA_SIZE;
+        // (offset within its page, payload length) relative to a page
+        // boundary: header straddling, header ending at the boundary with
+        // an empty and a non-empty body, body ending exactly at the
+        // boundary, body straddling, empty mid-page, plain, multi-page.
+        let layout = [
+            (pds - 4, 10),
+            (pds - ENTRY_HEADER, 0),
+            (pds - ENTRY_HEADER, 5),
+            (100, pds - 100 - ENTRY_HEADER),
+            (pds - 20, 30),
+            (200, 0),
+            (300, 50),
+            (10, 3 * pds),
+        ];
+        // Then a header straddling into the staged tail page, and a record
+        // wholly on it.
+        let staged_layout = [(pds - 4, 10), (500, 20)];
+        for capacity in [0usize, 1, 8] {
+            let dir = TempDir::new("raf-single-read");
+            let path = dir.path().join("o.raf");
+            let raf = Raf::create(&path, capacity).unwrap();
+            let mut ptrs = Vec::new();
+            for (i, &(at, len)) in layout.iter().chain(&staged_layout).enumerate() {
+                ptrs.push((place(&raf, at, len, i as u32), at, len));
+            }
+            let tail_page = (raf.tail_offset() - 1) / pds as u64;
+            let check = |raf: &Raf, staged: bool| {
+                for &(p, at, len) in &ptrs {
+                    raf.flush_cache();
+                    let mut want_pages = Vec::new();
+                    let want = get_two_reads(raf, p, &mut |pg| want_pages.push(pg));
+                    raf.flush_cache();
+                    raf.reset_stats();
+                    let mut pages = Vec::new();
+                    let got = raf.get_traced(p, &mut |pg| pages.push(pg), |id, b| RafEntry {
+                        id,
+                        bytes: b.to_vec(),
+                    });
+                    let at_msg = format!("record at {at}+{len}, capacity {capacity}");
+                    assert_eq!(got.unwrap(), want, "{at_msg}");
+                    assert_eq!(pages, want_pages, "{at_msg}");
+                    let page = p.offset / pds as u64;
+                    let one_page = at + ENTRY_HEADER + len <= pds;
+                    if one_page && page < tail_page {
+                        assert_eq!(raf.io_stats().logical_reads, 1, "{at_msg}");
+                    }
+                    if staged && page == tail_page {
+                        assert!(pages.is_empty(), "staged hits are not traced: {at_msg}");
+                    }
+                }
+            };
+            check(&raf, true);
+            raf.flush().unwrap();
+            drop(raf);
+            // Reopened, nothing is staged: the tail page comes from the
+            // pool like every other.
+            check(&Raf::open(&path, capacity).unwrap(), false);
+        }
+    }
+
+    #[test]
+    fn corrupt_length_is_a_typed_error_on_both_read_paths() {
+        let dir = TempDir::new("raf-corrupt-len");
+        let raf = Raf::create(&dir.path().join("o.raf"), 8).unwrap();
+        // A payload that reads as a header claiming u32::MAX bytes.
+        let mut fake = 7u32.to_le_bytes().to_vec();
+        fake.extend_from_slice(&u32::MAX.to_le_bytes());
+        let staged = raf.append(1, &fake).unwrap();
+        let bogus = RafPtr {
+            offset: staged.offset + ENTRY_HEADER as u64,
+        };
+        let msg = |raf: &Raf| raf.get(bogus).unwrap_err().to_string();
+        assert!(msg(&raf).contains("entry length past tail"));
+        // Move the tail on so the record's page is pooled, not staged.
+        for i in 0..100 {
+            raf.append(i, &[0u8; 100]).unwrap();
+        }
+        let pds = PAGE_DATA_SIZE as u64;
+        assert!(bogus.offset / pds < (raf.tail_offset() - 1) / pds);
+        assert!(msg(&raf).contains("entry length past tail"));
+        let err = raf.get(bogus).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
