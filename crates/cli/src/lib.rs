@@ -13,6 +13,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::io::{self, BufRead};
 use std::net::SocketAddr;
@@ -21,8 +23,8 @@ use std::path::{Path, PathBuf};
 use spb_core::{QueryPlan, QueryShape, SpbConfig, SpbTree};
 use spb_metric::{EditDistance, FloatVec, LpNorm, MetricObject, Word};
 use spb_server::{
-    AdmissionConfig, Answers, Client, ClientError, Deadline, ErrorCode, IndexService, Response,
-    ServerConfig, ServiceError, TreeService, WireStats,
+    Answers, Client, ClientError, Deadline, ErrorCode, IndexService, Response, ServerConfig,
+    ServiceError, TreeService, WireStats,
 };
 
 pub use spb_server::{schema_path, Schema};
@@ -226,8 +228,6 @@ pub enum Command {
         index: PathBuf,
         /// Listen address, e.g. `127.0.0.1:7878`.
         addr: String,
-        /// Requests executing concurrently before arrivals queue.
-        max_inflight: usize,
         /// Requests allowed to wait before arrivals are shed.
         max_queue: usize,
         /// Concurrent TCP connections before new ones are refused.
@@ -265,7 +265,31 @@ pub enum Command {
     },
 }
 
-type Flags = std::collections::HashMap<String, String>;
+/// The `--key value` pairs of a command line. Every lookup records its
+/// key, so a flag the chosen command never read can be refused.
+#[derive(Default)]
+struct Flags {
+    given: BTreeMap<String, String>,
+    read: RefCell<BTreeSet<String>>,
+}
+
+impl Flags {
+    /// The value of `--key`, recording the lookup.
+    fn get(&self, key: &str) -> Option<&String> {
+        self.read.borrow_mut().insert(key.to_owned());
+        self.given.get(key)
+    }
+
+    fn contains_key(&self, key: &str) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// A flag given that no lookup asked for.
+    fn unread(&self) -> Option<&String> {
+        let read = self.read.borrow();
+        self.given.keys().find(|k| !read.contains(*k))
+    }
+}
 
 /// The value of `--key` parsed as a `T` (`kind` names `T` in the error).
 fn parsed<T: std::str::FromStr>(flags: &Flags, key: &str, kind: &str) -> Result<Option<T>, String> {
@@ -285,7 +309,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         all => all,
     };
     let (cmd, rest) = args.split_first().ok_or_else(usage)?;
-    let mut flags = Flags::new();
+    let mut flags = Flags::default();
     let mut i = 0;
     while i < rest.len() {
         let key = rest[i]
@@ -293,14 +317,14 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             .ok_or_else(|| format!("expected a --flag, got {:?}", rest[i]))?;
         // `--approx` is a bare switch: it takes no value.
         if key == "approx" {
-            flags.insert(key.to_owned(), "true".to_owned());
+            flags.given.insert(key.to_owned(), "true".to_owned());
             i += 1;
             continue;
         }
         let value = rest
             .get(i + 1)
             .ok_or_else(|| format!("--{key} needs a value"))?;
-        flags.insert(key.to_owned(), value.clone());
+        flags.given.insert(key.to_owned(), value.clone());
         i += 2;
     }
     let need = |k: &str| -> Result<String, String> {
@@ -331,20 +355,21 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             None => need("index").map(PathBuf::from),
         }
     };
-    let deadline_ms: u32 = parsed(&flags, "deadline-ms", "an integer")?.unwrap_or(0);
+    let deadline_ms =
+        || -> Result<u32, String> { Ok(parsed(&flags, "deadline-ms", "an integer")?.unwrap_or(0)) };
     let query = |plan: QueryPlan, input: QueryInput, threads: usize| -> Result<Command, String> {
         Ok(Command::Query {
             target: target()?,
             plan,
             input,
             threads,
-            deadline_ms,
+            deadline_ms: deadline_ms()?,
         })
     };
     let radius = || parsed::<f64>(&flags, "radius", "a number");
     let need_radius = || radius()?.ok_or_else(|| "missing required --radius".to_owned());
 
-    match cmd.as_str() {
+    let command = match cmd.as_str() {
         "build" => Ok(Command::Build {
             input: PathBuf::from(need("input")?),
             index: PathBuf::from(need("index")?),
@@ -393,12 +418,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         "insert" => Ok(Command::Insert {
             target: target()?,
             object: need("object")?,
-            deadline_ms,
+            deadline_ms: deadline_ms()?,
         }),
         "delete" => Ok(Command::Delete {
             target: target()?,
             object: need("object")?,
-            deadline_ms,
+            deadline_ms: deadline_ms()?,
         }),
         // `obs-stats` is the older name of the server half of `stats`.
         "stats" | "obs-stats" => Ok(Command::Stats { target: target()? }),
@@ -411,7 +436,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         "serve" => Ok(Command::Serve {
             index: PathBuf::from(need("index")?),
             addr: opt("addr", "127.0.0.1:7878"),
-            max_inflight: count("max-inflight", 4)?,
             max_queue: count("max-queue", 64)?,
             max_connections: count("max-connections", 64)?,
             threads: count("threads", 4)?,
@@ -434,6 +458,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             addr: need("addr")?,
         }),
         other => Err(format!("unknown command {other:?}\n{}", usage())),
+    }?;
+    // A typo'd or misplaced flag must not silently change the command.
+    match flags.unread() {
+        Some(key) => Err(format!("{cmd} does not take --{key}")),
+        None => Ok(command),
     }
 }
 
@@ -463,7 +492,7 @@ pub fn usage() -> String {
      \x20 count --index DIR --query Q --radius R\n\
      \x20 verify --index DIR\n\
      \x20 recover --index DIR\n\
-     \x20 serve --index DIR [--addr HOST:PORT] [--max-inflight N] [--max-queue N] [--max-connections N] [--threads N] [--trace on|off]\n\
+     \x20 serve --index DIR [--addr HOST:PORT] [--max-queue N] [--max-connections N] [--threads N] [--trace on|off]\n\
      \x20 cluster --input FILE [--shards N] [--replicas R] [--dir DIR]\n\
      \x20 ping --addr HOST:PORT\n\
      \x20 shutdown --addr HOST:PORT\n\
@@ -807,7 +836,6 @@ pub fn run(cmd: &Command, out: &mut String) -> Result<(), CliError> {
         Command::Serve {
             index,
             addr,
-            max_inflight,
             max_queue,
             max_connections,
             threads,
@@ -816,10 +844,7 @@ pub fn run(cmd: &Command, out: &mut String) -> Result<(), CliError> {
             spb_obs::trace::set_enabled(*trace);
             let cfg = ServerConfig {
                 max_connections: *max_connections,
-                admission: AdmissionConfig {
-                    max_inflight: *max_inflight,
-                    max_queue: *max_queue,
-                },
+                max_queue: *max_queue,
                 worker_threads: *threads,
                 ..ServerConfig::default()
             };
@@ -1700,7 +1725,7 @@ mod tests {
     #[test]
     fn parses_serve_and_remote() {
         let cmd = parse_args(&args(
-            "serve --index ./idx --addr 127.0.0.1:9000 --max-inflight 2",
+            "serve --index ./idx --addr 127.0.0.1:9000 --max-queue 2",
         ))
         .unwrap();
         assert_eq!(
@@ -1708,8 +1733,7 @@ mod tests {
             Command::Serve {
                 index: "./idx".into(),
                 addr: "127.0.0.1:9000".into(),
-                max_inflight: 2,
-                max_queue: 64,
+                max_queue: 2,
                 max_connections: 64,
                 threads: 4,
                 trace: false,
@@ -1779,6 +1803,31 @@ mod tests {
             .is_err(),
             "both radius and k"
         );
+    }
+
+    #[test]
+    fn flags_the_command_does_not_read_are_refused_by_name() {
+        for (line, flag) in [
+            (
+                "knn --index idx --query carrot --k 2 --alpah 1.5",
+                "--alpah",
+            ),
+            (
+                "range --index idx --query carrot --radius 1 --deadline-msec 1",
+                "--deadline-msec",
+            ),
+            ("serve --index idx --max-inflihgt 0", "--max-inflihgt"),
+            ("serve --index idx --max-inflight 4", "--max-inflight"),
+            // Known to another command is still unknown to this one.
+            (
+                "count --index idx --query q --radius 1 --deadline-ms 5",
+                "--deadline-ms",
+            ),
+            ("remote ping --addr x:1 --index idx", "--index"),
+        ] {
+            let err = parse_args(&args(line)).unwrap_err();
+            assert!(err.contains(flag), "{line}: {err}");
+        }
     }
 
     #[test]

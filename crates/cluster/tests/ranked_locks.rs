@@ -3,8 +3,8 @@
 //! `spb_storage::lockrank` is the only thing standing between the
 //! workspace and a lock-order deadlock, and it only checks the paths a
 //! test executes under it. This test drives every layer that owns a
-//! ranked lock — event loop, dispatcher, admission, router, replica,
-//! tree, buffer pool, WAL — through one small served cluster and then
+//! ranked lock — event loop, dispatcher, router, replica, tree, buffer
+//! pool, WAL — through one small served cluster and then
 //! reads the checker's per-rank counters: a lock that was swapped for a
 //! raw `std::sync` one, or a rank no test path reaches, fails here.
 //! Debug builds only: the checker does not exist in release.
@@ -19,7 +19,7 @@ use spb_storage::lockrank::{checked_acquisitions, LockRank};
 use spb_storage::TempDir;
 
 #[test]
-fn a_served_cluster_takes_all_eight_ranks_under_the_checker() {
+fn a_served_cluster_takes_all_seven_ranks_under_the_checker() {
     let before = LockRank::ALL.map(checked_acquisitions);
 
     let data = dataset::words(200, 23);
@@ -38,7 +38,7 @@ fn a_served_cluster_takes_all_eight_ranks_under_the_checker() {
     )
     .expect("cluster launch");
 
-    // A served insert: event loop → dispatcher → admission → tree latch
+    // A served insert: event loop → dispatcher → tree latch
     // (exclusive) → buffer-pool shards → WAL commit.
     let fresh = Word::new("rankedlockword");
     cluster.insert(0, &fresh).expect("insert via primary");

@@ -67,7 +67,7 @@ use std::time::Instant;
 
 use crate::admission::Deadline;
 use crate::dispatch::{ConnId, Work};
-use crate::server::{admit_error_response, control_response, error_response, Shared};
+use crate::server::{control_response, error_response, Shared};
 use crate::wire::{
     check_payload, frame_into, parse_frame_header, ErrorCode, Request, Response, WireError,
     FRAME_HEADER,
@@ -196,19 +196,6 @@ fn open_conns_gauge() -> &'static Arc<spb_obs::Gauge> {
 // Connection state machine
 // ---------------------------------------------------------------------
 
-/// A work request parsed off the wire but held back by this
-/// connection's ordering barrier (an earlier write still in flight).
-struct PendingWork {
-    seq: u64,
-    req: Request,
-    deadline: Deadline,
-    write: bool,
-    /// Mirrors [`Work::control`]: admission-free control-plane work
-    /// (`WalShip`) riding the dispatcher for its file I/O.
-    control: bool,
-    enqueued_at: Instant,
-}
-
 /// One connection's full state.
 struct Conn {
     stream: TcpStream,
@@ -228,8 +215,9 @@ struct Conn {
     next_send: u64,
     /// Completed responses waiting for an earlier sequence number.
     stash: Vec<(u64, Response)>,
-    /// Admitted work held back by the write barrier.
-    pending: VecDeque<PendingWork>,
+    /// Admitted work held back by the write barrier (an earlier write
+    /// still in flight).
+    pending: VecDeque<Work>,
     /// Read requests currently on the dispatcher.
     reads_inflight: usize,
     /// True while an `Insert`/`Delete` is on the dispatcher.
@@ -488,7 +476,7 @@ fn desync(conn: &mut Conn, code: ErrorCode, msg: String) {
 }
 
 /// Routes one decoded request: control-plane answers inline, work is
-/// admitted (or refused) and joins the barrier queue.
+/// admitted (or shed) and joins the barrier queue.
 fn handle_parsed(conn: &mut Conn, shared: &Shared, req: Request) {
     let seq = conn.next_seq;
     conn.next_seq += 1;
@@ -496,28 +484,6 @@ fn handle_parsed(conn: &mut Conn, shared: &Shared, req: Request) {
         Request::Ping | Request::Stats | Request::ObsStats => {
             let resp = control_response(req, shared);
             deliver(conn, seq, resp);
-        }
-        // Control-plane too, but file-backed: the WAL segment read
-        // would block the event loop, so it rides the dispatcher like
-        // work — minus admission (replicas must keep catching up
-        // precisely when the primary is shedding query traffic).
-        Request::WalShip { .. } => {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                deliver(
-                    conn,
-                    seq,
-                    error_response(ErrorCode::ShuttingDown, "server is draining"),
-                );
-                return;
-            }
-            conn.pending.push_back(PendingWork {
-                seq,
-                req,
-                deadline: Deadline::none(),
-                write: false,
-                control: true,
-                enqueued_at: spb_obs::clock::now(),
-            });
         }
         Request::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
@@ -535,21 +501,31 @@ fn handle_parsed(conn: &mut Conn, shared: &Shared, req: Request) {
                 );
                 return;
             }
-            match shared.admission.try_enqueue(&shared.shutdown) {
-                Ok(()) => {
-                    let write = matches!(work, Request::Insert { .. } | Request::Delete { .. });
-                    let deadline = Deadline::from_ms(work.deadline_ms());
-                    conn.pending.push_back(PendingWork {
-                        seq,
-                        req: work,
-                        deadline,
-                        write,
-                        control: false,
-                        enqueued_at: spb_obs::clock::now(),
-                    });
-                }
-                Err(e) => deliver(conn, seq, admit_error_response(e)),
-            }
+            // `WalShip` is control-plane but file-backed: the WAL read
+            // would block the event loop, so it rides the dispatcher like
+            // work, holding no place (replicas must keep catching up
+            // precisely when the primary is shedding query traffic).
+            let place = if matches!(work, Request::WalShip { .. }) {
+                None
+            } else if let Some(place) = shared.dispatch.admit() {
+                Some(place)
+            } else {
+                deliver(
+                    conn,
+                    seq,
+                    error_response(ErrorCode::Overloaded, "request queue full"),
+                );
+                return;
+            };
+            conn.pending.push_back(Work {
+                conn: conn.id,
+                seq,
+                deadline: Deadline::from_ms(work.deadline_ms()),
+                write: matches!(work, Request::Insert { .. } | Request::Delete { .. }),
+                req: work,
+                place,
+                enqueued_at: spb_obs::clock::now(),
+            });
         }
     }
 }
@@ -575,15 +551,7 @@ fn pump(conn: &mut Conn, shared: &Shared) {
         } else {
             conn.reads_inflight += 1;
         }
-        shared.dispatch.push(Work {
-            conn: conn.id,
-            seq: w.seq,
-            req: w.req,
-            deadline: w.deadline,
-            write: w.write,
-            control: w.control,
-            enqueued_at: w.enqueued_at,
-        });
+        shared.dispatch.push(w);
     }
 }
 
@@ -696,7 +664,7 @@ pub(crate) fn run(
                 Some(Target::Waker) => drain_waker(waker_rx),
                 Some(Target::Conn(i)) => {
                     if revents & sys::POLLNVAL != 0 {
-                        close_conn(shared, &mut conns, &mut free, &mut live, i);
+                        close_conn(&mut conns, &mut free, &mut live, i);
                         continue;
                     }
                     let fatal = match conns.get_mut(i).and_then(Option::as_mut) {
@@ -706,7 +674,7 @@ pub(crate) fn run(
                         Some(_) | None => false,
                     };
                     if fatal {
-                        close_conn(shared, &mut conns, &mut free, &mut live, i);
+                        close_conn(&mut conns, &mut free, &mut live, i);
                     }
                 }
                 None => {}
@@ -717,7 +685,7 @@ pub(crate) fn run(
 
         if shared.shutdown.load(Ordering::SeqCst) && drain_started.is_none() {
             drain_started = Some(spb_obs::clock::now());
-            begin_drain(shared, &mut conns);
+            begin_drain(&mut conns);
         }
 
         // Flush everything owed; close connections that finished.
@@ -727,7 +695,7 @@ pub(crate) fn run(
                 None => false,
             };
             if done {
-                close_conn(shared, &mut conns, &mut free, &mut live, i);
+                close_conn(&mut conns, &mut free, &mut live, i);
             }
         }
 
@@ -737,7 +705,7 @@ pub(crate) fn run(
             }
             if spb_obs::clock::nanos_since(t0) > DRAIN_GRACE_NANOS {
                 for i in 0..conns.len() {
-                    close_conn(shared, &mut conns, &mut free, &mut live, i);
+                    close_conn(&mut conns, &mut free, &mut live, i);
                 }
                 break;
             }
@@ -844,16 +812,12 @@ fn route_completions(shared: &Shared, conns: &mut [Option<Conn>]) {
 /// Starts the shutdown drain: stop reading everywhere and refuse every
 /// not-yet-dispatched request with `ShuttingDown` (dispatched work
 /// finishes and its responses still flush).
-fn begin_drain(shared: &Shared, conns: &mut [Option<Conn>]) {
+fn begin_drain(conns: &mut [Option<Conn>]) {
     for slot in conns.iter_mut() {
         let Some(c) = slot.as_mut() else { continue };
         c.stop_reading = true;
         c.close_after_drain = true;
-        let pend: Vec<PendingWork> = c.pending.drain(..).collect();
-        for w in pend {
-            if !w.control {
-                shared.admission.release_queued();
-            }
+        while let Some(w) = c.pending.pop_front() {
             deliver(
                 c,
                 w.seq,
@@ -863,22 +827,13 @@ fn begin_drain(shared: &Shared, conns: &mut [Option<Conn>]) {
     }
 }
 
-/// Removes a connection, releasing the admission-queue places of any
-/// work it still held back. Completions already executing for it are
-/// dropped later by the generation check.
-fn close_conn(
-    shared: &Shared,
-    conns: &mut [Option<Conn>],
-    free: &mut Vec<usize>,
-    live: &mut usize,
-    i: usize,
-) {
+/// Removes a connection. Dropping it drops the work it still held back,
+/// which frees those requests' places; completions already executing
+/// for it are dropped later by the generation check.
+fn close_conn(conns: &mut [Option<Conn>], free: &mut Vec<usize>, live: &mut usize, i: usize) {
     let Some(slot) = conns.get_mut(i) else { return };
-    let Some(mut c) = slot.take() else { return };
-    for w in c.pending.drain(..) {
-        if !w.control {
-            shared.admission.release_queued();
-        }
+    if slot.take().is_none() {
+        return;
     }
     free.push(i);
     *live = live.saturating_sub(1);

@@ -13,10 +13,10 @@
 //!   into a type-erased [`IndexService`](service::IndexService);
 //! * [`service`] — dispatching decoded requests onto an
 //!   [`SpbTree`](spb_core::SpbTree);
-//! * [`admission`] — bounded-queue admission control with load shedding
-//!   and per-request deadlines;
+//! * [`admission`] — per-request deadlines;
 //! * [`server`] — the readiness-based event-loop server (`poll(2)` over
-//!   non-blocking sockets, pipelined frames, a batching dispatcher)
+//!   non-blocking sockets, pipelined frames, a batching dispatcher whose
+//!   bounded queue is the admission control, shedding load beyond it)
 //!   with graceful drain-and-checkpoint shutdown;
 //! * [`client`] — a blocking client: one `query(plan, …)` call for every
 //!   query op and a pipelined `send_many` path, reused by `spb-cli --addr`
@@ -40,7 +40,7 @@ pub mod server;
 pub mod service;
 pub mod wire;
 
-pub use admission::{Admission, AdmissionConfig, Deadline};
+pub use admission::Deadline;
 pub use client::{Client, ClientError};
 pub use schema::{open_index, read_schema, schema_path, Schema};
 pub use server::{serve, serve_until_shutdown, ServerConfig, ServerHandle};

@@ -5,8 +5,8 @@
 //! decodes pipelined frames, answers control-plane requests inline, and
 //! hands work requests to a small pool of dispatcher workers (see
 //! [`crate::dispatch`]) that coalesce concurrently-queued queries with
-//! equal plans into one batched execution. Work requests pass
-//! through the [`Admission`] gate before touching the index;
+//! equal plans into one batched execution. Work requests take a place
+//! in that bounded queue before touching the index, or are shed;
 //! `Ping`/`Stats` bypass it (they must stay answerable under overload,
 //! or operators go blind exactly when they need visibility).
 //! Over-limit connections get a best-effort `Overloaded` frame and are
@@ -48,7 +48,6 @@ use std::time::Duration;
 
 use spb_storage::lockrank::{LockRank, RankedMutex};
 
-use crate::admission::{Admission, AdmissionConfig, AdmitError};
 use crate::dispatch::{self, Completion, DispatchQueue};
 use crate::event_loop::{self, Waker};
 use crate::service::IndexService;
@@ -59,8 +58,9 @@ use crate::wire::{write_frame, ErrorCode, Request, Response, DEFAULT_MAX_FRAME, 
 pub struct ServerConfig {
     /// Concurrent connections before new ones are refused.
     pub max_connections: usize,
-    /// Admission-control limits (inflight requests + wait queue).
-    pub admission: AdmissionConfig,
+    /// Admitted work requests allowed to wait, beyond one executing per
+    /// dispatcher worker, before arrivals are shed.
+    pub max_queue: usize,
     /// Largest request payload accepted, in bytes.
     pub max_frame: u32,
     /// Worker threads for batch fan-out inside one batched query
@@ -77,7 +77,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_connections: 64,
-            admission: AdmissionConfig::default(),
+            max_queue: 64,
             max_frame: DEFAULT_MAX_FRAME,
             worker_threads: 4,
             dispatcher_workers: 2,
@@ -91,9 +91,8 @@ impl Default for ServerConfig {
 pub(crate) struct Shared {
     pub(crate) service: Box<dyn IndexService>,
     pub(crate) cfg: ServerConfig,
-    pub(crate) admission: Admission,
     pub(crate) shutdown: AtomicBool,
-    /// Work queue feeding the dispatcher workers.
+    /// The admission queue feeding the dispatcher workers.
     pub(crate) dispatch: DispatchQueue,
     /// Finished work waiting for the event loop to route it back to its
     /// connection. Lowest rank in the workspace: both producers
@@ -133,12 +132,13 @@ impl ServerHandle {
 
     /// Requests shed by admission control since startup.
     pub fn shed_count(&self) -> u64 {
-        self.shared.admission.shed_count()
+        self.shared.dispatch.shed.get()
     }
 
-    /// Requests admitted since startup.
+    /// Requests served (executed, or answered by an identical query's
+    /// execution) since startup.
     pub fn served_count(&self) -> u64 {
-        self.shared.admission.served_count()
+        self.shared.dispatch.served.get()
     }
 
     /// Requests that missed their deadline since startup — rejected
@@ -146,7 +146,7 @@ impl ServerHandle {
     /// [`shed_count`](ServerHandle::shed_count), which counts only
     /// queue-full rejections.
     pub fn deadline_miss_count(&self) -> u64 {
-        self.shared.admission.deadline_miss_count()
+        self.shared.dispatch.deadline_miss.get()
     }
 
     /// Waits for the server to drain and checkpoint. Implies
@@ -184,9 +184,8 @@ pub fn serve(
     let shared = Arc::new(Shared {
         service,
         cfg,
-        admission: Admission::new(cfg.admission),
         shutdown: AtomicBool::new(false),
-        dispatch: DispatchQueue::new(),
+        dispatch: DispatchQueue::new(cfg.dispatcher_workers.max(1) + cfg.max_queue),
         completions: RankedMutex::new(LockRank::EventCompletions, Vec::new()),
         waker,
     });
@@ -252,17 +251,6 @@ pub(crate) fn error_response(code: ErrorCode, message: impl Into<String>) -> Res
     }
 }
 
-/// Maps an admission refusal to its wire error.
-pub(crate) fn admit_error_response(e: AdmitError) -> Response {
-    match e {
-        AdmitError::Overloaded => error_response(ErrorCode::Overloaded, "request queue full"),
-        AdmitError::DeadlineExceeded => {
-            error_response(ErrorCode::DeadlineExceeded, "deadline expired while queued")
-        }
-        AdmitError::ShuttingDown => error_response(ErrorCode::ShuttingDown, "server is draining"),
-    }
-}
-
 /// Answers an in-memory control-plane request. These bypass admission —
 /// they must stay answerable under overload — and are served inline on
 /// the event loop (all are cheap in-memory reads). `WalShip` is
@@ -281,9 +269,9 @@ pub(crate) fn control_response(req: Request, shared: &Shared) -> Response {
             len: svc.len(),
             storage_bytes: svc.storage_bytes(),
             num_pivots: svc.num_pivots(),
-            served: shared.admission.served_count(),
-            shed: shared.admission.shed_count(),
-            deadline_miss: shared.admission.deadline_miss_count(),
+            served: shared.dispatch.served.get(),
+            shed: shared.dispatch.shed.get(),
+            deadline_miss: shared.dispatch.deadline_miss.get(),
         },
         Request::ObsStats => Response::ObsStats {
             snapshot: spb_obs::snapshot(),

@@ -118,7 +118,7 @@ pub const STD_AMBIGUOUS_METHODS: &[&str] = &[
     "pop_front",
     "pop_back",
     // Workspace methods that shadow ubiquitous std/core names:
-    // `Client::expect`, `Deadline::remaining`, `SpbTree::delete`,
+    // `Client::expect`, `wire::Cur::remaining`, `SpbTree::delete`,
     // `Router::shutdown`, `BufferPool::stats`,
     // `PivotTable::num_pivots` — an `.expect(` on an `Option` must not
     // become an edge into the client.

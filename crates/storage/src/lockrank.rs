@@ -9,7 +9,6 @@
 //! | 1 | Event-loop completion queue | `spb-server` (`Shared::completions`) |
 //! | 2 | Dispatcher work queue | `spb-server` (`DispatchQueue`) |
 //! | 3 | Cluster router connection-pool mutex | `spb-cluster` (`Router`) |
-//! | 4 | Admission-control counters | `spb-server` (`AdmissionInner`) |
 //! | 5 | Replica state lock (serving-tree swap) | `spb-cluster` (`Replica`) |
 //! | 10 | SPB-tree structure latch | `spb-core` (`SpbTree::latch`) |
 //! | 20 | Buffer-pool shard mutex | `spb-storage` (`cache::Shard`) |
@@ -74,10 +73,6 @@ pub enum LockRank {
     /// A cluster router's per-node connection-pool mutex
     /// (`spb-cluster`).
     RouterConn = 3,
-    /// The admission controller's slot/queue counters (`spb-server`).
-    /// Above the dispatcher queue: the batch-coalescing scan updates
-    /// admission while holding the queue.
-    AdmissionCounters = 4,
     /// A read replica's serving-state lock, swapped on WAL apply
     /// (`spb-cluster`).
     ReplicaApply = 5,
@@ -91,11 +86,10 @@ pub enum LockRank {
 
 impl LockRank {
     /// Every rank, ascending.
-    pub const ALL: [LockRank; 8] = [
+    pub const ALL: [LockRank; 7] = [
         LockRank::EventCompletions,
         LockRank::DispatchQueue,
         LockRank::RouterConn,
-        LockRank::AdmissionCounters,
         LockRank::ReplicaApply,
         LockRank::TreeLatch,
         LockRank::BufferShard,
@@ -107,7 +101,6 @@ impl LockRank {
         match self {
             LockRank::EventCompletions => "event-loop completion queue",
             LockRank::DispatchQueue => "dispatcher work queue",
-            LockRank::AdmissionCounters => "admission counters",
             LockRank::RouterConn => "router connection pool",
             LockRank::ReplicaApply => "replica state lock",
             LockRank::TreeLatch => "tree latch",

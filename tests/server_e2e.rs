@@ -15,8 +15,8 @@ use spb::metric::{dataset, MetricObject, Word};
 use spb::storage::TempDir;
 use spb::{SpbConfig, SpbTree};
 use spb_server::{
-    open_index, schema_path, serve, AdmissionConfig, Answers, Client, ClientError, ErrorCode,
-    Request, Response, Schema, ServerConfig,
+    open_index, schema_path, serve, Answers, Client, ClientError, ErrorCode, Request, Response,
+    Schema, ServerConfig,
 };
 
 const RADIUS: f64 = 2.0;
@@ -131,10 +131,8 @@ fn overload_sheds_with_bounded_queue() {
     let server = start_server(
         &dir,
         ServerConfig {
-            admission: AdmissionConfig {
-                max_inflight: 1,
-                max_queue: 0,
-            },
+            dispatcher_workers: 1,
+            max_queue: 0,
             ..ServerConfig::default()
         },
     );
@@ -176,6 +174,63 @@ fn overload_sheds_with_bounded_queue() {
     assert!(ok > 0, "admitted requests must succeed ({shed} shed)");
     assert_eq!(shed + ok, 8 * 30, "every request got a definite answer");
     assert_eq!(server.shed_count(), shed, "server counts what clients saw");
+}
+
+/// Work dropped with its connection gives its places back. A client
+/// pipelines an insert and three ranges and hangs up without reading:
+/// the ranges wait behind the insert's write barrier and die with the
+/// connection (or, if the insert wins the race, run and go unread).
+/// Either way a fresh client must soon fill every place again.
+#[test]
+fn work_dropped_with_its_connection_frees_its_places() {
+    let dir = TempDir::new("e2e-place-leak");
+    let (data, _) = build_words(&dir, 300, 48);
+    // One worker and three waiting: four places, enough for the whole
+    // pipeline to be admitted rather than shed.
+    let server = start_server(
+        &dir,
+        ServerConfig {
+            dispatcher_workers: 1,
+            max_queue: 3,
+            ..ServerConfig::default()
+        },
+    );
+    let range = |i: usize| Request::Range {
+        deadline_ms: 0,
+        radius: RADIUS,
+        obj: data[i].encoded(),
+    };
+    let mut doomed = vec![Request::Ping];
+    doomed.push(Request::Insert {
+        deadline_ms: 0,
+        obj: Word::new("zzzhangup").encoded(),
+    });
+    doomed.extend((0..3).map(range));
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    let mut bytes = Vec::new();
+    for r in &doomed {
+        spb_server::wire::frame_into(&mut bytes, |out| r.encode_into(out));
+    }
+    s.write_all(&bytes).unwrap();
+    // Wait for the inline `Ping` answer, then close with it unread: the
+    // kernel resets the connection instead of a polite FIN.
+    s.peek(&mut [0u8; 1]).unwrap();
+    drop(s);
+
+    let four: Vec<Request> = (0..4).map(range).collect();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let mut client = Client::connect(server.addr()).unwrap();
+        let resps = client.send_many(&four).unwrap();
+        if resps.iter().all(|r| matches!(r, Response::Range { .. })) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "places still held 5 s after their connection died: {resps:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 /// A request whose deadline cannot be met is answered
