@@ -3,8 +3,6 @@
 //!
 //! * **Lemma 2** — accepting objects without a distance computation when a
 //!   pivot ball lies inside the query ball;
-//! * **cell-enumeration merge** — Algorithm 1's `computeSFC` path that
-//!   avoids per-entry decode on sparsely intersected leaves;
 //! * **pivot count** 1 vs the default 5 — how much the pivot mapping
 //!   itself buys (|P| = 1 degenerates towards a one-pivot ring index).
 //!
@@ -26,19 +24,12 @@ fn ablate<O: MetricObject, D: Distance<O> + Clone>(
     let d_plus = metric.max_distance();
     let r = d_plus * 0.08;
     let queries = workload(data, &scale);
-    let variants: [(&str, SpbConfig); 4] = [
+    let variants: [(&str, SpbConfig); 3] = [
         ("full SPB-tree", SpbConfig::default()),
         (
             "without Lemma 2",
             SpbConfig {
                 use_lemma2: false,
-                ..SpbConfig::default()
-            },
-        ),
-        (
-            "without cell merge",
-            SpbConfig {
-                use_cell_merge: false,
                 ..SpbConfig::default()
             },
         ),

@@ -36,12 +36,10 @@ pub struct SpbConfig {
     /// Ablation switch: apply Lemma 2 (accept an object without computing
     /// `d(q, o)` when a pivot ball lies inside the query ball) during
     /// range queries. On by default; the `ablation` experiment measures
-    /// its contribution.
+    /// its contribution. It is the only range-query switch: Lemma 1 and
+    /// the MBB test always run in key space, through one leaf filter that
+    /// keeps exactly what a per-entry test keeps (`spb_core::range`).
     pub use_lemma2: bool,
-    /// Ablation switch: use Algorithm 1's cell-enumeration merge path for
-    /// leaves whose intersected region holds fewer cells than entries.
-    /// On by default.
-    pub use_cell_merge: bool,
     /// Crash durability: updates are committed through a write-ahead log
     /// (one fsync per update) and replayed on reopen. On by default; the
     /// update benchmarks toggle it off to measure the WAL's cost.
@@ -65,7 +63,6 @@ impl Default for SpbConfig {
             pivot_method: PivotMethod::Hfi,
             pivot_config: PivotConfig::default(),
             use_lemma2: true,
-            use_cell_merge: true,
             durability: true,
             accel: spb_accel::AccelPolicy::Off,
         }

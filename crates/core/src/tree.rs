@@ -113,7 +113,6 @@ pub struct SpbTree<O: MetricObject, D: Distance<O>> {
     durable: Durable,
     build_stats: BuildStats,
     pub(crate) use_lemma2: bool,
-    pub(crate) use_cell_merge: bool,
     /// Learned leaf-positioning model (`spb-accel`), shared so queries
     /// clone the `Arc` out and never hold the slot across I/O. The
     /// plain mutex is a leaf lock: taken only momentarily, with no
@@ -293,7 +292,6 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
             durable,
             build_stats,
             use_lemma2: config.use_lemma2,
-            use_cell_merge: config.use_cell_merge,
             accel: parking_lot::Mutex::new(None),
             accel_on: std::sync::atomic::AtomicBool::new(
                 config.accel == spb_accel::AccelPolicy::Learned,
@@ -432,7 +430,6 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
                 num_objects: len,
             },
             use_lemma2: true,
-            use_cell_merge: true,
             accel: parking_lot::Mutex::new(accel_model),
             accel_on: std::sync::atomic::AtomicBool::new(accel_on),
             latch: RankedRwLock::new(LockRank::TreeLatch, ()),

@@ -18,6 +18,36 @@ fn vec_set(dim: usize) -> impl Strategy<Value = Vec<FloatVec>> {
         .prop_map(|vs| vs.into_iter().map(FloatVec::new).collect())
 }
 
+/// The contraction the contracted-range checks use.
+const SHRINK: f64 = 0.6;
+
+/// Brute force for the range contracted to `SHRINK·r`: the objects (ids
+/// are positions in `data`) within `r` of `q` whose cells pass Lemma 1
+/// for the contracted region, tested one by one.
+fn contracted_want<D: Distance<Word>>(
+    tree: &SpbTree<Word, D>,
+    metric: &D,
+    data: &[Word],
+    q: &Word,
+    r: f64,
+) -> Vec<u32> {
+    let table = tree.table();
+    let rr = table.rr_cells(&table.phi(metric, q), r * SHRINK);
+    let in_rr = |o: &Word| {
+        rr.as_ref()
+            .is_some_and(|rr| rr.contains_point(&table.cell_of_phi(&table.phi(metric, o))))
+    };
+    (0..data.len() as u32)
+        .filter(|&i| metric.distance(q, &data[i as usize]) <= r && in_rr(&data[i as usize]))
+        .collect()
+}
+
+fn sorted_ids<O>(hits: Vec<(u32, O)>) -> Vec<u32> {
+    let mut ids: Vec<u32> = hits.into_iter().map(|(id, _)| id).collect();
+    ids.sort_unstable();
+    ids
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -37,16 +67,17 @@ proptest! {
         let tree = SpbTree::build(dir.path(), &data, metric, &cfg).unwrap();
         let q = &data[qi % data.len()];
         let (hits, _) = tree.range(q, r).unwrap();
-        let mut got: Vec<u32> = hits.iter().map(|&(id, _)| id).collect();
-        got.sort_unstable();
-        let mut want: Vec<u32> = data
+        let want: Vec<u32> = data
             .iter()
             .enumerate()
             .filter(|(_, o)| metric.distance(q, o) <= r)
             .map(|(i, _)| i as u32)
             .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(sorted_ids(hits), want.clone());
+        let (count, _) = tree.range_count(q, r).unwrap();
+        prop_assert_eq!(count as usize, want.len());
+        let (hits, _) = tree.range_approx_measured(q, r, SHRINK).unwrap();
+        prop_assert_eq!(sorted_ids(hits), contracted_want(&tree, &metric, &data, q, r));
     }
 
     #[test]
@@ -80,24 +111,18 @@ proptest! {
         let metric = EditDistance::default();
         let q_idx = qi % data.len();
         let mut reference: Option<Vec<u32>> = None;
-        // Count's (compdists, PA) per `lemma2`: the merge path changes
-        // which entries are decoded, never which are fetched or verified.
-        let mut count_cost: [Option<(u64, u64)>; 2] = [None; 2];
-        for (lemma2, merge) in [(true, true), (false, true), (true, false), (false, false)] {
+        for lemma2 in [true, false] {
             let dir = TempDir::new("prop-abl");
             let cfg = SpbConfig {
                 use_lemma2: lemma2,
-                use_cell_merge: merge,
                 ..SpbConfig::default()
             };
             let tree = SpbTree::build(dir.path(), &data, metric, &cfg).unwrap();
             let (hits, _) = tree.range(&data[q_idx], r).unwrap();
             let mut ids: Vec<u32> = hits.iter().map(|&(id, _)| id).collect();
             ids.sort_unstable();
-            let (count, cs) = tree.range_count(&data[q_idx], r).unwrap();
-            prop_assert_eq!(count as usize, ids.len(), "lemma2={lemma2} merge={merge}");
-            let cost = (cs.compdists, cs.page_accesses);
-            prop_assert_eq!(*count_cost[lemma2 as usize].get_or_insert(cost), cost);
+            let (count, _) = tree.range_count(&data[q_idx], r).unwrap();
+            prop_assert_eq!(count as usize, ids.len(), "lemma2={lemma2}");
             match &reference {
                 None => reference = Some(ids),
                 Some(r0) => prop_assert_eq!(r0, &ids),
@@ -211,6 +236,9 @@ fn objects_beyond_the_grid_are_found_exactly() {
                 assert_eq!(got, want, "range {at}");
                 let (count, _) = tree.range_count(q, r).unwrap();
                 assert_eq!(count as usize, want.len(), "range_count {at}");
+                let (hits, _) = tree.range_approx_measured(q, r, SHRINK).unwrap();
+                let want = contracted_want(&tree, &metric, &all, q, r);
+                assert_eq!(sorted_ids(hits), want, "contracted {at}");
             }
             dists.sort_by(f64::total_cmp);
             for k in [1, 3, all.len()] {

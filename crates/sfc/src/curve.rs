@@ -125,6 +125,38 @@ impl Sfc {
             }
         }
     }
+
+    /// The aligned sub-cube holding the cell of every value in `[a, b]`
+    /// (`a ≤ b`). The values share their top `t` levels (`dims` bits
+    /// each); every cell under that prefix lies in one cube of side
+    /// `2^(bits−t)`, whose low corner is the prefix decoded on the
+    /// `t`-bit curve and shifted left by `bits − t`. That is exact on
+    /// both curves: Morton bit planes are independent, and Skilling's
+    /// `TransposetoAxes` computes coordinate bit plane `p` from index
+    /// planes `≥ p` only. Writes the low corner into `lo` and returns
+    /// `bits − t`, the number of low coordinate bits that vary inside
+    /// the cube (0 when `a == b`: a single cell; `bits` when the values
+    /// share no level: the whole grid).
+    pub fn interval_cube_into(&self, a: SfcValue, b: SfcValue, lo: &mut [u32]) -> u32 {
+        debug_assert_eq!(lo.len(), self.dims, "output dimensionality mismatch");
+        let n = self.dims as u32;
+        let diff = a ^ b;
+        let free = match diff.checked_ilog2() {
+            Some(top) => (top / n + 1).min(self.bits),
+            None => 0,
+        };
+        if free == self.bits {
+            lo.fill(0);
+        } else {
+            let coarse = Sfc {
+                bits: self.bits - free,
+                ..*self
+            };
+            coarse.decode_into(a >> (free * n), lo);
+            lo.iter_mut().for_each(|c| *c <<= free);
+        }
+        free
+    }
 }
 
 /// Interleaves plain coordinates, most-significant bit plane first, into a
@@ -405,6 +437,33 @@ mod proptests {
         }
 
         #[test]
+        fn interval_cube_holds_every_value_of_the_interval(
+            hilbert in any::<bool>(),
+            dims in 1usize..=16,
+            bits in 1u32..=32,
+            a in any::<u128>(),
+            b in any::<u128>(),
+            picks in proptest::collection::vec(any::<u128>(), 8),
+        ) {
+            let kind = if hilbert { CurveKind::Hilbert } else { CurveKind::Z };
+            let c = Sfc::new(kind, dims, bits.min(127 / dims as u32));
+            let (a, b) = (a % c.cell_count(), b % c.cell_count());
+            let (a, b) = (a.min(b), a.max(b));
+            let mut lo = vec![0u32; dims];
+            let free = c.interval_cube_into(a, b, &mut lo);
+            prop_assert!(free <= c.bits());
+            let mask = ((1u64 << free) - 1) as u32;
+            prop_assert!(lo.iter().all(|&l| l & mask == 0), "aligned");
+            if a == b {
+                prop_assert_eq!((free, &lo), (0, &c.decode(a)));
+            }
+            for k in picks.iter().map(|p| a + p % (b - a + 1)).chain([a, b]) {
+                let cell = c.decode(k);
+                prop_assert!(cell.iter().zip(&lo).all(|(&x, &l)| l <= x && x <= l | mask));
+            }
+        }
+
+        #[test]
         fn z_domination_monotonicity(dims in 1usize..=5, bits in 1u32..=8, seed in any::<u64>()) {
             use rand::{Rng, SeedableRng};
             let c = Sfc::z_order(dims, bits);
@@ -413,6 +472,36 @@ mod proptests {
             // b dominates a by construction.
             let b: Vec<u32> = a.iter().map(|&x| rng.gen_range(x..=c.max_coord())).collect();
             prop_assert!(c.encode(&a) <= c.encode(&b));
+        }
+    }
+
+    proptest! {
+        // 200 cases: 1 354 000 (value, t) pairs in all.
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The prefix-cube identity `interval_cube_into` rests on: the top
+        /// `t` bit planes of a value's cell are the cell of its top `t`
+        /// levels on the `t`-bit curve — for both curves, every `dims`,
+        /// every `bits` that fits a `u128` (up to 126 = 9 · 14; 127 is
+        /// prime, so no geometry reaches it) and every `t`.
+        #[test]
+        fn prefix_levels_decode_to_the_coarse_curve(raw in any::<u128>()) {
+            for kind in [CurveKind::Hilbert, CurveKind::Z] {
+                for dims in 1usize..=16 {
+                    for bits in 1..=(127 / dims as u32).min(32) {
+                        let c = Sfc::new(kind, dims, bits);
+                        let key = raw % c.cell_count();
+                        let cell = c.decode(key);
+                        for t in 1..=bits {
+                            let free = bits - t;
+                            let prefix = key >> (free * dims as u32);
+                            let coarse = Sfc::new(kind, dims, t).decode(prefix);
+                            let top: Vec<u32> = cell.iter().map(|&x| x >> free).collect();
+                            prop_assert_eq!(top, coarse, "{:?} {}x{} t={}", kind, dims, bits, t);
+                        }
+                    }
+                }
+            }
         }
     }
 }

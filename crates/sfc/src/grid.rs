@@ -72,12 +72,6 @@ impl GridBox {
             .all(|((l, h), c)| l <= c && c <= h)
     }
 
-    /// True iff `other` lies entirely inside `self`.
-    pub fn contains_box(&self, other: &GridBox) -> bool {
-        self.lo.iter().zip(&other.lo).all(|(a, b)| a <= b)
-            && self.hi.iter().zip(&other.hi).all(|(a, b)| a >= b)
-    }
-
     /// True iff the boxes share at least one cell.
     pub fn intersects(&self, other: &GridBox) -> bool {
         self.lo
@@ -85,25 +79,6 @@ impl GridBox {
             .zip(&self.hi)
             .zip(other.lo.iter().zip(&other.hi))
             .all(|((al, ah), (bl, bh))| al <= bh && bl <= ah)
-    }
-
-    /// The shared cells of two boxes, or `None` when disjoint.
-    pub fn intersection(&self, other: &GridBox) -> Option<GridBox> {
-        if !self.intersects(other) {
-            return None;
-        }
-        Some(GridBox::new(
-            self.lo
-                .iter()
-                .zip(&other.lo)
-                .map(|(a, b)| *a.max(b))
-                .collect(),
-            self.hi
-                .iter()
-                .zip(&other.hi)
-                .map(|(a, b)| *a.min(b))
-                .collect(),
-        ))
     }
 
     /// Number of cells in the box (inclusive corners), saturating at
@@ -126,9 +101,9 @@ impl GridBox {
     }
 
     /// The SFC values of every cell in the box, sorted ascending — the
-    /// `computeSFC(RR ∩ MBB)` step of Algorithm 1 (lines 14–15). The caller
-    /// is responsible for only invoking this on small boxes (the algorithm
-    /// compares the cell count against the leaf-entry count first).
+    /// `computeSFC` step of Algorithm 1 (lines 14–15). The caller is
+    /// responsible for only invoking this on small boxes (learned
+    /// positioning enumerates `RR` only up to 1 024 cells).
     pub fn sfc_values_sorted(&self, curve: &Sfc) -> Vec<SfcValue> {
         let mut vals = Vec::new();
         self.sfc_values_sorted_into(curve, &mut vals);
@@ -224,15 +199,8 @@ mod tests {
         let c = GridBox::new(vec![5, 5], vec![6, 6]);
         assert!(a.intersects(&b));
         assert!(!a.intersects(&c));
-        assert_eq!(
-            a.intersection(&b),
-            Some(GridBox::new(vec![2, 2], vec![4, 4]))
-        );
-        assert_eq!(a.intersection(&c), None);
         assert!(a.contains_point(&[0, 4]));
         assert!(!a.contains_point(&[0, 5]));
-        assert!(a.contains_box(&GridBox::new(vec![1, 1], vec![3, 3])));
-        assert!(!a.contains_box(&b));
     }
 
     #[test]
@@ -320,17 +288,6 @@ mod proptests {
     }
 
     proptest! {
-        #[test]
-        fn intersection_is_commutative_and_contained(a in boxes(3, 16), b in boxes(3, 16)) {
-            let ab = a.intersection(&b);
-            let ba = b.intersection(&a);
-            prop_assert_eq!(ab.clone(), ba);
-            if let Some(x) = ab {
-                prop_assert!(a.contains_box(&x));
-                prop_assert!(b.contains_box(&x));
-            }
-        }
-
         #[test]
         fn cell_iter_agrees_with_cell_count(b in boxes(3, 6)) {
             prop_assert_eq!(b.cells().count() as u128, b.cell_count());

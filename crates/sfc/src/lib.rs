@@ -13,8 +13,11 @@
 //! The crate also provides the grid-side geometry the query algorithms need:
 //! [`GridBox`] (the mapped range regions `RR(q, r)` and node MBBs),
 //! box intersection, per-box cell enumeration in SFC order (the
-//! `computeSFC` step of Algorithm 1), and the `L∞` lower-bound distance
-//! `MIND` between a query point and a box (Lemma 3).
+//! `computeSFC` step of Algorithm 1), the aligned sub-cube holding every
+//! value of an SFC interval ([`Sfc::interval_cube_into`], which lets a
+//! range query test Lemma 1 on a run of keys without decoding them), and
+//! the `L∞` lower-bound distance `MIND` between a query point and a box
+//! (Lemma 3).
 
 #![forbid(unsafe_code)]
 
