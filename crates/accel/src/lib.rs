@@ -27,13 +27,11 @@
 //! raw `u64` page ids and `u128` SFC keys, so it depends only on
 //! `spb-storage` (atomic file replacement + CRC) and `spb-obs`.
 
-#![forbid(unsafe_code)]
-
 pub mod metrics;
 mod model;
 mod tune;
 
-pub use model::{LeafEntry, LeafModel, Located, MODEL_FILE, MODEL_MAGIC};
+pub use model::{LeafEntry, LeafModel, Located, MODEL_FILE};
 pub use tune::{recall, tune, Tuned, ALPHA_LADDER};
 
 /// Build-time acceleration policy carried by `SpbConfig::accel`.

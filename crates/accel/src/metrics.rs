@@ -27,14 +27,14 @@ pub fn model_retrain() -> &'static Arc<Counter> {
 
 /// Absolute training-point error (leaf ordinals), recorded per leaf at
 /// train time; the p99/max of this is the effective search window.
-pub fn model_error() -> &'static Arc<Histogram> {
+pub(crate) fn model_error() -> &'static Arc<Histogram> {
     static H: OnceLock<Arc<Histogram>> = OnceLock::new();
     H.get_or_init(|| spb_obs::histogram("accel.model_error"))
 }
 
 /// Most recently measured approximate-query recall, in permille
 /// (histograms and gauges are integer-valued; 1000 = perfect recall).
-pub fn recall_gauge() -> &'static Arc<Gauge> {
+pub(crate) fn recall_gauge() -> &'static Arc<Gauge> {
     static G: OnceLock<Arc<Gauge>> = OnceLock::new();
     G.get_or_init(|| spb_obs::gauge("accel.recall_permille"))
 }

@@ -33,7 +33,7 @@ use crate::metrics;
 pub const MODEL_FILE: &str = "spb.model";
 
 /// Magic prefix of the model file (8 bytes, version suffix `1`).
-pub const MODEL_MAGIC: &[u8; 8] = b"SPBMODL1";
+pub(crate) const MODEL_MAGIC: &[u8; 8] = b"SPBMODL1";
 
 /// Target training error (half-window, in leaf ordinals) for the
 /// shrinking-cone segmentation. The persisted window is the *measured*
@@ -188,16 +188,6 @@ impl LeafModel {
         &self.leaves
     }
 
-    /// Number of PLA segments.
-    pub fn num_segments(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// The verified search half-window, in leaf ordinals.
-    pub fn max_err(&self) -> u64 {
-        self.err
-    }
-
     /// True when the model was trained at exactly this tree state.
     pub fn fresh(&self, len: u64, next_id: u32) -> bool {
         self.epoch_len == len && self.epoch_next_id == next_id
@@ -215,7 +205,7 @@ impl LeafModel {
     /// Predicted search window `[lo, hi]` (inclusive leaf ordinals) for
     /// `key`. Empty directory yields `(0, 0)`; callers guard on
     /// `leaves().is_empty()`.
-    pub fn predict(&self, key: u128) -> (usize, usize) {
+    pub(crate) fn predict(&self, key: u128) -> (usize, usize) {
         let n = self.leaves.len();
         if n == 0 {
             return (0, 0);
@@ -449,7 +439,7 @@ mod tests {
         sorted.sort_unstable();
         let leaves = dir(&sorted);
         let m = LeafModel::train(leaves.clone(), 500, 500);
-        assert!(m.num_segments() >= 1);
+        assert!(!m.segments.is_empty());
         for (i, e) in leaves.iter().enumerate() {
             let (lo, hi) = m.predict(e.min_key);
             assert!(lo <= i && i <= hi, "leaf {i} outside window [{lo},{hi}]");
@@ -520,8 +510,8 @@ mod tests {
         assert_eq!(d.epoch_len, 64);
         assert_eq!(d.epoch_next_id, 77);
         assert_eq!(d.leaves(), m.leaves());
-        assert_eq!(d.num_segments(), m.num_segments());
-        assert_eq!(d.max_err(), m.max_err());
+        assert_eq!(d.segments.len(), m.segments.len());
+        assert_eq!(d.err, m.err);
 
         // Every truncation must fail cleanly.
         for cut in 0..bytes.len() {

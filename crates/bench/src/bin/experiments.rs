@@ -11,8 +11,6 @@
 //! Output is plain text tables on stdout; `EXPERIMENTS.md` records a full
 //! `--scale default` run against the paper's numbers.
 
-#![forbid(unsafe_code)]
-
 use spb_bench::experiments as exp;
 use spb_bench::Scale;
 
@@ -50,7 +48,7 @@ fn main() {
     }
     let which = which.unwrap_or_else(|| usage());
 
-    let t0 = std::time::Instant::now();
+    let t0 = spb_obs::clock::now();
     let run_one = |name: &str| match name {
         "table2" => exp::table2::run(scale),
         "table4" => exp::table4::run(scale),

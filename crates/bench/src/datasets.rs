@@ -70,7 +70,7 @@ impl Scale {
     }
 
     /// The cardinality sweep of Fig. 14 (paper: 200K…1000K).
-    pub fn cardinality_sweep(&self) -> Vec<usize> {
+    pub(crate) fn cardinality_sweep(&self) -> Vec<usize> {
         match self {
             Scale::Smoke => vec![1_000, 2_000, 3_000],
             Scale::Default => vec![8_000, 16_000, 24_000, 32_000, 40_000],
@@ -89,7 +89,7 @@ impl Scale {
 
     /// Join set size per side (the join experiments split a dataset into
     /// two disjoint halves Q and O).
-    pub fn join_side(&self) -> usize {
+    pub(crate) fn join_side(&self) -> usize {
         match self {
             Scale::Smoke => 800,
             Scale::Default => 4_000,

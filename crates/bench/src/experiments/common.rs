@@ -12,7 +12,7 @@ use crate::runner::{average, AvgStats};
 use crate::Scale;
 
 /// Builds an SPB-tree in a fresh temp dir.
-pub fn build_spb<O: MetricObject, D: Distance<O>>(
+pub(crate) fn build_spb<O: MetricObject, D: Distance<O>>(
     label: &str,
     data: &[O],
     metric: D,
@@ -24,7 +24,7 @@ pub fn build_spb<O: MetricObject, D: Distance<O>>(
 }
 
 /// Average kNN cost over `queries` with per-query cache flush.
-pub fn knn_avg<O: MetricObject, D: Distance<O>>(
+pub(crate) fn knn_avg<O: MetricObject, D: Distance<O>>(
     tree: &SpbTree<O, D>,
     queries: &[O],
     k: usize,
@@ -38,7 +38,7 @@ pub fn knn_avg<O: MetricObject, D: Distance<O>>(
 }
 
 /// Average range-query cost over `queries`.
-pub fn range_avg<O: MetricObject, D: Distance<O>>(
+pub(crate) fn range_avg<O: MetricObject, D: Distance<O>>(
     tree: &SpbTree<O, D>,
     queries: &[O],
     r: f64,
@@ -51,9 +51,9 @@ pub fn range_avg<O: MetricObject, D: Distance<O>>(
 }
 
 /// The four MAMs of Tables 6–7 / Figs. 12–13, built over one dataset.
-pub struct MamSuite<O: MetricObject, D: Distance<O>> {
+pub(crate) struct MamSuite<O: MetricObject, D: Distance<O>> {
     /// Keeps the index files alive.
-    pub dirs: Vec<TempDir>,
+    pub _dirs: Vec<TempDir>,
     /// The M-tree baseline.
     pub mtree: MTree<O, D>,
     /// The OmniR-tree baseline.
@@ -65,7 +65,7 @@ pub struct MamSuite<O: MetricObject, D: Distance<O>> {
 }
 
 /// Builds all four MAMs with their paper-default parameters.
-pub fn build_suite<O: MetricObject, D: Distance<O> + Clone>(
+pub(crate) fn build_suite<O: MetricObject, D: Distance<O> + Clone>(
     label: &str,
     data: &[O],
     metric: D,
@@ -82,7 +82,7 @@ pub fn build_suite<O: MetricObject, D: Distance<O> + Clone>(
         .expect("M-Index build");
     let spb = SpbTree::build(d4.path(), data, metric, &SpbConfig::default()).expect("SPB build");
     MamSuite {
-        dirs: vec![d1, d2, d3, d4],
+        _dirs: vec![d1, d2, d3, d4],
         mtree,
         omni,
         mindex,
@@ -91,7 +91,7 @@ pub fn build_suite<O: MetricObject, D: Distance<O> + Clone>(
 }
 
 /// Averaged range query per MAM: `[M-tree, OmniR-tree, M-Index, SPB-tree]`.
-pub fn suite_range_avg<O: MetricObject, D: Distance<O>>(
+pub(crate) fn suite_range_avg<O: MetricObject, D: Distance<O>>(
     suite: &MamSuite<O, D>,
     queries: &[O],
     r: f64,
@@ -124,7 +124,7 @@ pub fn suite_range_avg<O: MetricObject, D: Distance<O>>(
 /// an explicit SPB traversal — incremental is the paper's default, and it
 /// uses greedy on its low-precision dataset (DNA; our Signature stand-in
 /// falls in the same regime, see Section 6.1's "greedy ... default on DNA").
-pub fn suite_knn_avg_with<O: MetricObject, D: Distance<O>>(
+pub(crate) fn suite_knn_avg_with<O: MetricObject, D: Distance<O>>(
     suite: &MamSuite<O, D>,
     queries: &[O],
     k: usize,
@@ -155,11 +155,11 @@ pub fn suite_knn_avg_with<O: MetricObject, D: Distance<O>>(
 }
 
 /// Names matching [`suite_range_avg`]'s order.
-pub const MAM_NAMES: [&str; 4] = ["M-tree", "OmniR-tree", "M-Index", "SPB-tree"];
+pub(crate) const MAM_NAMES: [&str; 4] = ["M-tree", "OmniR-tree", "M-Index", "SPB-tree"];
 
 /// Builds the Q/O SPB-tree pair (shared pivots, Z-curve) for join
 /// experiments.
-pub fn build_join_pair<O: MetricObject, D: Distance<O> + Clone>(
+pub(crate) fn build_join_pair<O: MetricObject, D: Distance<O> + Clone>(
     label: &str,
     q_data: &[O],
     o_data: &[O],
@@ -183,14 +183,14 @@ pub fn build_join_pair<O: MetricObject, D: Distance<O> + Clone>(
 
 /// One-shot stats → averaged form (for operations measured once, like a
 /// whole join).
-pub fn single(stats: QueryStats) -> AvgStats {
+pub(crate) fn single(stats: QueryStats) -> AvgStats {
     let mut a = AvgStats::default();
     a.push(&stats);
     a.finish()
 }
 
 /// Builds the eD-index for a given ε over Q/O.
-pub fn build_edindex<O: MetricObject, D: Distance<O>>(
+pub(crate) fn build_edindex<O: MetricObject, D: Distance<O>>(
     label: &str,
     q_data: &[O],
     o_data: &[O],

@@ -66,7 +66,7 @@ fn sweep_for<O: MetricObject, D: Distance<O> + Clone>(
             ed_pairs.len().to_string(),
         ]);
         // Quickjoin (in-memory: the paper reports no PA for it).
-        let t0 = std::time::Instant::now();
+        let t0 = spb_obs::clock::now();
         let (qj_pairs, qj_cd) =
             quickjoin_rs(q_data, o_data, &metric, eps, &QuickJoinParams::default());
         t.row(vec![

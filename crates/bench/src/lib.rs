@@ -15,13 +15,10 @@
 //! by what factor, where crossovers appear — is preserved across scales;
 //! see DESIGN.md §3.
 
-#![forbid(unsafe_code)]
-
 pub mod datasets;
 pub mod experiments;
 pub mod runner;
 pub mod table;
 
 pub use datasets::Scale;
-pub use runner::{average, AvgStats};
 pub use table::Table;

@@ -4,7 +4,7 @@ use spb_core::QueryStats;
 
 /// Averaged query costs: the paper's three performance metrics.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct AvgStats {
+pub(crate) struct AvgStats {
     /// Mean page accesses (*PA*).
     pub pa: f64,
     /// Mean distance computations (*compdists*).
@@ -43,7 +43,7 @@ impl AvgStats {
 
 /// Runs `query` once per workload item, flushing caches via `flush`
 /// before each (the paper's cold-cache protocol), and averages the stats.
-pub fn average<T>(
+pub(crate) fn average<T>(
     workload: &[T],
     mut flush: impl FnMut(),
     mut query: impl FnMut(&T) -> QueryStats,
@@ -57,7 +57,7 @@ pub fn average<T>(
 }
 
 /// Formats a float compactly for table cells (3 significant-ish digits).
-pub fn fmt_num(v: f64) -> String {
+pub(crate) fn fmt_num(v: f64) -> String {
     if v == 0.0 {
         "0".to_owned()
     } else if v >= 1000.0 {

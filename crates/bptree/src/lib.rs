@@ -21,8 +21,6 @@
 //! access for the query algorithms that drive their own traversals (RQA,
 //! NNA, SJA).
 
-#![forbid(unsafe_code)]
-
 mod node;
 mod tree;
 

@@ -63,9 +63,9 @@ const INT_ENTRIES_OFF: usize = 8;
 const INT_ENTRY_SIZE: usize = 16 + 8 + 16 + 16;
 
 /// Maximum leaf entries per page (the CRC footer shrinks the data area).
-pub const LEAF_CAPACITY: usize = (PAGE_DATA_SIZE - LEAF_ENTRIES_OFF) / LEAF_ENTRY_SIZE;
+pub(crate) const LEAF_CAPACITY: usize = (PAGE_DATA_SIZE - LEAF_ENTRIES_OFF) / LEAF_ENTRY_SIZE;
 /// Maximum internal entries per page.
-pub const INTERNAL_CAPACITY: usize = (PAGE_DATA_SIZE - INT_ENTRIES_OFF) / INT_ENTRY_SIZE;
+pub(crate) const INTERNAL_CAPACITY: usize = (PAGE_DATA_SIZE - INT_ENTRIES_OFF) / INT_ENTRY_SIZE;
 
 /// Sentinel for "no next leaf".
 const NO_PAGE: u64 = u64::MAX;

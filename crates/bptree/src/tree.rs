@@ -16,7 +16,7 @@
 use std::io;
 use std::path::Path;
 
-use parking_lot::Mutex;
+use spb_storage::lockrank::{LockRank, RankedMutex};
 use spb_storage::{BufferPool, IoStats, Page, PageId, Pager};
 
 use crate::node::{
@@ -122,7 +122,7 @@ enum DeleteUp {
 /// SPB-tree.
 pub struct BPlusTree<M: MbbOps> {
     pool: BufferPool,
-    meta: Mutex<Meta>,
+    meta: RankedMutex<Meta>,
     ops: M,
 }
 
@@ -166,7 +166,7 @@ impl<M: MbbOps> BPlusTree<M> {
         pool.write(meta_page, meta.encode())?;
         Ok(BPlusTree {
             pool,
-            meta: Mutex::new(meta),
+            meta: RankedMutex::new(LockRank::BtreeMeta, meta),
             ops,
         })
     }
@@ -188,7 +188,7 @@ impl<M: MbbOps> BPlusTree<M> {
         let meta = Meta::decode(&meta_page)?;
         Ok(BPlusTree {
             pool,
-            meta: Mutex::new(meta),
+            meta: RankedMutex::new(LockRank::BtreeMeta, meta),
             ops,
         })
     }
@@ -252,7 +252,7 @@ impl<M: MbbOps> BPlusTree<M> {
 
     /// Persists the in-memory meta. Called automatically by mutating
     /// operations; exposed for explicit durability points.
-    pub fn flush_meta(&self) -> io::Result<()> {
+    pub(crate) fn flush_meta(&self) -> io::Result<()> {
         let meta = *self.meta.lock();
         self.pool.write(PageId(0), meta.encode())
     }

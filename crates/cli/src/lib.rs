@@ -11,8 +11,6 @@
 //! The schema is recorded in the index directory (`cli.schema`) at build
 //! time so query commands need only `--index`.
 
-#![forbid(unsafe_code)]
-
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -32,13 +30,13 @@ pub use spb_server::{schema_path, Schema};
 /// Exit code for argument/usage errors.
 pub const EXIT_USAGE: i32 = 2;
 /// Exit code when the remote server cannot be reached.
-pub const EXIT_CONNECT: i32 = 10;
+pub(crate) const EXIT_CONNECT: i32 = 10;
 /// Exit code when the server shed the request (admission queue full).
-pub const EXIT_OVERLOADED: i32 = 11;
+pub(crate) const EXIT_OVERLOADED: i32 = 11;
 /// Exit code when the request's deadline expired before completion.
-pub const EXIT_DEADLINE: i32 = 12;
+pub(crate) const EXIT_DEADLINE: i32 = 12;
 /// Exit code for a wire-protocol version mismatch.
-pub const EXIT_VERSION: i32 = 13;
+pub(crate) const EXIT_VERSION: i32 = 13;
 
 /// A command failure: the process exit code plus a one-line diagnostic.
 #[derive(Debug)]
@@ -88,7 +86,7 @@ fn client_error(e: ClientError) -> CliError {
 }
 
 /// Parses the `--accel` flag: `off` / `learned`.
-pub fn parse_accel(s: &str) -> Result<spb_core::AccelPolicy, String> {
+pub(crate) fn parse_accel(s: &str) -> Result<spb_core::AccelPolicy, String> {
     match s {
         "off" => Ok(spb_core::AccelPolicy::Off),
         "learned" => Ok(spb_core::AccelPolicy::Learned),
@@ -99,7 +97,7 @@ pub fn parse_accel(s: &str) -> Result<spb_core::AccelPolicy, String> {
 }
 
 /// Parses the `--curve` flag: `hilbert` / `z`.
-pub fn parse_curve(s: &str) -> Result<spb_sfc::CurveKind, String> {
+pub(crate) fn parse_curve(s: &str) -> Result<spb_sfc::CurveKind, String> {
     match s {
         "hilbert" => Ok(spb_sfc::CurveKind::Hilbert),
         "z" => Ok(spb_sfc::CurveKind::Z),
@@ -501,7 +499,7 @@ pub fn usage() -> String {
 }
 
 /// Loads a words file (one word per line, blank lines skipped).
-pub fn load_words(reader: impl BufRead) -> io::Result<Vec<Word>> {
+pub(crate) fn load_words(reader: impl BufRead) -> io::Result<Vec<Word>> {
     let mut out = Vec::new();
     for line in reader.lines() {
         let line = line?;
@@ -514,7 +512,7 @@ pub fn load_words(reader: impl BufRead) -> io::Result<Vec<Word>> {
 }
 
 /// Loads a vectors file (one comma-separated f32 row per line).
-pub fn load_vectors(reader: impl BufRead) -> io::Result<(Vec<FloatVec>, usize)> {
+pub(crate) fn load_vectors(reader: impl BufRead) -> io::Result<(Vec<FloatVec>, usize)> {
     let mut out: Vec<FloatVec> = Vec::new();
     let mut dim = 0usize;
     for (no, line) in reader.lines().enumerate() {
@@ -742,7 +740,7 @@ pub fn run(cmd: &Command, out: &mut String) -> Result<(), CliError> {
                 .iter()
                 .map(|t| session.schema().encode_text(t))
                 .collect::<Result<Vec<Vec<u8>>, String>>()?;
-            let start = std::time::Instant::now();
+            let start = spb_obs::clock::now();
             let answers = session.query(*plan, objs, *deadline_ms)?;
             let batch = matches!(input, QueryInput::File(_)).then(|| start.elapsed());
             Ok(report_answers(out, session.schema(), answers, batch)?)
@@ -896,7 +894,7 @@ pub fn run(cmd: &Command, out: &mut String) -> Result<(), CliError> {
 /// Opens `index` and serves it on `addr`, blocking until SIGINT/SIGTERM
 /// or a remote shutdown request. `on_start` observes the bound address
 /// (useful with `--addr 127.0.0.1:0`).
-pub fn serve_blocking(
+pub(crate) fn serve_blocking(
     index: &Path,
     addr: &str,
     cfg: ServerConfig,

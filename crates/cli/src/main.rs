@@ -14,8 +14,6 @@
 //! 10 = could not connect, 11 = server overloaded (back off and retry),
 //! 12 = deadline exceeded, 13 = protocol version mismatch.
 
-#![forbid(unsafe_code)]
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = match spb_cli::parse_args(&args) {

@@ -32,12 +32,10 @@
 //! shard and per replica on loopback), which is what
 //! `spb-cli cluster --shards N --replicas R` launches.
 
-#![forbid(unsafe_code)]
-
 mod cluster;
 mod replica;
 mod router;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use replica::{Replica, ReplicaError, ReplicaService};
-pub use router::{merge_snapshots, merge_topk, sum_stats, Router, RouterError, ShardRoute};
+pub use router::{merge_topk, sum_stats, Router, RouterError};

@@ -32,10 +32,9 @@ use std::sync::Arc;
 
 use spb_core::{QueryPlan, SpbTree, WAL_FILE};
 use spb_metric::{Distance, MetricObject};
-use spb_server::admission::Deadline;
 use spb_server::service::{Answers, IndexService, ServiceError, TreeService};
 use spb_server::wire::WireStats;
-use spb_server::{ClientError, Schema};
+use spb_server::{ClientError, Deadline, Schema};
 use spb_storage::lockrank::{LockRank, RankedRwLock};
 use spb_storage::Wal;
 

@@ -56,7 +56,7 @@ fn straggler_hist() -> &'static Arc<spb_obs::Histogram> {
 
 /// Where one shard lives and what it holds.
 #[derive(Clone, Debug)]
-pub struct ShardRoute {
+pub(crate) struct ShardRoute {
     /// The primary server for this shard.
     pub primary: SocketAddr,
     /// Read replicas, tried in order when the primary sheds or dies.
@@ -132,7 +132,7 @@ pub fn merge_topk(k: usize, lists: Vec<Vec<WireNn>>) -> Vec<WireNn> {
 /// name, histograms combine `count`/`sum` additively and take the
 /// maximum of `max` and of each percentile (an upper bound — exact
 /// percentiles cannot be recovered from summaries), traces concatenate.
-pub fn merge_snapshots(snaps: Vec<spb_obs::Snapshot>) -> spb_obs::Snapshot {
+pub(crate) fn merge_snapshots(snaps: Vec<spb_obs::Snapshot>) -> spb_obs::Snapshot {
     let mut out = spb_obs::Snapshot::default();
     for snap in snaps {
         for (name, v) in snap.counters {
@@ -182,7 +182,7 @@ impl<O: MetricObject, D: Distance<O>> Router<O, D> {
     /// Builds a router over already-serving shards. `pivots` must be
     /// the shared pivot set every shard was bulk-loaded with (see
     /// [`spb_core::ShardPlan`]).
-    pub fn new(pivots: Vec<O>, metric: D, routes: Vec<ShardRoute>) -> Self {
+    pub(crate) fn new(pivots: Vec<O>, metric: D, routes: Vec<ShardRoute>) -> Self {
         let nodes = routes
             .into_iter()
             .map(|route| Node {

@@ -9,11 +9,10 @@ use std::sync::{Arc, Mutex};
 use spb_cluster::{Cluster, ClusterConfig, Replica, ReplicaService};
 use spb_core::{QueryAnswers, QueryPlan, QueryShape, SpbConfig, SpbTree};
 use spb_metric::{dataset, EditDistance, MetricObject, Word};
-use spb_server::admission::Deadline;
 use spb_server::wire::{WireHit, WireNn, WireStats};
 use spb_server::{
-    serve, Answers, Client, ClientError, IndexService, Request, Response, Schema, ServerConfig,
-    ServerHandle, ServiceError, TreeService,
+    serve, Answers, Client, ClientError, Deadline, IndexService, Request, Response, Schema,
+    ServerConfig, ServerHandle, ServiceError, TreeService,
 };
 use spb_storage::TempDir;
 

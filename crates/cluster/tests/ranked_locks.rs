@@ -3,10 +3,14 @@
 //! `spb_storage::lockrank` is the only thing standing between the
 //! workspace and a lock-order deadlock, and it only checks the paths a
 //! test executes under it. This test drives every layer that owns a
-//! ranked lock — event loop, dispatcher, router, replica, tree, buffer
-//! pool, WAL — through one small served cluster and then
-//! reads the checker's per-rank counters: a lock that was swapped for a
-//! raw `std::sync` one, or a rank no test path reaches, fails here.
+//! ranked lock — event loop, dispatcher, router, replica, tree, RAF,
+//! buffer pool, WAL, B⁺-tree meta, pager — through one small served
+//! cluster and then reads the checker's per-rank counters: a lock that
+//! was swapped for a raw `std::sync` one, or a rank no test path
+//! reaches, fails here. The two ranks a cluster does not own are left
+//! to their crates' tests: the baseline indexes' root locks
+//! (`spb-mams`) and the learned-positioning slot, which only a tree
+//! built with `AccelPolicy::Learned` takes.
 //! Debug builds only: the checker does not exist in release.
 
 #![cfg(debug_assertions)]
@@ -19,7 +23,7 @@ use spb_storage::lockrank::{checked_acquisitions, LockRank};
 use spb_storage::TempDir;
 
 #[test]
-fn a_served_cluster_takes_all_seven_ranks_under_the_checker() {
+fn a_served_cluster_takes_all_its_ranks_under_the_checker() {
     let before = LockRank::ALL.map(checked_acquisitions);
 
     let data = dataset::words(200, 23);
@@ -65,6 +69,9 @@ fn a_served_cluster_takes_all_seven_ranks_under_the_checker() {
     cluster.shutdown().expect("clean shutdown");
 
     for (rank, before) in LockRank::ALL.into_iter().zip(before) {
+        if matches!(rank, LockRank::BaselineRoot | LockRank::AccelModel) {
+            continue;
+        }
         assert!(
             checked_acquisitions(rank) > before,
             "{} (rank {}) was never acquired through the rank check",

@@ -25,11 +25,11 @@ use crate::tree::{QueryStats, SpbTree};
 
 /// Per-query output of [`SpbTree::range_batch`]: `(hits, stats)` in input
 /// order.
-pub type RangeBatch<O> = Vec<(Vec<(u32, O)>, QueryStats)>;
+pub(crate) type RangeBatch<O> = Vec<(Vec<(u32, O)>, QueryStats)>;
 
 /// Per-query output of [`SpbTree::knn_batch`]: `(neighbours, stats)` in
 /// input order.
-pub type KnnBatch<O> = Vec<(Vec<(u32, O, f64)>, QueryStats)>;
+pub(crate) type KnnBatch<O> = Vec<(Vec<(u32, O, f64)>, QueryStats)>;
 
 /// Per-query output of [`SpbTree::query_batch`], in input order: the
 /// plan's shape decides which kind of rows come back.

@@ -201,7 +201,7 @@ impl CostModel {
     /// is a candidate iff its grid cell intersects the rounded region
     /// `[⌊(d(q,pᵢ)−r)/δ⌋, ⌊(d(q,pᵢ)+r)/δ⌋]` — the paper's integer
     /// formulation of eq. 4 (`lᵢ = d(q,pᵢ) − r − 1`).
-    pub fn prob_in_rr(&self, q_phi: &[f64], r: f64) -> f64 {
+    pub(crate) fn prob_in_rr(&self, q_phi: &[f64], r: f64) -> f64 {
         let inner = self.inner.lock().expect("cost model lock");
         if inner.sample.is_empty() {
             return 0.0;
@@ -222,59 +222,6 @@ impl CostModel {
             })
             .count();
         hits as f64 / inner.sample.len() as f64
-    }
-
-    /// `Pr(φ(o) ∈ RR(q, r))` via the paper's inclusion–exclusion over the
-    /// joint CDF (eq. 4). Exponential in `|P|`; fine for the paper's
-    /// `|P| ≤ 9`. Agrees with [`prob_in_rr`](Self::prob_in_rr) exactly —
-    /// kept for fidelity to the paper and as a cross-check.
-    pub fn prob_in_rr_incl_excl(&self, q_phi: &[f64], r: f64) -> f64 {
-        let inner = self.inner.lock().expect("cost model lock");
-        if inner.sample.is_empty() {
-            return 0.0;
-        }
-        let p = self.num_pivots;
-        let delta = self.delta;
-        // Cell-granular region edges (the paper's integer eq. 4).
-        let lo: Vec<f64> = q_phi
-            .iter()
-            .map(|&d| {
-                let edge = (d - r) / delta;
-                if self.discrete {
-                    edge.ceil()
-                } else {
-                    edge.floor()
-                }
-                .max(0.0)
-            })
-            .collect();
-        let hi: Vec<f64> = q_phi.iter().map(|&d| ((d + r) / delta).floor()).collect();
-        let mut acc = 0.0f64;
-        for mask in 0u32..(1 << p) {
-            // F(b₁,…,b_p) with bᵢ = lᵢ − 1 (strict below the low cell) for
-            // i ∈ mask, else uᵢ (inclusive up to the high cell).
-            let count = inner
-                .sample
-                .iter()
-                .filter(|phi| {
-                    phi.iter().enumerate().all(|(i, &d)| {
-                        let cell = (d / delta).floor();
-                        if mask & (1 << i) != 0 {
-                            cell < lo[i]
-                        } else {
-                            cell <= hi[i]
-                        }
-                    })
-                })
-                .count();
-            let sign = if mask.count_ones() % 2 == 0 {
-                1.0
-            } else {
-                -1.0
-            };
-            acc += sign * count as f64;
-        }
-        (acc / inner.sample.len() as f64).clamp(0.0, 1.0)
     }
 
     /// EDC and EPA for a range query `RQ(q, O, r)` (eqs. 3, 4 and 6).
@@ -347,7 +294,7 @@ impl CostModel {
     /// The paper's eq. 5 verbatim: `eND_k` from the nearest pivot's
     /// distance distribution under the homogeneity-of-viewpoints
     /// assumption (`F_q ≈ F_pᵢ` for the pivot nearest to `q`).
-    pub fn estimate_nd_k_homogeneous(&self, q_phi: &[f64], k: u64) -> f64 {
+    pub(crate) fn estimate_nd_k_homogeneous(&self, q_phi: &[f64], k: u64) -> f64 {
         let inner = self.inner.lock().expect("cost model lock");
         let nearest = q_phi
             .iter()
@@ -409,6 +356,61 @@ mod tests {
     use crate::tree::SpbTree;
     use spb_metric::dataset;
     use spb_storage::TempDir;
+
+    impl super::CostModel {
+        /// `Pr(φ(o) ∈ RR(q, r))` via the paper's inclusion–exclusion over the
+        /// joint CDF (eq. 4). Exponential in `|P|`; fine for the paper's
+        /// `|P| ≤ 9`. Agrees with [`prob_in_rr`](Self::prob_in_rr) exactly —
+        /// kept for fidelity to the paper and as a cross-check.
+        fn prob_in_rr_incl_excl(&self, q_phi: &[f64], r: f64) -> f64 {
+            let inner = self.inner.lock().expect("cost model lock");
+            if inner.sample.is_empty() {
+                return 0.0;
+            }
+            let p = self.num_pivots;
+            let delta = self.delta;
+            // Cell-granular region edges (the paper's integer eq. 4).
+            let lo: Vec<f64> = q_phi
+                .iter()
+                .map(|&d| {
+                    let edge = (d - r) / delta;
+                    if self.discrete {
+                        edge.ceil()
+                    } else {
+                        edge.floor()
+                    }
+                    .max(0.0)
+                })
+                .collect();
+            let hi: Vec<f64> = q_phi.iter().map(|&d| ((d + r) / delta).floor()).collect();
+            let mut acc = 0.0f64;
+            for mask in 0u32..(1 << p) {
+                // F(b₁,…,b_p) with bᵢ = lᵢ − 1 (strict below the low cell) for
+                // i ∈ mask, else uᵢ (inclusive up to the high cell).
+                let count = inner
+                    .sample
+                    .iter()
+                    .filter(|phi| {
+                        phi.iter().enumerate().all(|(i, &d)| {
+                            let cell = (d / delta).floor();
+                            if mask & (1 << i) != 0 {
+                                cell < lo[i]
+                            } else {
+                                cell <= hi[i]
+                            }
+                        })
+                    })
+                    .count();
+                let sign = if mask.count_ones() % 2 == 0 {
+                    1.0
+                } else {
+                    -1.0
+                };
+                acc += sign * count as f64;
+            }
+            (acc / inner.sample.len() as f64).clamp(0.0, 1.0)
+        }
+    }
 
     #[test]
     fn incl_excl_equals_direct_counting() {

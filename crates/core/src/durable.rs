@@ -59,13 +59,13 @@ use spb_storage::{
 };
 
 /// The B⁺-tree file of an index directory.
-pub const BTREE_FILE: &str = "index.bpt";
+pub(crate) const BTREE_FILE: &str = "index.bpt";
 /// The random access file holding the objects.
-pub const RAF_FILE: &str = "objects.raf";
+pub(crate) const RAF_FILE: &str = "objects.raf";
 /// The pivot table.
-pub const PIVOTS_FILE: &str = "pivots.tbl";
+pub(crate) const PIVOTS_FILE: &str = "pivots.tbl";
 /// The curve kind and the `len` / `next_id` counters.
-pub const META_FILE: &str = "spb.meta";
+pub(crate) const META_FILE: &str = "spb.meta";
 /// The write-ahead log (present once the index was opened durably).
 pub const WAL_FILE: &str = "spb.wal";
 
@@ -127,7 +127,7 @@ impl Meta {
         })
     }
 
-    pub fn to_bytes(self) -> String {
+    pub(crate) fn to_bytes(self) -> String {
         let curve = match self.curve {
             CurveKind::Hilbert => "hilbert",
             CurveKind::Z => "z",
@@ -241,7 +241,7 @@ impl Durable {
     /// changes pages through `btree` / `raf` and the counters through
     /// the [`Meta`] it is handed. The caller holds the tree latch
     /// exclusively.
-    pub fn transact<M: MbbOps, T>(
+    pub(crate) fn transact<M: MbbOps, T>(
         &self,
         btree: &BPlusTree<M>,
         raf: &Raf,
@@ -315,7 +315,7 @@ impl Durable {
 
     /// Whether the update that just committed took the log past the
     /// size at which a checkpoint should follow.
-    pub fn checkpoint_due(&self) -> bool {
+    pub(crate) fn checkpoint_due(&self) -> bool {
         (self.wal.as_ref()).is_some_and(|wal| wal.len() >= WAL_CHECKPOINT_BYTES)
     }
 

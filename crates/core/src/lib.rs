@@ -65,8 +65,6 @@
 //! assert_eq!(nn[0].2, 0.0); // the word itself
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod batch;
 mod config;
 mod cost;
@@ -81,12 +79,11 @@ mod range;
 mod stats;
 mod tree;
 
-pub use batch::{KnnBatch, QueryAnswers, RangeBatch};
+pub use batch::QueryAnswers;
 pub use config::SpbConfig;
 pub use cost::{CostEstimate, CostModel};
 pub use durable::{
-    recover_dir, verify_dir, NeedsRecovery, RecoveryReport, VerifyProblem, VerifyReport,
-    BTREE_FILE, META_FILE, PIVOTS_FILE, RAF_FILE, WAL_FILE,
+    recover_dir, verify_dir, NeedsRecovery, RecoveryReport, VerifyProblem, VerifyReport, WAL_FILE,
 };
 pub use exec::parallel_map;
 pub use join::{similarity_join, similarity_join_parallel, JoinPair};

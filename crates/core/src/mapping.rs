@@ -124,7 +124,7 @@ impl<O: MetricObject> PivotTable<O> {
 
     /// Smallest metric distance to pivot `i` an object in cell coordinate
     /// `c` can have.
-    pub fn cell_dist_lo(&self, c: u32) -> f64 {
+    pub(crate) fn cell_dist_lo(&self, c: u32) -> f64 {
         c as f64 * self.delta
     }
 
@@ -132,7 +132,7 @@ impl<O: MetricObject> PivotTable<O> {
     /// `c` can have (`c·δ` exactly for discrete metrics; the open upper
     /// edge `(c+1)·δ` otherwise; unbounded for the top cell, which holds
     /// every distance the grid cannot reach).
-    pub fn cell_dist_hi(&self, c: u32) -> f64 {
+    pub(crate) fn cell_dist_hi(&self, c: u32) -> f64 {
         if c == self.max_coord() {
             f64::INFINITY
         } else if self.discrete {
@@ -172,7 +172,7 @@ impl<O: MetricObject> PivotTable<O> {
     /// Conservative half-width, in cells, of the join window: objects whose
     /// cells differ by more than this in any dimension cannot be within ε
     /// (Lemma 6's `minRR`/`maxRR` corners use it).
-    pub fn cell_radius(&self, eps: f64) -> u32 {
+    pub(crate) fn cell_radius(&self, eps: f64) -> u32 {
         let k = (eps / self.delta).floor() as u32;
         if self.discrete {
             k
@@ -202,7 +202,7 @@ impl<O: MetricObject> PivotTable<O> {
 
     /// Lower bound on `d(q, o)` for any object inside an MBB — the
     /// node-level `MIND(q, E)` of Lemma 3, in metric units.
-    pub fn mind_box(&self, q_phi: &[f64], bx: &GridBox) -> f64 {
+    pub(crate) fn mind_box(&self, q_phi: &[f64], bx: &GridBox) -> f64 {
         let mut best = 0.0f64;
         for ((&d, &l), &h) in q_phi.iter().zip(bx.lo()).zip(bx.hi()) {
             let lo = self.cell_dist_lo(l);
@@ -305,16 +305,8 @@ impl SfcMbbOps {
     }
 
     /// Decodes an MBB's SFC corners into a grid box.
-    pub fn to_box(&self, mbb: Mbb) -> GridBox {
+    pub(crate) fn to_box(self, mbb: Mbb) -> GridBox {
         GridBox::new(self.curve.decode(mbb.lo), self.curve.decode(mbb.hi))
-    }
-
-    /// Encodes a grid box back into SFC corners.
-    pub fn from_box(&self, bx: &GridBox) -> Mbb {
-        Mbb {
-            lo: self.curve.encode(bx.lo()),
-            hi: self.curve.encode(bx.hi()),
-        }
     }
 }
 
@@ -443,8 +435,12 @@ mod tests {
     fn sfc_mbb_union_covers_both() {
         let curve = Sfc::hilbert(3, 4);
         let ops = SfcMbbOps::new(curve);
-        let a = ops.from_box(&GridBox::new(vec![1, 2, 3], vec![4, 5, 6]));
-        let b = ops.from_box(&GridBox::new(vec![0, 7, 2], vec![2, 9, 4]));
+        let mbb = |lo: [u32; 3], hi: [u32; 3]| Mbb {
+            lo: curve.encode(&lo),
+            hi: curve.encode(&hi),
+        };
+        let a = mbb([1, 2, 3], [4, 5, 6]);
+        let b = mbb([0, 7, 2], [2, 9, 4]);
         let u = ops.to_box(ops.union(a, b));
         assert_eq!(u, GridBox::new(vec![0, 2, 2], vec![4, 9, 6]));
     }

@@ -10,7 +10,9 @@ use spb_bptree::BPlusTree;
 use spb_metric::{CountingDistance, DistCounter, Distance, MetricObject};
 use spb_pivots::select_pivots;
 use spb_sfc::Sfc;
-use spb_storage::lockrank::{LockRank, RankedReadGuard, RankedRwLock, RankedWriteGuard};
+use spb_storage::lockrank::{
+    LockRank, RankedMutex, RankedReadGuard, RankedRwLock, RankedWriteGuard,
+};
 use spb_storage::{IoStats, Raf, RafPtr, Wal};
 
 use crate::config::SpbConfig;
@@ -114,10 +116,10 @@ pub struct SpbTree<O: MetricObject, D: Distance<O>> {
     build_stats: BuildStats,
     pub(crate) use_lemma2: bool,
     /// Learned leaf-positioning model (`spb-accel`), shared so queries
-    /// clone the `Arc` out and never hold the slot across I/O. The
-    /// plain mutex is a leaf lock: taken only momentarily, with no
-    /// other lock acquired while held.
-    accel: parking_lot::Mutex<Option<std::sync::Arc<spb_accel::LeafModel>>>,
+    /// clone the `Arc` out and never hold the slot across I/O. A leaf
+    /// lock: taken only momentarily, with no other lock acquired while
+    /// held.
+    accel: RankedMutex<Option<std::sync::Arc<spb_accel::LeafModel>>>,
     /// Whether learned positioning is wanted (`SpbConfig::accel` at
     /// build, model-file presence at open, or `set_accel_policy`).
     accel_on: std::sync::atomic::AtomicBool,
@@ -292,7 +294,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
             durable,
             build_stats,
             use_lemma2: config.use_lemma2,
-            accel: parking_lot::Mutex::new(None),
+            accel: RankedMutex::new(LockRank::AccelModel, None),
             accel_on: std::sync::atomic::AtomicBool::new(
                 config.accel == spb_accel::AccelPolicy::Learned,
             ),
@@ -430,7 +432,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
                 num_objects: len,
             },
             use_lemma2: true,
-            accel: parking_lot::Mutex::new(accel_model),
+            accel: RankedMutex::new(LockRank::AccelModel, accel_model),
             accel_on: std::sync::atomic::AtomicBool::new(accel_on),
             latch: RankedRwLock::new(LockRank::TreeLatch, ()),
         })

@@ -26,7 +26,6 @@
 use std::collections::HashSet;
 use std::io;
 use std::path::Path;
-use std::time::Instant;
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -36,6 +35,7 @@ use spb_core::{BuildStats, QueryStats};
 /// A similarity-join result: `(q_id, o_id, distance)` triples plus stats.
 type JoinResult = io::Result<(Vec<(u32, u32, f64)>, QueryStats)>;
 use spb_metric::{CountingDistance, DistCounter, Distance, MetricObject};
+use spb_obs::clock;
 use spb_storage::{BufferPool, Page, PageId, Pager, PAGE_DATA_SIZE, PAGE_SIZE};
 
 /// eD-index tuning parameters.
@@ -92,7 +92,6 @@ pub struct EdIndex<O: MetricObject, D: Distance<O>> {
     pool: BufferPool,
     buckets: Vec<BucketMeta>,
     eps_build: f64,
-    stored_instances: u64,
     build_stats: BuildStats,
     _marker: std::marker::PhantomData<O>,
 }
@@ -112,7 +111,7 @@ impl<O: MetricObject, D: Distance<O>> EdIndex<O, D> {
             "the eD-index requires eps <= 2*rho (separability)"
         );
         std::fs::create_dir_all(dir)?;
-        let start = Instant::now();
+        let start = clock::now();
         let counter = DistCounter::new();
         let metric = CountingDistance::with_counter(metric, counter.clone());
         let pool = BufferPool::new(Pager::create(&dir.join("edindex.db"))?, params.cache_pages);
@@ -148,40 +147,36 @@ impl<O: MetricObject, D: Distance<O>> EdIndex<O, D> {
 
         let mut rng = StdRng::seed_from_u64(params.seed);
         let mut buckets: Vec<BucketMeta> = Vec::new();
-        let mut stored_instances: u64 = 0;
-        let write_bucket = |entries: &[(&Work, f64)],
-                            pool: &BufferPool,
-                            stored: &mut u64|
-         -> io::Result<Option<BucketMeta>> {
-            if entries.is_empty() {
-                return Ok(None);
-            }
-            let mut bytes: Vec<u8> = Vec::new();
-            for (w, d) in entries {
-                let ob = obj(w).encoded();
-                bytes.push(w.from_q as u8);
-                bytes.extend_from_slice(&w.id.to_le_bytes());
-                bytes.extend_from_slice(&d.to_le_bytes());
-                bytes.extend_from_slice(&(ob.len() as u32).to_le_bytes());
-                bytes.extend_from_slice(&ob);
-            }
-            *stored += entries.len() as u64;
-            let mut start: Option<PageId> = None;
-            for chunk in bytes.chunks(PAGE_DATA_SIZE) {
-                let page_id = pool.allocate()?;
-                if start.is_none() {
-                    start = Some(page_id);
+        let write_bucket =
+            |entries: &[(&Work, f64)], pool: &BufferPool| -> io::Result<Option<BucketMeta>> {
+                if entries.is_empty() {
+                    return Ok(None);
                 }
-                let mut p = Page::new();
-                p.write_slice(0, chunk);
-                pool.write(page_id, p)?;
-            }
-            Ok(Some(BucketMeta {
-                start: start.expect("at least one page"),
-                bytes: bytes.len() as u64,
-                count: entries.len() as u32,
-            }))
-        };
+                let mut bytes: Vec<u8> = Vec::new();
+                for (w, d) in entries {
+                    let ob = obj(w).encoded();
+                    bytes.push(w.from_q as u8);
+                    bytes.extend_from_slice(&w.id.to_le_bytes());
+                    bytes.extend_from_slice(&d.to_le_bytes());
+                    bytes.extend_from_slice(&(ob.len() as u32).to_le_bytes());
+                    bytes.extend_from_slice(&ob);
+                }
+                let mut start: Option<PageId> = None;
+                for chunk in bytes.chunks(PAGE_DATA_SIZE) {
+                    let page_id = pool.allocate()?;
+                    if start.is_none() {
+                        start = Some(page_id);
+                    }
+                    let mut p = Page::new();
+                    p.write_slice(0, chunk);
+                    pool.write(page_id, p)?;
+                }
+                Ok(Some(BucketMeta {
+                    start: start.expect("at least one page"),
+                    bytes: bytes.len() as u64,
+                    count: entries.len() as u32,
+                }))
+            };
 
         for _level in 0..params.levels {
             if current.len() <= 8 {
@@ -248,7 +243,7 @@ impl<O: MetricObject, D: Distance<O>> EdIndex<O, D> {
             for bucket in &level_buckets {
                 let entries: Vec<(&Work, f64)> =
                     bucket.iter().map(|&(i, d)| (&current[i], d)).collect();
-                if let Some(meta) = write_bucket(&entries, &pool, &mut stored_instances)? {
+                if let Some(meta) = write_bucket(&entries, &pool)? {
                     buckets.push(meta);
                 }
             }
@@ -267,7 +262,7 @@ impl<O: MetricObject, D: Distance<O>> EdIndex<O, D> {
         // Final exclusion bucket.
         {
             let entries: Vec<(&Work, f64)> = current.iter().map(|w| (w, w.pivot_dist)).collect();
-            if let Some(meta) = write_bucket(&entries, &pool, &mut stored_instances)? {
+            if let Some(meta) = write_bucket(&entries, &pool)? {
                 buckets.push(meta);
             }
         }
@@ -289,7 +284,6 @@ impl<O: MetricObject, D: Distance<O>> EdIndex<O, D> {
             pool,
             buckets,
             eps_build: params.eps,
-            stored_instances,
             build_stats,
             _marker: std::marker::PhantomData,
         })
@@ -339,7 +333,7 @@ impl<O: MetricObject, D: Distance<O>> EdIndex<O, D> {
             "eD-index was built for eps <= {}, got {eps}; rebuild required",
             self.eps_build
         );
-        let snap = (self.counter.get(), self.pool.stats(), Instant::now());
+        let snap = (self.counter.get(), self.pool.stats(), clock::now());
         let mut seen: HashSet<(u32, u32)> = HashSet::new();
         let mut out = Vec::new();
         for meta in &self.buckets {
@@ -392,16 +386,6 @@ impl<O: MetricObject, D: Distance<O>> EdIndex<O, D> {
     /// Total storage in bytes (inflated by overloading duplicates).
     pub fn storage_bytes(&self) -> u64 {
         self.pool.num_pages() * PAGE_SIZE as u64
-    }
-
-    /// Stored object instances, counting overloaded duplicates.
-    pub fn stored_instances(&self) -> u64 {
-        self.stored_instances
-    }
-
-    /// The build-time ε limit.
-    pub fn eps_build(&self) -> f64 {
-        self.eps_build
     }
 
     /// Flushes the page cache.
@@ -509,10 +493,10 @@ mod tests {
             &EdIndexParams::for_eps(0.1),
         )
         .unwrap();
+        let stored: u32 = idx.buckets.iter().map(|b| b.count).sum();
         assert!(
-            idx.stored_instances() > 800,
-            "overloading must duplicate some instances: {}",
-            idx.stored_instances()
+            stored > 800,
+            "overloading must duplicate some instances: {stored}"
         );
     }
 }

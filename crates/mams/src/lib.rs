@@ -27,8 +27,6 @@
 //! Every index reports [`spb_core::QueryStats`]-compatible costs so the
 //! experiment harness can print the paper's tables directly.
 
-#![forbid(unsafe_code)]
-
 mod edindex;
 mod mindex;
 mod mtree;
@@ -40,5 +38,4 @@ pub use edindex::{EdIndex, EdIndexParams};
 pub use mindex::{MIndex, MIndexParams};
 pub use mtree::{MTree, MTreeParams};
 pub use omni::{OmniParams, OmniRTree};
-pub use quickjoin::{quickjoin_rs, QuickJoinParams, QuickJoinResult};
-pub use rtree::{RNode, RTree, RTreeParams, Rect};
+pub use quickjoin::{quickjoin_rs, QuickJoinParams};

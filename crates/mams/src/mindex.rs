@@ -26,13 +26,14 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use spb_bptree::{BPlusTree, PointMbb};
 use spb_core::{BuildStats, QueryStats};
 use spb_metric::{CountingDistance, DistCounter, Distance, MetricObject};
+use spb_obs::clock;
+use spb_storage::lockrank::{LockRank, RankedMutex};
 use spb_storage::{IoStats, Raf, RafPtr, PAGE_SIZE};
 
 /// Bits of each key devoted to the scaled distance.
@@ -69,7 +70,7 @@ pub struct MIndex<O: MetricObject, D: Distance<O>> {
     btree: BPlusTree<PointMbb>,
     raf: Raf,
     /// Per-cluster maximum distance-to-pivot (ball radius).
-    radii: Mutex<Vec<f64>>,
+    radii: RankedMutex<Vec<f64>>,
     d_plus: f64,
     len: AtomicU64,
     next_id: AtomicU64,
@@ -81,7 +82,7 @@ impl<O: MetricObject, D: Distance<O>> MIndex<O, D> {
     /// `mindex.raf`).
     pub fn build(dir: &Path, objects: &[O], metric: D, params: &MIndexParams) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let start = Instant::now();
+        let start = clock::now();
         let counter = DistCounter::new();
         let metric = CountingDistance::with_counter(metric, counter.clone());
         let d_plus = metric.max_distance();
@@ -154,7 +155,7 @@ impl<O: MetricObject, D: Distance<O>> MIndex<O, D> {
             pivots,
             btree,
             raf,
-            radii: Mutex::new(radii),
+            radii: RankedMutex::new(LockRank::BaselineRoot, radii),
             d_plus,
             len: AtomicU64::new(objects.len() as u64),
             next_id: AtomicU64::new(objects.len() as u64),
@@ -362,7 +363,7 @@ impl<O: MetricObject, D: Distance<O>> MIndex<O, D> {
             self.counter.get(),
             self.btree.io_stats(),
             self.raf.io_stats(),
-            Instant::now(),
+            clock::now(),
         )
     }
 

@@ -26,12 +26,13 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use spb_core::{BuildStats, QueryStats};
 use spb_metric::{CountingDistance, DistCounter, Distance, MetricObject};
+use spb_obs::clock;
+use spb_storage::lockrank::{LockRank, RankedMutex};
 use spb_storage::{BufferPool, IoStats, Page, PageId, Pager, PAGE_DATA_SIZE, PAGE_SIZE};
 
 const MAGIC: u64 = 0x4d54_5245_4531_3937; // "MTREE197"
@@ -196,7 +197,7 @@ pub struct MTree<O: MetricObject, D: Distance<O>> {
     metric: CountingDistance<D>,
     counter: DistCounter,
     pool: BufferPool,
-    root: Mutex<Option<PageId>>,
+    root: RankedMutex<Option<PageId>>,
     len: AtomicU64,
     next_id: AtomicU64,
     build_stats: BuildStats,
@@ -208,7 +209,7 @@ impl<O: MetricObject, D: Distance<O>> MTree<O, D> {
     /// Bulk-loads an M-tree over `objects` into `dir/mtree.db`.
     pub fn build(dir: &Path, objects: &[O], metric: D, params: &MTreeParams) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let start = Instant::now();
+        let start = clock::now();
         let counter = DistCounter::new();
         let metric = CountingDistance::with_counter(metric, counter.clone());
         let pool = BufferPool::new(Pager::create(&dir.join("mtree.db"))?, params.cache_pages);
@@ -219,7 +220,7 @@ impl<O: MetricObject, D: Distance<O>> MTree<O, D> {
             metric,
             counter: counter.clone(),
             pool,
-            root: Mutex::new(None),
+            root: RankedMutex::new(LockRank::BaselineRoot, None),
             len: AtomicU64::new(objects.len() as u64),
             next_id: AtomicU64::new(objects.len() as u64),
             build_stats: BuildStats {
@@ -833,7 +834,7 @@ impl<O: MetricObject, D: Distance<O>> MTree<O, D> {
     }
 
     fn snapshot(&self) -> (u64, IoStats, Instant) {
-        (self.counter.get(), self.pool.stats(), Instant::now())
+        (self.counter.get(), self.pool.stats(), clock::now())
     }
 
     fn stats_since(&self, snap: (u64, IoStats, Instant)) -> QueryStats {

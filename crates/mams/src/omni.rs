@@ -29,6 +29,7 @@ use std::time::Instant;
 
 use spb_core::{BuildStats, QueryStats};
 use spb_metric::{CountingDistance, DistCounter, Distance, MetricObject};
+use spb_obs::clock;
 use spb_pivots::{select_pivots, PivotConfig, PivotMethod};
 use spb_storage::{IoStats, Raf, RafPtr, PAGE_SIZE};
 
@@ -72,7 +73,7 @@ impl<O: MetricObject, D: Distance<O>> OmniRTree<O, D> {
     /// `omni.raf`).
     pub fn build(dir: &Path, objects: &[O], metric: D, params: &OmniParams) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let start = Instant::now();
+        let start = clock::now();
         let counter = DistCounter::new();
         let metric = CountingDistance::with_counter(metric, counter.clone());
 
@@ -313,7 +314,7 @@ impl<O: MetricObject, D: Distance<O>> OmniRTree<O, D> {
             self.counter.get(),
             self.rtree.pool().stats(),
             self.raf.io_stats(),
-            Instant::now(),
+            clock::now(),
         )
     }
 

@@ -47,7 +47,7 @@ struct Item {
 
 /// Result of [`quickjoin_rs`]: `(q index, o index, distance)` triples and
 /// the number of distance computations spent.
-pub type QuickJoinResult = (Vec<(u32, u32, f64)>, u64);
+pub(crate) type QuickJoinResult = (Vec<(u32, u32, f64)>, u64);
 
 /// R-S Quickjoin: all pairs `(q, o) ∈ Q × O` with `d(q, o) ≤ eps`.
 pub fn quickjoin_rs<O: MetricObject, D: Distance<O>>(

@@ -16,7 +16,7 @@ use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
+use spb_storage::lockrank::{LockRank, RankedMutex};
 use spb_storage::{BufferPool, Page, PageId, Pager, PAGE_DATA_SIZE};
 
 const MAGIC: u64 = 0x4f4d_4e49_5254_5245; // "OMNIRTRE"
@@ -24,7 +24,7 @@ const HEADER: usize = 4;
 
 /// An axis-aligned rectangle in omni-coordinate space.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Rect {
+pub(crate) struct Rect {
     /// Low corner.
     pub lo: Vec<f32>,
     /// High corner.
@@ -33,7 +33,7 @@ pub struct Rect {
 
 impl Rect {
     /// The degenerate rectangle of a single point.
-    pub fn point(p: &[f32]) -> Rect {
+    pub(crate) fn point(p: &[f32]) -> Rect {
         Rect {
             lo: p.to_vec(),
             hi: p.to_vec(),
@@ -41,19 +41,14 @@ impl Rect {
     }
 
     /// A rectangle from corners.
-    pub fn new(lo: Vec<f32>, hi: Vec<f32>) -> Rect {
+    pub(crate) fn new(lo: Vec<f32>, hi: Vec<f32>) -> Rect {
         debug_assert_eq!(lo.len(), hi.len());
         debug_assert!(lo.iter().zip(&hi).all(|(a, b)| a <= b));
         Rect { lo, hi }
     }
 
-    /// Dimensionality.
-    pub fn dim(&self) -> usize {
-        self.lo.len()
-    }
-
     /// True iff the rectangles share a point.
-    pub fn intersects(&self, other: &Rect) -> bool {
+    pub(crate) fn intersects(&self, other: &Rect) -> bool {
         self.lo
             .iter()
             .zip(&self.hi)
@@ -62,7 +57,7 @@ impl Rect {
     }
 
     /// True iff `p` lies inside.
-    pub fn contains_point(&self, p: &[f32]) -> bool {
+    pub(crate) fn contains_point(&self, p: &[f32]) -> bool {
         self.lo
             .iter()
             .zip(&self.hi)
@@ -71,7 +66,7 @@ impl Rect {
     }
 
     /// Grows to cover `other`.
-    pub fn union_with(&mut self, other: &Rect) {
+    pub(crate) fn union_with(&mut self, other: &Rect) {
         for i in 0..self.lo.len() {
             self.lo[i] = self.lo[i].min(other.lo[i]);
             self.hi[i] = self.hi[i].max(other.hi[i]);
@@ -80,7 +75,7 @@ impl Rect {
 
     /// Sum of side lengths (the "margin" used by the enlargement
     /// heuristic; robust in high dimensions where volumes underflow).
-    pub fn margin(&self) -> f64 {
+    pub(crate) fn margin(&self) -> f64 {
         self.lo
             .iter()
             .zip(&self.hi)
@@ -89,7 +84,7 @@ impl Rect {
     }
 
     /// Margin increase if this rectangle grew to cover `other`.
-    pub fn enlargement(&self, other: &Rect) -> f64 {
+    pub(crate) fn enlargement(&self, other: &Rect) -> f64 {
         let mut grown = self.clone();
         grown.union_with(other);
         grown.margin() - self.margin()
@@ -97,7 +92,7 @@ impl Rect {
 
     /// `L∞` distance from `p` to the rectangle — the Omni lower bound on
     /// the metric distance of any object stored inside.
-    pub fn mind_linf(&self, p: &[f32]) -> f64 {
+    pub(crate) fn mind_linf(&self, p: &[f32]) -> f64 {
         let mut best = 0.0f64;
         for ((&l, &h), &c) in self.lo.iter().zip(&self.hi).zip(p) {
             let gap = if c < l {
@@ -115,7 +110,7 @@ impl Rect {
 
 /// A leaf entry: one indexed point.
 #[derive(Clone, Debug, PartialEq)]
-pub struct RLeafEntry {
+pub(crate) struct RLeafEntry {
     /// RAF offset of the object.
     pub raf_off: u64,
     /// Object id.
@@ -126,7 +121,7 @@ pub struct RLeafEntry {
 
 /// An internal entry: a child subtree and its MBR.
 #[derive(Clone, Debug, PartialEq)]
-pub struct RIntEntry {
+pub(crate) struct RIntEntry {
     /// Child page.
     pub child: PageId,
     /// Child subtree's minimum bounding rectangle.
@@ -135,7 +130,7 @@ pub struct RIntEntry {
 
 /// A decoded R-tree node.
 #[derive(Clone, Debug, PartialEq)]
-pub enum RNode {
+pub(crate) enum RNode {
     /// Point-bearing leaf.
     Leaf(Vec<RLeafEntry>),
     /// MBR-bearing internal node.
@@ -170,7 +165,7 @@ impl RNode {
 
 /// R-tree tuning parameters.
 #[derive(Clone, Copy, Debug)]
-pub struct RTreeParams {
+pub(crate) struct RTreeParams {
     /// Page-cache capacity in pages.
     pub cache_pages: usize,
 }
@@ -182,10 +177,10 @@ impl Default for RTreeParams {
 }
 
 /// A disk-based R-tree over `dim`-dimensional `f32` points.
-pub struct RTree {
+pub(crate) struct RTree {
     pool: BufferPool,
     dim: usize,
-    root: Mutex<Option<PageId>>,
+    root: RankedMutex<Option<PageId>>,
     len: AtomicU64,
     leaf_cap: usize,
     int_cap: usize,
@@ -193,7 +188,7 @@ pub struct RTree {
 
 impl RTree {
     /// Creates an empty R-tree at `path` over `dim`-dimensional points.
-    pub fn create(path: &Path, dim: usize, params: &RTreeParams) -> io::Result<Self> {
+    pub(crate) fn create(path: &Path, dim: usize, params: &RTreeParams) -> io::Result<Self> {
         assert!((1..=64).contains(&dim), "dim must be in 1..=64");
         let pool = BufferPool::new(Pager::create(path)?, params.cache_pages);
         let meta = pool.allocate()?;
@@ -203,7 +198,7 @@ impl RTree {
         let tree = RTree {
             pool,
             dim,
-            root: Mutex::new(None),
+            root: RankedMutex::new(LockRank::BaselineRoot, None),
             len: AtomicU64::new(0),
             leaf_cap: ((PAGE_DATA_SIZE - HEADER) / leaf_entry).min(256),
             int_cap: ((PAGE_DATA_SIZE - HEADER) / int_entry).min(256),
@@ -256,7 +251,7 @@ impl RTree {
     }
 
     /// Reads and decodes a node (one counted page access).
-    pub fn read_node(&self, page: PageId) -> io::Result<RNode> {
+    pub(crate) fn read_node(&self, page: PageId) -> io::Result<RNode> {
         let p = self.pool.read(page)?;
         let count = p.read_u16(2) as usize;
         let mut off = HEADER;
@@ -308,7 +303,7 @@ impl RTree {
     ///
     /// # Panics
     /// Panics if the tree is not empty.
-    pub fn bulk_load(&self, mut items: Vec<(Vec<f32>, u64, u32)>) -> io::Result<()> {
+    pub(crate) fn bulk_load(&self, mut items: Vec<(Vec<f32>, u64, u32)>) -> io::Result<()> {
         assert!(
             self.root.lock().is_none(),
             "bulk_load requires an empty tree"
@@ -384,7 +379,7 @@ impl RTree {
     // ------------------------------------------------------------------
 
     /// Inserts one point (minimum-enlargement descent, quadratic split).
-    pub fn insert(&self, coords: &[f32], raf_off: u64, id: u32) -> io::Result<()> {
+    pub(crate) fn insert(&self, coords: &[f32], raf_off: u64, id: u32) -> io::Result<()> {
         assert_eq!(coords.len(), self.dim);
         let entry = RLeafEntry {
             raf_off,
@@ -513,7 +508,7 @@ impl RTree {
     // ------------------------------------------------------------------
 
     /// All `(raf_off, id)` whose point lies inside `rect`.
-    pub fn search_rect(&self, rect: &Rect) -> io::Result<Vec<(u64, u32)>> {
+    pub(crate) fn search_rect(&self, rect: &Rect) -> io::Result<Vec<(u64, u32)>> {
         let mut out = Vec::new();
         let Some(root) = *self.root.lock() else {
             return Ok(out);
@@ -541,27 +536,22 @@ impl RTree {
     }
 
     /// The root page, if any.
-    pub fn root_page(&self) -> Option<PageId> {
+    pub(crate) fn root_page(&self) -> Option<PageId> {
         *self.root.lock()
     }
 
     /// Indexed point count.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.len.load(Ordering::SeqCst)
     }
 
     /// True iff empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Point dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// The buffer pool (PA accounting / cache control).
-    pub fn pool(&self) -> &BufferPool {
+    pub(crate) fn pool(&self) -> &BufferPool {
         &self.pool
     }
 }

@@ -95,7 +95,7 @@ impl Distance<Word> for EditDistance {
 /// Myers' bit-parallel algorithm in Hyyrö's formulation: `O(|long|)`
 /// word operations and no heap allocation. Longer inputs take the
 /// two-row dynamic program. Both are exact.
-pub fn levenshtein(a: &[u8], b: &[u8]) -> usize {
+pub(crate) fn levenshtein(a: &[u8], b: &[u8]) -> usize {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if short.is_empty() {
         long.len()
@@ -238,30 +238,6 @@ impl Distance<FloatVec> for LpNorm {
     }
 }
 
-/// Euclidean distance: a thin convenience alias for [`LpNorm::l2`].
-#[derive(Clone, Copy, Debug)]
-pub struct Euclidean {
-    inner: LpNorm,
-}
-
-impl Euclidean {
-    /// Euclidean distance over `dim`-dimensional vectors in the unit cube.
-    pub fn new(dim: usize) -> Self {
-        Euclidean {
-            inner: LpNorm::l2(dim),
-        }
-    }
-}
-
-impl Distance<FloatVec> for Euclidean {
-    fn distance(&self, a: &FloatVec, b: &FloatVec) -> f64 {
-        self.inner.distance(a, b)
-    }
-    fn max_distance(&self) -> f64 {
-        self.inner.max_distance()
-    }
-}
-
 /// Hamming distance over fixed-length symbol signatures: the number of
 /// positions at which two signatures differ. `d⁺` is the signature length
 /// (64 in the paper's *Signature* dataset).
@@ -312,7 +288,7 @@ pub struct TrigramAngular;
 impl TrigramAngular {
     /// Cosine similarity between two tri-gram profiles; 1.0 when either
     /// profile is all-zero and the other is too, 0.0 when exactly one is.
-    pub fn cosine_similarity(pa: &[u32; 64], pb: &[u32; 64]) -> f64 {
+    pub(crate) fn cosine_similarity(pa: &[u32; 64], pb: &[u32; 64]) -> f64 {
         let mut dot = 0.0f64;
         let mut na = 0.0f64;
         let mut nb = 0.0f64;

@@ -18,8 +18,6 @@
 //! * [`stats`] — distance histograms, pairwise sampling, and the intrinsic
 //!   dimensionality estimator `ρ = µ²/(2σ²)` used to pick the pivot count.
 
-#![forbid(unsafe_code)]
-
 pub mod counter;
 pub mod dataset;
 pub mod distance;
@@ -27,6 +25,6 @@ pub mod object;
 pub mod stats;
 
 pub use counter::{CountingDistance, DistCounter};
-pub use distance::{Distance, EditDistance, Euclidean, Hamming, Jaccard, LpNorm, TrigramAngular};
+pub use distance::{Distance, EditDistance, Hamming, Jaccard, LpNorm, TrigramAngular};
 pub use object::{Dna, FloatVec, IntSet, MetricObject, Signature, Word};
 pub use stats::{intrinsic_dimensionality, pairwise_distance_sample, DistanceHistogram};

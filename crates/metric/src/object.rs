@@ -195,7 +195,7 @@ impl Dna {
 
     /// Counts of each of the 4³ = 64 possible tri-grams, in lexicographic
     /// order of the tri-gram (A=0, C=1, G=2, T=3).
-    pub fn trigram_profile(&self) -> [u32; 64] {
+    pub(crate) fn trigram_profile(&self) -> [u32; 64] {
         let mut counts = [0u32; 64];
         let b = self.0.as_bytes();
         if b.len() < 3 {
@@ -251,7 +251,7 @@ impl Signature {
     }
 
     /// The symbols as a slice.
-    pub fn symbols(&self) -> &[u8] {
+    pub(crate) fn symbols(&self) -> &[u8] {
         &self.0
     }
 
@@ -297,11 +297,6 @@ impl IntSet {
         IntSet(elements)
     }
 
-    /// The elements, sorted ascending.
-    pub fn elements(&self) -> &[u32] {
-        &self.0
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.0.len()
@@ -313,7 +308,7 @@ impl IntSet {
     }
 
     /// `|self ∩ other|` via a linear merge (both sides are sorted).
-    pub fn intersection_size(&self, other: &IntSet) -> usize {
+    pub(crate) fn intersection_size(&self, other: &IntSet) -> usize {
         let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
         while i < self.0.len() && j < other.0.len() {
             match self.0[i].cmp(&other.0[j]) {
@@ -430,7 +425,7 @@ mod tests {
     #[test]
     fn intset_roundtrip_and_merge() {
         let a = IntSet::new(vec![5, 1, 3, 3, 1]);
-        assert_eq!(a.elements(), &[1, 3, 5]);
+        assert_eq!(a.0, [1, 3, 5]);
         roundtrip(&a);
         roundtrip(&IntSet::new(vec![]));
         let b = IntSet::new(vec![3, 5, 7]);

@@ -61,12 +61,6 @@ pub fn intrinsic_dimensionality(distances: &[f64]) -> f64 {
     mean * mean / (2.0 * var)
 }
 
-/// The maximum of a distance sample — a practical estimate of `d⁺` when the
-/// metric cannot bound it analytically.
-pub fn estimate_max_distance(distances: &[f64]) -> f64 {
-    distances.iter().copied().fold(0.0, f64::max)
-}
-
 /// An equi-width cumulative histogram of distances to one reference object —
 /// the distance distribution `F_p(r) = Pr{d(o, p) ≤ r}` of eq. (1).
 #[derive(Clone, Debug)]
@@ -100,33 +94,6 @@ impl DistanceHistogram {
         let idx = ((d / self.max_distance) * buckets as f64).floor() as usize;
         self.counts[idx.min(buckets - 1)] += 1;
         self.total += 1;
-    }
-
-    /// `F(r)`: the empirical probability that a distance is `≤ r`.
-    ///
-    /// Uses the conservative convention that a bucket counts toward `F(r)`
-    /// once `r` reaches the bucket's upper edge; `F(d⁺) = 1`.
-    pub fn cdf(&self, r: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        if r >= self.max_distance {
-            return 1.0;
-        }
-        if r < 0.0 {
-            return 0.0;
-        }
-        let buckets = self.counts.len();
-        let width = self.max_distance / buckets as f64;
-        let full = (r / width).floor() as usize;
-        let mut acc: u64 = self.counts[..full.min(buckets)].iter().sum();
-        // Interpolate linearly inside the partial bucket for smoother
-        // estimates (the cost models invert this function).
-        if full < buckets {
-            let frac = (r - full as f64 * width) / width;
-            acc += (self.counts[full] as f64 * frac).round() as u64;
-        }
-        acc as f64 / self.total as f64
     }
 
     /// Inverse CDF: the smallest `r` (quantised to bucket edges) such that
@@ -222,25 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_cdf_monotone_and_bounded() {
-        let mut h = DistanceHistogram::new(10.0, 20);
-        for d in [0.0, 1.0, 2.5, 2.5, 9.9, 10.0, 12.0] {
-            h.record(d);
-        }
-        assert_eq!(h.total(), 7);
-        let mut prev = 0.0;
-        for i in 0..=100 {
-            let r = i as f64 * 0.1;
-            let f = h.cdf(r);
-            assert!(f >= prev - 1e-12, "cdf must be monotone");
-            assert!((0.0..=1.0).contains(&f));
-            prev = f;
-        }
-        assert_eq!(h.cdf(10.0), 1.0);
-        assert_eq!(h.cdf(-1.0), 0.0);
-    }
-
-    #[test]
     fn quantile_radius_inverts_cdf() {
         let mut h = DistanceHistogram::new(100.0, 100);
         for i in 0..1000 {
@@ -251,11 +199,5 @@ mod tests {
         assert!((9.0..=11.0).contains(&r), "r = {r}");
         // Unreachable k saturates at d+.
         assert_eq!(h.quantile_radius(10, 100_000), 100.0);
-    }
-
-    #[test]
-    fn estimate_max_distance_is_max() {
-        assert_eq!(estimate_max_distance(&[1.0, 5.0, 2.0]), 5.0);
-        assert_eq!(estimate_max_distance(&[]), 0.0);
     }
 }

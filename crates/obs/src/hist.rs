@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets: one per power of two of `u64` plus the zero
 /// bucket, capped so the top bucket absorbs everything `≥ 2^62`.
-pub const BUCKETS: usize = 64;
+pub(crate) const BUCKETS: usize = 64;
 
 /// A lock-free log₂-bucketed histogram of `u64` samples (latency
 /// histograms record nanoseconds; size histograms record bytes).

@@ -13,7 +13,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Maximum events retained; older events are dropped first.
-pub const RING_CAPACITY: usize = 1024;
+pub(crate) const RING_CAPACITY: usize = 1024;
 
 /// One completed span: which phase, when it ended (nanoseconds since
 /// the process trace epoch), and how long it took.

@@ -21,8 +21,6 @@
 //! All methods run on bounded samples so selection stays `O(|O|)` overall,
 //! as the paper requires.
 
-#![forbid(unsafe_code)]
-
 use rand::prelude::*;
 use rand::rngs::StdRng;
 

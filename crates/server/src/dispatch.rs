@@ -45,7 +45,8 @@
 //! count as served like the request that popped them. Requests with a
 //! deadline never join a shared batch: their budget is theirs alone, and
 //! they execute solo under their own deadline, checked between traversal
-//! slices by the service.
+//! slices by the service. That budget is a [`Deadline`], pinned once at
+//! receipt so time spent queued counts against it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -55,10 +56,40 @@ use std::time::{Duration, Instant};
 use spb_core::QueryPlan;
 use spb_storage::lockrank::{LockRank, RankedMutex};
 
-use crate::admission::Deadline;
 use crate::server::{error_response, Shared};
 use crate::service::{Answers, ServiceError};
 use crate::wire::{ErrorCode, Query, Request, Response};
+
+/// A request's absolute time budget.
+///
+/// Wire deadlines are relative (`deadline_ms` from receipt); this pins
+/// them to an [`Instant`] once so queueing time counts against the
+/// budget. `Deadline(None)` never expires.
+#[derive(Clone, Copy, Debug)]
+pub struct Deadline(Option<Instant>);
+
+impl Deadline {
+    /// A deadline `ms` milliseconds from now; `0` means no deadline.
+    pub fn from_ms(ms: u32) -> Deadline {
+        if ms == 0 {
+            Deadline(None)
+        } else {
+            Deadline(Some(
+                spb_obs::clock::now() + Duration::from_millis(u64::from(ms)),
+            ))
+        }
+    }
+
+    /// A deadline that never expires.
+    pub fn none() -> Deadline {
+        Deadline(None)
+    }
+
+    /// True iff the budget has run out.
+    pub fn expired(&self) -> bool {
+        self.0.is_some_and(|t| spb_obs::clock::now() >= t)
+    }
+}
 
 /// Identifies a live connection in the event loop's slab. The `gen`
 /// field distinguishes a reused slab slot from the connection a stale
@@ -211,7 +242,7 @@ impl DispatchQueue {
 
     /// Takes a place for a decoded work request, or sheds it (counted)
     /// when every place is held. Never blocks.
-    pub fn admit(&self) -> Option<Place> {
+    pub(crate) fn admit(&self) -> Option<Place> {
         let taken = self
             .held
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |h| {
@@ -232,7 +263,7 @@ impl DispatchQueue {
     }
 
     /// Wakes every worker (shutdown).
-    pub fn kick_all(&self) {
+    pub(crate) fn kick_all(&self) {
         self.cv.notify_all();
     }
 
@@ -240,7 +271,7 @@ impl DispatchQueue {
     /// queue is empty *and* shutdown has been requested, so queued
     /// work is always drained (each drained item still gets a typed
     /// `ShuttingDown` response from [`DispatchQueue::begin`]).
-    pub fn pop_blocking(&self, shutdown: &AtomicBool) -> Option<Work> {
+    pub(crate) fn pop_blocking(&self, shutdown: &AtomicBool) -> Option<Work> {
         let mut q = self.q.lock();
         loop {
             if let Some(w) = q.pop_front() {

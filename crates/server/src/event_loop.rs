@@ -65,7 +65,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use crate::admission::Deadline;
+use crate::dispatch::Deadline;
 use crate::dispatch::{ConnId, Work};
 use crate::server::{control_response, error_response, Shared};
 use crate::wire::{
@@ -91,14 +91,14 @@ const DRAIN_GRACE_NANOS: u64 = 5_000_000_000;
 
 pub(crate) mod sys {
     //! Minimal `poll(2)` FFI. The only other `unsafe` in the workspace
-    //! is the signal-handler registration in `server.rs`; both are
-    //! fenced behind justified allow markers and covered by spb-lint's
-    //! `no-unsafe` rule.
+    //! is the signal-handler registration in `server.rs`; each site
+    //! carries `#[allow(unsafe_code)]` and a `// SAFETY:` comment, which
+    //! this crate's `[lints]` table requires.
     use std::io;
 
     /// Mirrors `struct pollfd`.
     #[repr(C)]
-    pub struct PollFd {
+    pub(crate) struct PollFd {
         /// File descriptor to watch.
         pub fd: i32,
         /// Requested events (`POLLIN` / `POLLOUT`).
@@ -108,28 +108,28 @@ pub(crate) mod sys {
     }
 
     /// Data readable.
-    pub const POLLIN: i16 = 0x001;
+    pub(crate) const POLLIN: i16 = 0x001;
     /// Writable without blocking.
-    pub const POLLOUT: i16 = 0x004;
+    pub(crate) const POLLOUT: i16 = 0x004;
     /// Error condition.
-    pub const POLLERR: i16 = 0x008;
+    pub(crate) const POLLERR: i16 = 0x008;
     /// Peer hung up.
-    pub const POLLHUP: i16 = 0x010;
+    pub(crate) const POLLHUP: i16 = 0x010;
     /// Invalid descriptor.
-    pub const POLLNVAL: i16 = 0x020;
+    pub(crate) const POLLNVAL: i16 = 0x020;
 
     /// Blocks until one of `fds` is ready or `timeout_ms` elapses
     /// (`-1` = wait forever). Returns the number of ready descriptors.
-    #[allow(unsafe_code)] // fenced FFI site, justified on the marker below
-    pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
+    #[allow(unsafe_code)] // FFI; see the SAFETY comment below
+    pub(crate) fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
         extern "C" {
             fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
         }
-        // spb-lint: allow(no-unsafe) — poll(2) has no safe std
-        // equivalent: std offers blocking reads or busy-wait loops only,
-        // and the event loop exists to sleep until readiness. The call
-        // writes only into the PollFd slice we own, whose length is
-        // passed alongside the pointer.
+        // SAFETY: poll(2) has no safe std equivalent: std offers
+        // blocking reads or busy-wait loops only, and the event loop
+        // exists to sleep until readiness. The call writes only into the
+        // PollFd slice we own, whose length is passed alongside the
+        // pointer.
         let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, timeout_ms) };
         if rc < 0 {
             Err(io::Error::last_os_error())

@@ -13,11 +13,11 @@
 //!   into a type-erased [`IndexService`](service::IndexService);
 //! * [`service`] — dispatching decoded requests onto an
 //!   [`SpbTree`](spb_core::SpbTree);
-//! * [`admission`] — per-request deadlines;
 //! * [`server`] — the readiness-based event-loop server (`poll(2)` over
 //!   non-blocking sockets, pipelined frames, a batching dispatcher whose
-//!   bounded queue is the admission control, shedding load beyond it)
-//!   with graceful drain-and-checkpoint shutdown;
+//!   bounded queue is the admission control, shedding load beyond it,
+//!   and a per-request [`Deadline`]) with graceful drain-and-checkpoint
+//!   shutdown;
 //! * [`client`] — a blocking client: one `query(plan, …)` call for every
 //!   query op and a pipelined `send_many` path, reused by `spb-cli --addr`
 //!   and the cluster router.
@@ -25,13 +25,8 @@
 //! No async runtime and no network dependencies: std threads and sockets
 //! only.
 
-// `deny`, not `forbid`: the signal-handler registration in `server.rs`
-// and the `poll(2)` shim in `event_loop.rs` carry the workspace's only
-// fenced `#[allow(unsafe_code)]` sites.
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod client;
 mod dispatch;
 mod event_loop;
@@ -40,8 +35,8 @@ pub mod server;
 pub mod service;
 pub mod wire;
 
-pub use admission::Deadline;
 pub use client::{Client, ClientError};
+pub use dispatch::Deadline;
 pub use schema::{open_index, read_schema, schema_path, Schema};
 pub use server::{serve, serve_until_shutdown, ServerConfig, ServerHandle};
 pub use service::{Answers, IndexService, ServiceError, TreeService};

@@ -126,19 +126,13 @@ impl ServerHandle {
 
     /// True once shutdown has been requested (locally or by a remote
     /// `Shutdown` request).
-    pub fn is_shutting_down(&self) -> bool {
+    pub(crate) fn is_shutting_down(&self) -> bool {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// Requests shed by admission control since startup.
     pub fn shed_count(&self) -> u64 {
         self.shared.dispatch.shed.get()
-    }
-
-    /// Requests served (executed, or answered by an identical query's
-    /// execution) since startup.
-    pub fn served_count(&self) -> u64 {
-        self.shared.dispatch.served.get()
     }
 
     /// Requests that missed their deadline since startup — rejected
@@ -302,7 +296,7 @@ extern "C" fn on_signal(_sig: i32) {
 
 /// Routes SIGINT/SIGTERM to `SIGNAL_SHUTDOWN`, so a serving process can
 /// drain and checkpoint instead of dying mid-write. No-op outside Unix.
-#[allow(unsafe_code)] // fenced FFI site, justified on the marker below
+#[allow(unsafe_code)] // FFI; see the SAFETY comment below
 fn install_signal_handler() {
     #[cfg(unix)]
     {
@@ -311,9 +305,9 @@ fn install_signal_handler() {
         }
         const SIGINT: i32 = 2;
         const SIGTERM: i32 = 15;
-        // spb-lint: allow(no-unsafe) — registering a POSIX signal handler
-        // has no safe std equivalent; the handler body is a single atomic
-        // store, the only async-signal-safe operation it performs.
+        // SAFETY: registering a POSIX signal handler has no safe std
+        // equivalent. `on_signal` matches the `sighandler_t` signature and
+        // its body is a single atomic store, which is async-signal-safe.
         unsafe {
             signal(SIGINT, on_signal);
             signal(SIGTERM, on_signal);

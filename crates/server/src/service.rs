@@ -25,7 +25,7 @@ use std::io;
 use spb_core::{QueryAnswers, QueryPlan, QueryShape, SpbTree};
 use spb_metric::{Distance, MetricObject};
 
-use crate::admission::Deadline;
+use crate::dispatch::Deadline;
 use crate::schema::Schema;
 use crate::wire::{WireHit, WireNn, WireStats};
 

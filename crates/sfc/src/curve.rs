@@ -2,7 +2,7 @@
 
 /// A one-dimensional space-filling-curve value. `dims · bits ≤ 127` keeps
 /// every value (and every MBB corner) inside one `u128`.
-pub type SfcValue = u128;
+pub(crate) type SfcValue = u128;
 
 /// Which space-filling curve to use.
 ///
@@ -47,11 +47,6 @@ impl Sfc {
     /// A Hilbert curve (the SPB-tree default).
     pub fn hilbert(dims: usize, bits: u32) -> Self {
         Self::new(CurveKind::Hilbert, dims, bits)
-    }
-
-    /// A Z-order curve (used by the similarity-join algorithm).
-    pub fn z_order(dims: usize, bits: u32) -> Self {
-        Self::new(CurveKind::Z, dims, bits)
     }
 
     /// The curve kind.
@@ -281,7 +276,7 @@ mod tests {
     #[test]
     fn z_curve_2d_matches_reference() {
         // The classic 4x4 Morton layout.
-        let z = Sfc::z_order(2, 2);
+        let z = Sfc::new(CurveKind::Z, 2, 2);
         // encode(x=col? ...) — our convention: point[0] is the most
         // significant dimension in the interleave.
         assert_eq!(z.encode(&[0, 0]), 0);
@@ -345,7 +340,7 @@ mod tests {
     fn z_curve_is_monotone_under_domination() {
         // Lemma 6's foundation: if p dominates q coordinate-wise then
         // SFC_Z(p) >= SFC_Z(q).
-        let z = Sfc::z_order(3, 4);
+        let z = Sfc::new(CurveKind::Z, 3, 4);
         let pts = [[1u32, 2, 3], [4, 5, 6], [0, 0, 15], [7, 7, 7], [15, 15, 15]];
         for a in &pts {
             for b in &pts {
@@ -466,7 +461,7 @@ mod proptests {
         #[test]
         fn z_domination_monotonicity(dims in 1usize..=5, bits in 1u32..=8, seed in any::<u64>()) {
             use rand::{Rng, SeedableRng};
-            let c = Sfc::z_order(dims, bits);
+            let c = Sfc::new(CurveKind::Z, dims, bits);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let a: Vec<u32> = (0..dims).map(|_| rng.gen_range(0..=c.max_coord())).collect();
             // b dominates a by construction.

@@ -53,15 +53,6 @@ impl GridBox {
         self.lo.len()
     }
 
-    /// Grows the box (in place) to cover `p`.
-    pub fn extend_to(&mut self, p: &[u32]) {
-        debug_assert_eq!(p.len(), self.dims());
-        for (i, &c) in p.iter().enumerate() {
-            self.lo[i] = self.lo[i].min(c);
-            self.hi[i] = self.hi[i].max(c);
-        }
-    }
-
     /// True iff `p` lies inside the box.
     pub fn contains_point(&self, p: &[u32]) -> bool {
         debug_assert_eq!(p.len(), self.dims());
@@ -93,7 +84,7 @@ impl GridBox {
     }
 
     /// Iterates over every cell of the box in row-major order.
-    pub fn cells(&self) -> CellIter<'_> {
+    pub(crate) fn cells(&self) -> CellIter<'_> {
         CellIter {
             bx: self,
             current: Some(self.lo.clone()),
@@ -140,7 +131,7 @@ impl GridBox {
 }
 
 /// Row-major iterator over a box's cells. See [`GridBox::cells`].
-pub struct CellIter<'a> {
+pub(crate) struct CellIter<'a> {
     bx: &'a GridBox,
     current: Option<Vec<u32>>,
 }
@@ -222,15 +213,6 @@ mod tests {
         let p = GridBox::point(&[7, 7]);
         assert_eq!(p.cell_count(), 1);
         assert_eq!(p.cells().count(), 1);
-    }
-
-    #[test]
-    fn extend_to_grows_minimally() {
-        let mut b = GridBox::point(&[3, 3]);
-        b.extend_to(&[1, 5]);
-        assert_eq!(b, GridBox::new(vec![1, 3], vec![3, 5]));
-        b.extend_to(&[2, 4]); // interior point: no change
-        assert_eq!(b, GridBox::new(vec![1, 3], vec![3, 5]));
     }
 
     #[test]

@@ -19,10 +19,8 @@
 //! the `L∞` lower-bound distance `MIND` between a query point and a box
 //! (Lemma 3).
 
-#![forbid(unsafe_code)]
-
 mod curve;
 mod grid;
 
-pub use curve::{CurveKind, Sfc, SfcValue};
+pub use curve::{CurveKind, Sfc};
 pub use grid::{mind_linf, GridBox};

@@ -41,7 +41,7 @@ use crate::FileData;
 
 /// A call expression inside a function body.
 #[derive(Clone, Debug)]
-pub struct CallSite {
+pub(crate) struct CallSite {
     /// 1-based source line of the callee name.
     pub line: u32,
     /// What is being called.
@@ -50,7 +50,7 @@ pub struct CallSite {
 
 /// The syntactic shape of a call.
 #[derive(Clone, Debug)]
-pub enum Callee {
+pub(crate) enum Callee {
     /// `.name(` — receiver type unknown.
     Method(String),
     /// `self.name(` — the receiver is the enclosing impl's type.
@@ -61,7 +61,7 @@ pub enum Callee {
 
 /// One `fn` item.
 #[derive(Clone, Debug)]
-pub struct FnItem {
+pub(crate) struct FnItem {
     /// The function's bare name.
     pub name: String,
     /// Enclosing `impl` type (or trait, for default-bodied trait
@@ -72,8 +72,6 @@ pub struct FnItem {
     pub trait_name: Option<String>,
     /// Whether the first parameter is (some form of) `self`.
     pub has_self: bool,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Token range `[start, end)` of the body including its braces;
     /// `start == end` for signature-only trait declarations.
     pub body: (usize, usize),
@@ -84,7 +82,7 @@ pub struct FnItem {
 
 /// One `use` declaration leaf: the name it binds and the full path.
 #[derive(Clone, Debug)]
-pub struct UseItem {
+pub(crate) struct UseItem {
     /// The bound name (the last segment, or the `as` alias).
     pub alias: String,
     /// Full path segments, e.g. `["crate", "server", "control_response"]`.
@@ -93,7 +91,7 @@ pub struct UseItem {
 
 /// The item-level view of one file.
 #[derive(Clone, Debug, Default)]
-pub struct FileAst {
+pub(crate) struct FileAst {
     /// Every `fn` with a body.
     pub fns: Vec<FnItem>,
     /// `use` leaves for name resolution.
@@ -116,7 +114,7 @@ enum Scope {
 }
 
 /// Parses the (test-stripped) token stream of one file.
-pub fn parse(d: &FileData) -> FileAst {
+pub(crate) fn parse(d: &FileData) -> FileAst {
     let toks = &d.code;
     let mut ast = FileAst::default();
     // (scope, brace depth its `{` opened at).
@@ -368,7 +366,6 @@ fn parse_fn(
         return start + 1;
     };
     let name = name_tok.text.clone();
-    let line = toks[start].line;
     let mut i = start + 2;
     if toks.get(i).is_some_and(|t| t.text == "<") {
         i = skip_angles(toks, i);
@@ -432,7 +429,6 @@ fn parse_fn(
             owner,
             trait_name,
             has_self,
-            line,
             body: (i, i), // end patched when the brace closes
             calls: Vec::new(),
         });

@@ -47,7 +47,7 @@ use crate::FileData;
 /// under-approximation. Workspace-specific helpers that matter to the
 /// rules (`latch_shared`, `wal_segment`, …) are not std names and
 /// resolve normally.
-pub const STD_AMBIGUOUS_METHODS: &[&str] = &[
+pub(crate) const STD_AMBIGUOUS_METHODS: &[&str] = &[
     "len",
     "is_empty",
     "insert",
@@ -133,7 +133,7 @@ pub const STD_AMBIGUOUS_METHODS: &[&str] = &[
 
 /// How a call edge was resolved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EdgeKind {
+pub(crate) enum EdgeKind {
     /// Direct: free fn, inherent method, `Self::`/`Type::` path.
     Static,
     /// Through a trait surface: the target sits in a trait impl or is
@@ -143,7 +143,7 @@ pub enum EdgeKind {
 
 /// One resolved call edge.
 #[derive(Clone, Debug)]
-pub struct Edge {
+pub(crate) struct Edge {
     /// Index of the target fn in [`CallGraph::fns`].
     pub to: usize,
     /// 1-based source line of the call site in the caller's file.
@@ -154,7 +154,7 @@ pub struct Edge {
 
 /// A fn item tagged with where it lives.
 #[derive(Clone, Debug)]
-pub struct GraphFn {
+pub(crate) struct GraphFn {
     /// Repo-relative path of the defining file.
     pub file: String,
     /// Crate name segment (`spb-lint` from `crates/spb-lint/src/…`),
@@ -168,16 +168,16 @@ pub struct GraphFn {
 #[derive(Debug, Default)]
 pub struct CallGraph {
     /// Every fn item in the workspace.
-    pub fns: Vec<GraphFn>,
+    pub(crate) fns: Vec<GraphFn>,
     /// Outgoing edges per fn, parallel to `fns`.
-    pub edges: Vec<Vec<Edge>>,
+    pub(crate) edges: Vec<Vec<Edge>>,
     /// File index of each fn (into the original `datas` slice).
-    pub file_of: Vec<usize>,
+    pub(crate) file_of: Vec<usize>,
 }
 
 impl CallGraph {
     /// Human-readable label: `Type::name` or `name`.
-    pub fn label(&self, i: usize) -> String {
+    pub(crate) fn label(&self, i: usize) -> String {
         let f = &self.fns[i];
         match &f.item.owner {
             Some(o) => format!("{o}::{}", f.item.name),

@@ -11,7 +11,7 @@
 
 /// What a code token is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// Identifier or keyword (`unwrap`, `fn`, `unsafe_code`, ...).
     Ident,
     /// Single punctuation character (`.`, `[`, `!`, ...).
@@ -28,7 +28,7 @@ pub enum TokKind {
 
 /// One code token with its 1-based source line.
 #[derive(Clone, Debug)]
-pub struct Tok {
+pub(crate) struct Tok {
     /// Token class.
     pub kind: TokKind,
     /// Source text for `Ident`/`Punct`; empty for literals (rules never
@@ -41,7 +41,7 @@ pub struct Tok {
 /// One comment with the 1-based line it starts on. The text excludes
 /// the `//` / `/*` markers.
 #[derive(Clone, Debug)]
-pub struct Comment {
+pub(crate) struct Comment {
     /// 1-based line the comment starts on.
     pub line: u32,
     /// Comment body without the delimiters.
@@ -50,7 +50,7 @@ pub struct Comment {
 
 /// A lexed file: code tokens and comments, both in source order.
 #[derive(Debug, Default)]
-pub struct LexFile {
+pub(crate) struct LexFile {
     /// Code tokens (comments and whitespace stripped).
     pub toks: Vec<Tok>,
     /// All comments, for allow-marker parsing.
@@ -82,7 +82,7 @@ pub fn lex_count() -> u64 {
 /// Tokenizes `src`. Unterminated literals are tolerated (the rest of
 /// the file is swallowed into the literal) — the linter must not panic
 /// on malformed fixtures.
-pub fn lex(src: &str) -> LexFile {
+pub(crate) fn lex(src: &str) -> LexFile {
     LEX_CALLS.with(|c| c.set(c.get() + 1));
     let chars: Vec<char> = src.chars().collect();
     let mut out = LexFile::default();

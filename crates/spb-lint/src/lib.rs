@@ -1,23 +1,18 @@
 //! The workspace's static-analysis pass (`spb-lint`).
 //!
 //! A dependency-free linter that enforces the invariants neither the
-//! compiler nor clippy can: panic-free and non-blocking call chains, a
-//! fenced-`unsafe` policy, total `match` coverage in wire/WAL decoding,
-//! and live-ness of every counter and error-code variant. (Lock order is
-//! a type's job — `spb_storage::lockrank` — and literal panics in the
-//! no-panic zones are clippy's, see [`rules::NO_PANIC_ZONES`].) It lexes
-//! Rust source with the hand-rolled [`lexer`] (the build environment is
-//! offline, so no syn/proc-macro machinery) and runs the rules from
-//! [`rules`].
+//! compiler nor clippy can: panic-free and non-blocking call chains,
+//! total `match` coverage in wire/WAL decoding, and live-ness of every
+//! counter and error-code variant. It lexes Rust source with the
+//! hand-rolled [`lexer`] (the build environment is offline, so no
+//! syn/proc-macro machinery) and runs the rules from [`rules`].
 //!
 //! # Rules
 //!
 //! | slug | default | what it enforces |
 //! |------|---------|------------------|
-//! | `no-unsafe` | deny | no `unsafe` anywhere; every crate root forbids it |
 //! | `catch-all` | deny | no `_ =>` arms in wire/WAL decode functions |
 //! | `dead-variant` | warn | every counter field / error variant referenced outside its definition |
-//! | `raw-instant` | deny | no bare `Instant::now()` on hot paths; time through `spb_obs::clock` |
 //! | `nan-unsafe` | deny | no `partial_cmp` float comparisons in the accel zone; use `total_cmp` |
 //! | `panic-reach` | deny | no-panic zones must not `assert!`, nor *call into* panic-capable helpers, transitively |
 //! | `block-reach` | deny | nothing in, or reachable from, the event-loop module may block |
@@ -27,6 +22,24 @@
 //! a whole-workspace call graph ([`ast`] → [`callgraph`] → [`reach`])
 //! and print witness call chains as evidence.
 //!
+//! # What the toolchain enforces instead
+//!
+//! Invariants that rustc and clippy can check with type information are
+//! theirs, not this crate's:
+//!
+//! - **No `unsafe`.** `[workspace.lints.rust] unsafe_code = "forbid"`,
+//!   inherited by every package through `[lints] workspace = true`.
+//!   `spb-server` alone has its own table (`deny`, plus clippy's
+//!   `undocumented_unsafe_blocks`) for its two FFI sites, each of which
+//!   carries `#[allow(unsafe_code)]` and a `// SAFETY:` comment.
+//! - **One clock.** The root `clippy.toml` disallows
+//!   `std::time::Instant::now`; only `spb_obs::clock::now` allows it.
+//! - **Lock order.** Ranked locks (`spb_storage::lockrank`) keep their
+//!   inner `std::sync` lock private, so a raw acquisition does not
+//!   compile, and debug builds check the ascending order at run time.
+//! - **Literal panics in the no-panic zones.** Each zone file's clippy
+//!   deny line (see [`rules::NO_PANIC_ZONES`]).
+//!
 //! # Suppression markers
 //!
 //! A finding is suppressed by a line comment of the form
@@ -35,7 +48,6 @@
 //! The reason is mandatory: a marker without one is itself reported
 //! under `bad-allow`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;
@@ -53,16 +65,11 @@ use lexer::{LexFile, Tok};
 /// suppression markers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// `unsafe` code, or a crate root that does not forbid it.
-    NoUnsafe,
     /// `_ =>` catch-all arm in a decode function.
     CatchAll,
     /// Enum variant / counter field never referenced outside its
     /// definition.
     DeadVariant,
-    /// Bare `Instant::now()` on a hot path instead of the `spb_obs`
-    /// clock helpers.
-    RawInstant,
     /// NaN-unsafe float comparison (`partial_cmp`) in the accel zone,
     /// where model parameters come from arithmetic that can degenerate.
     NanUnsafe,
@@ -81,10 +88,8 @@ impl Rule {
     /// that each one has a live bad fixture. Keep in sync with the
     /// enum (the `slug`/`from_slug` round-trip test guards drift).
     pub const ALL: &'static [Rule] = &[
-        Rule::NoUnsafe,
         Rule::CatchAll,
         Rule::DeadVariant,
-        Rule::RawInstant,
         Rule::NanUnsafe,
         Rule::PanicReach,
         Rule::BlockReach,
@@ -94,10 +99,8 @@ impl Rule {
     /// Stable diagnostic slug, also used in suppression markers.
     pub fn slug(self) -> &'static str {
         match self {
-            Rule::NoUnsafe => "no-unsafe",
             Rule::CatchAll => "catch-all",
             Rule::DeadVariant => "dead-variant",
-            Rule::RawInstant => "raw-instant",
             Rule::NanUnsafe => "nan-unsafe",
             Rule::PanicReach => "panic-reach",
             Rule::BlockReach => "block-reach",
@@ -107,12 +110,10 @@ impl Rule {
 
     /// Parses a marker slug. Named bindings (not `_`) keep the match
     /// total under this crate's own catch-all rule spirit.
-    pub fn from_slug(s: &str) -> Option<Rule> {
+    pub(crate) fn from_slug(s: &str) -> Option<Rule> {
         match s {
-            "no-unsafe" => Some(Rule::NoUnsafe),
             "catch-all" => Some(Rule::CatchAll),
             "dead-variant" => Some(Rule::DeadVariant),
-            "raw-instant" => Some(Rule::RawInstant),
             "nan-unsafe" => Some(Rule::NanUnsafe),
             "panic-reach" => Some(Rule::PanicReach),
             "block-reach" => Some(Rule::BlockReach),
@@ -162,7 +163,7 @@ impl fmt::Display for Violation {
 
 /// A parsed suppression marker.
 #[derive(Clone, Debug)]
-pub struct AllowMark {
+pub(crate) struct AllowMark {
     /// The suppressed rule.
     pub rule: Rule,
     /// Line the marker comment sits on.
@@ -177,9 +178,9 @@ pub struct FileData {
     /// Repo-relative path with forward slashes.
     pub rel: String,
     /// Code tokens with `#[cfg(test)]` items removed.
-    pub code: Vec<Tok>,
+    pub(crate) code: Vec<Tok>,
     /// Valid suppression markers.
-    pub allows: Vec<AllowMark>,
+    pub(crate) allows: Vec<AllowMark>,
 }
 
 impl FileData {
@@ -262,12 +263,9 @@ pub fn run(cfg: &Config) -> Report {
     }
 
     for d in &datas {
-        rules::no_unsafe(d, &mut report.violations);
         rules::catch_all(d, &mut report.violations);
-        rules::raw_instant(d, &mut report.violations);
         rules::nan_unsafe(d, &mut report.violations);
     }
-    rules::crate_roots(&datas, &mut report.violations);
     rules::dead_variants(&datas, &mut report.violations);
 
     // Interprocedural pass: one AST per file (from the already-lexed
@@ -399,7 +397,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 /// and the item body through its matching brace or terminating `;`).
 /// Test code may use `unwrap`/indexing freely — the rules only govern
 /// production paths.
-pub fn strip_tests(toks: &[Tok]) -> Vec<Tok> {
+pub(crate) fn strip_tests(toks: &[Tok]) -> Vec<Tok> {
     let mut out = Vec::with_capacity(toks.len());
     let mut i = 0;
     while i < toks.len() {
@@ -600,7 +598,7 @@ mod tests {
         assert_eq!(d.allows.len(), 1);
         assert!(d.allowed(Rule::PanicReach, 4));
         assert!(!d.allowed(Rule::PanicReach, 5));
-        assert!(!d.allowed(Rule::NoUnsafe, 4));
+        assert!(!d.allowed(Rule::BlockReach, 4));
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //! reports only findings in files changed relative to `HEAD`, keeping
 //! pre-commit runs quiet about pre-existing noise.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -50,9 +48,9 @@ fn main() -> ExitCode {
                      --root DIR      scan DIR instead of this workspace\n\
                      --format json   write the report as JSON to stdout\n\
                      --changed-only  report only findings in files changed vs HEAD\n\n\
-                     Rules: no-unsafe, catch-all, dead-variant, raw-instant, nan-unsafe,\n\
-                     panic-reach, block-reach, bad-allow. See DESIGN.md §10 for the\n\
-                     catalog and the allow-marker grammar."
+                     Rules: catch-all, dead-variant, nan-unsafe, panic-reach, block-reach,\n\
+                     bad-allow. See DESIGN.md §10 for the catalog and the allow-marker\n\
+                     grammar."
                 );
                 return ExitCode::SUCCESS;
             }

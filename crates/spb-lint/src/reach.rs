@@ -14,7 +14,7 @@ use crate::callgraph::{CallGraph, EdgeKind};
 
 /// Why a function is capable.
 #[derive(Clone, Debug)]
-pub enum Reason {
+pub(crate) enum Reason {
     /// The capability is local: `line` + a description of the site
     /// (e.g. "`.unwrap()`" or "`file.read_exact()`").
     Local {
@@ -33,14 +33,14 @@ pub enum Reason {
 }
 
 /// Result of a reachability pass.
-pub struct Reach {
+pub(crate) struct Reach {
     /// `Some(reason)` iff the fn is capable.
     pub reason: Vec<Option<Reason>>,
 }
 
 impl Reach {
     /// Whether `f` can reach a source.
-    pub fn capable(&self, f: usize) -> bool {
+    pub(crate) fn capable(&self, f: usize) -> bool {
         self.reason[f].is_some()
     }
 
@@ -81,7 +81,7 @@ impl Reach {
 
     /// Renders the chain as `A (file:line) -> B (file:line) -> … ->
     /// local site`.
-    pub fn render_chain(&self, g: &CallGraph, f: usize) -> String {
+    pub(crate) fn render_chain(&self, g: &CallGraph, f: usize) -> String {
         let parts: Vec<String> = (self.chain(g, f).iter())
             .map(|h| match &h.what {
                 Some(w) => format!("{} ({}:{}: {})", h.label, h.file, h.line, w),
@@ -94,7 +94,7 @@ impl Reach {
 
 /// One hop of a witness chain.
 #[derive(Clone, Debug)]
-pub struct ChainHop {
+pub(crate) struct ChainHop {
     /// `Type::name` label of the hop's function.
     pub label: String,
     /// Repo-relative defining file.
@@ -107,7 +107,7 @@ pub struct ChainHop {
 
 /// Computes reachability from `sources` (fn index, local line, site
 /// description), following edges whose kind passes `follow`.
-pub fn compute(
+pub(crate) fn compute(
     g: &CallGraph,
     sources: &[(usize, u32, String)],
     follow: impl Fn(EdgeKind) -> bool,

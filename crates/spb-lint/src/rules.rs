@@ -40,118 +40,6 @@ fn push(d: &FileData, out: &mut Vec<Violation>, rule: Rule, line: u32, message: 
     });
 }
 
-/// R2 (site half) — `no-unsafe`: no `unsafe` token anywhere in the
-/// workspace. A vetted FFI site may carry an allow marker; everything
-/// else is a finding.
-pub fn no_unsafe(d: &FileData, out: &mut Vec<Violation>) {
-    for t in &d.code {
-        if t.kind == TokKind::Ident && t.text == "unsafe" {
-            push(
-                d,
-                out,
-                Rule::NoUnsafe,
-                t.line,
-                "`unsafe` is forbidden workspace-wide; if this site is unavoidable, fence it \
-                 with a justified allow marker"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-/// R2 (attribute half) — every crate root must carry
-/// `#![forbid(unsafe_code)]`. `#![deny(unsafe_code)]` is accepted only
-/// when the crate actually contains a fenced, allow-marked `unsafe`
-/// site (forbid cannot be overridden item-locally, so such a crate
-/// cannot use it).
-pub fn crate_roots(datas: &[FileData], out: &mut Vec<Violation>) {
-    let fenced: HashSet<String> = datas
-        .iter()
-        .filter(|d| d.allows.iter().any(|a| a.rule == Rule::NoUnsafe))
-        .map(|d| crate_prefix(&d.rel))
-        .collect();
-    for d in datas {
-        if !is_crate_root(&d.rel) {
-            continue;
-        }
-        match unsafe_attr(&d.code) {
-            Some(("forbid", _)) => {}
-            Some(("deny", line)) => {
-                if !fenced.contains(&crate_prefix(&d.rel)) {
-                    push(
-                        d,
-                        out,
-                        Rule::NoUnsafe,
-                        line,
-                        "crate root uses `#![deny(unsafe_code)]` but the crate has no fenced \
-                         allow-marked unsafe site; use `#![forbid(unsafe_code)]`"
-                            .to_string(),
-                    );
-                }
-            }
-            Some((other, line)) => {
-                // `allow(unsafe_code)` / `warn(unsafe_code)` and friends.
-                push(
-                    d,
-                    out,
-                    Rule::NoUnsafe,
-                    line,
-                    format!(
-                        "crate root weakens the unsafe policy with `#![{other}(unsafe_code)]`; \
-                         use `#![forbid(unsafe_code)]`"
-                    ),
-                );
-            }
-            None => {
-                push(
-                    d,
-                    out,
-                    Rule::NoUnsafe,
-                    1,
-                    "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-                );
-            }
-        }
-    }
-}
-
-fn is_crate_root(rel: &str) -> bool {
-    if rel == "src/lib.rs" || rel == "src/main.rs" {
-        return true;
-    }
-    rel.strip_prefix("crates/").is_some_and(|rest| {
-        rest.ends_with("/src/lib.rs")
-            || rest.ends_with("/src/main.rs")
-            || rest.contains("/src/bin/")
-    })
-}
-
-fn crate_prefix(rel: &str) -> String {
-    match rel.strip_prefix("crates/") {
-        Some(rest) => format!("crates/{}", rest.split('/').next().unwrap_or_default()),
-        None => "src".to_string(),
-    }
-}
-
-/// Finds the first `#![<lint>(unsafe_code)]` inner attribute; returns
-/// the lint name and its line.
-fn unsafe_attr(toks: &[Tok]) -> Option<(&str, u32)> {
-    for i in 0..toks.len().saturating_sub(7) {
-        if toks[i].text == "#"
-            && toks[i + 1].text == "!"
-            && toks[i + 2].text == "["
-            && toks[i + 3].kind == TokKind::Ident
-            && toks[i + 4].text == "("
-            && toks[i + 5].text == "unsafe_code"
-            && toks[i + 6].text == ")"
-            && toks[i + 7].text == "]"
-        {
-            return Some((toks[i + 3].text.as_str(), toks[i + 3].line));
-        }
-    }
-    None
-}
-
 /// Files whose decode functions must match exhaustively.
 const DECODE_FILES: &[&str] = &["crates/server/src/wire.rs", "crates/storage/src/wal.rs"];
 
@@ -212,58 +100,10 @@ pub fn catch_all(d: &FileData, out: &mut Vec<Violation>) {
     }
 }
 
-/// Files on the request hot path where every timestamp must flow
-/// through `spb_obs::clock`: a bare `Instant::now()` there silently
-/// escapes the phase-latency accounting and drifts from the clock the
-/// histograms are calibrated against. Extend the list when a new layer
-/// gets instrumented.
-pub const HOT_PATH_FILES: &[&str] = &[
-    "crates/server/src/server.rs",
-    "crates/server/src/event_loop.rs",
-    "crates/server/src/dispatch.rs",
-    "crates/server/src/admission.rs",
-    "crates/server/src/service.rs",
-    "crates/core/src/tree.rs",
-    "crates/core/src/exec.rs",
-    "crates/core/src/join.rs",
-    "crates/core/src/stats.rs",
-    "crates/storage/src/cache.rs",
-    "crates/storage/src/wal.rs",
-];
-
-/// R6 — `raw-instant`: no bare `Instant::now()` in hot-path files;
-/// readings must come from `spb_obs::clock::now()` /
-/// `nanos_since(..)`. `Instant` as a *type* (fields, signatures) stays
-/// legal — only the raw call site is flagged.
-pub fn raw_instant(d: &FileData, out: &mut Vec<Violation>) {
-    if !HOT_PATH_FILES.contains(&d.rel.as_str()) {
-        return;
-    }
-    let toks = &d.code;
-    const SEQ: [&str; 5] = ["Instant", ":", ":", "now", "("];
-    for i in 0..toks.len().saturating_sub(SEQ.len() - 1) {
-        if SEQ
-            .iter()
-            .zip(&toks[i..])
-            .all(|(want, tok)| tok.text == *want)
-        {
-            push(
-                d,
-                out,
-                Rule::RawInstant,
-                toks[i].line,
-                "bare `Instant::now()` on a hot path; use `spb_obs::clock::now()` so the \
-                 reading stays on the clock the phase histograms use"
-                    .to_string(),
-            );
-        }
-    }
-}
-
 /// Files that run on the event-loop thread. Every socket there is
 /// non-blocking; a single blocking call stalls every connection the
 /// loop multiplexes.
-pub const EVENT_LOOP_FILES: &[&str] = &["crates/server/src/event_loop.rs"];
+pub(crate) const EVENT_LOOP_FILES: &[&str] = &["crates/server/src/event_loop.rs"];
 
 /// Path prefixes where float comparisons must be NaN-total. The accel
 /// crate compares model errors, recall numbers, and user-supplied
@@ -272,7 +112,7 @@ pub const EVENT_LOOP_FILES: &[&str] = &["crates/server/src/event_loop.rs"];
 /// hostile off the wire. `partial_cmp` there either feeds an `unwrap`
 /// (a panic in a no-panic zone) or silently imposes an arbitrary
 /// order; `f64::total_cmp` / explicit NaN handling is always available.
-pub const NAN_UNSAFE_ZONES: &[&str] = &["crates/accel/src/"];
+pub(crate) const NAN_UNSAFE_ZONES: &[&str] = &["crates/accel/src/"];
 
 /// R8 — `nan-unsafe`: no `.partial_cmp(..)` calls inside the accel
 /// zone; sort and compare floats with `total_cmp` (or handle NaN
@@ -663,9 +503,7 @@ mod tests {
     fn lint_one(rel: &str, src: &str) -> Vec<Violation> {
         let mut out = Vec::new();
         let d = crate::analyze(rel.to_string(), src, &mut out);
-        no_unsafe(&d, &mut out);
         catch_all(&d, &mut out);
-        raw_instant(&d, &mut out);
         let datas = [d];
         let g = crate::callgraph::build(&datas);
         panic_reach(&datas, &g, &mut out);
@@ -721,48 +559,6 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 2);
         assert_eq!(v[0].rule, Rule::CatchAll);
-    }
-
-    #[test]
-    fn raw_instant_flags_calls_not_types() {
-        // The call is flagged (both the bare and the fully-qualified
-        // spelling); `Instant` as a type or import is not.
-        let src = "use std::time::Instant;\nstruct S { t: Instant }\nfn f() -> u64 {\n    let t0 = Instant::now();\n    let t1 = std::time::Instant::now();\n    t1.duration_since(t0).as_nanos() as u64\n}";
-        let v = lint_one("crates/server/src/service.rs", src);
-        let lines: Vec<u32> = v
-            .iter()
-            .filter(|v| v.rule == Rule::RawInstant)
-            .map(|v| v.line)
-            .collect();
-        assert_eq!(lines, [4, 5]);
-    }
-
-    #[test]
-    fn raw_instant_only_applies_to_hot_path_files() {
-        let src = "fn f() { let _ = Instant::now(); }";
-        assert!(lint_one("crates/bench/src/lib.rs", src).is_empty());
-        assert_eq!(lint_one("crates/core/src/exec.rs", src).len(), 1);
-    }
-
-    #[test]
-    fn raw_instant_honors_allow_marker() {
-        let src = "fn f() {\n    // spb-lint: allow(raw-instant) — calibration probe\n    let _ = Instant::now();\n}";
-        assert!(lint_one("crates/core/src/tree.rs", src).is_empty());
-    }
-
-    #[test]
-    fn crate_root_attr_detection() {
-        let mut out = Vec::new();
-        let good = crate::analyze(
-            "crates/x/src/lib.rs".to_string(),
-            "#![forbid(unsafe_code)]\npub fn f() {}",
-            &mut out,
-        );
-        let bad = crate::analyze("crates/y/src/lib.rs".to_string(), "pub fn f() {}", &mut out);
-        crate_roots(&[good, bad], &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].file, "crates/y/src/lib.rs");
-        assert!(out[0].message.contains("forbid(unsafe_code)"));
     }
 
     #[test]

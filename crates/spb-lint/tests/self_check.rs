@@ -96,20 +96,43 @@ fn panic_reach_zero_hop_is_live_on_real_wal_rs() {
 }
 
 #[test]
-fn raw_instant_rule_is_live_on_real_server_rs() {
-    // Liveness for the hot-path timing rule: append a probe taking a
-    // raw reading to the real server.rs text and check it gets flagged
-    // (the clean run above proves the real file itself has none).
-    let path = repo_root().join("crates/server/src/server.rs");
-    let src = std::fs::read_to_string(path).expect("read server.rs");
-    let seeded =
-        format!("{src}\nfn probe() -> std::time::Instant {{ std::time::Instant::now() }}\n");
-    let mut out = Vec::new();
-    let d = analyze("crates/server/src/server.rs".to_string(), &seeded, &mut out);
-    rules::raw_instant(&d, &mut out);
-    assert_eq!(out.len(), 1, "{out:?}");
-    assert_eq!(out[0].rule, Rule::RawInstant);
-    assert_eq!(out[0].line as usize, seeded.lines().count());
+fn every_package_inherits_the_workspace_unsafe_lint() {
+    // `unsafe` is rustc's to reject: the root manifest forbids it for
+    // the workspace, every package inherits that table, and only
+    // spb-server (two FFI sites) spells its own, which still denies it
+    // and requires a SAFETY comment on each block.
+    let root = repo_root();
+    let read = |p: std::path::PathBuf| std::fs::read_to_string(&p).expect("read manifest");
+    let manifest = read(root.join("Cargo.toml"));
+    assert!(manifest.contains("[workspace.lints.rust]\nunsafe_code = \"forbid\""));
+    let mut packages = vec![("spb".to_string(), manifest)];
+    for entry in std::fs::read_dir(root.join("crates")).expect("read crates/") {
+        let dir = entry.expect("crates/ entry").path();
+        let name = dir.file_name().unwrap().to_string_lossy().into_owned();
+        packages.push((name, read(dir.join("Cargo.toml"))));
+    }
+    assert!(
+        packages.len() >= 15,
+        "only {} packages found",
+        packages.len()
+    );
+    for (name, text) in &packages {
+        if name == "server" {
+            assert!(
+                text.contains("[lints.rust]\nunsafe_code = \"deny\""),
+                "{name}"
+            );
+            assert!(
+                text.contains("undocumented_unsafe_blocks = \"deny\""),
+                "{name}"
+            );
+        } else {
+            assert!(
+                text.contains("[lints]\nworkspace = true"),
+                "{name} does not inherit"
+            );
+        }
+    }
 }
 
 #[test]

@@ -40,7 +40,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Incremental CRC-32 for data arriving in pieces (WAL frame bodies).
 #[derive(Clone, Copy, Debug)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
 }
 
@@ -66,7 +66,7 @@ impl Crc32 {
     }
 
     /// The checksum of everything fed so far.
-    pub fn finalize(self) -> u32 {
+    pub(crate) fn finalize(self) -> u32 {
         !self.state
     }
 }

@@ -121,7 +121,7 @@ impl std::fmt::Display for InjectedCrash {
 impl std::error::Error for InjectedCrash {}
 
 /// The error every scoped operation returns once the plan has tripped.
-pub fn injected_crash() -> io::Error {
+pub(crate) fn injected_crash() -> io::Error {
     io::Error::other(InjectedCrash)
 }
 
@@ -151,7 +151,7 @@ fn splitmix(mut x: u64) -> u64 {
 
 /// What the caller must do with a durable write it is about to perform.
 #[derive(Debug, PartialEq, Eq)]
-pub enum WritePlan {
+pub(crate) enum WritePlan {
     /// Write the buffer normally.
     Proceed,
     /// Write these bytes instead of the buffer, then fail with
@@ -167,7 +167,7 @@ fn in_scope(state: &FaultState, path: &Path) -> bool {
 
 /// Hook before writing `buf` to `path`. Durable-write sites must obey
 /// the returned [`WritePlan`].
-pub fn on_write(path: &Path, buf: &[u8]) -> WritePlan {
+pub(crate) fn on_write(path: &Path, buf: &[u8]) -> WritePlan {
     let mut active = ACTIVE.lock().unwrap_or_else(|e| e.into_inner());
     let Some(state) = active.as_mut() else {
         return WritePlan::Proceed;
@@ -204,13 +204,13 @@ pub fn on_write(path: &Path, buf: &[u8]) -> WritePlan {
 
 /// Hook before an fsync of `path`. `Err` means the process died before
 /// the sync took effect.
-pub fn on_sync(path: &Path) -> io::Result<()> {
+pub(crate) fn on_sync(path: &Path) -> io::Result<()> {
     bump_non_write(path)
 }
 
 /// Hook before atomically renaming onto `path`. `Err` means the process
 /// died before the rename.
-pub fn on_rename(path: &Path) -> io::Result<()> {
+pub(crate) fn on_rename(path: &Path) -> io::Result<()> {
     bump_non_write(path)
 }
 

@@ -29,8 +29,6 @@
 //! * [`fault`] — a deterministic crash/corruption injection harness used
 //!   by the recovery tests.
 
-#![forbid(unsafe_code)]
-
 mod atomic;
 mod cache;
 mod checksum;
@@ -45,10 +43,10 @@ mod wal;
 
 pub use atomic::atomic_write_file;
 pub use cache::{BufferPool, IoStats};
-pub use checksum::{crc32, Crc32};
+pub use checksum::crc32;
 pub use lru::Lru;
-pub use page::{Page, PageId, PAGE_CRC_SIZE, PAGE_DATA_SIZE, PAGE_SIZE};
-pub use pager::{is_bad_page_ref, is_corrupt, BadPageRef, Pager, StorageCorrupt};
+pub use page::{Page, PageId, PAGE_DATA_SIZE, PAGE_SIZE};
+pub use pager::{is_corrupt, Pager};
 pub use raf::{Raf, RafEntry, RafPtr};
 pub use tempdir::TempDir;
-pub use wal::{decode_record, encode_record, Wal, WalFileTag, WalRecord, WalScan};
+pub use wal::{Wal, WalFileTag, WalRecord, WalScan};

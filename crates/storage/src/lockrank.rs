@@ -11,8 +11,14 @@
 //! | 3 | Cluster router connection-pool mutex | `spb-cluster` (`Router`) |
 //! | 5 | Replica state lock (serving-tree swap) | `spb-cluster` (`Replica`) |
 //! | 10 | SPB-tree structure latch | `spb-core` (`SpbTree::latch`) |
+//! | 12 | Baseline index root / radii mutex | `spb-mams` (M-tree, R-tree, M-Index) |
+//! | 15 | RAF staged tail page | `spb-storage` (`Raf::staged`) |
 //! | 20 | Buffer-pool shard mutex | `spb-storage` (`cache::Shard`) |
 //! | 30 | WAL mutexes (`pending`, `file`) | `spb-storage` (`Wal`) |
+//! | 40 | B⁺-tree meta (root, height, length) | `spb-bptree` (`BPlusTree::meta`) |
+//! | 41 | Learned-positioning model slot | `spb-core` (`SpbTree::accel`) |
+//! | 50 | Pager transaction staging | `spb-storage` (`Pager::txn`) |
+//! | 51 | Pager file handle | `spb-storage` (`Pager::file`) |
 //!
 //! A query takes the tree latch (shared), then reads pages through
 //! buffer-pool shards; an update takes the latch exclusively, stages
@@ -22,6 +28,12 @@
 //! *below* the tree latch: a replica swaps its serving tree (and a
 //! router leases a connection) before any tree latch is taken, and a
 //! thread inside a tree must never reach back up into cluster state.
+//! A baseline index holds its root mutex across a whole traversal, and
+//! the RAF holds its staged tail while it seals that page through the
+//! pool, so both sit above the latch and below the shards. The ranks
+//! from 40 up are leaves: nothing is acquired while one is held. The
+//! pager's two sit last because every page read or write, from any
+//! layer, ends in them.
 //!
 //! The inner `std::sync` lock is a private field, so there is no way
 //! to take a ranked lock without going through the rank check. This
@@ -78,22 +90,42 @@ pub enum LockRank {
     ReplicaApply = 5,
     /// The SPB-tree structure latch (`spb-core`).
     TreeLatch = 10,
+    /// A baseline index's root or pivot-radii mutex (`spb-mams`), held
+    /// across the page reads of a traversal.
+    BaselineRoot = 12,
+    /// The RAF's staged tail page, held while it is sealed through the
+    /// buffer pool.
+    RafTail = 15,
     /// One buffer-pool shard's LRU mutex.
     BufferShard = 20,
     /// The write-ahead log's internal mutexes.
     Wal = 30,
+    /// A B⁺-tree's in-memory meta (`spb-bptree`). Leaf.
+    BtreeMeta = 40,
+    /// The SPB-tree's learned-positioning model slot (`spb-core`). Leaf.
+    AccelModel = 41,
+    /// The pager's open-transaction staging map. Leaf.
+    PagerTxn = 50,
+    /// The pager's file handle. Leaf.
+    PagerFile = 51,
 }
 
 impl LockRank {
     /// Every rank, ascending.
-    pub const ALL: [LockRank; 7] = [
+    pub const ALL: [LockRank; 13] = [
         LockRank::EventCompletions,
         LockRank::DispatchQueue,
         LockRank::RouterConn,
         LockRank::ReplicaApply,
         LockRank::TreeLatch,
+        LockRank::BaselineRoot,
+        LockRank::RafTail,
         LockRank::BufferShard,
         LockRank::Wal,
+        LockRank::BtreeMeta,
+        LockRank::AccelModel,
+        LockRank::PagerTxn,
+        LockRank::PagerFile,
     ];
 
     /// Human-readable name used in violation messages.
@@ -104,8 +136,14 @@ impl LockRank {
             LockRank::RouterConn => "router connection pool",
             LockRank::ReplicaApply => "replica state lock",
             LockRank::TreeLatch => "tree latch",
+            LockRank::BaselineRoot => "baseline index root",
+            LockRank::RafTail => "RAF staged tail",
             LockRank::BufferShard => "buffer-pool shard",
             LockRank::Wal => "WAL mutex",
+            LockRank::BtreeMeta => "B+-tree meta",
+            LockRank::AccelModel => "accel model slot",
+            LockRank::PagerTxn => "pager transaction",
+            LockRank::PagerFile => "pager file",
         }
     }
 }
@@ -122,7 +160,7 @@ mod imp {
     }
 
     /// Acquisitions checked so far, indexed by `rank as usize`.
-    static CHECKED: [AtomicU64; 31] = [ZERO; 31];
+    static CHECKED: [AtomicU64; 52] = [ZERO; 52];
     #[allow(clippy::declare_interior_mutable_const)] // array initialiser only
     const ZERO: AtomicU64 = AtomicU64::new(0);
 
@@ -225,7 +263,7 @@ impl<G: DerefMut> DerefMut for RankedGuard<G> {
 }
 
 /// Guard of a [`RankedMutex`].
-pub type RankedMutexGuard<'a, T> = RankedGuard<MutexGuard<'a, T>>;
+pub(crate) type RankedMutexGuard<'a, T> = RankedGuard<MutexGuard<'a, T>>;
 /// Shared guard of a [`RankedRwLock`].
 pub type RankedReadGuard<'a, T> = RankedGuard<RwLockReadGuard<'a, T>>;
 /// Exclusive guard of a [`RankedRwLock`].

@@ -6,7 +6,7 @@
 pub const PAGE_SIZE: usize = 4096;
 
 /// Bytes of the CRC-32 footer at the end of every physical page.
-pub const PAGE_CRC_SIZE: usize = 4;
+pub(crate) const PAGE_CRC_SIZE: usize = 4;
 
 /// Bytes of a page available to node codecs. The last [`PAGE_CRC_SIZE`]
 /// bytes hold a CRC-32 over the data area, stamped by the pager on every
@@ -22,7 +22,7 @@ pub struct PageId(pub u64);
 
 impl PageId {
     /// Byte offset of the page inside its file.
-    pub fn byte_offset(self) -> u64 {
+    pub(crate) fn byte_offset(self) -> u64 {
         self.0 * PAGE_SIZE as u64
     }
 }
@@ -65,24 +65,24 @@ impl Page {
     }
 
     /// The raw bytes, mutably.
-    pub fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
         &mut self.data
     }
 
     /// The data area the CRC footer covers (everything but the footer).
-    pub fn data_area(&self) -> &[u8] {
+    pub(crate) fn data_area(&self) -> &[u8] {
         &self.data[..PAGE_DATA_SIZE]
     }
 
     /// The CRC-32 stored in the page's footer.
-    pub fn footer_crc(&self) -> u32 {
+    pub(crate) fn footer_crc(&self) -> u32 {
         let mut b = [0u8; PAGE_CRC_SIZE];
         b.copy_from_slice(&self.data[PAGE_DATA_SIZE..]);
         u32::from_le_bytes(b)
     }
 
     /// Stamps the footer with `crc`.
-    pub fn set_footer_crc(&mut self, crc: u32) {
+    pub(crate) fn set_footer_crc(&mut self, crc: u32) {
         self.data[PAGE_DATA_SIZE..].copy_from_slice(&crc.to_le_bytes());
     }
 

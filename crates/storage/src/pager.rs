@@ -19,17 +19,16 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
-
 use crate::checksum::crc32;
 use crate::fault::{self, WritePlan};
+use crate::lockrank::{LockRank, RankedMutex};
 use crate::page::{Page, PageId, PAGE_SIZE};
 
 /// Storage-level corruption detected by the checksum layer. Surfaces as
 /// the inner error of an [`io::Error`] with kind `InvalidData`; use
 /// [`is_corrupt`] to classify without string matching.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StorageCorrupt {
+pub(crate) struct StorageCorrupt {
     /// File the bad page was read from.
     pub file: PathBuf,
     /// Page number within the file.
@@ -58,9 +57,9 @@ impl std::error::Error for StorageCorrupt {}
 /// A read or write of a page number outside the allocated range — a
 /// dangling page reference, i.e. structural corruption of whatever node
 /// pointed there. Surfaces as the inner error of an [`io::Error`] with
-/// kind `InvalidData`; use [`is_bad_page_ref`] to classify.
+/// kind `InvalidData`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BadPageRef {
+pub(crate) struct BadPageRef {
     /// File the reference pointed into.
     pub file: PathBuf,
     /// The out-of-range page number.
@@ -82,12 +81,6 @@ impl std::fmt::Display for BadPageRef {
 }
 
 impl std::error::Error for BadPageRef {}
-
-/// Whether `err` (at any wrapping depth) is a dangling-page-reference
-/// error.
-pub fn is_bad_page_ref(err: &io::Error) -> bool {
-    classify(err, |e| e.is::<BadPageRef>())
-}
 
 /// Whether `err` (at any wrapping depth) is a checksum-corruption error.
 pub fn is_corrupt(err: &io::Error) -> bool {
@@ -125,14 +118,14 @@ fn classify(err: &io::Error, pred: impl Fn(&(dyn std::error::Error + 'static)) -
 ///
 /// [`BufferPool`]: crate::BufferPool
 pub struct Pager {
-    file: Mutex<File>,
+    file: RankedMutex<File>,
     path: PathBuf,
     num_pages: AtomicU64,
     disk_reads: AtomicU64,
     disk_writes: AtomicU64,
     fsyncs: AtomicU64,
     /// Pages staged by the open transaction, by page number.
-    txn: Mutex<Option<HashMap<u64, Page>>>,
+    txn: RankedMutex<Option<HashMap<u64, Page>>>,
 }
 
 impl Pager {
@@ -145,13 +138,13 @@ impl Pager {
             .truncate(true)
             .open(path)?;
         Ok(Pager {
-            file: Mutex::new(file),
+            file: RankedMutex::new(LockRank::PagerFile, file),
             path: path.to_path_buf(),
             num_pages: AtomicU64::new(0),
             disk_reads: AtomicU64::new(0),
             disk_writes: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
-            txn: Mutex::new(None),
+            txn: RankedMutex::new(LockRank::PagerTxn, None),
         })
     }
 
@@ -170,13 +163,13 @@ impl Pager {
             ));
         }
         Ok(Pager {
-            file: Mutex::new(file),
+            file: RankedMutex::new(LockRank::PagerFile, file),
             path: path.to_path_buf(),
             num_pages: AtomicU64::new(len / PAGE_SIZE as u64),
             disk_reads: AtomicU64::new(0),
             disk_writes: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
-            txn: Mutex::new(None),
+            txn: RankedMutex::new(LockRank::PagerTxn, None),
         })
     }
 
@@ -360,11 +353,6 @@ impl Pager {
         Ok(())
     }
 
-    /// Whether a transaction is open.
-    pub fn txn_active(&self) -> bool {
-        self.txn.lock().is_some()
-    }
-
     /// Number of allocated pages — the index's storage size in pages
     /// (Table 6 reports `pages · 4 KB`).
     pub fn num_pages(&self) -> u64 {
@@ -388,7 +376,7 @@ impl Pager {
 
     /// Zeroes the fsync counter (the read/write counters are reset by
     /// the buffer pool's own accounting).
-    pub fn reset_fsyncs(&self) {
+    pub(crate) fn reset_fsyncs(&self) {
         self.fsyncs.store(0, Ordering::Relaxed);
     }
 
@@ -452,10 +440,11 @@ mod tests {
         let pager = Pager::create(&dir.path().join("p.db")).unwrap();
         let err = pager.read_page(PageId(0)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(is_bad_page_ref(&err), "expected BadPageRef, got {err}");
+        let bad_page_ref = |e: &io::Error| classify(e, |e| e.is::<BadPageRef>());
+        assert!(bad_page_ref(&err), "expected BadPageRef, got {err}");
         assert!(!is_corrupt(&err));
         let err = pager.write_page(PageId(3), &Page::new()).unwrap_err();
-        assert!(is_bad_page_ref(&err));
+        assert!(bad_page_ref(&err));
         assert!(err.to_string().contains("unallocated page 3"));
     }
 
@@ -467,7 +456,7 @@ mod tests {
         pager.txn_begin().unwrap();
         assert!(pager.txn_begin().is_err(), "nested txn must fail");
         pager.txn_abort().unwrap();
-        assert!(!pager.txn_active());
+        assert!(pager.txn.lock().is_none());
     }
 
     #[test]
@@ -545,7 +534,7 @@ mod tests {
         // Commit hands both pages over, in page order, still unwritten;
         // writing them back is the caller's move once they are durable.
         let staged = pager.txn_commit().unwrap();
-        assert!(!pager.txn_active());
+        assert!(pager.txn.lock().is_none());
         let ids: Vec<PageId> = staged.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, [id, id2]);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len_before);

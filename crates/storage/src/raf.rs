@@ -31,9 +31,8 @@ use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
-
 use crate::cache::{BufferPool, IoStats};
+use crate::lockrank::{LockRank, RankedMutex};
 use crate::page::{Page, PageId, PAGE_DATA_SIZE};
 use crate::pager::Pager;
 
@@ -79,10 +78,7 @@ pub struct Raf {
     /// Next free byte offset.
     tail: AtomicU64,
     /// Staged tail page (None once sealed by `flush`).
-    staged: Mutex<Option<Tail>>,
-    /// Bytes logically freed by `free` (space reclamation is out of scope;
-    /// the counter documents fragmentation).
-    freed_bytes: AtomicU64,
+    staged: RankedMutex<Option<Tail>>,
 }
 
 impl Raf {
@@ -104,8 +100,7 @@ impl Raf {
         Ok(Raf {
             pool,
             tail: AtomicU64::new(PAGE_DATA_SIZE as u64),
-            staged: Mutex::new(None),
-            freed_bytes: AtomicU64::new(0),
+            staged: RankedMutex::new(LockRank::RafTail, None),
         })
     }
 
@@ -128,8 +123,7 @@ impl Raf {
         Ok(Raf {
             pool,
             tail: AtomicU64::new(tail),
-            staged: Mutex::new(None),
-            freed_bytes: AtomicU64::new(0),
+            staged: RankedMutex::new(LockRank::RafTail, None),
         })
     }
 
@@ -343,29 +337,13 @@ impl Raf {
         Ok(())
     }
 
-    /// Marks the entry at `ptr` as logically freed. The SPB-tree delete
+    /// Frees the entry at `ptr` logically: it checks that `ptr` names a
+    /// readable entry and leaves the bytes in place. The SPB-tree delete
     /// operation removes the B⁺-tree entry; RAF space is reclaimed only by
     /// rebuilding (documented simplification — the paper's deletion
     /// operation likewise leaves the RAF untouched).
     pub fn free(&self, ptr: RafPtr) -> io::Result<()> {
-        let e = self.get(ptr)?;
-        self.freed_bytes
-            .fetch_add((ENTRY_HEADER + e.bytes.len()) as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Bytes logically freed so far.
-    pub fn freed_bytes(&self) -> u64 {
-        self.freed_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Iterates over all live entries in file order (ascending SFC order
-    /// after a bulk-load).
-    pub fn scan(&self) -> RafScan<'_> {
-        RafScan {
-            raf: self,
-            offset: PAGE_DATA_SIZE as u64,
-        }
+        self.get(ptr).map(drop)
     }
 
     /// Total logical bytes used (header page's data area + entries).
@@ -428,28 +406,6 @@ impl Raf {
     /// caller's concern; the SPB-tree reports the sum of both).
     pub fn pool(&self) -> &BufferPool {
         &self.pool
-    }
-}
-
-/// Sequential scanner over RAF entries. See [`Raf::scan`].
-pub struct RafScan<'a> {
-    raf: &'a Raf,
-    offset: u64,
-}
-
-impl Iterator for RafScan<'_> {
-    type Item = (RafPtr, RafEntry);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.offset >= self.raf.tail_offset() {
-            return None;
-        }
-        let ptr = RafPtr {
-            offset: self.offset,
-        };
-        let entry = self.raf.get(ptr).ok()?;
-        self.offset += (ENTRY_HEADER + entry.bytes.len()) as u64;
-        Some((ptr, entry))
     }
 }
 
@@ -619,17 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_returns_entries_in_order() {
-        let dir = TempDir::new("raf-scan");
-        let raf = Raf::create(&dir.path().join("o.raf"), 8).unwrap();
-        for i in 0..100u32 {
-            raf.append(i, format!("obj-{i}").as_bytes()).unwrap();
-        }
-        let ids: Vec<u32> = raf.scan().map(|(_, e)| e.id).collect();
-        assert_eq!(ids, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn bulk_append_writes_each_page_once() {
         let dir = TempDir::new("raf-bulk");
         let raf = Raf::create(&dir.path().join("o.raf"), 0).unwrap();
@@ -683,15 +628,6 @@ mod tests {
         }
         let f = raf.objects_per_page(200);
         assert!(f > 30.0 && f <= 41.0, "f = {f}");
-    }
-
-    #[test]
-    fn free_accounts_bytes() {
-        let dir = TempDir::new("raf-free");
-        let raf = Raf::create(&dir.path().join("o.raf"), 4).unwrap();
-        let p = raf.append(7, b"12345678").unwrap();
-        raf.free(p).unwrap();
-        assert_eq!(raf.freed_bytes(), 8 + 8);
     }
 
     #[test]

@@ -153,7 +153,7 @@ impl WalRecord {
 }
 
 /// Encodes `record` as one framed WAL entry (length + CRC + payload).
-pub fn encode_record(record: &WalRecord) -> Vec<u8> {
+pub(crate) fn encode_record(record: &WalRecord) -> Vec<u8> {
     let mut payload = Vec::new();
     match record {
         WalRecord::Begin { txid } => {
@@ -192,7 +192,7 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
 /// Decodes one framed record from the front of `bytes`. Returns the
 /// record and the number of bytes consumed, or `None` if the front of
 /// `bytes` is not a complete, checksum-valid frame (a torn tail).
-pub fn decode_record(bytes: &[u8]) -> Option<(WalRecord, usize)> {
+pub(crate) fn decode_record(bytes: &[u8]) -> Option<(WalRecord, usize)> {
     let len = u32::from_le_bytes(bytes.get(0..4)?.try_into().ok()?) as usize;
     if !(9..=MAX_PAYLOAD).contains(&len) {
         return None;
@@ -276,11 +276,6 @@ impl WalSegmentReader {
     /// Absolute log offset (LSN) of the next frame to decode.
     pub fn lsn(&self) -> u64 {
         self.base_lsn + self.pos as u64
-    }
-
-    /// Absolute log offset one past the last byte of the segment.
-    pub fn end_lsn(&self) -> u64 {
-        self.base_lsn + self.buf.len() as u64
     }
 
     /// Consumes the reader and returns `(frames, next_lsn)`: the raw
@@ -367,7 +362,7 @@ impl Wal {
 
     /// Truncates the file to `len` bytes (drops a torn tail found by
     /// [`Wal::scan_file`]) and fsyncs.
-    pub fn truncate_to(&self, len: u64) -> io::Result<()> {
+    pub(crate) fn truncate_to(&self, len: u64) -> io::Result<()> {
         let file = self.file.lock();
         file.set_len(len)?;
         fault::on_sync(&self.path)?;
@@ -509,11 +504,6 @@ impl Wal {
         self.fsyncs.load(Ordering::Relaxed)
     }
 
-    /// Zeroes the fsync counter.
-    pub fn reset_fsyncs(&self) {
-        self.fsyncs.store(0, Ordering::Relaxed);
-    }
-
     /// The log's path.
     pub fn path(&self) -> &Path {
         &self.path
@@ -635,7 +625,7 @@ mod tests {
         // advance by exactly one frame per record.
         let reader = wal.segment_reader(0).unwrap();
         assert_eq!(reader.lsn(), 0);
-        assert_eq!(reader.end_lsn(), wal.len());
+        assert_eq!(reader.base_lsn + reader.buf.len() as u64, wal.len());
         let streamed: Vec<(u64, WalRecord)> = reader.collect();
         let scan = Wal::scan_file(wal.path()).unwrap();
         assert_eq!(

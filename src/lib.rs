@@ -33,8 +33,6 @@
 //! println!("found {} words with {} distance computations", hits.len(), stats.compdists);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use spb_bptree as bptree;
 pub use spb_core as core;
 pub use spb_mams as mams;

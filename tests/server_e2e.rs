@@ -8,7 +8,7 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use spb::core::{QueryPlan, QueryShape};
 use spb::metric::{dataset, MetricObject, Word};
@@ -182,6 +182,7 @@ fn overload_sheds_with_bounded_queue() {
 /// connection (or, if the insert wins the race, run and go unread).
 /// Either way a fresh client must soon fill every place again.
 #[test]
+#[allow(clippy::disallowed_methods)] // a test's wall-clock deadline, not a measurement
 fn work_dropped_with_its_connection_frees_its_places() {
     let dir = TempDir::new("e2e-place-leak");
     let (data, _) = build_words(&dir, 300, 48);
@@ -218,7 +219,7 @@ fn work_dropped_with_its_connection_frees_its_places() {
     drop(s);
 
     let four: Vec<Request> = (0..4).map(range).collect();
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let mut client = Client::connect(server.addr()).unwrap();
         let resps = client.send_many(&four).unwrap();
@@ -226,7 +227,7 @@ fn work_dropped_with_its_connection_frees_its_places() {
             break;
         }
         assert!(
-            std::time::Instant::now() < deadline,
+            Instant::now() < deadline,
             "places still held 5 s after their connection died: {resps:?}"
         );
         std::thread::sleep(Duration::from_millis(20));
