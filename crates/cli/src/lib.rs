@@ -979,7 +979,7 @@ where
 }
 
 /// `stats --addr`: the index summary and admission counters, a digest of
-/// the event loop's and the learned model's health, then the full
+/// the server's and the learned model's health, then the full
 /// observability snapshot the digest was read from.
 fn server_stats(out: &mut String, addr: &str) -> Result<(), CliError> {
     let mut client = Client::connect(addr).map_err(client_error)?;
@@ -1002,13 +1002,10 @@ fn server_stats(out: &mut String, addr: &str) -> Result<(), CliError> {
     let _ = writeln!(out, "shed:    {shed}");
     let _ = writeln!(out, "deadline misses: {deadline_miss}");
     let snap = client.obs_stats().map_err(client_error)?;
-    // Event-loop health: live connections, poll wakeups, and how well
-    // the dispatcher is coalescing work into batches.
+    // Server health: live connections and how well the dispatcher is
+    // coalescing work into batches.
     if let Some(v) = snap.gauge("open_connections") {
         let _ = writeln!(out, "open connections: {v}");
-    }
-    if let Some(v) = snap.counter("readiness_wakeups") {
-        let _ = writeln!(out, "readiness wakeups: {v}");
     }
     if let Some(h) = snap.hist("dispatch_batch_size") {
         let _ = writeln!(

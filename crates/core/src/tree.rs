@@ -555,9 +555,11 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
     }
 
     /// Deletes one object equal to `o`. Returns query stats and whether an
-    /// object was removed. The B⁺-tree entry is removed; the RAF record is
-    /// only marked freed (reclaimed by rebuilding, as in the paper). A
-    /// delete that finds nothing changes no page and writes no log record.
+    /// object was removed. Only the B⁺-tree entry is removed: the RAF
+    /// record stays in place, and RAF space is reclaimed only by
+    /// rebuilding (the paper's deletion likewise leaves the RAF
+    /// untouched). A delete that finds nothing changes no page and
+    /// writes no log record.
     pub fn delete(&self, o: &O) -> io::Result<(bool, QueryStats)> {
         let (found, stats) = self.update_txn(|meta| {
             let phi = self.table.phi(&self.metric, o);
@@ -567,7 +569,6 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
                 let entry = self.raf.get(RafPtr { offset })?;
                 if decode_entry::<O>(&entry.bytes)? == *o {
                     self.btree.delete(sfc, offset)?;
-                    self.raf.free(RafPtr { offset })?;
                     meta.len -= 1;
                     return Ok(true);
                 }

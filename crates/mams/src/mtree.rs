@@ -669,7 +669,8 @@ impl<O: MetricObject, D: Distance<O>> MTree<O, D> {
     pub fn range(&self, q: &O, r: f64) -> io::Result<(Vec<(u32, O)>, QueryStats)> {
         let snap = self.snapshot();
         let mut out = Vec::new();
-        if let Some(root) = *self.root.lock() {
+        let root = *self.root.lock();
+        if let Some(root) = root {
             self.range_rec(root, q, r, None, &mut out)?;
         }
         Ok((out, self.stats_since(snap)))
@@ -719,8 +720,9 @@ impl<O: MetricObject, D: Distance<O>> MTree<O, D> {
     pub fn knn(&self, q: &O, k: usize) -> spb_core::KnnResult<O> {
         let snap = self.snapshot();
         let mut best: BinaryHeap<KnnBest<O>> = BinaryHeap::new();
+        let root = *self.root.lock();
         if k > 0 {
-            if let Some(root) = *self.root.lock() {
+            if let Some(root) = root {
                 let mut heap: BinaryHeap<Frontier> = BinaryHeap::new();
                 heap.push(Frontier {
                     dmin: 0.0,

@@ -2,15 +2,15 @@
 //! decoded requests off one bounded FIFO, coalesce queries with equal
 //! plans into one
 //! [`IndexService::query`](crate::service::IndexService::query) call,
-//! and push completions back to the event loop.
+//! and encode each answer into its connection's output buffer.
 //!
 //! ## Admission: one queue with owned places
 //!
-//! The FIFO between the event loop and the workers is the server's only
-//! admission control. The event loop admits a decoded work request iff
-//! fewer than `dispatcher_workers + max_queue` places are held — one
-//! atomic compare-and-increment, never a lock — and otherwise answers
-//! `Overloaded` at once. The admitted request's [`Place`] travels inside
+//! The FIFO between the connections and the workers is the server's
+//! only admission control. A connection's reader admits a decoded work
+//! request iff fewer than `dispatcher_workers + max_queue` places are
+//! held — one atomic compare-and-increment, never a lock — and otherwise
+//! answers `Overloaded` at once. The admitted request's [`Place`] travels inside
 //! its [`Work`] (through the connection's barrier queue, this FIFO and a
 //! worker), and dropping the `Work` frees it exactly once, whichever way
 //! the request leaves: answered, collapsed onto an identical query,
@@ -38,7 +38,7 @@
 //!
 //! ## Ordering and accounting
 //!
-//! Batching never reorders a connection's responses — the event loop
+//! Batching never reorders a connection's responses — the connection
 //! sequences responses by request seq — and the accounting is exact:
 //! every work request offered is shed, refused at pop (a deadline miss,
 //! or `ShuttingDown`), or served, where a follower and a batch member
@@ -50,12 +50,13 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, OnceLock};
+use std::sync::{Arc, Condvar, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use spb_core::QueryPlan;
 use spb_storage::lockrank::{LockRank, RankedMutex};
 
+use crate::connection::Conn;
 use crate::server::{error_response, Shared};
 use crate::service::{Answers, ServiceError};
 use crate::wire::{ErrorCode, Query, Request, Response};
@@ -91,17 +92,6 @@ impl Deadline {
     }
 }
 
-/// Identifies a live connection in the event loop's slab. The `gen`
-/// field distinguishes a reused slab slot from the connection a stale
-/// completion was addressed to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct ConnId {
-    /// Slab index in the event loop.
-    pub idx: usize,
-    /// Generation of that slot when the work was submitted.
-    pub gen: u64,
-}
-
 /// A request's place in the admission queue. Dropping it frees the
 /// place (see the module docs).
 pub(crate) struct Place(Arc<AtomicUsize>);
@@ -113,11 +103,11 @@ impl Drop for Place {
     }
 }
 
-/// One decoded work request, from the event loop's barrier queue through
+/// One decoded work request, from its connection's barrier queue through
 /// the dispatcher to the worker that answers it.
 pub(crate) struct Work {
-    /// Destination connection.
-    pub conn: ConnId,
+    /// Destination connection; gone once the connection has closed.
+    pub conn: Weak<Conn>,
     /// Per-connection response sequence number.
     pub seq: u64,
     /// The decoded request (never an in-memory control request).
@@ -133,29 +123,17 @@ pub(crate) struct Work {
 }
 
 impl Work {
-    /// The completion answering this request. Consuming the `Work` frees
-    /// its place before the event loop can see the answer.
-    fn complete(self, resp: Response) -> Completion {
-        Completion {
-            conn: self.conn,
-            seq: self.seq,
-            resp,
-            write: self.write,
-        }
+    /// Answers this request on its connection, unless the connection has
+    /// closed. Consuming the `Work` frees its place before the client can
+    /// see the answer.
+    fn complete(self, resp: Response, shared: &Shared) {
+        let Some(conn) = self.conn.upgrade() else {
+            return;
+        };
+        let (seq, write) = (self.seq, self.write);
+        drop(self);
+        conn.answer(seq, write, resp, shared);
     }
-}
-
-/// A finished response travelling back to the event loop.
-pub(crate) struct Completion {
-    /// Destination connection.
-    pub conn: ConnId,
-    /// Per-connection response sequence number.
-    pub seq: u64,
-    /// The response to encode.
-    pub resp: Response,
-    /// Mirrors [`Work::write`]: tells the event loop which inflight
-    /// counter to release.
-    pub write: bool,
 }
 
 /// The `phase.queue_wait` histogram: time an admitted request spent
@@ -208,7 +186,7 @@ impl Tally {
     }
 }
 
-/// The admission queue: the FIFO between the event loop (producer) and
+/// The admission queue: the FIFO between the connections (producers) and
 /// the dispatcher workers (consumers), its places, and what became of
 /// every work request offered to it.
 pub(crate) struct DispatchQueue {
@@ -262,25 +240,25 @@ impl DispatchQueue {
         self.cv.notify_one();
     }
 
-    /// Wakes every worker (shutdown).
+    /// Wakes every worker (to see the stop flag).
     pub(crate) fn kick_all(&self) {
         self.cv.notify_all();
     }
 
     /// Blocks for the next work item. Returns `None` only when the
-    /// queue is empty *and* shutdown has been requested, so queued
-    /// work is always drained (each drained item still gets a typed
-    /// `ShuttingDown` response from [`DispatchQueue::begin`]).
-    pub(crate) fn pop_blocking(&self, shutdown: &AtomicBool) -> Option<Work> {
+    /// queue is empty *and* `stop` is set, so queued work is always
+    /// drained (each drained item still gets a typed `ShuttingDown`
+    /// response from [`DispatchQueue::begin`]).
+    pub(crate) fn pop_blocking(&self, stop: &AtomicBool) -> Option<Work> {
         let mut q = self.q.lock();
         loop {
             if let Some(w) = q.pop_front() {
                 return Some(w);
             }
-            if shutdown.load(Ordering::SeqCst) {
+            if stop.load(Ordering::SeqCst) {
                 return None;
             }
-            // Bounded wait so a missed notify cannot outlive shutdown.
+            // Bounded wait so a missed notify cannot outlive the stop.
             q = q.wait_timeout(&self.cv, Duration::from_millis(50));
         }
     }
@@ -357,18 +335,11 @@ impl DispatchQueue {
     }
 }
 
-/// Pushes completions and wakes the event loop once.
-pub(crate) fn push_completions(shared: &Shared, comps: Vec<Completion>) {
-    if comps.is_empty() {
-        return;
-    }
-    shared.completions.lock().extend(comps);
-    shared.waker.wake();
-}
-
-/// A dispatcher worker: runs until shutdown *and* an empty queue.
+/// A dispatcher worker: runs until the stop flag *and* an empty queue.
+/// The stop flag is set only after every connection has drained, so
+/// work pumped during the drain is still answered.
 pub(crate) fn worker_loop(shared: &Shared) {
-    while let Some(work) = shared.dispatch.pop_blocking(&shared.shutdown) {
+    while let Some(work) = shared.dispatch.pop_blocking(&shared.stop) {
         run_work(shared, work);
     }
 }
@@ -407,7 +378,7 @@ const MAX_BATCH_UNIQUES: usize = 64;
 
 fn run_work(shared: &Shared, mut work: Work) {
     if let Err(refusal) = shared.dispatch.begin(&work, &shared.shutdown) {
-        return push_completions(shared, vec![work.complete(refusal)]);
+        return work.complete(refusal, shared);
     }
     if let Some((plan, obj)) = coalescable(&mut work.req) {
         let obj = std::mem::take(obj);
@@ -417,7 +388,7 @@ fn run_work(shared: &Shared, mut work: Work) {
     if work.place.is_some() {
         batch_size_hist().record(1);
     }
-    push_completions(shared, vec![work.complete(resp)]);
+    work.complete(resp, shared);
 }
 
 /// Executes a coalescable query together with every compatible queued
@@ -444,12 +415,11 @@ fn run_batch(shared: &Shared, plan: QueryPlan, leader_obj: Vec<u8>, leader: Work
             })
             .collect(),
     };
-    let comps = resps
-        .into_iter()
-        .zip(subs)
-        .flat_map(|(resp, fans)| fans.into_iter().map(move |w| w.complete(resp.clone())))
-        .collect();
-    push_completions(shared, comps);
+    for (resp, fans) in resps.into_iter().zip(subs) {
+        for w in fans {
+            w.complete(resp.clone(), shared);
+        }
+    }
 }
 
 fn service_error_response(e: ServiceError, shared: &Shared) -> Response {
@@ -485,13 +455,13 @@ fn execute(req: &mut Request, deadline: Deadline, shared: &Shared) -> Response {
             .delete(obj)
             .map(|(found, stats)| Response::Delete { found, stats }),
         // Replication is control-plane but file-backed: the WAL segment
-        // read happens here, on a worker, never on the event loop.
+        // read happens here, on a worker, never on a connection's reader.
         Request::WalShip { from_lsn } => svc
             .wal_segment(*from_lsn)
             .map(|(wal_len, frames)| Response::WalShip { wal_len, frames }),
         other => {
             // Queries returned above and in-memory control requests are
-            // answered on the event loop; if one reaches here the
+            // answered by the reader; if one reaches here the
             // dispatcher is broken, but a typed error beats aborting the
             // worker thread.
             let _ = other;
@@ -590,10 +560,10 @@ mod tests {
         assert!(!coalesce(&range_approx(0.0), &range_approx(0.0)));
     }
 
-    /// A work item as the event loop builds it.
+    /// A work item as a connection's reader builds it.
     fn work(req: Request, place: Option<Place>) -> Work {
         Work {
-            conn: ConnId { idx: 0, gen: 0 },
+            conn: Weak::new(),
             seq: 0,
             deadline: Deadline::from_ms(req.deadline_ms()),
             req,

@@ -13,11 +13,11 @@
 //!   into a type-erased [`IndexService`](service::IndexService);
 //! * [`service`] — dispatching decoded requests onto an
 //!   [`SpbTree`](spb_core::SpbTree);
-//! * [`server`] — the readiness-based event-loop server (`poll(2)` over
-//!   non-blocking sockets, pipelined frames, a batching dispatcher whose
-//!   bounded queue is the admission control, shedding load beyond it,
-//!   and a per-request [`Deadline`]) with graceful drain-and-checkpoint
-//!   shutdown;
+//! * [`server`] — the TCP server (a reader and a writer thread per
+//!   connection over blocking sockets, pipelined frames, a batching
+//!   dispatcher whose bounded queue is the admission control, shedding
+//!   load beyond it, and a per-request [`Deadline`]) with graceful
+//!   drain-and-checkpoint shutdown;
 //! * [`client`] — a blocking client: one `query(plan, …)` call for every
 //!   query op and a pipelined `send_many` path, reused by `spb-cli --addr`
 //!   and the cluster router.
@@ -28,8 +28,8 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod connection;
 mod dispatch;
-mod event_loop;
 pub mod schema;
 pub mod server;
 pub mod service;

@@ -1,29 +1,29 @@
-//! The TCP server: event loop, dispatcher workers, graceful shutdown.
+//! The TCP server: connections, dispatcher workers, graceful shutdown.
 //!
-//! One event-loop thread (see [`crate::event_loop`]) multiplexes every
-//! connection over non-blocking sockets with `poll(2)`: it accepts,
-//! decodes pipelined frames, answers control-plane requests inline, and
-//! hands work requests to a small pool of dispatcher workers (see
+//! An acceptor thread gives each connection a reader and a writer thread
+//! over a blocking socket (see [`crate::connection`]). The reader decodes
+//! pipelined frames, answers control-plane requests inline, and hands
+//! work requests to a small pool of dispatcher workers (see
 //! [`crate::dispatch`]) that coalesce concurrently-queued queries with
 //! equal plans into one batched execution. Work requests take a place
 //! in that bounded queue before touching the index, or are shed;
 //! `Ping`/`Stats` bypass it (they must stay answerable under overload,
 //! or operators go blind exactly when they need visibility).
 //! Over-limit connections get a best-effort `Overloaded` frame and are
-//! closed.
+//! closed, so the server runs at most `2 × max_connections` connection
+//! threads.
 //!
 //! ## Shutdown
 //!
 //! `ServerHandle::shutdown()` (or a remote `Shutdown` request, or a
 //! SIGINT/SIGTERM under [`serve_until_shutdown`], which routes both
-//! signals) sets one flag and wakes the loop. The
-//! listener stops being polled, dispatched work finishes — admitted
-//! work is never abandoned — queued work is refused with
-//! `ShuttingDown`, and every owed response is flushed before its
-//! connection closes (with a bounded grace period). Once the loop and
-//! the workers exit, the server checkpoints the index (flush dirty
-//! pages, fsync, reset the WAL) so a clean exit leaves nothing for
-//! recovery to do.
+//! signals) sets one flag and wakes the acceptor. It stops accepting,
+//! dispatched work finishes — admitted work is never abandoned — queued
+//! work is refused with `ShuttingDown`, and every owed response is
+//! written before its connection closes (with a bounded grace period).
+//! Once the connections and then the workers exit, the server
+//! checkpoints the index (flush dirty pages, fsync, reset the WAL) so a
+//! clean exit leaves nothing for recovery to do.
 
 #![cfg_attr(
     not(test),
@@ -39,19 +39,16 @@
 )]
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::net::UnixStream;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use spb_storage::lockrank::{LockRank, RankedMutex};
-
-use crate::dispatch::{self, Completion, DispatchQueue};
-use crate::event_loop::{self, Waker};
+use crate::connection;
+use crate::dispatch::{self, DispatchQueue};
 use crate::service::IndexService;
-use crate::wire::{write_frame, ErrorCode, Request, Response, DEFAULT_MAX_FRAME, PROTOCOL_VERSION};
+use crate::wire::{write_frame, ErrorCode, Response, DEFAULT_MAX_FRAME, PROTOCOL_VERSION};
 
 /// Server sizing and limits.
 #[derive(Clone, Copy, Debug)]
@@ -86,21 +83,37 @@ impl Default for ServerConfig {
     }
 }
 
-/// State shared between the event loop, the dispatcher workers, and the
-/// handle.
+/// State shared between the acceptor, the connections, the dispatcher
+/// workers, and the handle.
 pub(crate) struct Shared {
     pub(crate) service: Box<dyn IndexService>,
     pub(crate) cfg: ServerConfig,
+    /// Set once shutdown is requested: stop accepting, drain.
     pub(crate) shutdown: AtomicBool,
+    /// Set once every connection has drained (or the grace ran out):
+    /// the dispatcher workers exit when the queue is empty.
+    pub(crate) stop: AtomicBool,
+    /// True until the acceptor has left its `accept` loop.
+    pub(crate) accepting: AtomicBool,
     /// The admission queue feeding the dispatcher workers.
     pub(crate) dispatch: DispatchQueue,
-    /// Finished work waiting for the event loop to route it back to its
-    /// connection. Lowest rank in the workspace: both producers
-    /// (workers) and the consumer (event loop) take it briefly with no
-    /// other ranked lock held.
-    pub(crate) completions: RankedMutex<Vec<Completion>>,
-    /// Wakes the event loop when completions land or shutdown starts.
-    pub(crate) waker: Waker,
+    /// The server's own address: a connection to it wakes the acceptor
+    /// from its blocking `accept`.
+    wake_addr: SocketAddr,
+}
+
+/// How long one wake connection may take before it is given up.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(100);
+
+impl Shared {
+    /// Requests shutdown and, while the acceptor is still accepting,
+    /// wakes it. A wake that fails is tried again by the next call.
+    pub(crate) fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        if self.accepting.load(Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
+        }
+    }
 }
 
 /// A running server. Dropping the handle shuts the server down and joins
@@ -119,9 +132,7 @@ impl ServerHandle {
 
     /// Requests shutdown: stop accepting, drain, checkpoint.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.dispatch.kick_all();
-        self.shared.waker.wake();
+        self.shared.begin_shutdown();
     }
 
     /// True once shutdown has been requested (locally or by a remote
@@ -146,7 +157,7 @@ impl ServerHandle {
     /// Waits for the server to drain and checkpoint. Implies
     /// [`shutdown`](ServerHandle::shutdown) if not already requested.
     pub fn join(mut self) -> io::Result<()> {
-        self.shutdown();
+        self.stop_accepting();
         match self.runner.take() {
             Some(h) => h
                 .join()
@@ -154,11 +165,23 @@ impl ServerHandle {
             None => Ok(()),
         }
     }
+
+    /// Requests shutdown until the acceptor has left `accept`, so a wake
+    /// connection that failed does not leave it waiting for good.
+    fn stop_accepting(&self) {
+        self.shutdown();
+        while self.shared.accepting.load(Ordering::SeqCst)
+            && self.runner.as_ref().is_some_and(|h| !h.is_finished())
+        {
+            thread::sleep(Duration::from_millis(5));
+            self.shutdown();
+        }
+    }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.shutdown();
+        self.stop_accepting();
         if let Some(h) = self.runner.take() {
             let _ = h.join();
         }
@@ -172,21 +195,28 @@ pub fn serve(
     cfg: ServerConfig,
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let (waker, waker_rx) = event_loop::waker_pair()?;
+    let mut wake_addr = addr;
+    if addr.ip().is_unspecified() {
+        let loopback: IpAddr = match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        };
+        wake_addr.set_ip(loopback);
+    }
     let shared = Arc::new(Shared {
         service,
         cfg,
         shutdown: AtomicBool::new(false),
+        stop: AtomicBool::new(false),
+        accepting: AtomicBool::new(true),
         dispatch: DispatchQueue::new(cfg.dispatcher_workers.max(1) + cfg.max_queue),
-        completions: RankedMutex::new(LockRank::EventCompletions, Vec::new()),
-        waker,
+        wake_addr,
     });
     let shared2 = Arc::clone(&shared);
     let runner = thread::Builder::new()
-        .name("spb-event-loop".into())
-        .spawn(move || serve_thread(listener, waker_rx, shared2))?;
+        .name("spb-acceptor".into())
+        .spawn(move || serve_thread(listener, shared2))?;
     Ok(ServerHandle {
         addr,
         shared,
@@ -194,13 +224,9 @@ pub fn serve(
     })
 }
 
-/// Body of the server thread: spawn the dispatcher workers, run the
-/// event loop to completion, join the workers, checkpoint.
-fn serve_thread(
-    listener: TcpListener,
-    waker_rx: UnixStream,
-    shared: Arc<Shared>,
-) -> io::Result<()> {
+/// Body of the server thread: spawn the dispatcher workers, accept and
+/// drain the connections, stop and join the workers, checkpoint.
+fn serve_thread(listener: TcpListener, shared: Arc<Shared>) -> io::Result<()> {
     let mut workers = Vec::new();
     for i in 0..shared.cfg.dispatcher_workers.max(1) {
         let s = Arc::clone(&shared);
@@ -211,9 +237,10 @@ fn serve_thread(
             workers.push(h);
         }
     }
-    let run_res = event_loop::run(&listener, &waker_rx, &shared);
-    // Even on an event-loop error, release the workers before returning.
-    shared.shutdown.store(true, Ordering::SeqCst);
+    let run_res = connection::run(listener, &shared);
+    // Every connection is drained (even after an accept error): release
+    // the workers once the queue is empty.
+    shared.stop.store(true, Ordering::SeqCst);
     shared.dispatch.kick_all();
     for h in workers {
         let _ = h.join();
@@ -224,9 +251,9 @@ fn serve_thread(
     shared.service.checkpoint()
 }
 
-/// Best-effort `Overloaded` response for an over-limit connection.
-/// Accepted sockets start out blocking, so the write is bounded by a
-/// short timeout rather than left to hang the event loop.
+/// Best-effort `Overloaded` response for an over-limit connection. The
+/// write is bounded by a short timeout rather than left to hang the
+/// acceptor.
 pub(crate) fn refuse_connection(mut stream: TcpStream) {
     let resp = Response::Error {
         code: ErrorCode::Overloaded,
@@ -242,44 +269,6 @@ pub(crate) fn error_response(code: ErrorCode, message: impl Into<String>) -> Res
         code,
         server_version: PROTOCOL_VERSION,
         message: message.into(),
-    }
-}
-
-/// Answers an in-memory control-plane request. These bypass admission —
-/// they must stay answerable under overload — and are served inline on
-/// the event loop (all are cheap in-memory reads). `WalShip` is
-/// control-plane too but reads the WAL file, so it runs on a dispatcher
-/// worker instead (see [`crate::dispatch`]).
-pub(crate) fn control_response(req: Request, shared: &Shared) -> Response {
-    let svc = shared.service.as_ref();
-    match req {
-        Request::Ping => Response::Pong {
-            version: PROTOCOL_VERSION,
-            schema: svc.schema().to_line(),
-            len: svc.len(),
-        },
-        Request::Stats => Response::Stats {
-            schema: svc.schema().to_line(),
-            len: svc.len(),
-            storage_bytes: svc.storage_bytes(),
-            num_pivots: svc.num_pivots(),
-            served: shared.dispatch.served.get(),
-            shed: shared.dispatch.shed.get(),
-            deadline_miss: shared.dispatch.deadline_miss.get(),
-        },
-        Request::ObsStats => Response::ObsStats {
-            snapshot: spb_obs::snapshot(),
-        },
-        other => {
-            // Work and Shutdown requests are routed before this point;
-            // reaching here means the event loop's routing broke, but a
-            // typed error beats a wrong answer.
-            let _ = other;
-            error_response(
-                ErrorCode::Internal,
-                "non-control request reached the control path",
-            )
-        }
     }
 }
 
@@ -339,7 +328,7 @@ mod tests {
     use crate::client::Client;
     use crate::schema::Schema;
     use crate::service::{Answers, TreeService};
-    use crate::wire::WireStats;
+    use crate::wire::{Request, WireStats};
     use spb_core::{QueryPlan, QueryShape, SpbConfig, SpbTree};
     use spb_metric::{dataset, MetricObject};
     use spb_storage::TempDir;
@@ -441,6 +430,198 @@ mod tests {
             other => panic!("expected error, got {other:?}"),
         }
 
+        handle.join().unwrap();
+    }
+
+    /// The `Overloaded` frame the acceptor sends an over-limit socket.
+    fn refusal(addr: SocketAddr) -> Response {
+        let mut s = TcpStream::connect(addr).unwrap();
+        let payload = crate::wire::read_frame(&mut s, DEFAULT_MAX_FRAME).unwrap();
+        Response::decode(&payload).unwrap()
+    }
+
+    #[test]
+    fn connection_limit_refuses_and_a_hang_up_frees_a_place() {
+        let dir = TempDir::new("srv-conn-limit");
+        let cfg = ServerConfig {
+            max_connections: 2,
+            ..ServerConfig::default()
+        };
+        let handle = start_words_server(&dir, 50, 84, cfg);
+        let mut a = Client::connect(handle.addr()).unwrap();
+        let mut b = Client::connect(handle.addr()).unwrap();
+        a.ping().unwrap();
+        b.ping().unwrap();
+        match refusal(handle.addr()) {
+            Response::Error { code, message, .. } => {
+                assert_eq!(code, ErrorCode::Overloaded);
+                assert_eq!(message, "connection limit reached");
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        drop(a);
+        // The hang-up frees a place once both of its threads are done.
+        let t0 = spb_obs::clock::now();
+        loop {
+            let mut c = Client::connect(handle.addr()).unwrap();
+            if c.ping().is_ok() {
+                break;
+            }
+            assert!(
+                spb_obs::clock::nanos_since(t0) < 5_000_000_000,
+                "no place 5 s after a hang-up"
+            );
+            thread::sleep(Duration::from_millis(10));
+        }
+        b.ping().unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn clients_that_never_read_delay_no_other_client() {
+        let dir = TempDir::new("srv-no-reader");
+        // Places for every silent request and this test's other queries.
+        let cfg = ServerConfig {
+            max_queue: 200,
+            ..ServerConfig::default()
+        };
+        let handle = start_words_server(&dir, 8_000, 85, cfg);
+        let addr = handle.addr();
+        let data = spb_metric::dataset::words(8_000, 85);
+        let range = |i: usize, radius: f64| Request::Range {
+            deadline_ms: 0,
+            radius,
+            obj: data[i].encoded(),
+        };
+        // Two clients each pipeline 64 ranges wide enough to return every
+        // word (about 9 MB of answers each, far past what the socket
+        // buffers hold) and never read. Their radii differ, so they never
+        // share a batch: each occupies one dispatcher worker, and then
+        // its connection's writer blocks in `write` for good.
+        let silent: Vec<TcpStream> = [100.0, 99.0]
+            .into_iter()
+            .map(|radius| {
+                let mut bytes = Vec::new();
+                for i in 0..64 {
+                    let r = range(i, radius);
+                    crate::wire::frame_into(&mut bytes, |out| r.encode_into(out));
+                }
+                let mut s = TcpStream::connect(addr).unwrap();
+                s.write_all(&bytes).unwrap();
+                s
+            })
+            .collect();
+        let mut c = Client::connect(addr).unwrap();
+        let t0 = spb_obs::clock::now();
+        loop {
+            let Response::Stats { served, .. } = c.stats().unwrap() else {
+                panic!("stats answered with another response");
+            };
+            if served >= 128 {
+                break;
+            }
+            assert!(spb_obs::clock::nanos_since(t0) < 60_000_000_000);
+            thread::sleep(Duration::from_millis(10));
+        }
+
+        // Every silent request has started; another client is answered
+        // all the same. A worker blocked writing to a silent client would
+        // hang it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reqs: Vec<Request> = (0..16).map(|i| range(i, 1.0)).collect();
+        let other = thread::spawn(move || {
+            for _ in 0..4 {
+                let resps = c.send_many(&reqs).unwrap();
+                assert!(
+                    resps.iter().all(|r| matches!(r, Response::Range { .. })),
+                    "{resps:?}"
+                );
+            }
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("a silent client delayed another client's queries");
+        other.join().unwrap();
+
+        // Once they hang up, a fresh client can take every place.
+        drop(silent);
+        let places = cfg.dispatcher_workers + cfg.max_queue;
+        let all: Vec<Request> = (0..places).map(|i| range(i, 1.0)).collect();
+        let t0 = spb_obs::clock::now();
+        loop {
+            let resps = Client::connect(addr).unwrap().send_many(&all).unwrap();
+            if resps.iter().all(|r| matches!(r, Response::Range { .. })) {
+                break;
+            }
+            assert!(
+                spb_obs::clock::nanos_since(t0) < 5_000_000_000,
+                "places still held 5 s after the silent clients hung up"
+            );
+            thread::sleep(Duration::from_millis(20));
+        }
+        handle.join().unwrap();
+    }
+
+    /// A client that writes its whole pipeline before reading, as
+    /// `Client::send_many` does: 10 MB of `Ping` frames and about 30 MB of
+    /// answers, each far past what the socket buffers of either direction
+    /// hold. The server must keep reading while its answers go unread.
+    #[test]
+    fn a_pipeline_past_both_socket_buffers_is_answered() {
+        let dir = TempDir::new("srv-big-pipeline");
+        let handle = start_words_server(&dir, 50, 87, ServerConfig::default());
+        let n = 1_000_000;
+        let mut bytes = Vec::new();
+        for _ in 0..n {
+            crate::wire::frame_into(&mut bytes, |out| Request::Ping.encode_into(out));
+        }
+        let mut s = TcpStream::connect(handle.addr()).unwrap();
+        let mut w = s.try_clone().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let writer = thread::spawn(move || {
+            let done = w.write_all(&bytes);
+            let _ = tx.send(());
+            done
+        });
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("the server stopped reading while its answers went unread");
+        writer.join().unwrap().unwrap();
+        let mut rd = std::io::BufReader::new(&mut s);
+        let mut payload = Vec::new();
+        for _ in 0..n {
+            crate::wire::read_frame_into(&mut rd, DEFAULT_MAX_FRAME, &mut payload).unwrap();
+            assert!(matches!(
+                Response::decode(&payload).unwrap(),
+                Response::Pong { .. }
+            ));
+        }
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn join_wakes_an_idle_connection_instead_of_waiting_out_the_grace() {
+        let dir = TempDir::new("srv-idle-join");
+        let handle = start_words_server(&dir, 50, 86, ServerConfig::default());
+        let mut idle = Client::connect(handle.addr()).unwrap();
+        idle.ping().unwrap();
+        let t0 = spb_obs::clock::now();
+        handle.join().unwrap();
+        let waited = spb_obs::clock::nanos_since(t0);
+        assert!(
+            waited < 2_000_000_000,
+            "join took {waited} ns with an idle client connected"
+        );
+        // The drain closed the idle connection.
+        assert!(idle.ping().is_err());
+    }
+
+    #[test]
+    fn shutdown_twice_then_join_returns() {
+        let dir = TempDir::new("srv-shutdown-twice");
+        let handle = start_words_server(&dir, 50, 88, ServerConfig::default());
+        handle.shutdown();
+        handle.shutdown();
+        assert!(handle.is_shutting_down());
         handle.join().unwrap();
     }
 

@@ -33,8 +33,8 @@
 //!   methods, which resolution skips anyway.
 //! - Function pointers and closures passed as values are not tracked as
 //!   edges (calling `f` where `f: impl Fn()` resolves to nothing). The
-//!   reachability rules treat this as an under-approximation and the
-//!   workspace keeps blocking/panicking work out of such callbacks.
+//!   reachability rule treats this as an under-approximation and the
+//!   workspace keeps panicking work out of such callbacks.
 
 use crate::lexer::{Tok, TokKind};
 use crate::FileData;

@@ -4,12 +4,9 @@
 //! ## Resolution policy (conservative, documented)
 //!
 //! Without type information, resolution is by name with scoping
-//! heuristics. The policy errs in a rule-appropriate direction: edges
-//! we cannot pin down are *dropped* (documented under-approximation)
-//! rather than fanned out to every same-named function, except that
-//! method calls fan out to every plausible inherent/trait target so
-//! trait dispatch (the `IndexService` object in `spb-server`) is not a
-//! blind spot.
+//! heuristics. Edges we cannot pin down are *dropped* (documented
+//! under-approximation) rather than fanned out to every same-named
+//! function; method calls fan out to every plausible inherent target.
 //!
 //! - **Method calls** `.name(`:
 //!   - `self.name(` resolves to the enclosing type's own `fn name` in
@@ -18,22 +15,25 @@
 //!     collide with std collection/IO methods and would connect
 //!     unrelated code (`.len()` on a `Vec` is not `Wal::len`).
 //!   - Otherwise the edge fans out to every `fn name` in the workspace
-//!     that takes `self`. Targets inside a trait impl (or default-
-//!     bodied in a trait) are **Dyn** edges; inherent-impl targets are
-//!     **Static** edges. Rules choose which edge kinds to follow.
+//!     that takes `self` and sits in an inherent impl. Trait dispatch
+//!     makes no edge: a target inside a trait impl, default-bodied in a
+//!     trait, or named in any trait declaration is skipped, because the
+//!     `IndexService` surface would otherwise connect the no-panic
+//!     zones to the whole query engine.
 //! - **Path calls**:
 //!   - Bare `name(`: free functions named `name` — preferring the same
 //!     file, then the same crate, else all matches. A `use` import of
 //!     `name` narrows the search to the imported crate first.
-//!   - `Q::name(`: functions whose owner type is `Q`; failing that,
-//!     free fns in a file whose stem is `q`/`Q` or in crate `Q`
-//!     (module-qualified calls like `lexer::lex`).
+//!   - `Q::name(`: functions whose owner type is `Q`, except those in
+//!     trait impls; if `Q` owns none, free fns in a file whose stem is
+//!     `q`/`Q` or in crate `Q` (module-qualified calls like
+//!     `lexer::lex`).
 //!   - `Self::name(`: owner equal to the caller's owner.
 //!   - Anything unresolved produces **no edge**.
 //!
 //! Calls through function pointers/closures and macro-expanded calls
 //! are invisible (see `ast.rs`). These are the analysis's documented
-//! blind spots; the reachability rules are therefore best-effort on
+//! blind spots; the reachability rule is therefore best-effort on
 //! exotic call shapes and exact on ordinary ones.
 
 use std::collections::HashMap;
@@ -131,16 +131,6 @@ pub(crate) const STD_AMBIGUOUS_METHODS: &[&str] = &[
     "delete",
 ];
 
-/// How a call edge was resolved.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum EdgeKind {
-    /// Direct: free fn, inherent method, `Self::`/`Type::` path.
-    Static,
-    /// Through a trait surface: the target sits in a trait impl or is
-    /// a default-bodied trait method.
-    Dyn,
-}
-
 /// One resolved call edge.
 #[derive(Clone, Debug)]
 pub(crate) struct Edge {
@@ -148,8 +138,6 @@ pub(crate) struct Edge {
     pub to: usize,
     /// 1-based source line of the call site in the caller's file.
     pub line: u32,
-    /// How the edge was resolved.
-    pub kind: EdgeKind,
 }
 
 /// A fn item tagged with where it lives.
@@ -204,10 +192,9 @@ fn file_stem(rel: &str) -> &str {
 pub fn build(datas: &[FileData]) -> CallGraph {
     let asts: Vec<FileAst> = datas.iter().map(crate::ast::parse).collect();
     let mut g = CallGraph::default();
-    // Trait-declared method names, for labeling Dyn edges when the
-    // target is an inherent impl of a trait the workspace also dyn-
-    // dispatches (a method that *appears* in any trait declaration is
-    // treated as dyn-reachable through that trait).
+    // Trait-declared method names: a method that *appears* in any
+    // trait declaration is treated as reached through that trait, and
+    // method calls make no edge to it.
     let mut trait_method_names: HashMap<&str, ()> = HashMap::new();
     for ast in &asts {
         for (_, m) in &ast.trait_methods {
@@ -235,11 +222,10 @@ pub fn build(datas: &[FileData]) -> CallGraph {
         let ast = &asts[caller_file_idx];
         for call in &f.item.calls {
             let resolved = resolve(&g, &by_name, i, &call.callee, ast, &trait_method_names);
-            for (to, kind) in resolved {
+            for to in resolved {
                 edges[i].push(Edge {
                     to,
                     line: call.line,
-                    kind,
                 });
             }
         }
@@ -248,7 +234,7 @@ pub fn build(datas: &[FileData]) -> CallGraph {
     g
 }
 
-/// Resolves one call site to zero or more (target, kind) pairs.
+/// Resolves one call site to zero or more targets.
 fn resolve(
     g: &CallGraph,
     by_name: &HashMap<&str, Vec<usize>>,
@@ -256,7 +242,7 @@ fn resolve(
     callee: &Callee,
     caller_ast: &FileAst,
     trait_method_names: &HashMap<&str, ()>,
-) -> Vec<(usize, EdgeKind)> {
+) -> Vec<usize> {
     match callee {
         Callee::Method(name) | Callee::SelfMethod(name) => {
             if STD_AMBIGUOUS_METHODS.contains(&name.as_str()) {
@@ -276,19 +262,12 @@ fn resolve(
             };
             cands
                 .iter()
-                .filter(|&&t| g.fns[t].item.has_self)
-                .map(|&t| {
-                    let tf = &g.fns[t];
-                    let dynish = tf.item.trait_name.is_some()
-                        || trait_method_names.contains_key(tf.item.name.as_str());
-                    (
-                        t,
-                        if dynish {
-                            EdgeKind::Dyn
-                        } else {
-                            EdgeKind::Static
-                        },
-                    )
+                .copied()
+                .filter(|&t| {
+                    let item = &g.fns[t].item;
+                    item.has_self
+                        && item.trait_name.is_none()
+                        && !trait_method_names.contains_key(item.name.as_str())
                 })
                 .collect()
         }
@@ -302,7 +281,7 @@ fn resolve_path(
     caller: usize,
     segs: &[String],
     caller_ast: &FileAst,
-) -> Vec<(usize, EdgeKind)> {
+) -> Vec<usize> {
     let Some(name) = segs.last() else {
         return Vec::new();
     };
@@ -334,10 +313,7 @@ fn resolve_path(
                 .filter(|&t| g.fns[t].krate == imported_crate)
                 .collect();
             if !narrowed.is_empty() {
-                return narrowed
-                    .into_iter()
-                    .map(|t| (t, EdgeKind::Static))
-                    .collect();
+                return narrowed;
             }
         }
         let same_file: Vec<usize> = free
@@ -346,22 +322,18 @@ fn resolve_path(
             .filter(|&t| g.fns[t].file == caller_fn.file)
             .collect();
         if !same_file.is_empty() {
-            return same_file
-                .into_iter()
-                .map(|t| (t, EdgeKind::Static))
-                .collect();
+            return same_file;
         }
         let same_crate: Vec<usize> = free
             .iter()
             .copied()
             .filter(|&t| g.fns[t].krate == caller_fn.krate)
             .collect();
-        let pool = if same_crate.is_empty() {
+        return if same_crate.is_empty() {
             free
         } else {
             same_crate
         };
-        return pool.into_iter().map(|t| (t, EdgeKind::Static)).collect();
     }
     // Qualified call: the qualifier is the next-to-last segment.
     let q = &segs[segs.len() - 2];
@@ -371,7 +343,6 @@ fn resolve_path(
             .iter()
             .copied()
             .filter(|&t| g.fns[t].item.owner == owner && g.fns[t].file == caller_fn.file)
-            .map(|t| (t, EdgeKind::Static))
             .collect();
     }
     // `Type::name` — owner match anywhere in the workspace.
@@ -383,34 +354,20 @@ fn resolve_path(
     if !by_owner.is_empty() {
         return by_owner
             .into_iter()
-            .map(|t| {
-                let dynish = g.fns[t].item.trait_name.is_some();
-                (
-                    t,
-                    if dynish {
-                        EdgeKind::Dyn
-                    } else {
-                        EdgeKind::Static
-                    },
-                )
-            })
+            .filter(|&t| g.fns[t].item.trait_name.is_none())
             .collect();
     }
     // `module::name` — free fn in a file whose stem matches the
     // qualifier, or in a crate whose ident matches (`spb_core::f`).
     let q_lower = q.to_lowercase();
     let q_crate = q.replace('_', "-");
-    let by_module: Vec<usize> = cands
+    cands
         .iter()
         .copied()
         .filter(|&t| {
             let tf = &g.fns[t];
             tf.item.owner.is_none() && (file_stem(&tf.file) == q_lower || tf.krate == q_crate)
         })
-        .collect();
-    by_module
-        .into_iter()
-        .map(|t| (t, EdgeKind::Static))
         .collect()
 }
 
@@ -434,22 +391,22 @@ mod tests {
             .unwrap_or_else(|| panic!("no fn {label}"))
     }
 
-    fn targets(g: &CallGraph, from: &str) -> Vec<(String, EdgeKind)> {
+    fn targets(g: &CallGraph, from: &str) -> Vec<String> {
         let i = find(g, from);
-        g.edges[i].iter().map(|e| (g.label(e.to), e.kind)).collect()
+        g.edges[i].iter().map(|e| g.label(e.to)).collect()
     }
 
     #[test]
     fn same_file_bare_call_resolves() {
         let g = graph(&[("crates/a/src/m.rs", "fn f() { h(); }\nfn h() {}")]);
-        assert_eq!(targets(&g, "f"), [("h".to_string(), EdgeKind::Static)]);
+        assert_eq!(targets(&g, "f"), ["h"]);
     }
 
     #[test]
     fn use_import_narrows_to_the_right_crate() {
         let g = graph(&[
             (
-                "crates/server/src/event_loop.rs",
+                "crates/server/src/connection.rs",
                 "use crate::server::control_response;\nfn handle() { control_response(); }",
             ),
             (
@@ -458,25 +415,20 @@ mod tests {
             ),
             ("crates/other/src/x.rs", "pub fn control_response() {}"),
         ]);
-        assert_eq!(
-            targets(&g, "handle"),
-            [("control_response".to_string(), EdgeKind::Static)]
-        );
+        assert_eq!(targets(&g, "handle"), ["control_response"]);
         let t = find(&g, "handle");
         let to = g.edges[t][0].to;
         assert_eq!(g.fns[to].file, "crates/server/src/server.rs");
     }
 
     #[test]
-    fn method_call_on_trait_impl_is_dyn() {
+    fn method_call_through_a_trait_makes_no_edge() {
         let g = graph(&[(
             "crates/a/src/m.rs",
-            "trait Svc { fn wal_segment(&self); }\nimpl Svc for Tree { fn wal_segment(&self) {} }\nfn drive(s: &dyn Svc) { s.wal_segment(); }",
+            "trait Svc { fn wal_segment(&self); }\nimpl Svc for Tree { fn wal_segment(&self) {} }\nfn drive(s: &dyn Svc) { s.wal_segment(); Svc::wal_segment(s); }\nfn path(t: &Tree) { Tree::wal_segment(t); }",
         )]);
-        assert_eq!(
-            targets(&g, "drive"),
-            [("Tree::wal_segment".to_string(), EdgeKind::Dyn)]
-        );
+        assert!(targets(&g, "drive").is_empty());
+        assert!(targets(&g, "path").is_empty());
     }
 
     #[test]
@@ -497,10 +449,7 @@ mod tests {
             ),
             ("crates/b/src/n.rs", "fn f() { let _ = Page::mk(); }"),
         ]);
-        assert_eq!(
-            targets(&g, "f"),
-            [("Page::mk".to_string(), EdgeKind::Static)]
-        );
+        assert_eq!(targets(&g, "f"), ["Page::mk"]);
     }
 
     #[test]
@@ -509,7 +458,7 @@ mod tests {
             ("crates/a/src/lexer.rs", "pub fn lex() {}"),
             ("crates/a/src/m.rs", "fn f() { lexer::lex(); }"),
         ]);
-        assert_eq!(targets(&g, "f"), [("lex".to_string(), EdgeKind::Static)]);
+        assert_eq!(targets(&g, "f"), ["lex"]);
     }
 
     #[test]
@@ -518,10 +467,7 @@ mod tests {
             "crates/a/src/m.rs",
             "impl W { fn a(&self) { Self::b(); }\n fn b() {} }\nimpl V { fn b() {} }",
         )]);
-        assert_eq!(
-            targets(&g, "W::a"),
-            [("W::b".to_string(), EdgeKind::Static)]
-        );
+        assert_eq!(targets(&g, "W::a"), ["W::b"]);
     }
 
     #[test]
@@ -536,9 +482,6 @@ mod tests {
             "crates/a/src/m.rs",
             "impl Wal { fn segment_reader(&self) {} }\nfn f(w: &Wal) { w.segment_reader(); }",
         )]);
-        assert_eq!(
-            targets(&g, "f"),
-            [("Wal::segment_reader".to_string(), EdgeKind::Static)]
-        );
+        assert_eq!(targets(&g, "f"), ["Wal::segment_reader"]);
     }
 }

@@ -1,7 +1,7 @@
 //! The workspace's static-analysis pass (`spb-lint`).
 //!
 //! A dependency-free linter that enforces the invariants neither the
-//! compiler nor clippy can: panic-free and non-blocking call chains,
+//! compiler nor clippy can: panic-free call chains,
 //! total `match` coverage in wire/WAL decoding, and live-ness of every
 //! counter and error-code variant. It lexes Rust source with the
 //! hand-rolled [`lexer`] (the build environment is offline, so no
@@ -15,12 +15,11 @@
 //! | `dead-variant` | warn | every counter field / error variant referenced outside its definition |
 //! | `nan-unsafe` | deny | no `partial_cmp` float comparisons in the accel zone; use `total_cmp` |
 //! | `panic-reach` | deny | no-panic zones must not `assert!`, nor *call into* panic-capable helpers, transitively |
-//! | `block-reach` | deny | nothing in, or reachable from, the event-loop module may block |
 //! | `bad-allow` | deny | malformed suppression markers |
 //!
-//! `panic-reach` and `block-reach` are *interprocedural*: they run over
-//! a whole-workspace call graph ([`ast`] → [`callgraph`] → [`reach`])
-//! and print witness call chains as evidence.
+//! `panic-reach` is *interprocedural*: it runs over a whole-workspace
+//! call graph ([`ast`] → [`callgraph`] → [`reach`]) and prints witness
+//! call chains as evidence.
 //!
 //! # What the toolchain enforces instead
 //!
@@ -30,7 +29,7 @@
 //! - **No `unsafe`.** `[workspace.lints.rust] unsafe_code = "forbid"`,
 //!   inherited by every package through `[lints] workspace = true`.
 //!   `spb-server` alone has its own table (`deny`, plus clippy's
-//!   `undocumented_unsafe_blocks`) for its two FFI sites, each of which
+//!   `undocumented_unsafe_blocks`) for its one FFI site, which
 //!   carries `#[allow(unsafe_code)]` and a `// SAFETY:` comment.
 //! - **One clock.** The root `clippy.toml` disallows
 //!   `std::time::Instant::now`; only `spb_obs::clock::now` allows it.
@@ -76,9 +75,6 @@ pub enum Rule {
     /// A no-panic-zone function asserts, or calls (transitively,
     /// across crates) a helper that can panic.
     PanicReach,
-    /// A blocking call sits in, or is reachable (transitively) from,
-    /// the event-loop module.
-    BlockReach,
     /// Malformed suppression marker.
     BadAllow,
 }
@@ -92,7 +88,6 @@ impl Rule {
         Rule::DeadVariant,
         Rule::NanUnsafe,
         Rule::PanicReach,
-        Rule::BlockReach,
         Rule::BadAllow,
     ];
 
@@ -103,7 +98,6 @@ impl Rule {
             Rule::DeadVariant => "dead-variant",
             Rule::NanUnsafe => "nan-unsafe",
             Rule::PanicReach => "panic-reach",
-            Rule::BlockReach => "block-reach",
             Rule::BadAllow => "bad-allow",
         }
     }
@@ -116,7 +110,6 @@ impl Rule {
             "dead-variant" => Some(Rule::DeadVariant),
             "nan-unsafe" => Some(Rule::NanUnsafe),
             "panic-reach" => Some(Rule::PanicReach),
-            "block-reach" => Some(Rule::BlockReach),
             "bad-allow" => Some(Rule::BadAllow),
             other => {
                 let _ = other;
@@ -269,10 +262,9 @@ pub fn run(cfg: &Config) -> Report {
     rules::dead_variants(&datas, &mut report.violations);
 
     // Interprocedural pass: one AST per file (from the already-lexed
-    // token buffer — no re-lex), one workspace call graph, two rules.
+    // token buffer — no re-lex), one workspace call graph.
     let graph = callgraph::build(&datas);
     rules::panic_reach(&datas, &graph, &mut report.violations);
-    rules::block_reach(&datas, &graph, &mut report.violations);
 
     report
         .violations
@@ -598,7 +590,7 @@ mod tests {
         assert_eq!(d.allows.len(), 1);
         assert!(d.allowed(Rule::PanicReach, 4));
         assert!(!d.allowed(Rule::PanicReach, 5));
-        assert!(!d.allowed(Rule::BlockReach, 4));
+        assert!(!d.allowed(Rule::CatchAll, 4));
     }
 
     #[test]

@@ -48,9 +48,8 @@ fn main() -> ExitCode {
                      --root DIR      scan DIR instead of this workspace\n\
                      --format json   write the report as JSON to stdout\n\
                      --changed-only  report only findings in files changed vs HEAD\n\n\
-                     Rules: catch-all, dead-variant, nan-unsafe, panic-reach, block-reach,\n\
-                     bad-allow. See DESIGN.md §10 for the catalog and the allow-marker\n\
-                     grammar."
+                     Rules: catch-all, dead-variant, nan-unsafe, panic-reach, bad-allow.\n\
+                     See DESIGN.md §10 for the catalog and the allow-marker grammar."
                 );
                 return ExitCode::SUCCESS;
             }

@@ -1,6 +1,6 @@
 //! Reachability over the workspace call graph: which functions can
-//! transitively reach a *capability source* (a panic site, a blocking
-//! call), and the shortest witness chain proving it.
+//! transitively reach a *capability source* (a panic site), and the
+//! shortest witness chain proving it.
 //!
 //! The engine is a multi-source reverse BFS. Sources are functions
 //! with a *local* capability (e.g. a literal `.unwrap(` in the body);
@@ -10,13 +10,13 @@
 //! chain is a shortest path — witness output stays readable even in a
 //! dense graph.
 
-use crate::callgraph::{CallGraph, EdgeKind};
+use crate::callgraph::CallGraph;
 
 /// Why a function is capable.
 #[derive(Clone, Debug)]
 pub(crate) enum Reason {
     /// The capability is local: `line` + a description of the site
-    /// (e.g. "`.unwrap()`" or "`file.read_exact()`").
+    /// (e.g. "`.unwrap()`" or "`panic!`").
     Local {
         /// 1-based line of the site.
         line: u32,
@@ -106,21 +106,15 @@ pub(crate) struct ChainHop {
 }
 
 /// Computes reachability from `sources` (fn index, local line, site
-/// description), following edges whose kind passes `follow`.
-pub(crate) fn compute(
-    g: &CallGraph,
-    sources: &[(usize, u32, String)],
-    follow: impl Fn(EdgeKind) -> bool,
-) -> Reach {
+/// description) over every call edge.
+pub(crate) fn compute(g: &CallGraph, sources: &[(usize, u32, String)]) -> Reach {
     let n = g.fns.len();
     let mut reason: Vec<Option<Reason>> = vec![None; n];
     // Reverse adjacency: for each callee, who calls it and where.
     let mut rev: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
     for (caller, edges) in g.edges.iter().enumerate() {
         for e in edges {
-            if follow(e.kind) {
-                rev[e.to].push((caller, e.line));
-            }
+            rev[e.to].push((caller, e.line));
         }
     }
     let mut queue = std::collections::VecDeque::new();
@@ -173,7 +167,7 @@ mod tests {
             "fn top() { mid(); }\nfn mid() { bot(); }\nfn bot() {}\n",
         )]);
         let bot = idx(&g, "bot");
-        let r = compute(&g, &[(bot, 3, "`.unwrap()`".into())], |_| true);
+        let r = compute(&g, &[(bot, 3, "`.unwrap()`".into())]);
         let top = idx(&g, "top");
         assert!(r.capable(top));
         let chain = r.chain(&g, top);
@@ -197,22 +191,19 @@ mod tests {
             "fn top() { mid(); bot(); }\nfn mid() { bot(); }\nfn bot() {}\n",
         )]);
         let bot = idx(&g, "bot");
-        let r = compute(&g, &[(bot, 3, "x".into())], |_| true);
+        let r = compute(&g, &[(bot, 3, "x".into())]);
         let chain = r.chain(&g, idx(&g, "top"));
         assert_eq!(chain.len(), 2, "{chain:?}");
     }
 
     #[test]
-    fn edge_kind_filter_cuts_dyn_paths() {
+    fn trait_dispatch_does_not_carry_capability() {
         let g = graph(&[(
             "crates/a/src/m.rs",
             "trait S { fn go(&self); }\nimpl S for T { fn go(&self) { boom(); } }\nfn drive(s: &dyn S) { s.go(); }\nfn boom() {}\n",
         )]);
-        let boom = idx(&g, "boom");
-        let all = compute(&g, &[(boom, 4, "x".into())], |_| true);
-        assert!(all.capable(idx(&g, "drive")));
-        let static_only = compute(&g, &[(boom, 4, "x".into())], |k| k == EdgeKind::Static);
-        assert!(!static_only.capable(idx(&g, "drive")));
-        assert!(static_only.capable(idx(&g, "T::go")));
+        let r = compute(&g, &[(idx(&g, "boom"), 4, "x".into())]);
+        assert!(!r.capable(idx(&g, "drive")));
+        assert!(r.capable(idx(&g, "T::go")));
     }
 }

@@ -20,7 +20,7 @@ use crate::{end_of_attr, match_brace, FileData, Rule, Violation};
 pub const NO_PANIC_ZONES: &[&str] = &[
     "crates/server/src/wire.rs",
     "crates/server/src/server.rs",
-    "crates/server/src/event_loop.rs",
+    "crates/server/src/connection.rs",
     "crates/storage/src/raf.rs",
     "crates/storage/src/pager.rs",
     "crates/storage/src/wal.rs",
@@ -99,11 +99,6 @@ pub fn catch_all(d: &FileData, out: &mut Vec<Violation>) {
         }
     }
 }
-
-/// Files that run on the event-loop thread. Every socket there is
-/// non-blocking; a single blocking call stalls every connection the
-/// loop multiplexes.
-pub(crate) const EVENT_LOOP_FILES: &[&str] = &["crates/server/src/event_loop.rs"];
 
 /// Path prefixes where float comparisons must be NaN-total. The accel
 /// crate compares model errors, recall numbers, and user-supplied
@@ -272,7 +267,7 @@ fn extract_members(toks: &[Tok], target: &Target) -> Option<(Members, LineSpan)>
 // inside the guarded file is the zero-hop case of the same rule.
 // ---------------------------------------------------------------------------
 
-use crate::callgraph::{CallGraph, EdgeKind};
+use crate::callgraph::CallGraph;
 use crate::reach::{self, Reach};
 
 /// One literal capability site: `(fn, line, label)`.
@@ -325,16 +320,10 @@ fn literal_sites(
 }
 
 /// Every call `(caller, line, callee)` from a fn in a guarded file to a
-/// capable callee outside it, over the edge kinds `follow` admits.
-/// Callees inside the guarded files are skipped: their own outward
-/// calls (or their literal sites) produce the report, closer to the
-/// cause.
-fn capable_calls(
-    g: &CallGraph,
-    r: &Reach,
-    guarded: &[&str],
-    follow: impl Fn(EdgeKind) -> bool,
-) -> Vec<(usize, u32, usize)> {
+/// capable callee outside it. Callees inside the
+/// guarded files are skipped: their own outward calls (or their literal
+/// sites) produce the report, closer to the cause.
+fn capable_calls(g: &CallGraph, r: &Reach, guarded: &[&str]) -> Vec<(usize, u32, usize)> {
     let mut calls = Vec::new();
     for f in 0..g.fns.len() {
         if !guarded.contains(&g.fns[f].file.as_str()) {
@@ -342,8 +331,7 @@ fn capable_calls(
         }
         let mut seen: HashSet<(u32, usize)> = HashSet::new();
         for e in &g.edges[f] {
-            if follow(e.kind)
-                && !guarded.contains(&g.fns[e.to].file.as_str())
+            if !guarded.contains(&g.fns[e.to].file.as_str())
                 && r.capable(e.to)
                 && seen.insert((e.line, e.to))
             {
@@ -384,16 +372,14 @@ fn panic_site(toks: &[Tok], k: usize) -> Option<String> {
 /// transitively, across crates) a helper that can panic, and must not
 /// itself `assert!` (the one literal panic clippy's restriction lints
 /// cannot ban; `debug_assert*` stays legal). Capability is propagated
-/// backwards over **static** call edges only — trait-object dispatch is
-/// excluded because the `IndexService` surface would otherwise connect
-/// the decode zones to the whole query engine and drown the rule in
-/// allow-markers (documented approximation; the service layer has its
-/// own error discipline). A call finding sits on the zone-side call
-/// site and carries the full chain down to the panic site.
+/// backwards over call edges, which do not include trait-object
+/// dispatch (see [`crate::callgraph`]; the service layer has its own
+/// error discipline). A call finding sits on the zone-side call site
+/// and carries the full chain down to the panic site.
 pub fn panic_reach(datas: &[FileData], g: &CallGraph, out: &mut Vec<Violation>) {
     let sources = literal_sites(datas, g, Rule::PanicReach, |_| true, panic_site);
-    let r = reach::compute(g, &sources, |k| k == EdgeKind::Static);
-    for (f, line, to) in capable_calls(g, &r, NO_PANIC_ZONES, |k| k == EdgeKind::Static) {
+    let r = reach::compute(g, &sources);
+    for (f, line, to) in capable_calls(g, &r, NO_PANIC_ZONES) {
         let message = format!(
             "call from a no-panic zone to `{}` can panic: {}",
             g.label(to),
@@ -414,88 +400,6 @@ pub fn panic_reach(datas: &[FileData], g: &CallGraph, out: &mut Vec<Violation>) 
     }
 }
 
-/// Method calls that park the calling thread with no `WouldBlock`
-/// escape. `.lock()` is deliberately absent — lock waits are bounded by
-/// the rank discipline (`spb_storage::lockrank`), and flagging every
-/// mutex would make the rule unusable. `.flush()`/`.join()`/
-/// `.metadata()` are likewise excluded as too ambiguous against std
-/// collection/string methods.
-const BLOCKING_METHODS: &[&str] = &[
-    "read_exact",
-    "write_all",
-    "sync_all",
-    "sync_data",
-    "wait",
-    "wait_timeout",
-    "wait_timeout_while",
-    "accept",
-    "recv",
-    "recv_timeout",
-    "open",
-];
-
-/// Qualified-path calls that block: filesystem entry points and thread
-/// parking.
-fn blocking_path(qualifier: &str, name: &str) -> bool {
-    match qualifier {
-        "fs" => true,
-        "File" => matches!(name, "open" | "create"),
-        "OpenOptions" => name == "open",
-        "thread" => matches!(name, "sleep" | "park"),
-        other => {
-            let _ = other;
-            false
-        }
-    }
-}
-
-/// A blocking call at token `k`: sync file/socket I/O, condvar waits,
-/// channel receives, thread sleeps.
-fn block_site(toks: &[Tok], k: usize) -> Option<String> {
-    let t = &toks[k];
-    if toks.get(k + 1).map(|n| n.text.as_str()) != Some("(") {
-        return None;
-    }
-    if k > 0 && toks[k - 1].text == "." && BLOCKING_METHODS.contains(&t.text.as_str()) {
-        return Some(format!("`.{}()`", t.text));
-    }
-    let qualified = k >= 3
-        && toks[k - 1].text == ":"
-        && toks[k - 2].text == ":"
-        && toks[k - 3].kind == TokKind::Ident
-        && blocking_path(&toks[k - 3].text, &t.text);
-    qualified.then(|| format!("`{}::{}()`", toks[k - 3].text, t.text))
-}
-
-/// `block-reach`: nothing on the event-loop thread may block — neither
-/// a literal blocking call inside `event_loop.rs` (every socket there
-/// is non-blocking; readiness-aware loops use `read`/`write_vectored`
-/// and resume on `WouldBlock`) nor anything reachable from it.
-/// Blocking capability is propagated backwards over **all** call edges
-/// including trait dispatch, and any event-loop function calling an
-/// out-of-module capable helper is flagged with the chain down to the
-/// blocking site.
-pub fn block_reach(datas: &[FileData], g: &CallGraph, out: &mut Vec<Violation>) {
-    let sources = literal_sites(datas, g, Rule::BlockReach, |_| true, block_site);
-    let r = reach::compute(g, &sources, |_| true);
-    for (f, line, to) in capable_calls(g, &r, EVENT_LOOP_FILES, |_| true) {
-        let message = format!(
-            "call from the event-loop thread to `{}` can block: {}",
-            g.label(to),
-            r.render_chain(g, to)
-        );
-        push(&datas[g.file_of[f]], out, Rule::BlockReach, line, message);
-    }
-    for (f, line, label) in &sources {
-        if EVENT_LOOP_FILES.contains(&g.fns[*f].file.as_str()) {
-            let message = format!(
-                "blocking {label} on the event-loop thread stalls every connection it multiplexes"
-            );
-            push(&datas[g.file_of[*f]], out, Rule::BlockReach, *line, message);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,7 +411,6 @@ mod tests {
         let datas = [d];
         let g = crate::callgraph::build(&datas);
         panic_reach(&datas, &g, &mut out);
-        block_reach(&datas, &g, &mut out);
         out
     }
 
@@ -533,23 +436,6 @@ mod tests {
         assert_eq!(lines(&v, Rule::PanicReach), [2, 3], "{v:?}");
         assert!(v[0].message.contains("`assert!` in a no-panic zone"));
         assert!(lint_one("crates/storage/src/cache.rs", src).is_empty());
-    }
-
-    #[test]
-    fn literal_blocking_calls_in_the_event_loop_are_zero_hop_findings() {
-        let src =
-            "fn f(s: &mut std::net::TcpStream, b: &mut [u8]) {\n    let _ = s.read_exact(b);\n    \
-                   let _ = s.write_all(b);\n    let _ = s.read(b);\n}\n\
-                   fn g(l: &std::net::TcpListener) {\n    let _ = l.accept();\n    \
-                   // spb-lint: allow(block-reach) — listener is non-blocking\n    \
-                   let _ = l.accept();\n}";
-        let v = lint_one("crates/server/src/event_loop.rs", src);
-        assert_eq!(lines(&v, Rule::BlockReach), [2, 3, 7], "{v:?}");
-        assert!(v
-            .iter()
-            .any(|v| v.message.contains("blocking `.read_exact()`")));
-        // The same calls are legal outside the event loop.
-        assert!(lint_one("crates/server/src/client.rs", src).is_empty());
     }
 
     #[test]

@@ -146,23 +146,6 @@ fn r6_raw_instant_readings_fail_clippy_under_the_root_clippy_toml() {
 }
 
 #[test]
-fn r7_literal_blocking_calls_are_zero_hop_block_reach_findings() {
-    let (d, mut out) = fixture(
-        "r7_block_in_event_loop.rs",
-        "crates/server/src/event_loop.rs",
-    );
-    let datas = [d];
-    rules::block_reach(&datas, &callgraph::build(&datas), &mut out);
-    let mut lines = lines_of(&out, Rule::BlockReach);
-    lines.sort_unstable();
-    // read_exact, write_all, accept.
-    assert_eq!(lines, [6, 7, 8]);
-    assert!(out.iter().any(|v| v.to_string()
-        == "crates/server/src/event_loop.rs:6: [block-reach] blocking `.read_exact()` on the \
-            event-loop thread stalls every connection it multiplexes"));
-}
-
-#[test]
 fn r8_nan_unsafe_fixture_reports_every_site() {
     let (d, mut out) = fixture("r8_nan_unsafe.rs", "crates/accel/src/tune.rs");
     rules::nan_unsafe(&d, &mut out);
@@ -182,9 +165,9 @@ fn r8_nan_unsafe_fixture_reports_every_site() {
 
 #[test]
 fn fixtures_are_denied_under_deny_all_but_dead_variant_warns_by_default() {
-    // Six rules: what rustc and clippy check with types (`unsafe`, the
+    // Five rules: what rustc and clippy check with types (`unsafe`, the
     // clock) is theirs, see the crate docs.
-    assert_eq!(Rule::ALL.len(), 6);
+    assert_eq!(Rule::ALL.len(), 5);
     for &rule in Rule::ALL {
         assert!(rule.denied(true), "{}", rule.slug());
         assert_eq!(
@@ -206,8 +189,8 @@ fn r9_bad_allow_fixture_reports_both_malformed_markers() {
 
 /// The interprocedural fixtures are a miniature workspace tree
 /// (`fixtures/interproc/crates/...`) scanned through the full `run()`
-/// pipeline, so the path-scoped zones (`pager.rs`, `event_loop.rs`)
-/// line up with the real rule configuration.
+/// pipeline, so the path-scoped zone (`pager.rs`) lines up with the
+/// real rule configuration.
 fn interproc_report() -> spb_lint::Report {
     let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/interproc");
     spb_lint::run(&spb_lint::Config {
@@ -237,27 +220,10 @@ fn r10_panic_reach_fixture_reports_the_zone_call_with_the_full_chain() {
 }
 
 #[test]
-fn r11_block_reach_fixture_reports_the_event_loop_call_with_the_chain() {
-    let report = interproc_report();
-    let hits: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == Rule::BlockReach)
-        .collect();
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert_eq!(
-        hits[0].to_string(),
-        "crates/server/src/event_loop.rs:6: [block-reach] call from the event-loop thread \
-         to `ship_segment` can block: ship_segment (crates/server/src/replicate.rs:5) -> \
-         read_wal (crates/server/src/replicate.rs:10: `.read_exact()`)"
-    );
-}
-
-#[test]
 fn interproc_fixture_tree_has_no_unplanned_findings() {
     let report = interproc_report();
-    assert_eq!(report.files_scanned, 4);
-    assert_eq!(report.violations.len(), 2, "{:?}", report.violations);
+    assert_eq!(report.files_scanned, 2);
+    assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
 }
 
 #[test]
@@ -279,10 +245,6 @@ fn every_registered_rule_fires_on_a_fixture() {
         ("r1_no_panic.rs", "crates/storage/src/wal.rs"),
         ("r4_catch_all.rs", "crates/storage/src/wal.rs"),
         ("r5_dead_variant.rs", "crates/server/src/wire.rs"),
-        (
-            "r7_block_in_event_loop.rs",
-            "crates/server/src/event_loop.rs",
-        ),
         ("r8_nan_unsafe.rs", "crates/accel/src/tune.rs"),
         ("r9_bad_allow.rs", "crates/storage/src/misc.rs"),
     ];
@@ -293,9 +255,7 @@ fn every_registered_rule_fires_on_a_fixture() {
         rules::nan_unsafe(&d, &mut out);
         let datas = [d];
         rules::dead_variants(&datas, &mut out);
-        let g = callgraph::build(&datas);
-        rules::panic_reach(&datas, &g, &mut out);
-        rules::block_reach(&datas, &g, &mut out);
+        rules::panic_reach(&datas, &callgraph::build(&datas), &mut out);
         fired.extend(out.iter().map(|v| v.rule));
     }
     fired.extend(interproc_report().violations.iter().map(|v| v.rule));

@@ -99,7 +99,7 @@ fn panic_reach_zero_hop_is_live_on_real_wal_rs() {
 fn every_package_inherits_the_workspace_unsafe_lint() {
     // `unsafe` is rustc's to reject: the root manifest forbids it for
     // the workspace, every package inherits that table, and only
-    // spb-server (two FFI sites) spells its own, which still denies it
+    // spb-server (one FFI site) spells its own, which still denies it
     // and requires a SAFETY comment on each block.
     let root = repo_root();
     let read = |p: std::path::PathBuf| std::fs::read_to_string(&p).expect("read manifest");
@@ -133,31 +133,6 @@ fn every_package_inherits_the_workspace_unsafe_lint() {
             );
         }
     }
-}
-
-#[test]
-fn block_reach_zero_hop_is_live_on_real_event_loop_rs() {
-    // Liveness for the event-loop's literal blocking-call ban: append a
-    // blocking probe to the real event_loop.rs text and check exactly it
-    // gets flagged (so the real file has none outside its one
-    // allow-marked accept site — which also proves marker coverage
-    // works on the real source).
-    let path = repo_root().join("crates/server/src/event_loop.rs");
-    let src = std::fs::read_to_string(path).expect("read event_loop.rs");
-    let seeded = format!(
-        "{src}\nfn probe(s: &mut std::net::TcpStream, b: &mut [u8]) {{ let _ = s.read_exact(b); }}\n"
-    );
-    let mut out = Vec::new();
-    let datas = vec![analyze(
-        "crates/server/src/event_loop.rs".to_string(),
-        &seeded,
-        &mut out,
-    )];
-    rules::block_reach(&datas, &callgraph::build(&datas), &mut out);
-    assert_eq!(out.len(), 1, "{out:?}");
-    assert_eq!(out[0].rule, Rule::BlockReach);
-    assert!(out[0].message.contains("blocking `.read_exact()`"));
-    assert_eq!(out[0].line as usize, seeded.lines().count());
 }
 
 #[test]
@@ -202,36 +177,6 @@ fn panic_reach_rule_is_live_on_real_pager_rs() {
     assert!(hits[0].message.contains("`probe_helper` can panic"));
     assert!(hits[0].message.contains("probe_inner"));
     assert!(hits[0].message.contains("`.unwrap()`"));
-}
-
-#[test]
-fn block_reach_rule_is_live_on_real_event_loop_rs() {
-    // Same liveness idea for the event-loop reachability rule: the
-    // blocking site sits in another module, connected only by the
-    // call graph.
-    let path = repo_root().join("crates/server/src/event_loop.rs");
-    let src = std::fs::read_to_string(path).expect("read event_loop.rs");
-    let seeded = format!("{src}\nfn probe_pump(lsn: u64) {{ probe_ship(lsn); }}\n");
-    let helper = "pub fn probe_ship(lsn: u64) {\n\
-                      let mut buf = [0u8; 8];\n\
-                      wal_file(lsn).read_exact(&mut buf).ok();\n\
-                  }\n";
-    let mut out = Vec::new();
-    let datas = vec![
-        analyze(
-            "crates/server/src/event_loop.rs".to_string(),
-            &seeded,
-            &mut out,
-        ),
-        analyze("crates/server/src/probe.rs".to_string(), helper, &mut out),
-    ];
-    let g = callgraph::build(&datas);
-    rules::block_reach(&datas, &g, &mut out);
-    let hits: Vec<_> = out.iter().filter(|v| v.rule == Rule::BlockReach).collect();
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert_eq!(hits[0].line as usize, seeded.lines().count());
-    assert!(hits[0].message.contains("`probe_ship` can block"));
-    assert!(hits[0].message.contains("`.read_exact()`"));
 }
 
 #[test]

@@ -6,17 +6,17 @@
 //!
 //! | Rank | Lock | Declared in |
 //! |---|---|---|
-//! | 1 | Event-loop completion queue | `spb-server` (`Shared::completions`) |
+//! | 1 | Connection state (output buffer, barrier queue) | `spb-server` (`Conn::state`) |
 //! | 2 | Dispatcher work queue | `spb-server` (`DispatchQueue`) |
 //! | 3 | Cluster router connection-pool mutex | `spb-cluster` (`Router`) |
 //! | 5 | Replica state lock (serving-tree swap) | `spb-cluster` (`Replica`) |
 //! | 10 | SPB-tree structure latch | `spb-core` (`SpbTree::latch`) |
-//! | 12 | Baseline index root / radii mutex | `spb-mams` (M-tree, R-tree, M-Index) |
 //! | 15 | RAF staged tail page | `spb-storage` (`Raf::staged`) |
 //! | 20 | Buffer-pool shard mutex | `spb-storage` (`cache::Shard`) |
 //! | 30 | WAL mutexes (`pending`, `file`) | `spb-storage` (`Wal`) |
 //! | 40 | B⁺-tree meta (root, height, length) | `spb-bptree` (`BPlusTree::meta`) |
 //! | 41 | Learned-positioning model slot | `spb-core` (`SpbTree::accel`) |
+//! | 42 | Baseline index root / radii mutex | `spb-mams` (M-tree, R-tree, M-Index) |
 //! | 50 | Pager transaction staging | `spb-storage` (`Pager::txn`) |
 //! | 51 | Pager file handle | `spb-storage` (`Pager::file`) |
 //!
@@ -28,12 +28,15 @@
 //! *below* the tree latch: a replica swaps its serving tree (and a
 //! router leases a connection) before any tree latch is taken, and a
 //! thread inside a tree must never reach back up into cluster state.
-//! A baseline index holds its root mutex across a whole traversal, and
-//! the RAF holds its staged tail while it seals that page through the
-//! pool, so both sit above the latch and below the shards. The ranks
-//! from 40 up are leaves: nothing is acquired while one is held. The
+//! The RAF holds its staged tail while it seals that page through the
+//! pool, so it sits above the latch and below the shards. The ranks
+//! from 40 up are leaves: nothing is acquired while one is held. A
+//! baseline index copies its root (or radii) out and releases the
+//! mutex before it reads a page, so that rank is a leaf too. The
 //! pager's two sit last because every page read or write, from any
-//! layer, ends in them.
+//! layer, ends in them. The server's connection state sits lowest: a
+//! dispatcher worker holds it while it pushes newly eligible work onto
+//! the dispatcher queue.
 //!
 //! The inner `std::sync` lock is a private field, so there is no way
 //! to take a ranked lock without going through the rank check. This
@@ -75,11 +78,11 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum LockRank {
-    /// The event loop's completion queue: workers push finished
-    /// responses, the loop drains them (`spb-server`). Lowest rank —
-    /// always taken briefly with no other ranked lock held.
-    EventCompletions = 1,
-    /// The dispatcher's work queue between the event loop and its
+    /// One connection's state: its output buffer, response order and
+    /// barrier queue (`spb-server`). Lowest rank — a worker holds it
+    /// while it pushes released work onto the dispatcher queue.
+    Connection = 1,
+    /// The dispatcher's work queue between the connections and the
     /// workers (`spb-server`).
     DispatchQueue = 2,
     /// A cluster router's per-node connection-pool mutex
@@ -90,9 +93,6 @@ pub enum LockRank {
     ReplicaApply = 5,
     /// The SPB-tree structure latch (`spb-core`).
     TreeLatch = 10,
-    /// A baseline index's root or pivot-radii mutex (`spb-mams`), held
-    /// across the page reads of a traversal.
-    BaselineRoot = 12,
     /// The RAF's staged tail page, held while it is sealed through the
     /// buffer pool.
     RafTail = 15,
@@ -104,6 +104,9 @@ pub enum LockRank {
     BtreeMeta = 40,
     /// The SPB-tree's learned-positioning model slot (`spb-core`). Leaf.
     AccelModel = 41,
+    /// A baseline index's root or pivot-radii mutex (`spb-mams`),
+    /// copied out before any page is read. Leaf.
+    BaselineRoot = 42,
     /// The pager's open-transaction staging map. Leaf.
     PagerTxn = 50,
     /// The pager's file handle. Leaf.
@@ -113,17 +116,17 @@ pub enum LockRank {
 impl LockRank {
     /// Every rank, ascending.
     pub const ALL: [LockRank; 13] = [
-        LockRank::EventCompletions,
+        LockRank::Connection,
         LockRank::DispatchQueue,
         LockRank::RouterConn,
         LockRank::ReplicaApply,
         LockRank::TreeLatch,
-        LockRank::BaselineRoot,
         LockRank::RafTail,
         LockRank::BufferShard,
         LockRank::Wal,
         LockRank::BtreeMeta,
         LockRank::AccelModel,
+        LockRank::BaselineRoot,
         LockRank::PagerTxn,
         LockRank::PagerFile,
     ];
@@ -131,7 +134,7 @@ impl LockRank {
     /// Human-readable name used in violation messages.
     pub fn name(self) -> &'static str {
         match self {
-            LockRank::EventCompletions => "event-loop completion queue",
+            LockRank::Connection => "connection state",
             LockRank::DispatchQueue => "dispatcher work queue",
             LockRank::RouterConn => "router connection pool",
             LockRank::ReplicaApply => "replica state lock",
@@ -270,6 +273,15 @@ pub type RankedReadGuard<'a, T> = RankedGuard<RwLockReadGuard<'a, T>>;
 pub type RankedWriteGuard<'a, T> = RankedGuard<RwLockWriteGuard<'a, T>>;
 
 impl<T> RankedGuard<MutexGuard<'_, T>> {
+    /// Waits on `cv`, releasing and re-acquiring the mutex like
+    /// [`Condvar::wait`]; the rank registration is kept across the wait
+    /// (see [`wait_timeout`](Self::wait_timeout)).
+    pub fn wait(self, cv: &Condvar) -> Self {
+        let RankedGuard { guard, held } = self;
+        let guard = cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+        RankedGuard { guard, held }
+    }
+
     /// Waits on `cv` with a timeout, releasing and re-acquiring the
     /// mutex like [`Condvar::wait_timeout`]. The rank registration is
     /// kept across the wait: the thread re-holds the same lock on wake,

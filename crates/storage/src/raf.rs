@@ -337,15 +337,6 @@ impl Raf {
         Ok(())
     }
 
-    /// Frees the entry at `ptr` logically: it checks that `ptr` names a
-    /// readable entry and leaves the bytes in place. The SPB-tree delete
-    /// operation removes the B⁺-tree entry; RAF space is reclaimed only by
-    /// rebuilding (documented simplification — the paper's deletion
-    /// operation likewise leaves the RAF untouched).
-    pub fn free(&self, ptr: RafPtr) -> io::Result<()> {
-        self.get(ptr).map(drop)
-    }
-
     /// Total logical bytes used (header page's data area + entries).
     pub fn tail_offset(&self) -> u64 {
         self.tail.load(Ordering::SeqCst)
