@@ -143,18 +143,7 @@ fn set_summary(node: &mut InternalNode, idx: usize, min_key: u128, mbb: Mbb) {
 impl<M: MbbOps> BPlusTree<M> {
     /// Creates an empty tree at `path` with a page cache of `cache_pages`.
     pub fn create(path: &Path, cache_pages: usize, ops: M) -> io::Result<Self> {
-        Self::create_sharded(path, cache_pages, 1, ops)
-    }
-
-    /// [`BPlusTree::create`] with a lock-striped page cache (`shards`
-    /// stripes) for concurrent readers.
-    pub fn create_sharded(
-        path: &Path,
-        cache_pages: usize,
-        shards: usize,
-        ops: M,
-    ) -> io::Result<Self> {
-        let pool = BufferPool::new_sharded(Pager::create(path)?, cache_pages, shards);
+        let pool = BufferPool::new(Pager::create(path)?, cache_pages);
         let meta_page = pool.allocate()?;
         debug_assert_eq!(meta_page, PageId(0));
         let meta = Meta {
@@ -173,17 +162,7 @@ impl<M: MbbOps> BPlusTree<M> {
 
     /// Opens an existing tree.
     pub fn open(path: &Path, cache_pages: usize, ops: M) -> io::Result<Self> {
-        Self::open_sharded(path, cache_pages, 1, ops)
-    }
-
-    /// [`BPlusTree::open`] with a lock-striped page cache (`shards` stripes).
-    pub fn open_sharded(
-        path: &Path,
-        cache_pages: usize,
-        shards: usize,
-        ops: M,
-    ) -> io::Result<Self> {
-        let pool = BufferPool::new_sharded(Pager::open(path)?, cache_pages, shards);
+        let pool = BufferPool::new(Pager::open(path)?, cache_pages);
         let meta_page = pool.read(PageId(0))?;
         let meta = Meta::decode(&meta_page)?;
         Ok(BPlusTree {

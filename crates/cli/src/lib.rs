@@ -154,8 +154,7 @@ pub enum Command {
         plan: QueryPlan,
         /// The query object(s).
         input: QueryInput,
-        /// Worker threads of a local target (also its cache stripes); a
-        /// server uses its own.
+        /// Worker threads of a local target; a server uses its own.
         threads: usize,
         /// Relative deadline in ms (`0` = none).
         deadline_ms: u32,
@@ -230,7 +229,7 @@ pub enum Command {
         max_queue: usize,
         /// Concurrent TCP connections before new ones are refused.
         max_connections: usize,
-        /// Worker threads for batch queries (also cache stripes).
+        /// Worker threads for batch queries.
         threads: usize,
         /// Keep a bounded in-memory ring of span trace events
         /// (`--trace on`); dumped through `stats --addr`.
@@ -577,8 +576,8 @@ impl Session {
         let threads = threads.max(1);
         match target {
             Target::Index(dir) => {
-                let service = spb_server::open_index(dir, 32, threads)
-                    .map_err(|e| format!("open {dir:?}: {e}"))?;
+                let service =
+                    spb_server::open_index(dir, 32).map_err(|e| format!("open {dir:?}: {e}"))?;
                 Ok(Session::Local { service, threads })
             }
             Target::Addr(addr) => {
@@ -900,7 +899,7 @@ pub(crate) fn serve_blocking(
     cfg: ServerConfig,
     on_start: impl FnMut(SocketAddr),
 ) -> Result<(), CliError> {
-    let service = spb_server::open_index(index, 32, cfg.worker_threads.max(1))
+    let service = spb_server::open_index(index, 32)
         .map_err(|e| CliError::from(format!("open {index:?}: {e}")))?;
     spb_server::serve_until_shutdown(service, addr, cfg, on_start)
         .map_err(|e| CliError::from(format!("serve on {addr}: {e}")))

@@ -40,8 +40,6 @@ pub struct ClusterConfig {
     /// when comparing stats against a single-node index: per-query cost
     /// accounting simulates a cold cache of exactly this capacity.
     pub cache_pages: usize,
-    /// Lock stripes per node page cache.
-    pub cache_shards: usize,
     /// Per-node server limits.
     pub server: ServerConfig,
     /// Index build parameters (shared by every shard).
@@ -54,7 +52,6 @@ impl Default for ClusterConfig {
             shards: 2,
             replicas: 0,
             cache_pages: 32,
-            cache_shards: 2,
             server: ServerConfig::default(),
             spb: SpbConfig::default(),
         }
@@ -130,7 +127,6 @@ impl<O: MetricObject, D: Distance<O> + Clone + 'static> Cluster<O, D> {
                     metric.clone(),
                     schema.clone(),
                     cfg.cache_pages,
-                    cfg.cache_shards,
                 )?);
                 let handle = serve(
                     Box::new(ReplicaService::new(Arc::clone(&replica))),
@@ -144,13 +140,7 @@ impl<O: MetricObject, D: Distance<O> + Clone + 'static> Cluster<O, D> {
                 });
             }
 
-            let tree = SpbTree::open_sharded(
-                &dir,
-                metric.clone(),
-                cfg.cache_pages,
-                true,
-                cfg.cache_shards,
-            )?;
+            let tree = SpbTree::open(&dir, metric.clone(), cfg.cache_pages)?;
             let service = TreeService::new(tree, schema.clone());
             let handle = serve(Box::new(service), "127.0.0.1:0", cfg.server)?;
             shards.push(ShardNode {

@@ -100,7 +100,6 @@ pub struct Replica<O: MetricObject, D: Distance<O> + Clone> {
     metric: D,
     schema: Schema,
     cache_pages: usize,
-    cache_shards: usize,
     /// Ranked below every storage rank: readers hold it shared across
     /// whole tree queries; apply takes it exclusively to swap the tree.
     state: RankedRwLock<ReplicaState<O, D>>,
@@ -117,7 +116,6 @@ impl<O: MetricObject, D: Distance<O> + Clone> Replica<O, D> {
         metric: D,
         schema: Schema,
         cache_pages: usize,
-        cache_shards: usize,
     ) -> io::Result<Self> {
         copy_dir(snapshot, dir)?;
         let wal_path = dir.join(WAL_FILE);
@@ -131,7 +129,6 @@ impl<O: MetricObject, D: Distance<O> + Clone> Replica<O, D> {
             metric,
             schema,
             cache_pages,
-            cache_shards,
             state: RankedRwLock::new(
                 LockRank::ReplicaApply,
                 ReplicaState {
@@ -192,13 +189,7 @@ impl<O: MetricObject, D: Distance<O> + Clone> Replica<O, D> {
     }
 
     fn open_service(&self) -> io::Result<TreeService<O, D>> {
-        let tree = SpbTree::open_sharded(
-            &self.dir,
-            self.metric.clone(),
-            self.cache_pages,
-            true,
-            self.cache_shards,
-        )?;
+        let tree = SpbTree::open(&self.dir, self.metric.clone(), self.cache_pages)?;
         Ok(TreeService::new(tree, self.schema.clone()))
     }
 }

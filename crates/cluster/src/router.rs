@@ -366,9 +366,9 @@ impl<O: MetricObject, D: Distance<O>> Router<O, D> {
         for answers in results {
             // `Client::query` lets only range rows answer a range plan.
             if let Answers::Range(rows) = answers {
-                for (shard_hits, shard_stats) in rows {
-                    sum_stats(&mut stats, &shard_stats);
-                    hits.extend(shard_hits);
+                for (part_hits, part_stats) in rows {
+                    sum_stats(&mut stats, &part_stats);
+                    hits.extend(part_hits);
                 }
             }
         }
@@ -421,8 +421,8 @@ impl<O: MetricObject, D: Distance<O>> Router<O, D> {
                 visited[shard] = true;
                 // `Client::query` lets only kNN rows answer a kNN plan.
                 if let Answers::Knn(rows) = answers {
-                    for (nns, shard_stats) in rows {
-                        sum_stats(&mut stats, &shard_stats);
+                    for (nns, part_stats) in rows {
+                        sum_stats(&mut stats, &part_stats);
                         lists.push(nns);
                     }
                 }

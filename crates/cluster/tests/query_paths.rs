@@ -230,7 +230,6 @@ fn every_answering_path_agrees_on_every_plan() {
             dataset::words_metric(),
             schema(),
             SpbConfig::default().cache_pages,
-            1,
         )
         .expect("bootstrap"),
     );

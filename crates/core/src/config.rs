@@ -23,12 +23,6 @@ pub struct SpbConfig {
     /// Page-cache capacity, in pages, for both the B⁺-tree file and the
     /// RAF (Table 3 default: 32).
     pub cache_pages: usize,
-    /// Lock stripes per page cache. 1 (the default) is the paper's exact
-    /// global LRU; batch workloads raise it (typically to the thread
-    /// count) so parallel readers don't serialise on one mutex. Page
-    /// `p` maps to stripe `p mod cache_shards`; per-query *PA* accounting
-    /// is unaffected (it simulates the single-shard protocol cache).
-    pub cache_shards: usize,
     /// Pivot selection algorithm (the paper's HFI by default).
     pub pivot_method: PivotMethod,
     /// Sampling knobs for pivot selection.
@@ -59,7 +53,6 @@ impl Default for SpbConfig {
             delta: None,
             curve: CurveKind::Hilbert,
             cache_pages: 32,
-            cache_shards: 1,
             pivot_method: PivotMethod::Hfi,
             pivot_config: PivotConfig::default(),
             use_lemma2: true,
@@ -97,10 +90,6 @@ mod tests {
         let c = SpbConfig::default();
         assert_eq!(c.num_pivots, 5);
         assert_eq!(c.cache_pages, 32);
-        assert_eq!(
-            c.cache_shards, 1,
-            "default must keep the paper's global LRU"
-        );
         assert_eq!(c.curve, CurveKind::Hilbert);
         assert_eq!(c.pivot_method, PivotMethod::Hfi);
         assert!(c.delta.is_none());

@@ -23,7 +23,7 @@
 //!
 //! The collector therefore *simulates* the paper's protocol: it feeds the
 //! query's own access trace through a private cold LRU with the pool's
-//! capacity (single-sharded, exactly the protocol's cache). The reported
+//! capacity (exactly the protocol's cache). The reported
 //! PA is identical to what a solo flushed run measures — same misses,
 //! same capacity sweep behaviour (Fig. 10), same greedy-vs-incremental
 //! RAF ping-pong (Table 5) — and is independent of batching, thread
@@ -40,7 +40,7 @@ use spb_storage::{Lru, PageId};
 use crate::tree::QueryStats;
 
 /// A cold cache simulated for accounting only: the very LRU a
-/// [`spb_storage::BufferPool`] shard runs, storing no pages — only which
+/// [`spb_storage::BufferPool`] runs, storing no pages — only which
 /// page numbers would be resident — plus the miss count.
 struct ColdCache {
     lru: Lru<()>,

@@ -127,7 +127,7 @@ pub struct SpbTree<O: MetricObject, D: Distance<O>> {
     /// reader never observes a half-applied B⁺-tree split (node pages are
     /// written one at a time). Queries are fully concurrent with each
     /// other; updates serialise with everything. Ranked below the
-    /// buffer-pool shards and the WAL; taken through
+    /// buffer pools and the WAL; taken through
     /// [`SpbTree::latch_shared`] / [`SpbTree::latch_exclusive`], which
     /// time the wait.
     latch: RankedRwLock<()>,
@@ -213,8 +213,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         mapped.sort_unstable_by_key(|&(sfc, idx, _)| (sfc, idx));
 
         // RAF in ascending SFC order.
-        let raf =
-            Raf::create_sharded(&dir.join(RAF_FILE), config.cache_pages, config.cache_shards)?;
+        let raf = Raf::create(&dir.join(RAF_FILE), config.cache_pages)?;
         let mut entries: Vec<(u128, u64)> = Vec::with_capacity(mapped.len());
         let mut buf = Vec::new();
         for &(sfc, idx, _) in &mapped {
@@ -226,10 +225,9 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
         raf.flush()?;
 
         // Bulk-load the B+-tree bottom-up.
-        let btree = BPlusTree::create_sharded(
+        let btree = BPlusTree::create(
             &dir.join(BTREE_FILE),
             config.cache_pages,
-            config.cache_shards,
             SfcMbbOps::new(curve),
         )?;
         btree.bulk_load(entries)?;
@@ -324,31 +322,14 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
     /// `durable = false` recovery still runs (a crashed durable session
     /// must not be silently ignored) but subsequent updates skip the WAL.
     pub fn open_with(dir: &Path, metric: D, cache_pages: usize, durable: bool) -> io::Result<Self> {
-        Self::open_sharded(dir, metric, cache_pages, durable, 1)
-    }
-
-    /// [`SpbTree::open_with`] with lock-striped page caches
-    /// (`cache_shards` stripes each) for concurrent batch workloads.
-    pub fn open_sharded(
-        dir: &Path,
-        metric: D,
-        cache_pages: usize,
-        durable: bool,
-        cache_shards: usize,
-    ) -> io::Result<Self> {
         let durable = Durable::open(dir, durable)?;
         let Meta { curve, len, .. } = durable.meta();
         let counter = DistCounter::new();
         let metric = CountingDistance::with_counter(metric, counter.clone());
         let table: PivotTable<O> = PivotTable::load(&dir.join(PIVOTS_FILE))?;
         let curve = table.curve(curve);
-        let btree = BPlusTree::open_sharded(
-            &dir.join(BTREE_FILE),
-            cache_pages,
-            cache_shards,
-            SfcMbbOps::new(curve),
-        )?;
-        let raf = Raf::open_sharded(&dir.join(RAF_FILE), cache_pages, cache_shards)?;
+        let btree = BPlusTree::open(&dir.join(BTREE_FILE), cache_pages, SfcMbbOps::new(curve))?;
+        let raf = Raf::open(&dir.join(RAF_FILE), cache_pages)?;
 
         // A persisted model signals the build's accel policy. Loading
         // tolerates torn or corrupt files (`None`): queries then fall

@@ -1,7 +1,7 @@
 //! Concurrency stress for the lock-rank discipline.
 //!
 //! Two layers of evidence that the declared order (tree latch ≺
-//! buffer-pool shard ≺ WAL mutex) is both *sufficient* — every legal
+//! buffer-pool LRU ≺ WAL mutex) is both *sufficient* — every legal
 //! acquisition chain stays silent under the debug-build runtime
 //! assertions — and *enforced* — inverted or equal-rank-exclusive
 //! chains panic. The final test drives a real durable tree from many
@@ -19,7 +19,7 @@ use spb_storage::TempDir;
 struct Locks {
     latch: RankedRwLock<()>,
     other_latch: RankedRwLock<()>,
-    shard: RankedMutex<()>,
+    pool: RankedMutex<()>,
     wal: RankedMutex<()>,
 }
 
@@ -28,7 +28,7 @@ impl Locks {
         Locks {
             latch: RankedRwLock::new(LockRank::TreeLatch, ()),
             other_latch: RankedRwLock::new(LockRank::TreeLatch, ()),
-            shard: RankedMutex::new(LockRank::BufferShard, ()),
+            pool: RankedMutex::new(LockRank::BufferPool, ()),
             wal: RankedMutex::new(LockRank::Wal, ()),
         }
     }
@@ -48,7 +48,7 @@ fn every_legal_acquisition_order_is_silent() {
                     // Full ascending chain (the insert/commit shape).
                     {
                         let _t = l.latch.write();
-                        let _b = l.shard.lock();
+                        let _b = l.pool.lock();
                         let _w = l.wal.lock();
                     }
                     // Equal-rank shared/shared (the similarity-join
@@ -56,19 +56,19 @@ fn every_legal_acquisition_order_is_silent() {
                     {
                         let _q = l.latch.read();
                         let _o = l.other_latch.read();
-                        let _b = l.shard.lock();
+                        let _b = l.pool.lock();
                     }
                     // Every two-rank ascending pair.
                     {
                         let _t = l.latch.read();
-                        let _b = l.shard.lock();
+                        let _b = l.pool.lock();
                     }
                     {
                         let _t = l.latch.write();
                         let _w = l.wal.lock();
                     }
                     {
-                        let _b = l.shard.lock();
+                        let _b = l.pool.lock();
                         let _w = l.wal.lock();
                     }
                     // Sequential re-acquisition after release is legal.
@@ -109,7 +109,7 @@ fn descending_into_the_middle_panics_in_debug() {
     let l = Locks::new();
     let _t = l.latch.write();
     let _w = l.wal.lock();
-    let _b = l.shard.lock();
+    let _b = l.pool.lock();
 }
 
 fn small_words() -> Vec<Word> {

@@ -44,7 +44,7 @@ proptest! {
     /// Learned positioning is byte-identical to classic descent on a
     /// fresh model, stays identical after insertions stale the model
     /// (silent fallback), and again after an explicit rebuild — across
-    /// both curves and several cache shardings.
+    /// both curves.
     #[test]
     fn learned_positioning_never_changes_results(
         data in word_set(),
@@ -53,12 +53,10 @@ proptest! {
         r in 0.0f64..5.0,
         k in 1usize..8,
         hilbert in any::<bool>(),
-        shards in 1usize..4,
     ) {
         let dir = TempDir::new("prop-accel");
         let cfg = SpbConfig {
             curve: if hilbert { CurveKind::Hilbert } else { CurveKind::Z },
-            cache_shards: shards,
             accel: AccelPolicy::Learned,
             ..SpbConfig::default()
         };

@@ -2,8 +2,8 @@
 //!
 //! Metrics are created by name with [`counter`] / [`gauge`] /
 //! [`histogram`]: the first call registers, later calls return the same
-//! underlying metric (so two buffer pools naming the same per-shard
-//! counter share it, and totals stay process-wide). Instrumented code
+//! underlying metric (so every buffer pool naming `pool.hits` shares
+//! it, and totals stay process-wide). Instrumented code
 //! calls these once — at construction or through a `OnceLock` — and
 //! holds the `Arc`, so the registry's mutexes are touched only at
 //! registration and snapshot time, never on the per-event fast path.

@@ -1,7 +1,7 @@
 //! Network query service for the SPB-tree.
 //!
 //! The in-process machinery (batch APIs, work-stealing
-//! [`exec`](spb_core::exec) pool, sharded buffer pool) makes one process
+//! [`exec`](spb_core::exec) pool, buffer pool) makes one process
 //! fast; this crate puts a service boundary around it so the index can be
 //! owned by a long-lived process and queried remotely:
 //!

@@ -121,31 +121,15 @@ pub fn read_schema(index: &Path) -> io::Result<Schema> {
 /// per-query [`QueryStats`](spb_core::QueryStats) are computed against a
 /// simulated cold cache of this capacity, so byte-identical stats require
 /// identical capacity (the CLI and the E2E tests both use 32).
-pub fn open_index(
-    index: &Path,
-    cache_pages: usize,
-    cache_shards: usize,
-) -> io::Result<Box<dyn IndexService>> {
+pub fn open_index(index: &Path, cache_pages: usize) -> io::Result<Box<dyn IndexService>> {
     let schema = read_schema(index)?;
     Ok(match &schema {
         Schema::Words { max_len } => {
-            let tree = SpbTree::open_sharded(
-                index,
-                EditDistance::new(*max_len),
-                cache_pages,
-                true,
-                cache_shards,
-            )?;
+            let tree = SpbTree::open(index, EditDistance::new(*max_len), cache_pages)?;
             Box::new(TreeService::new(tree, schema))
         }
         Schema::Vectors { p, dim } => {
-            let tree = SpbTree::open_sharded(
-                index,
-                LpNorm::new(f64::from(*p), *dim, 1.0),
-                cache_pages,
-                true,
-                cache_shards,
-            )?;
+            let tree = SpbTree::open(index, LpNorm::new(f64::from(*p), *dim, 1.0), cache_pages)?;
             Box::new(TreeService::new(tree, schema))
         }
     })

@@ -110,7 +110,7 @@ fn build_baseline(root: &Path) -> (PathBuf, Vec<Word>) {
 /// Returns the number of remotely-acknowledged ops, or `None` if the
 /// index wouldn't even open (the crash fired during open/recovery).
 fn run_server_workload(dir: &Path, ops: &[Op], expect_crash: bool) -> Option<usize> {
-    let service = match open_index(dir, CACHE_PAGES, 1) {
+    let service = match open_index(dir, CACHE_PAGES) {
         Ok(s) => s,
         Err(e) => {
             assert!(

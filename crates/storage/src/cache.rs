@@ -9,14 +9,8 @@
 //! separately, and [`BufferPool::page_accesses`] = misses + writes is the
 //! paper's metric.
 //!
-//! ## Sharding
-//!
-//! A pool can be lock-striped into N independent LRU segments
-//! ([`BufferPool::new_sharded`]): a page's shard is `PageId mod N`, so
-//! parallel readers of different pages never contend on one mutex. Each
-//! shard keeps its own counters; [`BufferPool::stats`] sums them, keeping
-//! the paper's PA accounting exact. The default ([`BufferPool::new`]) is a
-//! single shard, which is byte-for-byte the paper's global LRU.
+//! A pool is one LRU behind one mutex: exactly the paper's cache, with
+//! [`BufferPool::set_capacity`] holding exactly the pages asked for.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -56,15 +50,17 @@ fn buffer_io_hist() -> &'static Arc<spb_obs::Histogram> {
     H.get_or_init(|| spb_obs::histogram("phase.buffer_io"))
 }
 
-/// One lock stripe of the pool: an LRU segment plus its own counters.
+/// A write-through LRU buffer pool over a [`Pager`].
 ///
-/// The per-shard `AtomicU64`s are the paper's exact *PA* accounting and
-/// stay per-pool (resettable between queries). The `obs_*` counters
-/// mirror hits/misses/evictions into the process-global registry under
-/// `pool.shard{N}.*` — every pool sharing a shard index shares the
-/// named counter, so the registry reports process-wide totals.
-struct Shard {
-    inner: RankedMutex<Lru<Arc<Page>>>,
+/// The `AtomicU64`s are the paper's exact *PA* accounting and stay per
+/// pool (resettable between queries). The `obs_*` counters mirror hits,
+/// misses and evictions into the process-global registry as
+/// `pool.hits`, `pool.misses` and `pool.evictions`, shared by every pool.
+pub struct BufferPool {
+    pager: Pager,
+    lru: RankedMutex<Lru<Arc<Page>>>,
+    /// Capacity in pages (Fig. 10's parameter).
+    capacity: AtomicUsize,
     logical_reads: AtomicU64,
     physical_reads: AtomicU64,
     writes: AtomicU64,
@@ -73,119 +69,56 @@ struct Shard {
     obs_evictions: Arc<spb_obs::Counter>,
 }
 
-impl Shard {
-    fn new(capacity: usize, idx: usize) -> Self {
-        Shard {
-            inner: RankedMutex::new(LockRank::BufferShard, Lru::new(capacity)),
+impl BufferPool {
+    /// Wraps `pager` with a cache of `capacity` pages (0 disables caching).
+    pub fn new(pager: Pager, capacity: usize) -> Self {
+        BufferPool {
+            pager,
+            lru: RankedMutex::new(LockRank::BufferPool, Lru::new(capacity)),
+            capacity: AtomicUsize::new(capacity),
             logical_reads: AtomicU64::new(0),
             physical_reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
-            obs_hits: spb_obs::counter(&format!("pool.shard{idx}.hits")),
-            obs_misses: spb_obs::counter(&format!("pool.shard{idx}.misses")),
-            obs_evictions: spb_obs::counter(&format!("pool.shard{idx}.evictions")),
+            obs_hits: spb_obs::counter("pool.hits"),
+            obs_misses: spb_obs::counter("pool.misses"),
+            obs_evictions: spb_obs::counter("pool.evictions"),
         }
-    }
-
-    fn stats(&self) -> IoStats {
-        IoStats {
-            logical_reads: self.logical_reads.load(Ordering::Relaxed),
-            physical_reads: self.physical_reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            fsyncs: 0,
-        }
-    }
-}
-
-/// A write-through LRU buffer pool over a [`Pager`], optionally
-/// lock-striped into several independent shards.
-pub struct BufferPool {
-    pager: Pager,
-    shards: Vec<Shard>,
-    /// Total requested capacity across all shards (Fig. 10's parameter).
-    capacity: AtomicUsize,
-}
-
-impl BufferPool {
-    /// Wraps `pager` with a cache of `capacity` pages (0 disables caching).
-    /// Single shard: exactly the paper's global LRU.
-    pub fn new(pager: Pager, capacity: usize) -> Self {
-        Self::new_sharded(pager, capacity, 1)
-    }
-
-    /// Wraps `pager` with a cache of `capacity` pages split over `shards`
-    /// lock stripes (clamped to at least 1). Page `p` lives in shard
-    /// `p mod shards`; each shard holds `⌈capacity / shards⌉` pages.
-    pub fn new_sharded(pager: Pager, capacity: usize, shards: usize) -> Self {
-        let n = shards.max(1);
-        let per_shard = Self::shard_capacity(capacity, n);
-        BufferPool {
-            pager,
-            shards: (0..n).map(|i| Shard::new(per_shard, i)).collect(),
-            capacity: AtomicUsize::new(capacity),
-        }
-    }
-
-    fn shard_capacity(total: usize, shards: usize) -> usize {
-        if total == 0 {
-            0
-        } else {
-            total.div_ceil(shards)
-        }
-    }
-
-    fn shard_of(&self, id: PageId) -> &Shard {
-        &self.shards[id.0 as usize % self.shards.len()]
-    }
-
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Counter snapshot of one shard (pager fsyncs are pool-global and
-    /// reported as 0 here; they appear in [`BufferPool::stats`]).
-    pub fn shard_stats(&self, shard: usize) -> IoStats {
-        self.shards[shard].stats()
     }
 
     /// Allocates a fresh page. Allocation writes the zeroed page and is
     /// counted as a write (construction cost includes it, as in Table 6).
     pub fn allocate(&self) -> io::Result<PageId> {
         let id = self.pager.allocate()?;
-        self.shard_of(id).writes.fetch_add(1, Ordering::Relaxed);
+        self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(id)
     }
 
     /// Reads a page, serving repeats from the cache.
     pub fn read(&self, id: PageId) -> io::Result<Arc<Page>> {
-        let shard = self.shard_of(id);
-        shard.logical_reads.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut inner = shard.inner.lock();
-            if let Some(page) = inner.get(id).cloned() {
-                shard.obs_hits.incr();
-                return Ok(page);
-            }
+        self.logical_reads.fetch_add(1, Ordering::Relaxed);
+        if let Some(page) = self.lru.lock().get(id).cloned() {
+            self.obs_hits.incr();
+            return Ok(page);
         }
         let io_start = spb_obs::clock::now();
         let page = Arc::new(self.pager.read_page(id)?);
         buffer_io_hist().record(spb_obs::clock::nanos_since(io_start));
-        let mut inner = shard.inner.lock();
+        let mut lru = self.lru.lock();
         // Double-check: a racing reader (or a write-through) may have
         // cached the page while we were at the pager. Serving the cached
-        // copy keeps PA accounting deterministic under striping and never
-        // clobbers a fresher write-through copy with our possibly-stale
-        // read.
-        if let Some(cached) = inner.get(id).cloned() {
-            shard.obs_hits.incr();
+        // copy keeps PA accounting deterministic under concurrency and
+        // never clobbers a fresher write-through copy with our
+        // possibly-stale read.
+        if let Some(cached) = lru.get(id).cloned() {
+            self.obs_hits.incr();
             return Ok(cached);
         }
-        shard.physical_reads.fetch_add(1, Ordering::Relaxed);
-        shard.obs_misses.incr();
-        let evicted = inner.insert(id, Arc::clone(&page));
-        drop(inner);
+        self.physical_reads.fetch_add(1, Ordering::Relaxed);
+        self.obs_misses.incr();
+        let evicted = lru.insert(id, Arc::clone(&page));
+        drop(lru);
         if evicted > 0 {
-            shard.obs_evictions.add(evicted);
+            self.obs_evictions.add(evicted);
         }
         Ok(page)
     }
@@ -195,11 +128,10 @@ impl BufferPool {
         let io_start = spb_obs::clock::now();
         self.pager.write_page(id, &page)?;
         buffer_io_hist().record(spb_obs::clock::nanos_since(io_start));
-        let shard = self.shard_of(id);
-        shard.writes.fetch_add(1, Ordering::Relaxed);
-        let evicted = shard.inner.lock().insert(id, Arc::new(page));
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        let evicted = self.lru.lock().insert(id, Arc::new(page));
         if evicted > 0 {
-            shard.obs_evictions.add(evicted);
+            self.obs_evictions.add(evicted);
         }
         Ok(())
     }
@@ -207,51 +139,38 @@ impl BufferPool {
     /// Drops every cached page. The paper flushes the cache before each of
     /// its 500 workload queries so measurements are cold.
     pub fn flush_cache(&self) {
-        for shard in &self.shards {
-            shard.inner.lock().clear();
-        }
+        self.lru.lock().clear();
     }
 
-    /// Changes the cache capacity (Fig. 10's parameter), evicting as needed.
+    /// Changes the cache capacity (Fig. 10's parameter), evicting in LRU
+    /// order as needed.
     pub fn set_capacity(&self, capacity: usize) {
         self.capacity.store(capacity, Ordering::Relaxed);
-        let per_shard = Self::shard_capacity(capacity, self.shards.len());
-        for shard in &self.shards {
-            let evicted = shard.inner.lock().resize(per_shard);
-            if evicted > 0 {
-                shard.obs_evictions.add(evicted);
-            }
-        }
+        let evicted = self.lru.lock().resize(capacity);
+        self.obs_evictions.add(evicted);
     }
 
-    /// Current total cache capacity in pages.
+    /// Current cache capacity in pages.
     pub fn capacity(&self) -> usize {
         self.capacity.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of the I/O counters, summed over all shards.
+    /// Snapshot of the I/O counters.
     pub fn stats(&self) -> IoStats {
-        let mut total = IoStats {
+        IoStats {
+            logical_reads: self.logical_reads.load(Ordering::Relaxed),
+            physical_reads: self.physical_reads.load(Ordering::Relaxed),
+            writes: self.writes.load(Ordering::Relaxed),
             fsyncs: self.pager.fsyncs(),
-            ..IoStats::default()
-        };
-        for shard in &self.shards {
-            let s = shard.stats();
-            total.logical_reads += s.logical_reads;
-            total.physical_reads += s.physical_reads;
-            total.writes += s.writes;
         }
-        total
     }
 
     /// Zeroes the I/O counters (between construction and queries, and
     /// between individual queries).
     pub fn reset_stats(&self) {
-        for shard in &self.shards {
-            shard.logical_reads.store(0, Ordering::Relaxed);
-            shard.physical_reads.store(0, Ordering::Relaxed);
-            shard.writes.store(0, Ordering::Relaxed);
-        }
+        self.logical_reads.store(0, Ordering::Relaxed);
+        self.physical_reads.store(0, Ordering::Relaxed);
+        self.writes.store(0, Ordering::Relaxed);
         self.pager.reset_fsyncs();
     }
 
@@ -285,12 +204,6 @@ mod tests {
         let dir = TempDir::new("pool");
         let pager = Pager::create(&dir.path().join("p.db")).unwrap();
         (dir, BufferPool::new(pager, capacity))
-    }
-
-    fn pool_sharded(capacity: usize, shards: usize) -> (TempDir, BufferPool) {
-        let dir = TempDir::new("pool-sharded");
-        let pager = Pager::create(&dir.path().join("p.db")).unwrap();
-        (dir, BufferPool::new_sharded(pager, capacity, shards))
     }
 
     #[test]
@@ -384,72 +297,5 @@ mod tests {
             pool.read(id).unwrap();
         }
         assert_eq!(pool.stats().physical_reads, 8192);
-    }
-
-    #[test]
-    fn sharded_pool_sums_counters_exactly() {
-        let (_d, pool) = pool_sharded(16, 4);
-        assert_eq!(pool.shard_count(), 4);
-        let ids: Vec<PageId> = (0..12).map(|_| pool.allocate().unwrap()).collect();
-        pool.flush_cache();
-        pool.reset_stats();
-        for &id in &ids {
-            pool.read(id).unwrap(); // 12 misses
-        }
-        for &id in &ids {
-            pool.read(id).unwrap(); // 12 hits (capacity 16 holds them all)
-        }
-        let total = pool.stats();
-        assert_eq!(total.logical_reads, 24);
-        assert_eq!(total.physical_reads, 12);
-        let mut sum = IoStats::default();
-        for s in 0..pool.shard_count() {
-            let st = pool.shard_stats(s);
-            sum.logical_reads += st.logical_reads;
-            sum.physical_reads += st.physical_reads;
-            sum.writes += st.writes;
-        }
-        assert_eq!(sum.logical_reads, total.logical_reads);
-        assert_eq!(sum.physical_reads, total.physical_reads);
-        assert_eq!(sum.page_accesses(), total.page_accesses());
-    }
-
-    #[test]
-    fn sharded_pool_spreads_pages_across_stripes() {
-        let (_d, pool) = pool_sharded(64, 4);
-        let ids: Vec<PageId> = (0..16).map(|_| pool.allocate().unwrap()).collect();
-        pool.flush_cache();
-        pool.reset_stats();
-        for &id in &ids {
-            pool.read(id).unwrap();
-        }
-        // Sequential page ids land round-robin on the 4 shards.
-        for s in 0..4 {
-            assert_eq!(pool.shard_stats(s).physical_reads, 4, "shard {s}");
-        }
-    }
-
-    #[test]
-    fn sharded_flush_and_capacity_apply_to_all_stripes() {
-        let (_d, pool) = pool_sharded(8, 2);
-        let ids: Vec<PageId> = (0..8).map(|_| pool.allocate().unwrap()).collect();
-        for &id in &ids {
-            pool.read(id).unwrap();
-        }
-        pool.flush_cache();
-        pool.reset_stats();
-        for &id in &ids {
-            pool.read(id).unwrap();
-        }
-        assert_eq!(pool.stats().physical_reads, 8, "flush emptied every shard");
-        pool.set_capacity(0);
-        pool.reset_stats();
-        pool.read(ids[0]).unwrap();
-        pool.read(ids[0]).unwrap();
-        assert_eq!(
-            pool.stats().physical_reads,
-            2,
-            "capacity 0 disables caching"
-        );
     }
 }

@@ -10,7 +10,7 @@
 //! * [`BufferPool`] — an LRU cache in front of a pager; the paper's cache
 //!   experiments (Fig. 10) vary its capacity, and queries flush it so each
 //!   of the 500 workload queries is measured cold;
-//! * [`Lru`] — the one LRU structure: a pool shard stores pages in it,
+//! * [`Lru`] — the one LRU structure: a pool stores pages in it,
 //!   per-query cost accounting (`spb-core`) replays page traces through it;
 //! * [`Raf`] — the *random access file* holding variable-length object
 //!   records `(id, len, obj)` separately from the index (Fig. 4);

@@ -12,7 +12,7 @@
 //! | 5 | Replica state lock (serving-tree swap) | `spb-cluster` (`Replica`) |
 //! | 10 | SPB-tree structure latch | `spb-core` (`SpbTree::latch`) |
 //! | 15 | RAF staged tail page | `spb-storage` (`Raf::staged`) |
-//! | 20 | Buffer-pool shard mutex | `spb-storage` (`cache::Shard`) |
+//! | 20 | Buffer-pool LRU mutex | `spb-storage` (`BufferPool::lru`) |
 //! | 30 | WAL mutexes (`pending`, `file`) | `spb-storage` (`Wal`) |
 //! | 40 | B⁺-tree meta (root, height, length) | `spb-bptree` (`BPlusTree::meta`) |
 //! | 41 | Learned-positioning model slot | `spb-core` (`SpbTree::accel`) |
@@ -21,15 +21,15 @@
 //! | 51 | Pager file handle | `spb-storage` (`Pager::file`) |
 //!
 //! A query takes the tree latch (shared), then reads pages through
-//! buffer-pool shards; an update takes the latch exclusively, stages
-//! pages through shards, and commits through the WAL. Acquiring against
-//! that order — e.g. taking the tree latch while holding a shard — is a
+//! buffer pools; an update takes the latch exclusively, stages pages
+//! through the pools, and commits through the WAL. Acquiring against
+//! that order — e.g. taking the tree latch while holding a pool — is a
 //! deadlock waiting for the right interleaving. The cluster ranks sit
 //! *below* the tree latch: a replica swaps its serving tree (and a
 //! router leases a connection) before any tree latch is taken, and a
 //! thread inside a tree must never reach back up into cluster state.
 //! The RAF holds its staged tail while it seals that page through the
-//! pool, so it sits above the latch and below the shards. The ranks
+//! pool, so it sits above the latch and below the pool. The ranks
 //! from 40 up are leaves: nothing is acquired while one is held. A
 //! baseline index copies its root (or radii) out and releases the
 //! mutex before it reads a page, so that rank is a leaf too. The
@@ -96,8 +96,8 @@ pub enum LockRank {
     /// The RAF's staged tail page, held while it is sealed through the
     /// buffer pool.
     RafTail = 15,
-    /// One buffer-pool shard's LRU mutex.
-    BufferShard = 20,
+    /// A buffer pool's LRU mutex.
+    BufferPool = 20,
     /// The write-ahead log's internal mutexes.
     Wal = 30,
     /// A B⁺-tree's in-memory meta (`spb-bptree`). Leaf.
@@ -122,7 +122,7 @@ impl LockRank {
         LockRank::ReplicaApply,
         LockRank::TreeLatch,
         LockRank::RafTail,
-        LockRank::BufferShard,
+        LockRank::BufferPool,
         LockRank::Wal,
         LockRank::BtreeMeta,
         LockRank::AccelModel,
@@ -141,7 +141,7 @@ impl LockRank {
             LockRank::TreeLatch => "tree latch",
             LockRank::BaselineRoot => "baseline index root",
             LockRank::RafTail => "RAF staged tail",
-            LockRank::BufferShard => "buffer-pool shard",
+            LockRank::BufferPool => "buffer pool",
             LockRank::Wal => "WAL mutex",
             LockRank::BtreeMeta => "B+-tree meta",
             LockRank::AccelModel => "accel model slot",
@@ -373,16 +373,16 @@ mod tests {
     fn ascending_order_and_reacquisition_are_silent() {
         on_fresh_thread(|| {
             let latch = RankedRwLock::new(LockRank::TreeLatch, ());
-            let shard = RankedMutex::new(LockRank::BufferShard, ());
+            let pool = RankedMutex::new(LockRank::BufferPool, ());
             let wal = RankedMutex::new(LockRank::Wal, ());
             {
                 let _a = latch.read();
-                let _b = shard.lock();
+                let _b = pool.lock();
                 let _c = wal.lock();
             }
             drop(wal.lock());
             drop(latch.write());
-            drop(shard.lock());
+            drop(pool.lock());
         });
     }
 
@@ -402,16 +402,16 @@ mod tests {
     #[cfg_attr(debug_assertions, should_panic(expected = "lock-rank violation"))]
     fn descending_order_fires() {
         let wal = RankedMutex::new(LockRank::Wal, ());
-        let shard = RankedMutex::new(LockRank::BufferShard, ());
+        let pool = RankedMutex::new(LockRank::BufferPool, ());
         let _wal = wal.lock();
-        let _shard = shard.lock();
+        let _pool = pool.lock();
     }
 
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "lock-rank violation"))]
     fn equal_exclusive_ranks_fire() {
-        let a = RankedMutex::new(LockRank::BufferShard, ());
-        let b = RankedMutex::new(LockRank::BufferShard, ());
+        let a = RankedMutex::new(LockRank::BufferPool, ());
+        let b = RankedMutex::new(LockRank::BufferPool, ());
         let _a = a.lock();
         let _b = b.lock();
     }

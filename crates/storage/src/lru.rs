@@ -1,6 +1,6 @@
 //! The one LRU of the workspace, generic in what it stores per page.
 //!
-//! A [`BufferPool`](crate::BufferPool) shard keeps `Arc<Page>` payloads;
+//! A [`BufferPool`](crate::BufferPool) keeps `Arc<Page>` payloads;
 //! the per-query cost accounting of `spb-core` replays a query's page
 //! trace through an `Lru<()>` of the pool's capacity. Sharing the
 //! structure is what makes "the reported *PA* equals what a solo flushed

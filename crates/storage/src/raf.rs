@@ -84,13 +84,7 @@ pub struct Raf {
 impl Raf {
     /// Creates a new RAF at `path` with a read cache of `cache_pages`.
     pub fn create(path: &Path, cache_pages: usize) -> io::Result<Self> {
-        Self::create_sharded(path, cache_pages, 1)
-    }
-
-    /// [`Raf::create`] with a lock-striped read cache (`shards` stripes)
-    /// for concurrent readers.
-    pub fn create_sharded(path: &Path, cache_pages: usize, shards: usize) -> io::Result<Self> {
-        let pool = BufferPool::new_sharded(Pager::create(path)?, cache_pages, shards);
+        let pool = BufferPool::new(Pager::create(path)?, cache_pages);
         let header_id = pool.allocate()?;
         debug_assert_eq!(header_id, PageId(0));
         let mut header = Page::new();
@@ -106,12 +100,7 @@ impl Raf {
 
     /// Opens an existing RAF.
     pub fn open(path: &Path, cache_pages: usize) -> io::Result<Self> {
-        Self::open_sharded(path, cache_pages, 1)
-    }
-
-    /// [`Raf::open`] with a lock-striped read cache (`shards` stripes).
-    pub fn open_sharded(path: &Path, cache_pages: usize, shards: usize) -> io::Result<Self> {
-        let pool = BufferPool::new_sharded(Pager::open(path)?, cache_pages, shards);
+        let pool = BufferPool::new(Pager::open(path)?, cache_pages);
         let header = pool.read(PageId(0))?;
         if header.read_u64(0) != MAGIC {
             return Err(io::Error::new(

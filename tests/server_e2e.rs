@@ -26,7 +26,7 @@ fn range_plan() -> QueryPlan {
     QueryPlan::exact(QueryShape::Range { radius: RADIUS })
 }
 const CACHE_PAGES: usize = 32;
-const SHARDS: usize = 4;
+const THREADS: usize = 4;
 
 /// Builds a words index with its `cli.schema` and returns the dataset.
 fn build_words(dir: &TempDir, n: usize, seed: u64) -> (Vec<Word>, usize) {
@@ -45,7 +45,7 @@ fn build_words(dir: &TempDir, n: usize, seed: u64) -> (Vec<Word>, usize) {
 }
 
 fn start_server(dir: &TempDir, cfg: ServerConfig) -> spb_server::ServerHandle {
-    let service = open_index(dir.path(), CACHE_PAGES, SHARDS).unwrap();
+    let service = open_index(dir.path(), CACHE_PAGES).unwrap();
     serve(service, "127.0.0.1:0", cfg).unwrap()
 }
 
@@ -59,20 +59,18 @@ fn remote_batches_are_byte_identical_to_in_process() {
     let queries: Vec<Word> = data[..24].to_vec();
 
     // In-process reference, opened exactly like the server opens it
-    // (same cache capacity and striping — per-query stats are computed
-    // against a simulated cold cache of the pool's capacity, so the
-    // configurations must match for identical numbers).
-    let tree = SpbTree::open_sharded(
+    // (same cache capacity — per-query stats are computed against a
+    // simulated cold cache of the pool's capacity, so the configurations
+    // must match for identical numbers).
+    let tree = SpbTree::open(
         dir.path(),
         spb::metric::EditDistance::new(max_len),
         CACHE_PAGES,
-        true,
-        SHARDS,
     )
     .unwrap();
     let pairs: Vec<(Word, f64)> = queries.iter().map(|q| (q.clone(), RADIUS)).collect();
-    let local_range = tree.range_batch(&pairs, SHARDS).unwrap();
-    let local_knn = tree.knn_batch(&queries, K as usize, SHARDS).unwrap();
+    let local_range = tree.range_batch(&pairs, THREADS).unwrap();
+    let local_knn = tree.knn_batch(&queries, K as usize, THREADS).unwrap();
     drop(tree); // release the directory before the server opens it
 
     let server = start_server(&dir, ServerConfig::default());
