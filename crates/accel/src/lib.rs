@@ -27,6 +27,20 @@
 //! raw `u64` page ids and `u128` SFC keys, so it depends only on
 //! `spb-storage` (atomic file replacement + CRC) and `spb-obs`.
 
+// The no-panic zones (DESIGN.md §10) call into this crate: a literal
+// panic site in its library code needs an item-level `allow` and a why.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod metrics;
 mod model;
 mod tune;

@@ -21,6 +21,20 @@
 //! access for the query algorithms that drive their own traversals (RQA,
 //! NNA, SJA).
 
+// The no-panic zones (DESIGN.md §10) call into this crate: a literal
+// panic site in its library code needs an item-level `allow` and a why.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 mod node;
 mod tree;
 

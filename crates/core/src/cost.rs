@@ -18,7 +18,7 @@
 //! joint CDF (eq. 4); tests assert the two agree.
 
 use std::io;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use spb_bptree::{BPlusTree, Mbb};
 use spb_metric::{DistanceHistogram, MetricObject};
@@ -159,9 +159,16 @@ impl CostModel {
         })
     }
 
+    /// The statistics. The lock is poisoned only if a panic interrupted
+    /// an update, and a half-updated model is not to be trusted.
+    #[allow(clippy::expect_used)]
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("cost model lock")
+    }
+
     /// Keeps the statistics current across insertions.
     pub(crate) fn record_insert(&self, phi: &[f64]) {
-        let mut inner = self.inner.lock().expect("cost model lock");
+        let mut inner = self.lock();
         for (h, &d) in inner.hists.iter_mut().zip(phi) {
             h.record(d);
         }
@@ -182,13 +189,13 @@ impl CostModel {
     /// are statistical, and removal from a histogram is ill-posed); only
     /// the object count shrinks, which is what the EDC formulas scale by.
     pub(crate) fn record_delete(&self) {
-        let mut inner = self.inner.lock().expect("cost model lock");
+        let mut inner = self.lock();
         inner.num_objects = inner.num_objects.saturating_sub(1);
     }
 
     /// Number of objects the model currently describes.
     pub fn num_objects(&self) -> u64 {
-        self.inner.lock().expect("cost model lock").num_objects
+        self.lock().num_objects
     }
 
     /// `f`: average objects per RAF page.
@@ -202,7 +209,7 @@ impl CostModel {
     /// `[⌊(d(q,pᵢ)−r)/δ⌋, ⌊(d(q,pᵢ)+r)/δ⌋]` — the paper's integer
     /// formulation of eq. 4 (`lᵢ = d(q,pᵢ) − r − 1`).
     pub(crate) fn prob_in_rr(&self, q_phi: &[f64], r: f64) -> f64 {
-        let inner = self.inner.lock().expect("cost model lock");
+        let inner = self.lock();
         if inner.sample.is_empty() {
             return 0.0;
         }
@@ -261,7 +268,7 @@ impl CostModel {
             return self.d_plus;
         }
         let sample_len = {
-            let inner = self.inner.lock().expect("cost model lock");
+            let inner = self.lock();
             inner.sample.len().max(1)
         };
         // Binary search the smallest RR radius expected to cover k objects.
@@ -295,7 +302,7 @@ impl CostModel {
     /// distance distribution under the homogeneity-of-viewpoints
     /// assumption (`F_q ≈ F_pᵢ` for the pivot nearest to `q`).
     pub(crate) fn estimate_nd_k_homogeneous(&self, q_phi: &[f64], k: u64) -> f64 {
-        let inner = self.inner.lock().expect("cost model lock");
+        let inner = self.lock();
         let nearest = q_phi
             .iter()
             .enumerate()
@@ -325,7 +332,7 @@ impl CostModel {
         let n_q = self.num_objects() as f64;
         let n_o = other.num_objects() as f64;
         let mean_prob = {
-            let inner = self.inner.lock().expect("cost model lock");
+            let inner = self.lock();
             if inner.sample.is_empty() {
                 0.0
             } else {
@@ -363,7 +370,7 @@ mod tests {
         /// `|P| ≤ 9`. Agrees with [`prob_in_rr`](Self::prob_in_rr) exactly —
         /// kept for fidelity to the paper and as a cross-check.
         fn prob_in_rr_incl_excl(&self, q_phi: &[f64], r: f64) -> f64 {
-            let inner = self.inner.lock().expect("cost model lock");
+            let inner = self.lock();
             if inner.sample.is_empty() {
                 return 0.0;
             }

@@ -28,6 +28,10 @@ fn queue_depth_gauge() -> &'static std::sync::Arc<spb_obs::Gauge> {
 /// it. `threads <= 1` (or a single item) runs inline on the caller's
 /// thread, which is also the reference behaviour batch results are
 /// tested against.
+///
+/// # Panics
+/// Panics if `f` panics on a worker thread, as it would inline.
+#[allow(clippy::expect_used)]
 pub fn parallel_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

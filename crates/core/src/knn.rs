@@ -295,7 +295,7 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
             if best.len() < k {
                 f64::INFINITY
             } else {
-                best.peek().expect("non-empty").dist
+                best.peek().map_or(f64::INFINITY, |b| b.dist)
             }
         };
         let mut cell_buf = vec![0u32; self.table.num_pivots()];
@@ -365,11 +365,10 @@ impl<O: MetricObject, D: Distance<O>> SpbTree<O, D> {
                 id,
                 obj: o,
             });
-        } else {
+        } else if let Some(worst) = best.peek() {
             // Replace on a strictly better (distance, id) pair — the same
             // canonical order the heap uses — so boundary ties resolve to
             // the smallest ids no matter the verification order.
-            let worst = best.peek().expect("non-empty");
             if d < worst.dist || (d == worst.dist && id < worst.id) {
                 best.pop();
                 best.push(Best {

@@ -65,6 +65,20 @@
 //! assert_eq!(nn[0].2, 0.0); // the word itself
 //! ```
 
+// The no-panic zones (DESIGN.md §10) call into this crate: a literal
+// panic site in its library code needs an item-level `allow` and a why.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 mod batch;
 mod config;
 mod cost;

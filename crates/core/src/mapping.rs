@@ -248,8 +248,9 @@ impl<O: MetricObject> PivotTable<O> {
         if bytes.len() < 33 || &bytes[..8] != b"SPBPIVT1" {
             return Err(err("not an SPB pivot table"));
         }
-        let rd_u32 = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4 bytes"));
-        let rd_f64 = |o: usize| f64::from_le_bytes(bytes[o..o + 8].try_into().expect("8 bytes"));
+        let rd_u32 = |o: usize| <[u8; 4]>::try_from(&bytes[o..o + 4]).map_or(0, u32::from_le_bytes);
+        let rd_f64 =
+            |o: usize| <[u8; 8]>::try_from(&bytes[o..o + 8]).map_or(0.0, f64::from_le_bytes);
         let n = rd_u32(8) as usize;
         let delta = rd_f64(12);
         let bits = rd_u32(20);

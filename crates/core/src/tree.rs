@@ -908,6 +908,46 @@ mod tests {
     }
 
     #[test]
+    fn query_stats_add_folds_every_field() {
+        // Built and destructured without `..`: a new counter does not
+        // compile here until this test says how `add` folds it.
+        let one = QueryStats {
+            compdists: 1,
+            page_accesses: 2,
+            btree_pa: 3,
+            raf_pa: 4,
+            fsyncs: 5,
+            duration: Duration::from_nanos(6),
+            recall: Some(0.5),
+        };
+        let mut sum = one;
+        sum.add(&one);
+        sum.add(&QueryStats::default());
+        let QueryStats {
+            compdists,
+            page_accesses,
+            btree_pa,
+            raf_pa,
+            fsyncs,
+            duration,
+            recall,
+        } = sum;
+        assert_eq!(
+            (compdists, page_accesses, btree_pa, raf_pa, fsyncs),
+            (2, 4, 6, 8, 10)
+        );
+        assert_eq!(duration, Duration::from_nanos(12));
+        // Recall does not sum: the latest measurement wins, and an
+        // unmeasured query leaves it alone.
+        assert_eq!(recall, Some(0.5));
+        sum.add(&QueryStats {
+            recall: Some(0.25),
+            ..QueryStats::default()
+        });
+        assert_eq!(sum.recall, Some(0.25));
+    }
+
+    #[test]
     fn build_accounts_mapping_distances() {
         let (_d, words, tree) = build_words(500);
         let s = tree.build_stats();

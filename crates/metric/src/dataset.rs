@@ -43,6 +43,8 @@ fn random_word(rng: &mut StdRng, letters: &WeightedIndex<u32>, len: usize) -> St
 /// which yields the clustered edit-distance structure of a natural-language
 /// dictionary (inflections sit within small edit distance of their stems).
 /// All returned words are distinct.
+// The weights are static and every byte is a lowercase ASCII letter.
+#[allow(clippy::expect_used)]
 pub fn words(n: usize, seed: u64) -> Vec<Word> {
     let mut rng = StdRng::seed_from_u64(seed);
     let letters = WeightedIndex::new(LETTER_WEIGHTS).expect("static weights are valid");
@@ -169,6 +171,8 @@ pub fn color_metric() -> LpNorm {
 /// similarity in tri-gram counting space, intrinsic dimensionality ≈ 6.9):
 /// root 108-mers mutated at varying rates, giving a broad angular-distance
 /// distribution.
+// Every byte is drawn from `BASES`, so the string is ASCII.
+#[allow(clippy::expect_used)]
 pub fn dna(n: usize, seed: u64) -> Vec<Dna> {
     let mut rng = StdRng::seed_from_u64(seed);
     const LEN: usize = 108;

@@ -18,6 +18,20 @@
 //! * [`stats`] — distance histograms, pairwise sampling, and the intrinsic
 //!   dimensionality estimator `ρ = µ²/(2σ²)` used to pick the pivot count.
 
+// The no-panic zones (DESIGN.md §10) call into this crate: a literal
+// panic site in its library code needs an item-level `allow` and a why.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod counter;
 pub mod dataset;
 pub mod distance;

@@ -40,6 +40,7 @@ pub trait MetricObject: Clone + Send + Sync + PartialEq + fmt::Debug + 'static {
     /// # Panics
     /// Panics if the bytes are malformed; use
     /// [`try_decode`](MetricObject::try_decode) for untrusted input.
+    #[allow(clippy::expect_used)]
     fn decode(bytes: &[u8]) -> Self {
         Self::try_decode(bytes).expect("malformed MetricObject bytes")
     }
@@ -195,6 +196,8 @@ impl Dna {
 
     /// Counts of each of the 4³ = 64 possible tri-grams, in lexicographic
     /// order of the tri-gram (A=0, C=1, G=2, T=3).
+    // `Dna::new` admits only A, C, G and T.
+    #[allow(clippy::unreachable)]
     pub(crate) fn trigram_profile(&self) -> [u32; 64] {
         let mut counts = [0u32; 64];
         let b = self.0.as_bytes();

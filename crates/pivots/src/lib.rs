@@ -21,6 +21,20 @@
 //! All methods run on bounded samples so selection stays `O(|O|)` overall,
 //! as the paper requires.
 
+// The no-panic zones (DESIGN.md §10) call into this crate: a literal
+// panic site in its library code needs an item-level `allow` and a why.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -161,14 +175,13 @@ fn fft<O, D: Distance<O>>(
     rng: &mut StdRng,
 ) -> Vec<usize> {
     let seed_idx = sample[rng.gen_range(0..sample.len())];
-    let first = *sample
-        .iter()
-        .max_by(|&&a, &&b| {
-            metric
-                .distance(&objects[seed_idx], &objects[a])
-                .total_cmp(&metric.distance(&objects[seed_idx], &objects[b]))
-        })
-        .expect("sample is non-empty");
+    let Some(&first) = sample.iter().max_by(|&&a, &&b| {
+        metric
+            .distance(&objects[seed_idx], &objects[a])
+            .total_cmp(&metric.distance(&objects[seed_idx], &objects[b]))
+    }) else {
+        return Vec::new();
+    };
     let mut selected = vec![first];
     // min_dist[i] = distance from sample[i] to the nearest selected pivot.
     let mut min_dist: Vec<f64> = sample
@@ -176,11 +189,13 @@ fn fft<O, D: Distance<O>>(
         .map(|&i| metric.distance(&objects[first], &objects[i]))
         .collect();
     while selected.len() < k {
-        let (pos, _) = min_dist
+        let Some((pos, _)) = min_dist
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))
-            .expect("sample is non-empty");
+        else {
+            break;
+        };
         let next = sample[pos];
         if selected.contains(&next) {
             break; // sample exhausted (all remaining coincide with pivots)
@@ -204,22 +219,17 @@ fn hf_candidates<O, D: Distance<O>>(
     rng: &mut StdRng,
 ) -> Vec<usize> {
     let s = sample[rng.gen_range(0..sample.len())];
-    let f1 = *sample
-        .iter()
-        .max_by(|&&a, &&b| {
+    let farthest = |from: usize| {
+        sample.iter().copied().max_by(|&a, &b| {
             metric
-                .distance(&objects[s], &objects[a])
-                .total_cmp(&metric.distance(&objects[s], &objects[b]))
+                .distance(&objects[from], &objects[a])
+                .total_cmp(&metric.distance(&objects[from], &objects[b]))
         })
-        .expect("non-empty");
-    let f2 = *sample
-        .iter()
-        .max_by(|&&a, &&b| {
-            metric
-                .distance(&objects[f1], &objects[a])
-                .total_cmp(&metric.distance(&objects[f1], &objects[b]))
-        })
-        .expect("non-empty");
+    };
+    let Some(f1) = farthest(s) else {
+        return Vec::new();
+    };
+    let f2 = farthest(f1).unwrap_or(f1);
     let edge = metric.distance(&objects[f1], &objects[f2]);
     let mut selected = vec![f1];
     if k > 1 && f2 != f1 {
@@ -321,7 +331,7 @@ fn incremental_by_precision<O, D: Distance<O>>(
                 best = Some((pos, score));
             }
         }
-        let (pos, _) = best.expect("remaining is non-empty");
+        let Some((pos, _)) = best else { break };
         let ci = remaining.swap_remove(pos);
         let row = &rows[ci];
         for (p, &(a, b, _)) in pairs.iter().enumerate() {
@@ -371,15 +381,17 @@ fn spacing<O, D: Distance<O>>(
         row.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / n
     };
     let mut remaining: Vec<usize> = (0..cands.len()).collect();
-    let first = remaining
+    let Some(first) = remaining
         .iter()
         .enumerate()
         .max_by(|a, b| variance(&rows[*a.1]).total_cmp(&variance(&rows[*b.1])))
         .map(|(pos, _)| pos)
-        .expect("non-empty");
+    else {
+        return Vec::new();
+    };
     let mut selected_rows = vec![remaining.swap_remove(first)];
     while selected_rows.len() < k && !remaining.is_empty() {
-        let best = remaining
+        let Some(best) = remaining
             .iter()
             .enumerate()
             .min_by(|a, b| {
@@ -394,7 +406,9 @@ fn spacing<O, D: Distance<O>>(
                 ca.total_cmp(&cb)
             })
             .map(|(pos, _)| pos)
-            .expect("non-empty");
+        else {
+            break;
+        };
         selected_rows.push(remaining.swap_remove(best));
     }
     selected_rows.into_iter().map(|ci| cands[ci]).collect()
@@ -436,7 +450,7 @@ fn pca<O, D: Distance<O>>(
                 best = Some((pos, score));
             }
         }
-        let (pos, score) = best.expect("non-empty");
+        let Some((pos, score)) = best else { break };
         let ci = remaining.swap_remove(pos);
         selected.push(cands[ci]);
         if score > 1e-12 {

@@ -1509,6 +1509,116 @@ mod tests {
         ));
     }
 
+    const REQUEST_OPS: [u8; 13] = [
+        OP_PING,
+        OP_RANGE,
+        OP_KNN,
+        OP_INSERT,
+        OP_DELETE,
+        OP_BATCH_RANGE,
+        OP_BATCH_KNN,
+        OP_STATS,
+        OP_SHUTDOWN,
+        OP_OBS_STATS,
+        OP_WAL_SHIP,
+        OP_RANGE_APPROX,
+        OP_KNN_APPROX,
+    ];
+
+    #[test]
+    fn every_unknown_opcode_byte_is_a_typed_error() {
+        for op in 0..=u8::MAX {
+            let known_req = REQUEST_OPS.contains(&op);
+            // Approximate queries are answered in the exact ops' shapes.
+            let answered = op & !RESP_BIT;
+            let known_resp = op == OP_ERROR
+                || (op & RESP_BIT != 0
+                    && REQUEST_OPS.contains(&answered)
+                    && ![OP_RANGE_APPROX, OP_KNN_APPROX].contains(&answered));
+            // A known opcode with no body decodes or is truncated, never
+            // read as another opcode.
+            let req = Request::decode(&[PROTOCOL_VERSION, op]);
+            match req {
+                Err(WireError::BadOpcode(b)) => assert!(!known_req && b == op, "{op:#04x}"),
+                _ => assert!(known_req, "{op:#04x}: {req:?}"),
+            }
+            let resp = Response::decode(&[PROTOCOL_VERSION, op]);
+            match resp {
+                Err(WireError::BadOpcode(b)) => assert!(!known_resp && b == op, "{op:#04x}"),
+                _ => assert!(known_resp, "{op:#04x}: {resp:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_error_code_round_trips_through_its_byte() {
+        let mut seen = [false; 7];
+        for b in 0..=u8::MAX {
+            let code = match ErrorCode::from_byte(b) {
+                Ok(code) => code,
+                Err(WireError::BadErrorCode(u)) => {
+                    assert_eq!(u, b);
+                    continue;
+                }
+                Err(e) => panic!("byte {b}: {e}"),
+            };
+            assert_eq!(code as u8, b);
+            // Exhaustive: a new code does not compile here until counted.
+            let i = match code {
+                ErrorCode::Overloaded => 0,
+                ErrorCode::DeadlineExceeded => 1,
+                ErrorCode::VersionMismatch => 2,
+                ErrorCode::Malformed => 3,
+                ErrorCode::FrameTooLarge => 4,
+                ErrorCode::Internal => 5,
+                ErrorCode::ShuttingDown => 6,
+            };
+            seen[i] = true;
+            roundtrip_resp(Response::Error {
+                code,
+                server_version: PROTOCOL_VERSION,
+                message: code.to_string(),
+            });
+        }
+        assert_eq!(seen, [true; 7]);
+    }
+
+    #[test]
+    fn every_wire_error_variant_comes_from_some_input() {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &Request::Ping.encode()).unwrap();
+        let mut bad_crc = frame.clone();
+        bad_crc[FRAME_HEADER] ^= 1;
+        let mut unknown_code = vec![PROTOCOL_VERSION, OP_ERROR, 0, PROTOCOL_VERSION];
+        put_bytes(&mut unknown_code, b"?");
+        let errors = [
+            Request::decode(&[]).unwrap_err(),
+            Request::decode(&[PROTOCOL_VERSION, OP_PING, 0]).unwrap_err(),
+            read_frame(&mut bad_crc.as_slice(), DEFAULT_MAX_FRAME).unwrap_err(),
+            read_frame(&mut frame.as_slice(), 1).unwrap_err(),
+            Request::decode(&[PROTOCOL_VERSION, 0]).unwrap_err(),
+            Response::decode(&unknown_code).unwrap_err(),
+            Request::decode(&[PROTOCOL_VERSION + 1, OP_PING]).unwrap_err(),
+            read_frame(&mut &frame[..FRAME_HEADER - 1], DEFAULT_MAX_FRAME).unwrap_err(),
+        ];
+        // Exhaustive: a new variant does not compile here until some
+        // input above produces it.
+        let kinds: Vec<usize> = errors
+            .iter()
+            .map(|e| match e {
+                WireError::Truncated => 0,
+                WireError::Trailing(_) => 1,
+                WireError::BadCrc { .. } => 2,
+                WireError::FrameTooLarge { .. } => 3,
+                WireError::BadOpcode(_) => 4,
+                WireError::BadErrorCode(_) => 5,
+                WireError::VersionMismatch { .. } => 6,
+                WireError::Io(_) => 7,
+            })
+            .collect();
+        assert_eq!(kinds, (0..8).collect::<Vec<_>>());
+    }
+
     #[test]
     fn frame_roundtrip_over_a_buffer() {
         let req = Request::Range {

@@ -16,6 +16,11 @@ pub struct TempDir {
 
 impl TempDir {
     /// Creates `$TMPDIR/spb-<label>-<pid>-<n>`.
+    ///
+    /// # Panics
+    /// Panics if the directory cannot be created: a test or benchmark
+    /// without its scratch space has nothing left to run.
+    #[allow(clippy::expect_used)]
     pub fn new(label: &str) -> Self {
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let path = std::env::temp_dir().join(format!("spb-{label}-{}-{n}", std::process::id()));

@@ -99,8 +99,8 @@ impl WalFileTag {
         match b {
             0 => Some(WalFileTag::BTree),
             1 => Some(WalFileTag::Raf),
-            // spb-lint: allow(catch-all) — any other byte is log corruption;
-            // the decoder treats the frame as the end of the valid prefix.
+            // Any other byte is log corruption; the decoder treats the
+            // frame as the end of the valid prefix.
             _ => None,
         }
     }
@@ -225,10 +225,9 @@ pub(crate) fn decode_record(bytes: &[u8]) -> Option<(WalRecord, usize)> {
             txid,
             bytes: body.to_vec(),
         },
-        // spb-lint: allow(catch-all) — an unknown type byte in a CRC-valid
-        // frame is a log written by a different format version; recovery
-        // must stop here exactly as for a torn tail rather than guess at
-        // the record's meaning.
+        // An unknown type byte in a CRC-valid frame is a log written by a
+        // different format version; recovery must stop here exactly as
+        // for a torn tail rather than guess at the record's meaning.
         _ => return None,
     };
     Some((record, 8 + len))
@@ -593,6 +592,51 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).unwrap().len(), good_len);
         let rescan = Wal::scan_file(&path).unwrap();
         assert_eq!(rescan.torn_bytes, 0);
+    }
+
+    #[test]
+    fn every_unknown_tag_or_record_type_byte_ends_the_valid_prefix() {
+        let frame = |rtype: u8, body: &[u8]| {
+            let mut payload = vec![rtype];
+            payload.extend_from_slice(&7u64.to_le_bytes());
+            payload.extend_from_slice(body);
+            let mut f = (payload.len() as u32).to_le_bytes().to_vec();
+            f.extend_from_slice(&crc32(&payload).to_le_bytes());
+            f.extend_from_slice(&payload);
+            f
+        };
+        let page_body = |tag: u8| {
+            let mut body = vec![tag];
+            body.extend_from_slice(&[0u8; 8 + PAGE_SIZE]);
+            body
+        };
+        for b in 0..=u8::MAX {
+            let tag = WalFileTag::from_byte(b);
+            assert_eq!(
+                tag.map(WalFileTag::to_byte),
+                (b <= 1).then_some(b),
+                "tag {b}"
+            );
+            let tagged = decode_record(&frame(TYPE_PAGE, &page_body(b)));
+            assert_eq!(tagged.is_some(), b <= 1, "tag {b}");
+            // An empty body fits Begin, Commit and Meta; a page body fits
+            // PageImage and Meta. Every other type byte decodes to nothing.
+            let empty = decode_record(&frame(b, &[]));
+            assert_eq!(
+                empty.is_some(),
+                [TYPE_BEGIN, TYPE_META, TYPE_COMMIT].contains(&b),
+                "type {b}"
+            );
+            let paged = decode_record(&frame(b, &page_body(0)));
+            assert_eq!(
+                paged.is_some(),
+                [TYPE_PAGE, TYPE_META].contains(&b),
+                "type {b}"
+            );
+            for (record, used) in empty.into_iter().chain(paged) {
+                assert_eq!(encode_record(&record).len(), used);
+            }
+        }
     }
 
     #[test]
